@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -143,6 +144,23 @@ def resolve_stride(cfg: dict, n_steps: int, errors: list) -> int:
     return s if s is not None else 1
 
 
+def _load_initial_file(cfg: dict, g: Grid1D, columns: str, errors: list):
+    """The g.n data rows of the CSV initial_file, one column per name in columns."""
+    path = cfg["initial_file"]
+    if not path or not os.path.isfile(path):
+        errors.append(f"initial_file {path!r} missing or not a file")
+        return None
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        errors.append(f"initial_file {path!r} is not numeric CSV: {exc}")
+        return None
+    if data.shape != (g.n, len(columns.split(","))):
+        errors.append(f"initial_file must have {g.n} rows of {columns}; got {data.shape}")
+        return None
+    return data
+
+
 def build_initial_q(cfg: dict, g: Grid1D, errors: list):
     kind = cfg["initial_data"]
     if kind == "great-circle":
@@ -159,15 +177,8 @@ def build_initial_q(cfg: dict, g: Grid1D, errors: list):
             return None
         return localized_twist(g.x, amp, width, center, power)
     if kind == "file":
-        path = cfg["initial_file"]
-        if not path or not os.path.isfile(path):
-            errors.append(f"initial_file {path!r} missing or not a file")
-            return None
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape != (g.n, 2):
-            errors.append(f"initial_file must have {g.n} rows of re,im; got {data.shape}")
-            return None
-        return data[:, 0] + 1j * data[:, 1]
+        data = _load_initial_file(cfg, g, "re,im", errors)
+        return None if data is None else data[:, 0] + 1j * data[:, 1]
     errors.append(f"unknown initial_data {kind!r}")
     return None
 
@@ -185,13 +196,8 @@ def build_initial_u(cfg: dict, g: Grid1D, errors: list):
         return np.stack([np.cos(k * g.x), np.sin(k * g.x),
                          np.zeros(g.n)], axis=-1)
     if kind == "file":
-        path = cfg["initial_file"]
-        if not path or not os.path.isfile(path):
-            errors.append(f"initial_file {path!r} missing or not a file")
-            return None
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape != (g.n, 3):
-            errors.append(f"initial_file must have {g.n} rows of ux,uy,uz; got {data.shape}")
+        data = _load_initial_file(cfg, g, "ux,uy,uz", errors)
+        if data is None:
             return None
         nrm = np.sqrt(np.sum(data * data, axis=-1))
         if np.max(np.abs(nrm - 1.0)) > 1e-8:
@@ -358,7 +364,8 @@ def _sllg_setup(cfg, g, errors):
     n_modes = _num(cfg, "n_modes", int, errors, lambda v: v >= 0, "(need >= 0)")
     decay = _num(cfg, "coeff_decay", float, errors)
     amp = _num(cfg, "coeff_amplitude", float, errors, lambda v: v >= 0, "(need >= 0)")
-    n_paths = _num(cfg, "n_paths", int, errors, lambda v: v >= 1, "(need >= 1)")
+    # a single path has no spread, so its stderr and 3-sigma band would be 0
+    n_paths = _num(cfg, "n_paths", int, errors, lambda v: v >= 2, "(need >= 2)")
     seed = _num(cfg, "master_seed", int, errors)
     q0 = build_initial_q(cfg, g, errors)
     if cfg.get("coeff_profile") not in ("flat", "power"):
@@ -369,6 +376,9 @@ def _sllg_setup(cfg, g, errors):
                       n_modes=n_modes, coeff_profile=cfg["coeff_profile"],
                       coeff_decay=decay, coeff_amplitude=amp)
     scfg.check_stability(g)
+    if scfg.n_steps < 1:
+        raise ConfigurationError(
+            f"t_end={t_end!r} with dt={dt!r} gives no time step (need >= 1)")
     return scfg, q0, n_paths, seed
 
 
@@ -379,16 +389,17 @@ def run_sllg_experiment(cfg, g, outdir, validate_only=False):
         return None
     m = np.array([1.0, 0.0, 0.0])
     e0 = np.array([0.0, 1.0, 0.0])
-    paths = list(run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths))
+    ens = run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths)
     stride = resolve_stride(cfg, scfg.n_steps, errors)
-    p0 = paths[0]
+    p0 = ens.path(0)
     keep = [k for k in range(len(p0.times))
             if k % stride == 0 or k == len(p0.times) - 1]
     rows = [(p0.times[k], j, g.x[j], p0.u[k, j, 0], p0.u[k, j, 1], p0.u[k, j, 2])
             for k in keep for j in range(g.n)]
     write_csv(os.path.join(outdir, "series_u.csv"),
               ["t", "node", "x", "ux", "uy", "uz"], rows)
-    res = sllg_weak_residual(paths, g, scfg.alpha, scfg.beta, _standard_phi(g))
+    res = sllg_weak_residual(ens, g, scfg.alpha, scfg.beta, _standard_phi(g))
+    paths = [ens.path(i) for i in range(n_paths)]
     closure = float(np.mean([closure_defect(p.q[-1], g, p.frame(p.n_steps))
                              for p in paths])) if g.periodic else 0.0
     report = {"dt": scfg.dt, "n_steps": scfg.n_steps, "n_paths": n_paths,
@@ -425,7 +436,7 @@ def run_covariance(cfg, g, outdir, validate_only=False):
         return None
     m = np.array([1.0, 0.0, 0.0])
     e0 = np.array([0.0, 1.0, 0.0])
-    paths = list(run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths))
+    ens = run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths)
     nm = make_noise_model(g, scfg.n_modes, seed, scfg.coeff_profile,
                           scfg.coeff_decay, scfg.coeff_amplitude)
     one = np.ones(g.n)
@@ -436,7 +447,7 @@ def run_covariance(cfg, g, outdir, validate_only=False):
     pairs = {"phi1_phi1": (phi1, phi1), "phi1_phi2": (phi1, phi2),
              "phi2_phi3": (phi2, phi3)}
     report = {"n_paths": n_paths, "t": scfg.t_end,
-              "pairs": {name: covariance_check(paths, g, nm, p, s).to_dict()
+              "pairs": {name: covariance_check(ens, g, nm, p, s).to_dict()
                         for name, (p, s) in pairs.items()}}
     ok = all(v["within_3sigma"] for v in report["pairs"].values())
     return report, {"all_within_3sigma": ok}, []
@@ -521,18 +532,22 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         report, monitors, outputs = RUNNERS[args.experiment](cfg, g, root)
-    except ConfigurationError as exc:
+    except Exception as exc:
+        # no run may leave its manifest in "running"
         manifest.update(status="failed", error=str(exc),
+                        error_type=type(exc).__name__,
                         wall_clock_s=time.monotonic() - t0)
+        if isinstance(exc, ConfigurationError):
+            msg, rc = f"config error: {exc}", 2
+        elif isinstance(exc, BlowUpError):
+            msg, rc = f"run failed: {exc}", 1
+        else:
+            # a defect: the traceback goes to the manifest, one line to the user
+            manifest["traceback"] = traceback.format_exc()
+            msg, rc = " ".join(f"run failed: {type(exc).__name__}: {exc}".split()), 1
         write_manifest(root, manifest)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except BlowUpError as exc:
-        manifest.update(status="failed", error=str(exc),
-                        wall_clock_s=time.monotonic() - t0)
-        write_manifest(root, manifest)
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        print(msg, file=sys.stderr)
+        return rc
 
     with open(os.path.join(root, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

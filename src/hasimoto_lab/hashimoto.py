@@ -33,15 +33,15 @@ class CurvatureTorsion:
 
 @dataclass
 class FrameField:
-    u: np.ndarray   # (n, 3) sphere-valued
-    e: np.ndarray   # (n, 3) unit, tangent to the sphere at u
+    u: np.ndarray   # (n, 3), or (n, P, 3) for P paths; sphere-valued
+    e: np.ndarray   # same shape; unit, tangent to the sphere at u
 
     @property
     def uxe(self) -> np.ndarray:
         return cross(self.u, self.e)
 
     def as_matrix(self) -> np.ndarray:
-        """(n, 3, 3) with rows (u, e, u x e)."""
+        """(..., 3, 3) with rows (u, e, u x e)."""
         return np.stack([self.u, self.e, self.uxe], axis=-2)
 
     def orthonormality_defect(self) -> float:
@@ -92,10 +92,11 @@ def inverse_identities(q: np.ndarray, g: Grid1D, eps: float | None = None) -> Cu
 
 
 def _check_initial_frame(m: np.ndarray, e0: np.ndarray, tol: float = 1e-10):
+    """Every frame in m, e0 (each (..., 3)) must be orthonormal."""
     m = np.asarray(m, float)
     e0 = np.asarray(e0, float)
-    if abs(np.linalg.norm(m) - 1.0) > tol or abs(np.linalg.norm(e0) - 1.0) > tol \
-            or abs(float(np.dot(m, e0))) > tol:
+    if np.any(np.abs(norm(m) - 1.0) > tol) or np.any(np.abs(norm(e0) - 1.0) > tol) \
+            or np.any(np.abs(dot(m, e0)) > tol):
         raise ConfigurationError(
             "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
     return m, e0
@@ -108,19 +109,24 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     built from the midpoint of q at adjacent nodes (second order, exactly
     orthonormal). On periodic grids the march does not wrap: the closure
     defect at the seam is reported by closure_defect, not enforced.
+
+    q is (n,) with m, e0 of shape (3,), or (n, P) with one basepoint frame per
+    path, m, e0 of shape (P, 3); each node step is then one stack of P 3x3
+    products, and path i comes out bit for bit as if marched alone.
     """
     m, e0 = _check_initial_frame(m, e0)
     n = g.n
     b = g.basepoint_index
     q_mid = 0.5 * (q[:-1] + q[1:])
-    R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, np.zeros(n - 1))
-    F = np.empty((n, 3, 3))
-    F[b] = np.stack([m, e0, np.cross(m, e0)])
+    R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, np.zeros(q_mid.shape))
+    Rt = np.swapaxes(R, -1, -2)
+    F = np.empty(q.shape + (3, 3))
+    F[b] = np.stack([m, e0, np.cross(m, e0)], axis=-2)
     for j in range(b, n - 1):
-        F[j + 1] = R[j] @ F[j]
+        np.matmul(R[j], F[j], out=F[j + 1])
     for j in range(b, 0, -1):
-        F[j - 1] = R[j - 1].T @ F[j]
-    return FrameField(u=F[:, 0, :].copy(), e=F[:, 1, :].copy())
+        np.matmul(Rt[j - 1], F[j], out=F[j - 1])
+    return FrameField(u=F[..., 0, :].copy(), e=F[..., 1, :].copy())
 
 
 def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField) -> float:

@@ -7,6 +7,7 @@ pure function of (master_seed, step_index), so identical seeds reproduce
 identical paths bit for bit.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ def coefficient_profile(n_modes: int, profile: str = "flat", decay: float = 1.0,
 
 @dataclass
 class NoiseIncrement:
-    dW1: np.ndarray    # (n,)
+    dW1: np.ndarray    # (n,), or (n, P) for P paths
     dW2: np.ndarray
     dW3: np.ndarray
     dxW1: np.ndarray   # analytic spatial derivative of the W^1 increment
@@ -84,6 +85,12 @@ class NoiseModel:
             self.basis = np.zeros((0, self.grid.n))
             self.basis_x = np.zeros((0, self.grid.n))
 
+    def reseeded(self, master_seed: int) -> "NoiseModel":
+        """The same model drawing from another master seed; the basis is shared."""
+        nm = copy.copy(self)
+        nm.master_seed = master_seed
+        return nm
+
 
 def make_noise_model(g: Grid1D, n_modes: int, master_seed: int,
                      profile: str = "flat", decay: float = 1.0,
@@ -103,9 +110,8 @@ def derive_seed(master_seed: int, tag: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# purpose tags for derive_seed
+# purpose tag for derive_seed
 TAG_PATH = 1
-TAG_TEST_DATA = 2
 
 
 def sample_increments(nm: NoiseModel, dt: float, step_index: int) -> np.ndarray:
@@ -122,9 +128,14 @@ def sample_increments(nm: NoiseModel, dt: float, step_index: int) -> np.ndarray:
 
 
 def noise_fields(nm: NoiseModel, increments: np.ndarray) -> NoiseIncrement:
-    """Assemble dW^i(x) = sum_l c_l sigma_l(x) dbeta^i_l and the x-derivatives."""
-    w = nm.coeffs[None, :] * increments          # (3, L)
-    dW = w @ nm.basis                            # (3, n)
-    dxW = w[:2] @ nm.basis_x                     # (2, n)
-    return NoiseIncrement(dW1=dW[0], dW2=dW[1], dW3=dW[2],
-                          dxW1=dxW[0], dxW2=dxW[1])
+    """Assemble dW^i(x) = sum_l c_l sigma_l(x) dbeta^i_l and the x-derivatives.
+
+    increments is (3, L) for one path or (P, 3, L) for P stacked paths; the
+    fields are then (n,) or (n, P). The stacked matmul does each path's
+    product exactly as the single-path one, so the fields agree bit for bit.
+    """
+    w = nm.coeffs * increments                          # (..., 3, L)
+    dW = np.moveaxis(w @ nm.basis, -1, 0)               # (n, ..., 3)
+    dxW = np.moveaxis(w[..., :2, :] @ nm.basis_x, -1, 0)  # (n, ..., 2)
+    return NoiseIncrement(dW1=dW[..., 0], dW2=dW[..., 1], dW3=dW[..., 2],
+                          dxW1=dxW[..., 0], dxW2=dxW[..., 1])

@@ -29,10 +29,14 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
                      np.sin(theta) / np.where(small, 1.0, theta))
         c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                      (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
+    # I + s K + c K^2, evaluated in place in that summation order
     K = skew(w)
     K2 = K @ K
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + s[..., None, None] * K + c[..., None, None] * K2
+    K2 *= c[..., None, None]
+    K *= s[..., None, None]
+    K += np.eye(3)
+    K += K2
+    return K
 
 
 def skew(w: np.ndarray) -> np.ndarray:

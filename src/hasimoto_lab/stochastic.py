@@ -5,6 +5,11 @@ Scheme: Heun predictor-corrector on drift coefficients (Stratonovich
 consistent) combined with exact rotation / phase exponentials for the
 group-valued updates, so |u| = |e| = 1 and <u, e> = 0 hold path-wise to
 round-off and |q| is untouched by the multiplicative phase noise.
+
+Every field may carry a path axis after the node axis: scalar fields are
+(n, P) and vector fields (n, P, 3), so one Python step advances P paths.
+Each path draws its noise from its own substream and no operation mixes
+paths, so path i comes out bit for bit the same in any batch.
 """
 
 from dataclasses import dataclass
@@ -16,9 +21,13 @@ from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cumint,
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import heat_rhs
 from .llg import stable_dt
-from .noise import (NoiseIncrement, NoiseModel, TAG_PATH, derive_seed,
-                    make_noise_model, noise_fields, sample_increments)
+from .noise import (NoiseIncrement, TAG_PATH, derive_seed, make_noise_model,
+                    noise_fields, sample_increments)
 from .rotations import generator_rotation
+
+# Paths are marched in chunks of at most this many path-nodes (n x paths),
+# which bounds the per-step temporaries whatever the ensemble size.
+CHUNK_PATH_NODES = 8192
 
 
 @dataclass
@@ -26,6 +35,20 @@ class InternalCoeffs:
     p: np.ndarray      # complex, (alpha + i beta) q_x
     C: np.ndarray      # real by construction
     dPsi: np.ndarray   # increment of Psi over the current step; dPsi(a) = 0
+
+
+def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
+    """Deterministic coefficients (p, C) of the frame time evolution.
+
+    p = (alpha + i beta) q_x and
+    C = -beta |q|^2 / 2 + (i alpha / 2) int (q_x conj(q) - conj(q_x) q) dy.
+    """
+    qx = diff1(q, g)
+    p = (alpha + 1j * beta) * qx
+    c_complex = (-0.5 * beta * np.abs(q) ** 2
+                 + 0.5j * alpha * cumint(qx * np.conj(q) - np.conj(qx) * q, g))
+    # the integrand is purely imaginary, so C is real up to round-off
+    return p, c_complex.real
 
 
 def internal_coeffs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
@@ -36,12 +59,7 @@ def internal_coeffs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     midpoint_q is the Stratonovich midpoint supplied by the predictor stage;
     it enters only the noise integral dPsi.
     """
-    qx = diff1(q, g)
-    p = (alpha + 1j * beta) * qx
-    c_complex = (-0.5 * beta * np.abs(q) ** 2
-                 + 0.5j * alpha * cumint(qx * np.conj(q) - np.conj(qx) * q, g))
-    # the integrand is purely imaginary, so C is real up to round-off
-    C = c_complex.real
+    p, C = frame_generator(q, g, alpha, beta)
     dPsi = cumint(midpoint_q.imag * dW1 - midpoint_q.real * dW2, g)
     return InternalCoeffs(p=p, C=C, dPsi=dPsi)
 
@@ -59,7 +77,7 @@ def frame_time_step(f: FrameField, coeffs: InternalCoeffs, dW1: np.ndarray,
     a = coeffs.p.real * dt + dW1
     b = coeffs.p.imag * dt + dW2
     c = coeffs.C * dt + dPsi
-    R = generator_rotation(a, b, c)              # (n, 3, 3)
+    R = generator_rotation(a, b, c)              # (..., 3, 3)
     F = f.as_matrix()
     F_new = R @ F
     return FrameField(u=F_new[:, 0, :], e=F_new[:, 1, :])
@@ -137,63 +155,123 @@ class SllgPath:
         return FrameField(u=self.u[k], e=self.e[k])
 
 
-def run_sllg(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
-             cfg: SLLGConfig, master_seed: int) -> SllgPath:
-    """Construct one weak SLLG path from a stochastic heat path of q.
+@dataclass
+class SllgEnsemble:
+    """P paths stacked along an axis after the node axis."""
+    times: np.ndarray       # (K+1,)
+    q: np.ndarray           # (K+1, n, P) complex
+    u: np.ndarray           # (K+1, n, P, 3)
+    e: np.ndarray           # (K+1, n, P, 3)
+    dW_tilde: np.ndarray    # (K, n, P, 3)
+    seeds: list             # P path seeds
 
-    Per step: (1) advance q; (2) advance the basepoint frame in time with
-    coefficients at x = a (where the nonlocal integrals vanish); (3) rebuild
-    the full frame field from q by the spatial march, which enforces the
-    curvature/torsion relation between u and q by construction; (4) assemble
-    the increments of W-tilde = int e dW2 + (e x u) dW1 + u dW3 with
-    midpoint frames.
-    """
-    cfg.check_stability(g)
-    nm = make_noise_model(g, cfg.n_modes, master_seed,
-                          cfg.coeff_profile, cfg.coeff_decay,
-                          cfg.coeff_amplitude)
-    K = cfg.n_steps
-    n = g.n
-    b = g.basepoint_index
+    @property
+    def n_paths(self) -> int:
+        return len(self.seeds)
 
-    qs = np.empty((K + 1, n), dtype=complex)
-    us = np.empty((K + 1, n, 3))
-    es = np.empty((K + 1, n, 3))
-    dW_tilde = np.empty((K, n, 3))
+    @property
+    def n_steps(self) -> int:
+        return self.dW_tilde.shape[0]
 
-    q = q0.astype(complex).copy()
-    f = reconstruct_frame(q, g, m, e0)
-    qs[0], us[0], es[0] = q, f.u, f.e
+    def path(self, i: int) -> SllgPath:
+        """Path i as a view into the stacked histories."""
+        return SllgPath(times=self.times, q=self.q[:, :, i], u=self.u[:, :, i],
+                        e=self.e[:, :, i], dW_tilde=self.dW_tilde[:, :, i],
+                        seed=self.seeds[i])
 
-    for k in range(K):
-        inc = noise_fields(nm, sample_increments(nm, cfg.dt, k))
-        q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
-                                               cfg.dt, inc)
-        ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2,
-                             q_mid)
-        ic_base = InternalCoeffs(p=ic.p[b:b + 1], C=ic.C[b:b + 1],
-                                 dPsi=ic.dPsi[b:b + 1])   # = 0 at the basepoint
-        base = frame_time_step(
-            FrameField(u=f.u[b:b + 1], e=f.e[b:b + 1]), ic_base,
-            inc.dW1[b:b + 1], inc.dW2[b:b + 1], ic_base.dPsi, cfg.dt)
-        f_new = reconstruct_frame(q_new, g, base.u[0], base.e[0])
-
-        u_mid = 0.5 * (f.u + f_new.u)
-        e_mid = 0.5 * (f.e + f_new.e)
-        exu_mid = 0.5 * (cross(f.e, f.u) + cross(f_new.e, f_new.u))
-        dW_tilde[k] = (e_mid * inc.dW2[:, None]
-                       + exu_mid * inc.dW1[:, None]
-                       + u_mid * inc.dW3[:, None])
-
-        q, f = q_new, f_new
-        qs[k + 1], us[k + 1], es[k + 1] = q, f.u, f.e
-
-    return SllgPath(times=cfg.dt * np.arange(K + 1), q=qs, u=us, e=es,
-                    dW_tilde=dW_tilde, seed=master_seed)
+    @classmethod
+    def stack(cls, paths) -> "SllgEnsemble":
+        """Stack paths that share their time grid into one ensemble."""
+        paths = list(paths)
+        return cls(times=paths[0].times,
+                   q=np.stack([p.q for p in paths], axis=2),
+                   u=np.stack([p.u for p in paths], axis=2),
+                   e=np.stack([p.e for p in paths], axis=2),
+                   dW_tilde=np.stack([p.dW_tilde for p in paths], axis=2),
+                   seeds=[p.seed for p in paths])
 
 
 def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
-                      cfg: SLLGConfig, master_seed: int, n_paths: int):
-    """Yield independent SLLG paths with seeds derived from the master seed."""
-    for i in range(n_paths):
-        yield run_sllg(q0, g, m, e0, cfg, derive_seed(master_seed, TAG_PATH, i))
+                      cfg: SLLGConfig, master_seed: int,
+                      n_paths: int) -> SllgEnsemble:
+    """Independent weak SLLG paths; path i runs on the seed
+    derive_seed(master_seed, TAG_PATH, i).
+
+    Per step and for all paths at once: (1) advance q; (2) advance the
+    basepoint frame in time with coefficients at x = a (where the nonlocal
+    integrals vanish); (3) rebuild the full frame field from q by the
+    spatial march, which enforces the curvature/torsion relation between u
+    and q by construction; (4) assemble the increments of
+    W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
+    Paths are marched CHUNK_PATH_NODES // n at a time.
+    """
+    if n_paths < 1:
+        raise ConfigurationError(f"need at least one path, got {n_paths}")
+    return _run_paths(q0, g, m, e0, cfg,
+                      [derive_seed(master_seed, TAG_PATH, i) for i in range(n_paths)])
+
+
+def run_sllg(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
+             cfg: SLLGConfig, master_seed: int) -> SllgPath:
+    """One weak SLLG path on master_seed's noise: the one-path ensemble."""
+    return _run_paths(q0, g, m, e0, cfg, [master_seed]).path(0)
+
+
+def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
+    cfg.check_stability(g)
+    nm = make_noise_model(g, cfg.n_modes, seeds[0], cfg.coeff_profile,
+                          cfg.coeff_decay, cfg.coeff_amplitude)
+    models = [nm.reseeded(s) for s in seeds]
+    K, n, P = cfg.n_steps, g.n, len(seeds)
+    qs = np.empty((K + 1, n, P), dtype=complex)
+    us = np.empty((K + 1, n, P, 3))
+    es = np.empty((K + 1, n, P, 3))
+    dW_tilde = np.empty((K, n, P, 3))
+    q0 = q0.astype(complex)
+    f0 = reconstruct_frame(q0, g, m, e0)
+    qs[0], us[0], es[0] = q0[:, None], f0.u[:, None], f0.e[:, None]
+    width = max(1, CHUNK_PATH_NODES // n)
+    for lo in range(0, P, width):
+        c = slice(lo, lo + width)
+        _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
+               models[c], g, cfg)
+    return SllgEnsemble(times=cfg.dt * np.arange(K + 1), q=qs, u=us, e=es,
+                        dW_tilde=dW_tilde, seeds=list(seeds))
+
+
+def _march(qs, us, es, dW_tilde, models, g, cfg):
+    """Advance one chunk of paths from its step-0 entries, filling the history views."""
+    q = np.ascontiguousarray(qs[0])
+    f = FrameField(u=us[0], e=es[0])
+    for k in range(len(dW_tilde)):
+        inc = noise_fields(models[0], np.stack(
+            [sample_increments(nm, cfg.dt, k) for nm in models]))
+        q, f = _step(q, f, inc, g, cfg, dW_tilde[k])
+        qs[k + 1], us[k + 1], es[k + 1] = q, f.u, f.e
+
+
+def _step(q, f, inc, g, cfg, dW_out):
+    """One step of every path in a chunk; W-tilde's increment goes to dW_out.
+
+    Temporaries live only for the step, so a march holds one step's worth.
+    """
+    q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta, cfg.dt, inc)
+    f_new = reconstruct_frame(q_new, g, *_basepoint_step(f, q_mid, inc, g, cfg))
+    u_mid = 0.5 * (f.u + f_new.u)
+    e_mid = 0.5 * (f.e + f_new.e)
+    exu_mid = 0.5 * (cross(f.e, f.u) + cross(f_new.e, f_new.u))
+    np.multiply(e_mid, inc.dW2[..., None], out=dW_out)
+    dW_out += exu_mid * inc.dW1[..., None]
+    dW_out += u_mid * inc.dW3[..., None]
+    return q_new, f_new
+
+
+def _basepoint_step(f, q_mid, inc, g, cfg):
+    """The basepoint frames (u, e), each (P, 3), advanced in time; there the
+    nonlocal integrals vanish, so dPsi(b) = 0."""
+    b = g.basepoint_index
+    ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2, q_mid)
+    ic_base = InternalCoeffs(p=ic.p[b], C=ic.C[b], dPsi=ic.dPsi[b])
+    base = frame_time_step(FrameField(u=f.u[b], e=f.e[b]), ic_base,
+                           inc.dW1[b], inc.dW2[b], ic_base.dPsi, cfg.dt)
+    return base.u, base.e

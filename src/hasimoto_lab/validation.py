@@ -11,14 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (ConfigurationError, Grid1D, cross, cumint, diff1, diff2,
+from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
                      dot, line_grid, norm, normalize, open_view)
 from .hashimoto import curvature_torsion, reconstruct_frame, transform
 from .heat import HeatConfig, heat_integrate
 from .llg import LLGConfig, llg_integrate, llg_rhs, stable_dt
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
-from .stochastic import SllgPath
+from .stochastic import SllgEnsemble, SllgPath, frame_generator
 
 
 def fit_loglog_slope(scales, errors) -> float:
@@ -159,15 +159,6 @@ def identity_suite(u: np.ndarray, g: Grid1D, eps: float | None = None) -> Identi
     )
 
 
-def _time_generator(q_mid: np.ndarray, g: Grid1D, alpha: float, beta: float):
-    """Deterministic frame time-evolution coefficients (a, b, c) = (p1, p2, C)."""
-    qx = diff1(q_mid, g)
-    p = (alpha + 1j * beta) * qx
-    C = (-0.5 * beta * np.abs(q_mid) ** 2
-         + 0.5j * alpha * cumint(qx * np.conj(q_mid) - np.conj(qx) * q_mid, g)).real
-    return p.real, p.imag, C
-
-
 @dataclass
 class HolonomyReport:
     max_defect: float
@@ -200,8 +191,8 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
         xt = 0.5 * (qt[:-1] + qt[1:])
         Xb = generator_rotation(h * xb.real, h * xb.imag, np.zeros(g.n - 1))
         Xt = generator_rotation(h * xt.real, h * xt.imag, np.zeros(g.n - 1))
-        a, b, c = _time_generator(q_tmid, g, alpha, beta)
-        T = generator_rotation(dt * a, dt * b, dt * c)
+        p, C = frame_generator(q_tmid, g, alpha, beta)
+        T = generator_rotation(dt * p.real, dt * p.imag, dt * C)
         P1 = T[1:] @ Xb                       # x-step then t-step
         P2 = Xt @ T[:-1]                      # t-step then x-step
         ang = rotation_angle(P1 @ np.swapaxes(P2, -1, -2))
@@ -223,38 +214,51 @@ class ResidualReport:
                 "n_paths": self.n_paths, "per_level": self.per_level}
 
 
-def weak_residual(path: SllgPath, g: Grid1D, alpha: float, beta: float,
-                  phi: np.ndarray, noise_rule: str = "midpoint") -> float:
-    """Weak SLLG residual R(phi) of one constructed path.
+def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum phi.f of an (n, 3) test function with each path of an (n, P, 3)
+    field, shape (P,). Each path's products are laid out contiguously, so
+    its sum is added in the same order as for the path alone."""
+    prod = np.moveaxis(phi[:, None, :] * f, 1, 0)
+    return np.sum(prod.reshape(len(prod), -1), axis=1)
 
+
+def weak_residual(paths, g: Grid1D, alpha: float, beta: float,
+                  phi: np.ndarray, noise_rule: str = "midpoint"):
+    """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,).
+
+    For one SllgPath it is the one-path case, returned as a float.
     R = <u(T) - u(0), phi> - int <beta u x u_xx - alpha u x (u x u_xx), phi> dt
         - sum <u x dW~, phi>, with Stratonovich midpoint sums. Spatial
     derivatives use the open-curve view of the grid: the reconstruction does
     not close on the circle, so periodic stencils would be invalid at the seam.
+    The sums run step by step over all paths at once.
 
     noise_rule "left" replaces the Stratonovich midpoint in the noise pairing
     by the left endpoint (an Ito sum). That is a deliberate negative control:
     it must produce a clearly biased residual.
     """
+    if isinstance(paths, SllgPath):
+        return float(weak_residual(SllgEnsemble.stack([paths]), g, alpha, beta,
+                                   phi, noise_rule)[0])
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
     og = open_view(g)
     h = g.h
-    dt = float(path.times[1] - path.times[0])
-    R = h * float(np.sum(phi * (path.u[-1] - path.u[0])))
-    for k in range(path.n_steps):
-        u_mid = normalize(0.5 * (path.u[k] + path.u[k + 1]))
-        R -= dt * h * float(np.sum(phi * llg_rhs(u_mid, og, alpha, beta)))
-        u_noise = u_mid if noise_rule == "midpoint" else path.u[k]
-        R -= h * float(np.sum(phi * cross(u_noise, path.dW_tilde[k])))
+    u = paths.u
+    dt = float(paths.times[1] - paths.times[0])
+    R = h * _path_sums(phi, u[-1] - u[0])
+    for k in range(paths.n_steps):
+        u_mid = normalize(0.5 * (u[k] + u[k + 1]))
+        R -= dt * h * _path_sums(phi, llg_rhs(u_mid, og, alpha, beta))
+        u_noise = u_mid if noise_rule == "midpoint" else u[k]
+        R -= h * _path_sums(phi, cross(u_noise, paths.dW_tilde[k]))
     return R
 
 
-def sllg_weak_residual(paths, g: Grid1D, alpha: float, beta: float,
+def sllg_weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
                        phi: np.ndarray, noise_rule: str = "midpoint") -> ResidualReport:
     """Ensemble mean and standard error of the weak residual over paths."""
-    rs = np.array([weak_residual(p, g, alpha, beta, phi, noise_rule)
-                   for p in paths])
+    rs = weak_residual(paths, g, alpha, beta, phi, noise_rule)
     stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs))) if len(rs) > 1 else 0.0
     return ResidualReport(mean=float(np.mean(rs)), stderr=stderr, n_paths=len(rs))
 
@@ -277,43 +281,42 @@ class CovarianceReport:
         return d
 
 
-def _pairing(f: np.ndarray, w: np.ndarray, h: float) -> float:
-    """L^2 pairing sum h f.w of two (n, 3) vector fields."""
-    return h * float(np.sum(f * w))
+def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Projections sigma_l . <phi, F> of each path of an (n, P, 3) field onto
+    the noise modes, shape (P, L): one matrix-vector product per path, as for
+    the path alone."""
+    pointwise = np.ascontiguousarray(dot(phi[:, None, :], F).T)   # (P, n)
+    return (nm.basis @ pointwise[:, :, None])[:, :, 0]
 
 
-def covariance_check(paths, g: Grid1D, nm: NoiseModel, phi: np.ndarray,
-                     psi: np.ndarray) -> CovarianceReport:
+def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
+                     phi: np.ndarray, psi: np.ndarray) -> CovarianceReport:
     """Monte Carlo E[<W~, phi><W~, psi>] versus the frame-projection formula.
 
     Both sides are estimated from the same ensemble: the Monte Carlo side from
     the assembled W~ increments, the direct side by time quadrature of the
     ensemble-averaged products of frame projections onto the noise modes.
+    The quadrature runs step by step over all paths at once.
     """
     h = g.h
     c2 = nm.coeffs ** 2
-    prods = []
-    directs = []
-    t = None
-    for p in paths:
-        if t is None:
-            t = float(p.times[-1])
-        dt = float(p.times[1] - p.times[0])
-        Wt = np.sum(p.dW_tilde, axis=0)
-        prods.append(_pairing(phi, Wt, h) * _pairing(psi, Wt, h))
-        d = 0.0
-        for k in range(p.n_steps):
-            u_mid = 0.5 * (p.u[k] + p.u[k + 1])
-            e_mid = 0.5 * (p.e[k] + p.e[k + 1])
-            uxe_mid = 0.5 * (cross(p.u[k], p.e[k]) + cross(p.u[k + 1], p.e[k + 1]))
-            for F in (u_mid, e_mid, uxe_mid):
-                pf = h * (nm.basis @ np.sum(phi * F, axis=-1))   # (L,)
-                ps = h * (nm.basis @ np.sum(psi * F, axis=-1))
-                d += dt * float(np.sum(c2 * pf * ps))
-        directs.append(d)
-    prods = np.array(prods)
+    dt = float(paths.times[1] - paths.times[0])
+    Wt = np.sum(paths.dW_tilde, axis=0)
+    prods = h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt))
+    u, e = paths.u, paths.e
+    directs = np.zeros(paths.n_paths)
+    uxe = cross(u[0], e[0])
+    for k in range(paths.n_steps):
+        uxe_next = cross(u[k + 1], e[k + 1])
+        for F in (0.5 * (u[k] + u[k + 1]), 0.5 * (e[k] + e[k + 1]),
+                  0.5 * (uxe + uxe_next)):
+            pf = h * _mode_projections(nm, phi, F)
+            ps = h * _mode_projections(nm, psi, F)
+            directs += dt * np.sum(c2 * pf * ps, axis=1)
+        uxe = uxe_next
     n = len(prods)
     mc = float(np.mean(prods))
     ci3 = float(3.0 * np.std(prods, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return CovarianceReport(mc_estimate=mc, mc_ci3=ci3,
-                            direct=float(np.mean(directs)), n_paths=n, t=t)
+                            direct=float(np.mean(directs)), n_paths=n,
+                            t=float(paths.times[-1]))

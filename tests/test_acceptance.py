@@ -176,7 +176,7 @@ def test_criterion_08_weak_residual():
     bounds = []
     for dt in (3.2e-3, 1.6e-3, 8e-4):
         cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02, n_modes=4)
-        paths = list(run_sllg_ensemble(q0, g, M, E0, cfg, 2024, 1000))
+        paths = run_sllg_ensemble(q0, g, M, E0, cfg, 2024, 1000)
         rep = sllg_weak_residual(paths, g, 0.5, 0.5, phi)
         assert abs(rep.mean) <= 3.0 * rep.stderr
         bounds.append(3.0 * rep.stderr)
@@ -196,7 +196,7 @@ def test_criterion_09_covariance():
     phi2 = np.stack([np.zeros(g.n), np.zeros(g.n), np.ones(g.n)], axis=-1)
     phi3 = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
     cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01, n_modes=4)
-    paths = list(run_sllg_ensemble(q0, g, M, E0, cfg, 77, 2000))
+    paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 2000)
     nm = make_noise_model(g, 4, 77)
     for pa, pb in ((phi1, phi1), (phi1, phi2), (phi2, phi3)):
         assert covariance_check(paths, g, nm, pa, pb).within_3sigma
@@ -206,7 +206,7 @@ def test_criterion_09_covariance():
     for n_modes in (1, 4, 16):
         cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01,
                          n_modes=n_modes)
-        paths = list(run_sllg_ensemble(q0, g, M, E0, cfg, 77, 500))
+        paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 500)
         nm = make_noise_model(g, n_modes, 77)
         rep = covariance_check(paths, g, nm, phi1, phi1)
         gaps.append(abs(rep.mc_estimate - target))

@@ -161,3 +161,65 @@ def test_out_env_var(tmp_path, monkeypatch, capsys):
     rc = run_cli("identities", "--set", "n=64")
     assert rc == 0
     assert (tmp_path / "envruns" / "identities" / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment", ["sllg", "covariance"])
+def test_stochastic_zero_steps_rejected(tmp_path, capsys, experiment):
+    out = tmp_path / "zero"
+    rc = run_cli(experiment, "--out", str(out), "--set", "n=32",
+                 "--set", "t_end=0")
+    assert rc == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["sllg", "covariance"])
+def test_stochastic_needs_two_paths(tmp_path, capsys, experiment):
+    # one path has no spread: its stderr and 3-sigma band would read 0
+    out = tmp_path / "one"
+    rc = run_cli(experiment, "--out", str(out), "--set", "n=32",
+                 "--set", "t_end=0.002", "--set", "n_paths=1")
+    assert rc == 2
+    assert not out.exists()
+    assert "n_paths" in capsys.readouterr().err
+
+
+def test_unexpected_error_fails_manifest(tmp_path, capsys, monkeypatch):
+    import hasimoto_lab.cli as cli
+
+    def broken(u, g):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "identity_suite", broken)
+    out = tmp_path / "broken"
+    assert run_cli("identities", "--out", str(out)) == 1
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "RuntimeError"
+    assert "Traceback" in manifest["traceback"]
+    err = capsys.readouterr().err
+    assert err == "run failed: RuntimeError: boom second line\n"
+
+
+def test_unparsable_initial_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "q0.csv"
+    path.write_text("re,im\n" + "foo,bar\n" * 32)
+    out = tmp_path / "bad4"
+    rc = run_cli("heat", "--out", str(out), "--set", "n=32",
+                 "--set", "initial_data=file", "--set", f"initial_file={path}")
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial_file")
+    assert "Traceback" not in err
+
+
+def test_initial_file_with_wrong_columns_exits_2(tmp_path, capsys):
+    path = tmp_path / "q0.csv"
+    path.write_text("re,im\n" + "0.2,0.0\n" * 32)
+    out = tmp_path / "bad5"
+    rc = run_cli("llg", "--out", str(out), "--set", "n=32",
+                 "--set", "initial_data=file", "--set", f"initial_file={path}")
+    assert rc == 2
+    assert not out.exists()
+    assert "rows of ux,uy,uz" in capsys.readouterr().err

@@ -90,3 +90,19 @@ def test_derive_seed_distinct():
     seeds = {derive_seed(9, tag, idx) for tag in range(3) for idx in range(5)}
     assert len(seeds) == 15
     assert derive_seed(9, 1, 2) == derive_seed(9, 1, 2)
+
+
+def test_stacked_fields_match_single_path():
+    # P stacked increment sets give (n, P) fields whose column i is, bit for
+    # bit, the field of the i-th set alone; reseeded models share the basis
+    g = periodic_grid(2.0 * np.pi, 48)
+    nm = make_noise_model(g, 5, 0, "power", 1.5)
+    models = [nm.reseeded(derive_seed(3, 1, i)) for i in range(6)]
+    assert all(m.basis is nm.basis for m in models)
+    incs = [sample_increments(m, 0.01, 2) for m in models]
+    stacked = noise_fields(nm, np.stack(incs))
+    for i, inc in enumerate(incs):
+        alone = noise_fields(nm, inc)
+        for name in ("dW1", "dW2", "dW3", "dxW1", "dxW2"):
+            assert getattr(stacked, name).shape == (g.n, 6)
+            assert np.array_equal(getattr(stacked, name)[:, i], getattr(alone, name))

@@ -47,3 +47,19 @@ def test_generator_rotation_plane():
 def test_rotation_angle():
     R = generator_rotation(0.7, 0.0, 0.0)
     assert abs(rotation_angle(R) - 0.7) <= 1e-12
+
+
+def test_rotation_exp_matches_rodrigues_sum():
+    # the in-place evaluation adds I + s K + c K^2 in the same order as the
+    # plain formula, so both agree bit for bit on each side of the
+    # small-angle switch
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((40, 3)) * np.repeat([1e-6, 1e-3, 0.5, 4.0], 10)[:, None]
+    t = np.sqrt(np.sum(w * w, axis=-1))
+    t2 = t * t
+    small = t < 1e-4
+    s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(t) / t)
+    c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(t)) / t2)
+    K = skew(w)
+    ref = np.eye(3) + s[:, None, None] * K + c[:, None, None] * (K @ K)
+    assert np.array_equal(rotation_exp(w), ref)

@@ -5,8 +5,11 @@ from hasimoto_lab.fields import ConfigurationError, dot, line_grid, norm, period
 from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
 from hasimoto_lab.heat import heat_rhs
 from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
-from hasimoto_lab.noise import NoiseIncrement, make_noise_model, noise_fields, sample_increments
-from hasimoto_lab.stochastic import (SLLGConfig, frame_time_step,
+from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
+                                make_noise_model, noise_fields,
+                                sample_increments)
+from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, SLLGConfig,
+                                     SllgEnsemble, frame_time_step,
                                      internal_coeffs, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 
@@ -171,9 +174,10 @@ def test_ensemble_paths_distinct():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3, n_modes=3)
     q0 = 0.2 * np.ones(g.n, complex)
-    paths = list(run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
-                                   np.array([0.0, 1.0, 0.0]), cfg,
-                                   master_seed=4, n_paths=3))
+    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]), cfg,
+                            master_seed=4, n_paths=3)
+    paths = [ens.path(i) for i in range(ens.n_paths)]
     assert len({p.seed for p in paths}) == 3
     assert not np.array_equal(paths[0].u, paths[1].u)
 
@@ -186,3 +190,57 @@ def test_config_validation():
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
         SLLGConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+
+
+def _ensemble_inputs(n, dt, n_steps):
+    g = periodic_grid(2.0 * np.pi, n)
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt, n_modes=4)
+    q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
+    return g, cfg, q0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+
+def assert_same_path(a, b):
+    for name in ("times", "q", "u", "e", "dW_tilde"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.seed == b.seed
+
+
+def test_ensemble_paths_independent_of_batch_size():
+    # path i is bit-identical in ensembles of 1, 7 and 12 paths and equals a
+    # lone run_sllg on its derived seed
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 3)
+    master = 31
+    ensembles = {p: run_sllg_ensemble(q0, g, m, e0, cfg, master, p)
+                 for p in (1, 7, 12)}
+    for i in range(7):
+        alone = run_sllg(q0, g, m, e0, cfg, derive_seed(master, TAG_PATH, i))
+        for p, ens in ensembles.items():
+            if i < p:
+                assert_same_path(ens.path(i), alone)
+
+
+def test_ensemble_across_chunk_boundary():
+    # n = 2048 marches max(1, 8192 // 2048) = 4 paths per chunk, so 7 paths
+    # take two chunks; every path must still match its lone run
+    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 2)
+    assert CHUNK_PATH_NODES // g.n == 4
+    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
+    assert ens.q.shape == (3, g.n, 7) and ens.u.shape == (3, g.n, 7, 3)
+    for i in range(7):
+        alone = run_sllg(q0, g, m, e0, cfg, derive_seed(5, TAG_PATH, i))
+        assert_same_path(ens.path(i), alone)
+
+
+def test_ensemble_stack_round_trip():
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
+    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 2, 3)
+    again = SllgEnsemble.stack(ens.path(i) for i in range(3))
+    for name in ("q", "u", "e", "dW_tilde"):
+        assert np.array_equal(getattr(again, name), getattr(ens, name))
+    assert again.seeds == ens.seeds and again.n_paths == 3
+
+
+def test_ensemble_needs_a_path():
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
+    with pytest.raises(ConfigurationError):
+        run_sllg_ensemble(q0, g, m, e0, cfg, 2, 0)

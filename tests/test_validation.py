@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from hasimoto_lab.fields import ConfigurationError, line_grid, normalize, periodic_grid
+from hasimoto_lab.fields import (ConfigurationError, line_grid, normalize,
+                                 open_view, periodic_grid)
 from hasimoto_lab.heat import HeatConfig, heat_integrate
-from hasimoto_lab.llg import stable_dt
+from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
-from hasimoto_lab.stochastic import SLLGConfig, SllgPath, run_sllg
+from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
+                                     run_sllg_ensemble)
 from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
@@ -124,7 +126,7 @@ def test_weak_residual_deterministic_path_small():
                     0.3 * np.ones(g.n)], axis=-1)
     r = weak_residual(path, g, 1.0, 1.0, phi)
     assert abs(r) <= 50.0 * dt ** 2
-    rep = sllg_weak_residual([path], g, 1.0, 1.0, phi)
+    rep = sllg_weak_residual(SllgEnsemble.stack([path]), g, 1.0, 1.0, phi)
     assert rep.mean == pytest.approx(r)
     assert rep.stderr == 0.0 and rep.n_paths == 1
 
@@ -149,7 +151,7 @@ def test_covariance_check_frozen_frame():
     dt = 0.01
     paths = [synthetic_frozen_path(g, nm, dt, k) for k in range(2000)]
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
-    rep = covariance_check(paths, g, nm, phi, phi)
+    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
     assert rep.n_paths == 2000 and rep.t == dt
     assert rep.direct > 0.0
     assert rep.within_3sigma
@@ -161,6 +163,83 @@ def test_covariance_orthogonal_pairing_vanishes():
     nm = make_noise_model(g, 1, 13)
     paths = [synthetic_frozen_path(g, nm, 0.01, k) for k in range(50)]
     phi = np.stack([np.sin(g.x), np.zeros(g.n), np.zeros(g.n)], axis=-1)
-    rep = covariance_check(paths, g, nm, phi, phi)
+    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
     assert abs(rep.direct) <= 1e-24
     assert abs(rep.mc_estimate) <= 1e-24
+
+
+def reference_weak_residual(path, g, alpha, beta, phi, noise_rule):
+    """The per-path, per-step loop the batched residual replaces."""
+    og = open_view(g)
+    h = g.h
+    dt = float(path.times[1] - path.times[0])
+    R = h * float(np.sum(phi * (path.u[-1] - path.u[0])))
+    for k in range(path.n_steps):
+        u_mid = normalize(0.5 * (path.u[k] + path.u[k + 1]))
+        R -= dt * h * float(np.sum(phi * llg_rhs(u_mid, og, alpha, beta)))
+        u_noise = u_mid if noise_rule == "midpoint" else path.u[k]
+        R -= h * float(np.sum(phi * np.cross(u_noise, path.dW_tilde[k])))
+    return R
+
+
+def reference_covariance(paths, g, nm, phi, psi):
+    """Per-path (Monte Carlo product, direct quadrature) of the covariance check."""
+    h = g.h
+    c2 = nm.coeffs ** 2
+    prods, directs = [], []
+    for p in paths:
+        dt = float(p.times[1] - p.times[0])
+        Wt = np.sum(p.dW_tilde, axis=0)
+        prods.append(h * np.sum(phi * Wt) * h * np.sum(psi * Wt))
+        d = 0.0
+        for k in range(p.n_steps):
+            u_mid = 0.5 * (p.u[k] + p.u[k + 1])
+            e_mid = 0.5 * (p.e[k] + p.e[k + 1])
+            uxe_mid = 0.5 * (np.cross(p.u[k], p.e[k]) + np.cross(p.u[k + 1], p.e[k + 1]))
+            for F in (u_mid, e_mid, uxe_mid):
+                pf = h * (nm.basis @ np.sum(phi * F, axis=-1))
+                ps = h * (nm.basis @ np.sum(psi * F, axis=-1))
+                d += dt * float(np.sum(c2 * pf * ps))
+        directs.append(d)
+    return np.array(prods), np.array(directs)
+
+
+def small_ensemble():
+    g = periodic_grid(2.0 * np.pi, 32)
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=4e-3, n_modes=4)
+    q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
+    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]), cfg, 17, 9)
+    return g, ens, make_noise_model(g, 4, 17)
+
+
+def test_batched_weak_residual_matches_per_path_sum():
+    g, ens, _ = small_ensemble()
+    phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
+    paths = [ens.path(i) for i in range(ens.n_paths)]
+    for rule in ("midpoint", "left"):
+        ref = np.array([reference_weak_residual(p, g, 0.5, 0.5, phi, rule)
+                        for p in paths])
+        got = weak_residual(ens, g, 0.5, 0.5, phi, rule)
+        assert got.shape == (ens.n_paths,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        rep = sllg_weak_residual(ens, g, 0.5, 0.5, phi, rule)
+        assert rep.mean == pytest.approx(np.mean(ref), rel=1e-12)
+        assert rep.stderr == pytest.approx(
+            np.std(ref, ddof=1) / np.sqrt(len(ref)), rel=1e-12)
+    assert weak_residual(paths[3], g, 0.5, 0.5, phi) == pytest.approx(
+        reference_weak_residual(paths[3], g, 0.5, 0.5, phi, "midpoint"), rel=1e-12)
+
+
+def test_batched_covariance_matches_per_path_sum():
+    g, ens, nm = small_ensemble()
+    phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
+    psi = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
+    prods, directs = reference_covariance(
+        [ens.path(i) for i in range(ens.n_paths)], g, nm, phi, psi)
+    rep = covariance_check(ens, g, nm, phi, psi)
+    assert rep.n_paths == ens.n_paths and rep.t == ens.times[-1]
+    assert rep.mc_estimate == pytest.approx(np.mean(prods), rel=1e-12)
+    assert rep.mc_ci3 == pytest.approx(
+        3.0 * np.std(prods, ddof=1) / np.sqrt(len(prods)), rel=1e-12)
+    assert rep.direct == pytest.approx(np.mean(directs), rel=1e-12)
