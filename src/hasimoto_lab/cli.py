@@ -12,7 +12,6 @@ manifest.json (resolved config, seed, version, wall clock, monitor flags).
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,8 +21,9 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .fields import (BlowUpError, ConfigurationError, Grid1D, make_grid)
-from .hashimoto import closure_defect, reconstruct_frame, transform
+from .fields import (BlowUpError, ConfigurationError, Grid1D, make_grid,
+                     time_steps)
+from .hashimoto import FrameField, closure_defect, reconstruct_frame, transform
 from .heat import HeatConfig, heat_integrate, mass
 from .llg import LLGConfig, exchange_energy, llg_integrate, stable_dt
 from .noise import make_noise_model
@@ -124,16 +124,26 @@ def resolve_grid(cfg: dict, errors: list):
         return None
 
 
+def _t_end(cfg: dict, errors: list):
+    return _num(cfg, "t_end", float, errors, lambda v: 0 <= v < np.inf,
+                "(need finite >= 0)")
+
+
 def resolve_dt(cfg: dict, g, alpha: float, beta: float, errors: list):
     """dt = 'auto' picks 90% of the stability bound, rounded so t_end/dt is whole."""
-    t_end = _num(cfg, "t_end", float, errors, lambda v: v >= 0, "(need >= 0)")
+    t_end = _t_end(cfg, errors)
     if t_end is None or g is None:
         return None, t_end
     if cfg["dt"] == "auto":
         dt = 0.9 * stable_dt(g, alpha, beta)
         n_steps = max(1, int(np.ceil(t_end / dt))) if t_end > 0 else 1
         return t_end / n_steps if t_end > 0 else dt, t_end
-    dt = _num(cfg, "dt", float, errors, lambda v: v > 0, "(need > 0)")
+    dt = _num(cfg, "dt", float, errors, lambda v: 0 < v < np.inf, "(need finite > 0)")
+    if dt is not None:
+        try:
+            time_steps(dt, t_end, rel_tol=1e-9)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
     return dt, t_end
 
 
@@ -218,12 +228,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header: list, rows) -> None:
+def write_csv(path: str, header: list, frames) -> None:
+    """Write a CSV one frame at a time.
+
+    Each frame is a tuple of columns: 1-D arrays of one common length, or
+    scalars that stand for a constant column. Cells are the repr of Python
+    scalars, which round-trips floats exactly, so output is byte-deterministic.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for frame in frames:
+            cols = [np.asarray(c) for c in frame]
+            rows = max((c.shape[0] for c in cols if c.ndim), default=1)
+            cells = [[repr(c.item())] * rows if c.ndim == 0
+                     else list(map(repr, c.tolist())) for c in cols]
+            fh.write("".join([",".join(r) + "\n" for r in zip(*cells)]))
+
+
+def _node_frames(g: Grid1D, samples):
+    """write_csv frames (t, node, x, *columns) of (t, (n, c) state) samples."""
+    nodes = np.arange(g.n)
+    return ((t, nodes, g.x, *s.T) for t, s in samples)
 
 
 def render_report(report: dict) -> str:
@@ -258,7 +283,7 @@ def run_llg(cfg, g, outdir, validate_only=False):
     u0 = build_initial_u(cfg, g, errors)
     if errors:
         raise ConfigurationError("; ".join(errors))
-    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    n_steps = time_steps(dt, t_end)
     stride = resolve_stride(cfg, n_steps, errors)
     lcfg = LLGConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
                      output_stride=stride)
@@ -266,10 +291,9 @@ def run_llg(cfg, g, outdir, validate_only=False):
     if validate_only:
         return None
     traj = llg_integrate(u0, g, lcfg)
-    rows = [(t, j, g.x[j], u[j, 0], u[j, 1], u[j, 2])
-            for t, u in zip(traj.times, traj.states) for j in range(g.n)]
     write_csv(os.path.join(outdir, "series_u.csv"),
-              ["t", "node", "x", "ux", "uy", "uz"], rows)
+              ["t", "node", "x", "ux", "uy", "uz"],
+              _node_frames(g, zip(traj.times, traj.states)))
     unit_dev = max(float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
                    for u in traj.states)
     report = {"dt": dt, "n_steps": n_steps,
@@ -287,7 +311,7 @@ def run_heat(cfg, g, outdir, validate_only=False):
     q0 = build_initial_q(cfg, g, errors)
     if errors:
         raise ConfigurationError("; ".join(errors))
-    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    n_steps = time_steps(dt, t_end)
     stride = resolve_stride(cfg, n_steps, errors)
     hcfg = HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
                       output_stride=stride)
@@ -295,10 +319,9 @@ def run_heat(cfg, g, outdir, validate_only=False):
     if validate_only:
         return None
     traj = heat_integrate(q0, g, hcfg)
-    rows = [(t, j, g.x[j], q[j].real, q[j].imag)
-            for t, q in zip(traj.times, traj.states) for j in range(g.n)]
-    write_csv(os.path.join(outdir, "series_q.csv"),
-              ["t", "node", "x", "re", "im"], rows)
+    write_csv(os.path.join(outdir, "series_q.csv"), ["t", "node", "x", "re", "im"],
+              _node_frames(g, ((t, np.stack([q.real, q.imag], axis=-1))
+                               for t, q in zip(traj.times, traj.states))))
     report = {"dt": dt, "n_steps": n_steps,
               "mass_initial": mass(traj.states[0], g),
               "mass_final": mass(traj.states[-1], g),
@@ -310,7 +333,7 @@ def run_crosscheck(cfg, g, outdir, validate_only=False):
     errors = []
     alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
     beta = _num(cfg, "beta", float, errors)
-    t_end = _num(cfg, "t_end", float, errors, lambda v: v >= 0, "(need >= 0)")
+    t_end = _t_end(cfg, errors)
     samples = _num(cfg, "samples", int, errors, lambda v: v >= 1, "(need >= 1)")
     amp = _num(cfg, "amplitude", float, errors)
     width = _num(cfg, "width", float, errors, lambda v: v > 0, "(need > 0)")
@@ -334,11 +357,10 @@ def run_crosscheck(cfg, g, outdir, validate_only=False):
     rep = crosscheck_deterministic(
         lambda x: localized_twist(x, amp, width, center, power),
         x_min, x_max, alpha, beta, t_end, grid_sizes=sizes, samples=samples)
-    rows = [(lv["n"], t, dm, dl)
-            for lv in rep.levels
-            for t, dm, dl in zip(lv["times"], lv["disc_max"], lv["disc_l2"])]
     write_csv(os.path.join(outdir, "series_discrepancy.csv"),
-              ["n", "t", "disc_max", "disc_l2"], rows)
+              ["n", "t", "disc_max", "disc_l2"],
+              ((lv["n"], lv["times"], lv["disc_max"], lv["disc_l2"])
+               for lv in rep.levels))
     return rep.to_dict(), {"decay_ok": not rep.flagged}, ["series_discrepancy.csv"]
 
 
@@ -368,8 +390,6 @@ def _sllg_setup(cfg, g, errors):
     n_paths = _num(cfg, "n_paths", int, errors, lambda v: v >= 2, "(need >= 2)")
     seed = _num(cfg, "master_seed", int, errors)
     q0 = build_initial_q(cfg, g, errors)
-    if cfg.get("coeff_profile") not in ("flat", "power"):
-        errors.append(f"coeff_profile={cfg.get('coeff_profile')!r} invalid")
     if errors:
         raise ConfigurationError("; ".join(errors))
     scfg = SLLGConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
@@ -394,14 +414,12 @@ def run_sllg_experiment(cfg, g, outdir, validate_only=False):
     p0 = ens.path(0)
     keep = [k for k in range(len(p0.times))
             if k % stride == 0 or k == len(p0.times) - 1]
-    rows = [(p0.times[k], j, g.x[j], p0.u[k, j, 0], p0.u[k, j, 1], p0.u[k, j, 2])
-            for k in keep for j in range(g.n)]
     write_csv(os.path.join(outdir, "series_u.csv"),
-              ["t", "node", "x", "ux", "uy", "uz"], rows)
+              ["t", "node", "x", "ux", "uy", "uz"],
+              _node_frames(g, ((p0.times[k], p0.u[k]) for k in keep)))
     res = sllg_weak_residual(ens, g, scfg.alpha, scfg.beta, _standard_phi(g))
-    paths = [ens.path(i) for i in range(n_paths)]
-    closure = float(np.mean([closure_defect(p.q[-1], g, p.frame(p.n_steps))
-                             for p in paths])) if g.periodic else 0.0
+    closure = float(np.mean(closure_defect(
+        ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0
     report = {"dt": scfg.dt, "n_steps": scfg.n_steps, "n_paths": n_paths,
               "weak_residual": res.to_dict(), "mean_closure_defect": closure}
     return report, {"blow_up": False, "closure_defect": closure}, ["series_u.csv"]
@@ -508,13 +526,16 @@ def main(argv=None) -> int:
         key, val = item.split("=", 1)
         sets.append((key.strip(), val.strip()))
     cfg = resolve_config(args.experiment, file_cfg, sets, args.seed, errors)
-    g = resolve_grid(cfg, errors)
-
-    if g is not None and not errors:
-        try:
+    try:
+        g = resolve_grid(cfg, errors)
+        if g is not None and not errors:
             RUNNERS[args.experiment](cfg, g, None, validate_only=True)
-        except ConfigurationError as exc:
-            errors.extend(str(exc).split("; "))
+    except ConfigurationError as exc:
+        errors.extend(str(exc).split("; "))
+    except Exception as exc:
+        # validation refuses before any artifact exists, so a defect there
+        # is a config error too, never a traceback
+        errors.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)

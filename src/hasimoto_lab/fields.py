@@ -84,6 +84,24 @@ def make_grid(spec: dict) -> Grid1D:
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
+def time_steps(dt: float, t_end: float, rel_tol: float | None = None) -> int:
+    """Number of steps of size dt from 0 to t_end, rounded to the nearest.
+
+    With rel_tol, dt must also divide t_end to that relative tolerance, so
+    that a run cannot stop short of the t_end it reports.
+    """
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not 0 <= t_end < np.inf:
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    steps = t_end / dt
+    n = round(steps)
+    if rel_tol is not None and abs(steps - n) > rel_tol * steps:
+        raise ConfigurationError(
+            f"dt={dt!r} does not divide t_end={t_end!r} ({steps:.6g} steps)")
+    return n
+
+
 def _check_shape(f: np.ndarray, g: Grid1D):
     if f.shape[0] != g.n:
         raise ConfigurationError(f"field length {f.shape[0]} != grid n {g.n}")
@@ -163,7 +181,15 @@ def open_view(g: Grid1D) -> Grid1D:
 # --- 3-vector algebra on (n, 3) (or (..., 3)) arrays ---
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.cross(a, b)
+    """a x b over the last axis, broadcast; the components are formed in
+    np.cross's own operation order, so the result is bit for bit the same."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -129,16 +129,19 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     return FrameField(u=F[..., 0, :].copy(), e=F[..., 1, :].copy())
 
 
-def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField) -> float:
+def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField):
     """Rotation-angle mismatch when the frame march is continued across the seam.
 
-    Only meaningful on periodic grids; propagates the last frame through the
-    wrap segment and compares with the frame at the basepoint side.
+    Only meaningful on periodic grids (0 elsewhere); propagates the last
+    frame through the wrap segment and compares with the frame at the
+    basepoint side. q (n,) with an (n, 3) frame gives a float; q (n, P)
+    with (n, P, 3) frames gives the (P,) angles, each as for the path alone.
     """
     if not g.periodic:
-        return 0.0
+        return 0.0 if q.ndim == 1 else np.zeros(q.shape[1])
     q_mid = 0.5 * (q[-1] + q[0])
     R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
     F = f.as_matrix()
     wrapped = R @ F[-1]
-    return float(rotation_angle(wrapped @ F[0].T))
+    angle = rotation_angle(wrapped @ np.swapaxes(F[0], -1, -2))
+    return float(angle) if q.ndim == 1 else angle

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Grid1D, BlowUpError, ConfigurationError,
-                     boundary_decay_ok, cumint, diff1, diff2)
+                     boundary_decay_ok, cumint, diff1, diff2, time_steps)
 from .llg import Trajectory, heun_step, rk4_step, stable_dt
 
 
@@ -30,8 +30,7 @@ class HeatConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        time_steps(self.dt, self.t_end)
         if self.alpha < 0:
             raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
         if self.form not in ("expanded", "compact"):
@@ -46,6 +45,10 @@ class HeatConfig:
         if self.dt > bound:
             raise ConfigurationError(
                 f"dt = {self.dt:.3e} exceeds the stability bound {bound:.3e}")
+
+    @property
+    def n_steps(self) -> int:
+        return time_steps(self.dt, self.t_end)
 
 
 def heat_rhs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
@@ -75,7 +78,7 @@ def heat_integrate(q0: np.ndarray, g: Grid1D, cfg: HeatConfig) -> Trajectory:
     decay monitor held at every sampled state (line grids only).
     """
     cfg.check_stability(g)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     rhs = lambda q: heat_rhs(q, g, cfg.alpha, cfg.beta, cfg.form)
     stepper = rk4_step if cfg.method == "rk4" else heun_step
     q = q0.astype(complex).copy()

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, diff1,
-                     diff2, normalize)
+                     diff2, normalize, time_steps)
 from .hashimoto import CurvatureTorsion
 
 
@@ -29,12 +29,9 @@ class LLGConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        time_steps(self.dt, self.t_end)
         if self.alpha < 0:
             raise ConfigurationError(f"damping alpha must be >= 0, got {self.alpha}")
-        if self.t_end < 0:
-            raise ConfigurationError(f"t_end must be >= 0, got {self.t_end}")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
 
@@ -44,6 +41,10 @@ class LLGConfig:
             raise ConfigurationError(
                 f"dt = {self.dt:.3e} exceeds the stability bound {bound:.3e} "
                 f"(0.2 h^2 / max(alpha, |beta|))")
+
+    @property
+    def n_steps(self) -> int:
+        return time_steps(self.dt, self.t_end)
 
 
 @dataclass
@@ -82,7 +83,7 @@ def _check_finite(y, step, what):
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
     """RK4 in time with per-step projection back to the sphere."""
     cfg.check_stability(g)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     rhs = lambda u: llg_rhs(u, g, cfg.alpha, cfg.beta)
     u = u0.copy()
     times = [0.0]

@@ -17,17 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cumint,
-                     diff1)
+                     diff1, time_steps)
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import heat_rhs
 from .llg import stable_dt
-from .noise import (NoiseIncrement, TAG_PATH, derive_seed, make_noise_model,
-                    noise_fields, sample_increments)
+from .noise import (NoiseIncrement, TAG_PATH, coefficient_profile, derive_seed,
+                    make_noise_model, noise_fields, sample_increments)
 from .rotations import generator_rotation
 
 # Paths are marched in chunks of at most this many path-nodes (n x paths),
 # which bounds the per-step temporaries whatever the ensemble size.
 CHUNK_PATH_NODES = 8192
+# Frame fields rebuilt per spatial march: a chunk's steps go in blocks of
+# about BLOCK_FRAMES // paths (see block_steps).
+BLOCK_FRAMES = 8
 
 
 @dataclass
@@ -122,10 +125,12 @@ class SLLGConfig:
     coeff_amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigurationError("need dt > 0 and t_end >= 0")
+        time_steps(self.dt, self.t_end)
         if self.alpha < 0:
             raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        if self.n_modes < 0:
+            raise ConfigurationError(f"n_modes must be >= 0, got {self.n_modes}")
+        coefficient_profile(self.n_modes, self.coeff_profile)
 
     def check_stability(self, g: Grid1D):
         bound = stable_dt(g, self.alpha, self.beta)
@@ -135,7 +140,7 @@ class SLLGConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return time_steps(self.dt, self.t_end)
 
 
 @dataclass
@@ -203,7 +208,9 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     spatial march, which enforces the curvature/torsion relation between u
     and q by construction; (4) assemble the increments of
     W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
-    Paths are marched CHUNK_PATH_NODES // n at a time.
+    Paths are marched CHUNK_PATH_NODES // n at a time. Steps (1) and (2)
+    never read the rebuilt field, so steps (3) and (4) run once per block
+    of block_steps(n, paths) steps, with the same operations per step.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -239,39 +246,68 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
                         dW_tilde=dW_tilde, seeds=list(seeds))
 
 
+def block_steps(n: int, n_paths: int) -> int:
+    """Time steps whose frame fields one reconstruct_frame call rebuilds: about
+    BLOCK_FRAMES frames per node step, and at most BLOCK_FRAMES chunks'
+    worth of path-node-steps in one block."""
+    cap = BLOCK_FRAMES * CHUNK_PATH_NODES // (n * n_paths)
+    return max(1, min(BLOCK_FRAMES // n_paths, cap))
+
+
 def _march(qs, us, es, dW_tilde, models, g, cfg):
-    """Advance one chunk of paths from its step-0 entries, filling the history views."""
-    q = np.ascontiguousarray(qs[0])
-    f = FrameField(u=us[0], e=es[0])
-    for k in range(len(dW_tilde)):
-        inc = noise_fields(models[0], np.stack(
-            [sample_increments(nm, cfg.dt, k) for nm in models]))
-        q, f = _step(q, f, inc, g, cfg, dW_tilde[k])
-        qs[k + 1], us[k + 1], es[k + 1] = q, f.u, f.e
+    """Advance one chunk of paths from its step-0 entries, filling the history views.
 
-
-def _step(q, f, inc, g, cfg, dW_out):
-    """One step of every path in a chunk; W-tilde's increment goes to dW_out.
-
-    Temporaries live only for the step, so a march holds one step's worth.
+    q and the basepoint frames never read the rebuilt frame fields, so they
+    advance a block of steps first; one spatial march then rebuilds the
+    block's frame fields and W-tilde's increments follow from them.
     """
-    q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta, cfg.dt, inc)
-    f_new = reconstruct_frame(q_new, g, *_basepoint_step(f, q_mid, inc, g, cfg))
-    u_mid = 0.5 * (f.u + f_new.u)
-    e_mid = 0.5 * (f.e + f_new.e)
-    exu_mid = 0.5 * (cross(f.e, f.u) + cross(f_new.e, f_new.u))
-    np.multiply(e_mid, inc.dW2[..., None], out=dW_out)
-    dW_out += exu_mid * inc.dW1[..., None]
-    dW_out += u_mid * inc.dW3[..., None]
-    return q_new, f_new
+    K, n, P = dW_tilde.shape[:3]
+    T = block_steps(n, P)
+    b = g.basepoint_index
+    q = np.ascontiguousarray(qs[0])
+    base = us[0, b], es[0, b]
+    for lo in range(0, K, T):
+        steps = range(lo, min(lo + T, K))
+        dW = np.empty((3, len(steps), n, P))
+        bases = np.empty((2, len(steps), P, 3))
+        for t, k in enumerate(steps):
+            inc = noise_fields(models[0], np.stack(
+                [sample_increments(nm, cfg.dt, k) for nm in models]))
+            q, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta, cfg.dt, inc)
+            base = _basepoint_step(base, q_mid, inc, g, cfg)
+            qs[k + 1] = q
+            dW[:, t] = inc.dW1, inc.dW2, inc.dW3
+            bases[:, t] = base
+        _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g)
 
 
-def _basepoint_step(f, q_mid, inc, g, cfg):
+def _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g):
+    """Frame fields of the T steps after step lo by one spatial march over
+    T * P columns, then W-tilde's increments (dW1, dW2, dW3 stacked in dW)
+    with midpoint frames."""
+    T, n, P = dW.shape[1:]
+    s = slice(lo + 1, lo + 1 + T)
+    f = reconstruct_frame(qs[s].transpose(1, 0, 2).reshape(n, T * P), g,
+                          bases[0].reshape(T * P, 3), bases[1].reshape(T * P, 3))
+    us[s] = f.u.reshape(n, T, P, 3).transpose(1, 0, 2, 3)
+    es[s] = f.e.reshape(n, T, P, 3).transpose(1, 0, 2, 3)
+    u, e = us[lo:lo + T + 1], es[lo:lo + T + 1]
+    exu = cross(e, u)
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    e_mid = 0.5 * (e[:-1] + e[1:])
+    exu_mid = 0.5 * (exu[:-1] + exu[1:])
+    out = dW_tilde[lo:lo + T]
+    np.multiply(e_mid, dW[1][..., None], out=out)
+    out += exu_mid * dW[0][..., None]
+    out += u_mid * dW[2][..., None]
+
+
+def _basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint frames (u, e), each (P, 3), advanced in time; there the
     nonlocal integrals vanish, so dPsi(b) = 0."""
     b = g.basepoint_index
     ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2, q_mid)
     ic_base = InternalCoeffs(p=ic.p[b], C=ic.C[b], dPsi=ic.dPsi[b])
-    base = frame_time_step(FrameField(u=f.u[b], e=f.e[b]), ic_base,
-                           inc.dW1[b], inc.dW2[b], ic_base.dPsi, cfg.dt)
-    return base.u, base.e
+    f = frame_time_step(FrameField(*base), ic_base, inc.dW1[b], inc.dW2[b],
+                        ic_base.dPsi, cfg.dt)
+    return f.u, f.e

@@ -222,6 +222,13 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sum(prod.reshape(len(prod), -1), axis=1)
 
 
+def _time_step(paths: SllgEnsemble) -> float:
+    """The ensemble's dt; a check over the steps needs at least one."""
+    if paths.n_steps < 1:
+        raise ConfigurationError("the ensemble has no time step (need >= 1)")
+    return float(paths.times[1] - paths.times[0])
+
+
 def weak_residual(paths, g: Grid1D, alpha: float, beta: float,
                   phi: np.ndarray, noise_rule: str = "midpoint"):
     """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,).
@@ -242,10 +249,10 @@ def weak_residual(paths, g: Grid1D, alpha: float, beta: float,
                                    phi, noise_rule)[0])
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
+    dt = _time_step(paths)
     og = open_view(g)
     h = g.h
     u = paths.u
-    dt = float(paths.times[1] - paths.times[0])
     R = h * _path_sums(phi, u[-1] - u[0])
     for k in range(paths.n_steps):
         u_mid = normalize(0.5 * (u[k] + u[k + 1]))
@@ -298,9 +305,9 @@ def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
     ensemble-averaged products of frame projections onto the noise modes.
     The quadrature runs step by step over all paths at once.
     """
+    dt = _time_step(paths)
     h = g.h
     c2 = nm.coeffs ** 2
-    dt = float(paths.times[1] - paths.times[0])
     Wt = np.sum(paths.dW_tilde, axis=0)
     prods = h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt))
     u, e = paths.u, paths.e

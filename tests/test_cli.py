@@ -1,12 +1,15 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, VALIDATING_MODULE,
-                              list_experiments, main, read_config_file)
-from hasimoto_lab.fields import ConfigurationError
+from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, VALIDATING_MODULE, _fmt,
+                              list_experiments, main, read_config_file,
+                              write_csv)
+from hasimoto_lab.fields import ConfigurationError, periodic_grid
+from hasimoto_lab.stochastic import SLLGConfig, run_sllg_ensemble
 
 
 def run_cli(*args):
@@ -223,3 +226,86 @@ def test_initial_file_with_wrong_columns_exits_2(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "rows of ux,uy,uz" in capsys.readouterr().err
+
+
+def rowwise_csv(path, header, rows):
+    # the row-list writer that write_csv replaced
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
+def test_write_csv_matches_rowwise_writer(tmp_path):
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 1e16, 5e-324, 0.1, -2.5])
+    nodes = np.arange(len(edge))
+    frames = [(np.float64(0.5), nodes, edge, 3, np.int64(-7), np.float32(0.1)),
+              (1e16, nodes, edge, True, np.nan, -0.0),
+              (np.float64(-0.0), nodes, edge[::-1].copy(), 0, np.inf, 5e-324)]
+    rows = [tuple(c[j] if np.ndim(c) else c for c in frame)
+            for frame in frames for j in range(len(edge))]
+    header = ["t", "node", "v", "a", "b", "c"]
+    write_csv(tmp_path / "streamed.csv", header, iter(frames))
+    rowwise_csv(tmp_path / "rows.csv", header, rows)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_sllg_csv_is_path_zero_exactly(tmp_path):
+    args = ("sllg", "--set", "n=32", "--set", "t_end=0.003", "--set", "n_paths=3",
+            "--set", "n_modes=3", "--set", "output_stride=2", "--seed", "9")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    assert (out1 / "series_u.csv").read_bytes() == (out2 / "series_u.csv").read_bytes()
+    g = periodic_grid(2.0 * np.pi, 32)
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=0.001, t_end=0.003, n_modes=3)
+    p0 = run_sllg_ensemble(np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
+                           np.array([0.0, 1.0, 0.0]), cfg, 9, 3).path(0)
+    with open(out1 / "series_u.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "node", "x", "ux", "uy", "uz"]
+    data = np.array(rows[1:], dtype=float).reshape(-1, g.n, 6)
+    keep = [0, 2, 3]                    # stride 2, and the final step
+    assert np.array_equal(data[:, 0, 0], p0.times[keep])
+    assert np.array_equal(data[:, :, 1], np.tile(np.arange(g.n), (3, 1)))
+    assert np.array_equal(data[:, :, 2], np.tile(g.x, (3, 1)))
+    assert np.array_equal(data[:, :, 3:], p0.u[keep])
+
+
+@pytest.mark.parametrize("experiment,setting", [
+    (e, s) for e in ("llg", "heat", "sllg", "crosscheck", "holonomy", "covariance")
+    for s in ("t_end=inf", "t_end=nan", "dt=inf", "dt=nan")
+    if not (e == "crosscheck" and s.startswith("dt"))])   # crosscheck picks its own dt
+def test_non_finite_time_rejected(tmp_path, capsys, experiment, setting):
+    out = tmp_path / "inf"
+    rc = run_cli(experiment, "--out", str(out), "--set", "n=32", "--set", setting)
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment", ["llg", "heat", "sllg", "holonomy",
+                                        "covariance"])
+def test_dt_must_divide_t_end(tmp_path, capsys, experiment):
+    # 0.01 / 0.003 is 3.33 steps: the run would end at t = 0.009
+    out = tmp_path / "trunc"
+    rc = run_cli(experiment, "--out", str(out), "--set", "n=16",
+                 "--set", "dt=0.003", "--set", "t_end=0.01")
+    assert rc == 2
+    assert not out.exists()
+    assert "does not divide" in capsys.readouterr().err
+
+
+def test_unexpected_validation_error_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import hasimoto_lab.cli as cli
+
+    def broken(*args):
+        raise OverflowError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "stable_dt", broken)
+    out = tmp_path / "broken"
+    assert run_cli("llg", "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "config error: OverflowError: boom second line\n"

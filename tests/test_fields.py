@@ -4,7 +4,7 @@ import pytest
 from hasimoto_lab.fields import (ConfigurationError, boundary_decay_ok, cross,
                                  cumint, diff1, diff2, dot, line_grid,
                                  make_grid, norm, normalize, open_view,
-                                 periodic_grid, check_unit)
+                                 periodic_grid, check_unit, time_steps)
 
 
 def test_periodic_spacing():
@@ -126,3 +126,30 @@ def test_normalize_and_check_unit():
     check_unit(u)
     with pytest.raises(ConfigurationError):
         check_unit(v)
+
+
+def test_cross_bit_identical_to_numpy():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((64, 3))
+    b = rng.standard_normal((64, 3))
+    A = rng.standard_normal((64, 5, 3))
+    B = rng.standard_normal((64, 5, 3))
+    for x, y in ((a, b), (A, B), (a[:, None, :], B), (A, b[:, None, :])):
+        got = cross(x, y)
+        assert got.shape == np.cross(x, y).shape
+        assert np.array_equal(got, np.cross(x, y))
+
+
+def test_time_steps():
+    assert time_steps(1e-3, 0.01) == 10
+    assert time_steps(1e-3, 0.0) == 0
+    assert time_steps(0.003, 0.01) == 3          # rounds unless asked to divide
+    assert time_steps(0.01 / 3, 0.01, rel_tol=1e-9) == 3
+    with pytest.raises(ConfigurationError):
+        time_steps(0.003, 0.01, rel_tol=1e-9)
+    with pytest.raises(ConfigurationError):
+        time_steps(0.5, 0.2, rel_tol=1e-9)       # t_end short of one step
+    for dt, t_end in ((0.0, 1.0), (np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan),
+                      (1e-3, -1.0)):
+        with pytest.raises(ConfigurationError):
+            time_steps(dt, t_end)

@@ -133,3 +133,23 @@ def test_closure_defect_small_for_closed_curve():
     fl = reconstruct_frame(np.zeros(gl.n, complex), gl,
                            np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     assert closure_defect(np.zeros(gl.n, complex), gl, fl) == 0.0
+
+
+def test_closure_defect_batched_matches_per_path():
+    rng = np.random.default_rng(8)
+    g = periodic_grid(2.0 * np.pi, 64)
+    P = 5
+    q = (0.3 + 0.1 * rng.standard_normal((g.n, P))) \
+        * np.exp(1j * rng.standard_normal((g.n, P)))
+    m = np.tile([1.0, 0.0, 0.0], (P, 1))
+    e0 = np.tile([0.0, 1.0, 0.0], (P, 1))
+    f = reconstruct_frame(q, g, m, e0)
+    got = closure_defect(q, g, f)
+    assert got.shape == (P,)
+    for i in range(P):
+        fi = reconstruct_frame(q[:, i], g, m[i], e0[i])
+        assert got[i] == closure_defect(q[:, i], g, fi)
+    gl = line_grid(0.0, 1.0, 16)
+    fl = reconstruct_frame(np.zeros((gl.n, P), complex), gl, m, e0)
+    assert np.array_equal(closure_defect(np.zeros((gl.n, P), complex), gl, fl),
+                          np.zeros(P))

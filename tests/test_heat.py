@@ -60,6 +60,12 @@ def test_config_validation():
         HeatConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
 
 
+def test_config_rejects_bad_final_time():
+    for t_end in (-0.1, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            HeatConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=t_end)
+
+
 def test_constant_data_phase_rotation():
     # q0 == k solves the flow exactly as k e^{i beta k^2 t / 2}
     g = periodic_grid(2.0 * np.pi, 32)

@@ -8,9 +8,10 @@ from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
 from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
                                 make_noise_model, noise_fields,
                                 sample_increments)
+import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, SLLGConfig,
-                                     SllgEnsemble, frame_time_step,
-                                     internal_coeffs, run_sllg,
+                                     SllgEnsemble, block_steps,
+                                     frame_time_step, internal_coeffs, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 
 
@@ -190,6 +191,13 @@ def test_config_validation():
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
         SLLGConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+    with pytest.raises(ConfigurationError):
+        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, coeff_profile="bogus")
+    with pytest.raises(ConfigurationError):
+        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, n_modes=-1)
+    for t_end in (np.inf, np.nan, -1.0):
+        with pytest.raises(ConfigurationError):
+            SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
 
 
 def _ensemble_inputs(n, dt, n_steps):
@@ -244,3 +252,62 @@ def test_ensemble_needs_a_path():
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
     with pytest.raises(ConfigurationError):
         run_sllg_ensemble(q0, g, m, e0, cfg, 2, 0)
+
+
+def test_block_steps_rule():
+    assert block_steps(4096, 2) == 4        # long curve: 8 frames per march
+    assert block_steps(64, 100) == 1        # wide ensemble: one step per march
+    assert block_steps(32, 1) == 8
+    assert block_steps(16384, 1) == 4       # capped at 8 chunks of path-nodes
+    assert block_steps(10 ** 6, 1) == 1
+
+
+@pytest.mark.parametrize("frames", [3, 5])
+def test_time_blocks_bit_identical(monkeypatch, frames):
+    # one path at n = 32 takes blocks of BLOCK_FRAMES steps: 1 (the step by
+    # step march), 3 (a short last block) and K = 5 (one block)
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 5)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
+    ref = run_sllg(q0, g, m, e0, cfg, 21)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", frames)
+    assert block_steps(g.n, 1) == frames
+    assert_same_path(run_sllg(q0, g, m, e0, cfg, 21), ref)
+
+
+def test_time_blocks_across_chunk_boundary(monkeypatch):
+    # n = 2048 and 7 paths march as chunks of 4 and 3 paths; with
+    # BLOCK_FRAMES = 12 they take blocks of 3 and 4 steps, so each block
+    # holds more path-node-steps than one chunk, and K = 5 leaves short blocks
+    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 5)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
+    ref = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 12)
+    assert (block_steps(g.n, 4), block_steps(g.n, 3)) == (3, 4)
+    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
+    for name in ("q", "u", "e", "dW_tilde"):
+        assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+
+
+def test_ensemble_matches_step_by_step_construction():
+    # every frame field is the spatial march of its q from its basepoint
+    # frame, and W-tilde's increments are the midpoint-frame sums of the
+    # path's own noise, in this operation order
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 4)
+    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 13, 3)
+    b = g.basepoint_index
+    nm = make_noise_model(g, cfg.n_modes, 0)
+    for i in range(ens.n_paths):
+        p = ens.path(i)
+        model = nm.reseeded(p.seed)
+        for k in range(p.n_steps + 1):
+            f = reconstruct_frame(p.q[k], g, p.u[k, b], p.e[k, b])
+            assert np.array_equal(f.u, p.u[k]) and np.array_equal(f.e, p.e[k])
+        for k in range(p.n_steps):
+            inc = noise_fields(model, sample_increments(model, cfg.dt, k))
+            u_mid = 0.5 * (p.u[k] + p.u[k + 1])
+            e_mid = 0.5 * (p.e[k] + p.e[k + 1])
+            exu_mid = 0.5 * (np.cross(p.e[k], p.u[k]) + np.cross(p.e[k + 1], p.u[k + 1]))
+            dW = e_mid * inc.dW2[:, None]
+            dW += exu_mid * inc.dW1[:, None]
+            dW += u_mid * inc.dW3[:, None]
+            assert np.array_equal(dW, p.dW_tilde[k])

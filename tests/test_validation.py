@@ -243,3 +243,17 @@ def test_batched_covariance_matches_per_path_sum():
     assert rep.mc_ci3 == pytest.approx(
         3.0 * np.std(prods, ddof=1) / np.sqrt(len(prods)), rel=1e-12)
     assert rep.direct == pytest.approx(np.mean(directs), rel=1e-12)
+
+
+def test_checks_reject_zero_step_ensemble():
+    g = periodic_grid(2.0 * np.pi, 32)
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.0, n_modes=4)
+    q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
+    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]), cfg, 17, 3)
+    assert ens.n_steps == 0
+    phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
+    with pytest.raises(ConfigurationError):
+        weak_residual(ens, g, 0.5, 0.5, phi)
+    with pytest.raises(ConfigurationError):
+        covariance_check(ens, g, make_noise_model(g, 4, 17), phi, phi)
