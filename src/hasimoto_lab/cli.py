@@ -21,11 +21,11 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .fields import (BlowUpError, ConfigurationError, Grid1D, make_grid,
-                     time_steps)
+from .fields import (BlowUpError, ConfigurationError, Grid1D, line_grid,
+                     make_grid, time_steps)
 from .hashimoto import FrameField, closure_defect, reconstruct_frame, transform
 from .heat import HeatConfig, heat_integrate, mass
-from .llg import LLGConfig, exchange_energy, llg_integrate, stable_dt
+from .llg import LLGConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
 from .stochastic import SLLGConfig, run_sllg_ensemble
 from .validation import (covariance_check, crosscheck_deterministic,
@@ -49,7 +49,10 @@ _COMMON = {
 DEFAULTS = {
     "llg": dict(_COMMON),
     "heat": dict(_COMMON),
-    "crosscheck": dict(_COMMON, domain="line", x_min="-250.0",
+    # crosscheck picks each level's dt and its sampling stride itself
+    "crosscheck": dict({k: v for k, v in _COMMON.items()
+                        if k not in ("dt", "output_stride")},
+                       domain="line", x_min="-250.0",
                        initial_data="localized-twist",
                        grid_sizes="128,256,512", samples="10"),
     "identities": dict(_COMMON, domain="line", n="256",
@@ -130,14 +133,16 @@ def _t_end(cfg: dict, errors: list):
 
 
 def resolve_dt(cfg: dict, g, alpha: float, beta: float, errors: list):
-    """dt = 'auto' picks 90% of the stability bound, rounded so t_end/dt is whole."""
+    """dt = 'auto' is llg.auto_dt; an explicit dt must divide t_end."""
     t_end = _t_end(cfg, errors)
     if t_end is None or g is None:
         return None, t_end
     if cfg["dt"] == "auto":
-        dt = 0.9 * stable_dt(g, alpha, beta)
-        n_steps = max(1, int(np.ceil(t_end / dt))) if t_end > 0 else 1
-        return t_end / n_steps if t_end > 0 else dt, t_end
+        try:
+            return auto_dt(g, alpha, beta, t_end), t_end
+        except ConfigurationError as exc:
+            errors.append(str(exc))
+            return None, t_end
     dt = _num(cfg, "dt", float, errors, lambda v: 0 < v < np.inf, "(need finite > 0)")
     if dt is not None:
         try:
@@ -352,6 +357,8 @@ def run_crosscheck(cfg, g, outdir, validate_only=False):
         errors.append("crosscheck supports initial_data=localized-twist only")
     if errors:
         raise ConfigurationError("; ".join(errors))
+    for n in sizes:                     # each level's grid and automatic dt
+        auto_dt(line_grid(x_min, x_max, n), alpha, beta, t_end)
     if validate_only:
         return None
     rep = crosscheck_deterministic(

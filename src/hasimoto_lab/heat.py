@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid1D, BlowUpError, ConfigurationError,
-                     boundary_decay_ok, cumint, diff1, diff2, time_steps)
-from .llg import Trajectory, heun_step, rk4_step, stable_dt
+from .fields import (Grid1D, ConfigurationError, boundary_decay_ok, cumint,
+                     diff1, diff2, time_steps)
+from .llg import Trajectory, check_finite, heun_step, rk4_step, stable_dt
 
 
 @dataclass
@@ -86,9 +86,8 @@ def heat_integrate(q0: np.ndarray, g: Grid1D, cfg: HeatConfig) -> Trajectory:
     states = [q.copy()]
     decay_ok = boundary_decay_ok(q, g)
     for k in range(n_steps):
-        q = stepper(q, cfg.dt, rhs)
-        if not np.all(np.isfinite(q)):
-            raise BlowUpError(f"heat flow blew up at step {k}")
+        prev, q = q, stepper(q, cfg.dt, rhs)
+        check_finite(q, prev, k, cfg.dt, "heat flow")
         if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
             times.append((k + 1) * cfg.dt)
             states.append(q.copy())

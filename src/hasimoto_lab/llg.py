@@ -19,6 +19,20 @@ def stable_dt(g: Grid1D, alpha: float, beta: float, safety: float = 0.2) -> floa
     return safety * g.h * g.h / scale
 
 
+def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
+    """90% of stable_dt, shortened so that t_end/dt is a whole number of steps."""
+    if not 0 <= t_end < np.inf:
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    dt = 0.9 * stable_dt(g, alpha, beta)
+    if t_end > 0:
+        dt = t_end / max(1, int(np.ceil(t_end / dt)))
+    if not np.isfinite(dt):
+        raise ConfigurationError(
+            f"automatic dt is {dt} for alpha={alpha}, beta={beta}, t_end={t_end}"
+            " (no stability bound and no time span to step over)")
+    return dt
+
+
 @dataclass
 class LLGConfig:
     alpha: float
@@ -74,10 +88,16 @@ def heun_step(y, dt, f):
     return y + 0.5 * dt * (k1 + f(y + dt * k1))
 
 
-def _check_finite(y, step, what):
-    if not np.all(np.isfinite(y)):
-        raise BlowUpError(f"{what} blew up at step {step}: non-finite values "
-                          f"(max |y| before failure unavailable)")
+def check_finite(y, prev, k, dt, what):
+    """Raise BlowUpError if step k (0-based) took the state prev to a
+    non-finite y; the message gives the step, its time and the last finite
+    max |y|."""
+    if np.all(np.isfinite(y)):
+        return
+    last = (f"last finite max |y| = {np.max(np.abs(prev)):.6g} at t = {k * dt:.6g}"
+            if np.all(np.isfinite(prev)) else "the state before it was not finite")
+    raise BlowUpError(f"{what} blew up at step {k + 1}, t = {(k + 1) * dt:.6g}: "
+                      f"non-finite values; {last}")
 
 
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
@@ -89,8 +109,8 @@ def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
     times = [0.0]
     states = [u.copy()]
     for k in range(n_steps):
-        u = rk4_step(u, cfg.dt, rhs)
-        _check_finite(u, k, "LLG")
+        prev, u = u, rk4_step(u, cfg.dt, rhs)
+        check_finite(u, prev, k, cfg.dt, "LLG flow")
         if cfg.renormalize:
             u = normalize(u)
         if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:

@@ -7,15 +7,18 @@ include negative controls, and the covariance check reports a 3-sigma
 confidence interval rather than a bare point estimate.
 """
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
-                     dot, line_grid, norm, normalize, open_view)
+                     dot, line_grid, norm, normalize, open_view, time_steps)
 from .hashimoto import curvature_torsion, reconstruct_frame, transform
 from .heat import HeatConfig, heat_integrate
-from .llg import LLGConfig, llg_integrate, llg_rhs, stable_dt
+from .llg import LLGConfig, auto_dt, llg_integrate, llg_rhs
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
 from .stochastic import SllgEnsemble, SllgPath, frame_generator
@@ -59,6 +62,89 @@ class CrossCheckReport:
         }
 
 
+def _fork_child(fn, items, share, fd):
+    """Forked worker: pickle fn over items[share], or (item index, exception)
+    of its first failure, to fd, and leave through os._exit, so that no
+    finally block, atexit handler or stdio flush of the caller runs."""
+    code, done = 1, []
+    try:
+        try:
+            for i in share:
+                done.append(fn(items[i]))
+            payload = (True, done)
+        except BaseException as exc:
+            payload = (False, (share[len(done)], exc))
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, fd):
+    """(payload or None, exit code) of a child. Its pipe is read to EOF before
+    the wait, because a payload can exceed the pipe buffer."""
+    with os.fdopen(fd, "rb") as fh:
+        try:
+            payload = pickle.load(fh)
+        except Exception:               # the child died before it wrote one
+            payload = None
+        fh.read()
+    return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _fork_map(fn, items, cost):
+    """[fn(item) for item in items] over one process per CPU of the affinity
+    mask (at most one per item); without os.fork or os.sched_getaffinity it
+    is that loop.
+
+    Items are dealt round-robin by decreasing cost; the parent runs the first
+    share and a forked child each other one. A failure re-raises the item's
+    exception: the parent's own (after killing the children), else the
+    children's of the lowest item index.
+    """
+    items = list(items)
+    workers = min(len(os.sched_getaffinity(0)), len(items)) \
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    if workers <= 1:
+        return [fn(item) for item in items]
+    order = sorted(range(len(items)), key=lambda i: -cost(items[i]))
+    shares = [order[w::workers] for w in range(workers)]
+    results = [None] * len(items)
+    children = []                       # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _fork_child(fn, items, share, w)
+            os.close(w)
+            children.append((pid, r, share))
+        for i in shares[0]:
+            results[i] = fn(items[i])
+        failures = []
+        while children:
+            payload, code = _reap(*children[0][:2])
+            pid, _, share = children.pop(0)
+            if code != 0 or payload is None:
+                raise RuntimeError(f"forked worker {pid} exited with code {code} "
+                                   "and no readable result")
+            ok, value = payload
+            if ok:
+                for i, res in zip(share, value):
+                    results[i] = res
+            else:
+                failures.append(value)
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return results
+    finally:
+        for pid, fd, _ in children:     # left only when the parent raised
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid, fd)
+
+
 def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                              alpha: float, beta: float, t_end: float,
                              grid_sizes=(128, 256, 512),
@@ -70,31 +156,33 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
     refinement level the sphere map u0 is rebuilt from q0 by the frame march
     and the heat flow starts from the discrete transform of u0, so the two
     sides carry consistent discrete data (discrepancy is exactly 0 at t = 0).
-    Both solvers run with dt at 90% of the stability bound; the discrepancy
-    max_x |H(u(t)) - q(t)| is sampled along the flow.
+    Both solvers run with llg.auto_dt; the discrepancy max_x |H(u(t)) - q(t)|
+    is sampled along the flow. The 2 L integrations of the L levels are
+    independent and run in forked workers (_fork_map); the results do not
+    depend on the number of workers.
     """
     m = np.asarray(m, float)
     e0 = np.asarray(e0, float)
-    levels = []
-    flagged = False
+    jobs = []
     for n in grid_sizes:
         g = line_grid(x_min, x_max, n)
         u0 = reconstruct_frame(np.asarray(initial_q(g.x), complex), g, m, e0).u
-        q0 = transform(u0, g)
-        dt = 0.9 * stable_dt(g, alpha, beta)
-        n_steps = max(1, int(np.ceil(t_end / dt))) if t_end > 0 else 1
-        dt = t_end / n_steps if t_end > 0 else dt
-        stride = max(1, n_steps // samples)
-        trl = llg_integrate(u0, g, LLGConfig(alpha=alpha, beta=beta, dt=dt,
-                                             t_end=t_end, output_stride=stride))
-        trh = heat_integrate(q0, g, HeatConfig(alpha=alpha, beta=beta, dt=dt,
-                                               t_end=t_end, output_stride=stride))
-        disc_max = np.array([np.max(np.abs(transform(u, g) - q))
-                             for u, q in zip(trl.states, trh.states)])
-        disc_l2 = np.array([np.sqrt(g.h * np.sum(np.abs(transform(u, g) - q) ** 2))
-                            for u, q in zip(trl.states, trh.states)])
+        dt = auto_dt(g, alpha, beta, t_end)
+        stride = max(1, time_steps(dt, t_end) // samples)
+        jobs += [(llg_integrate, u0, g, LLGConfig(alpha=alpha, beta=beta, dt=dt,
+                                                  t_end=t_end, output_stride=stride)),
+                 (heat_integrate, transform(u0, g), g,
+                  HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
+                             output_stride=stride))]
+    trajs = _fork_map(lambda job: job[0](*job[1:]), jobs, cost=lambda job: job[2].n)
+    levels = []
+    flagged = False
+    for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):
+        absd = (np.abs(transform(u, g) - q) for u, q in zip(trl.states, trh.states))
+        disc = np.array([(np.max(a), np.sqrt(g.h * np.sum(a ** 2))) for a in absd])
+        disc_max, disc_l2 = disc.T
         flagged = flagged or not trh.decay_ok
-        levels.append({"n": n, "h": g.h, "dt": dt, "times": trl.times,
+        levels.append({"n": g.n, "h": g.h, "dt": cfg.dt, "times": trl.times,
                        "disc_max": disc_max, "disc_l2": disc_l2,
                        "sup_disc": float(np.max(disc_max)),
                        "decay_ok": trh.decay_ok})

@@ -275,8 +275,7 @@ def test_sllg_csv_is_path_zero_exactly(tmp_path):
 
 @pytest.mark.parametrize("experiment,setting", [
     (e, s) for e in ("llg", "heat", "sllg", "crosscheck", "holonomy", "covariance")
-    for s in ("t_end=inf", "t_end=nan", "dt=inf", "dt=nan")
-    if not (e == "crosscheck" and s.startswith("dt"))])   # crosscheck picks its own dt
+    for s in ("t_end=inf", "t_end=nan", "dt=inf", "dt=nan")])
 def test_non_finite_time_rejected(tmp_path, capsys, experiment, setting):
     out = tmp_path / "inf"
     rc = run_cli(experiment, "--out", str(out), "--set", "n=32", "--set", setting)
@@ -304,8 +303,30 @@ def test_unexpected_validation_error_is_a_config_error(tmp_path, capsys, monkeyp
     def broken(*args):
         raise OverflowError("boom\nsecond line")
 
-    monkeypatch.setattr(cli, "stable_dt", broken)
+    monkeypatch.setattr(cli, "auto_dt", broken)
     out = tmp_path / "broken"
     assert run_cli("llg", "--out", str(out)) == 2
     assert not out.exists()
     assert capsys.readouterr().err == "config error: OverflowError: boom second line\n"
+
+
+@pytest.mark.parametrize("experiment", ["llg", "heat", "crosscheck"])
+def test_infinite_auto_dt_rejected(tmp_path, capsys, experiment):
+    # no stability bound and no time span: 90% of stable_dt is inf, which
+    # report.json would carry as the invalid JSON token Infinity
+    out = tmp_path / "inf_dt"
+    rc = run_cli(experiment, "--out", str(out), "--set", "alpha=0",
+                 "--set", "beta=0", "--set", "t_end=0", "--set", "n=16")
+    assert rc == 2
+    assert not out.exists()
+    assert "automatic dt is inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["dt=inf", "dt=0.001", "output_stride=7"])
+def test_crosscheck_rejects_keys_it_does_not_use(tmp_path, capsys, setting):
+    # crosscheck picks each level's dt and sampling stride itself
+    out = tmp_path / "cc_keys"
+    rc = run_cli("crosscheck", "--out", str(out), "--set", setting)
+    assert rc == 2
+    assert not out.exists()
+    assert "unknown config key" in capsys.readouterr().err

@@ -109,6 +109,17 @@ def test_blow_up_detection():
         heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
 
 
+def test_blow_up_message_names_step_time_and_last_finite_max():
+    g = periodic_grid(2.0 * np.pi, 32)
+    q0 = 1e200 * np.ones(g.n, complex)  # |q|^2 q overflows at once
+    dt = 0.5 * stable_dt(g, 1.0, 0.0)
+    with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
+        heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+    assert str(info.value) == (
+        f"heat flow blew up at step 1, t = {dt:.6g}: non-finite values; "
+        f"last finite max |y| = 1e+200 at t = 0")
+
+
 def test_mass():
     g = periodic_grid(2.0 * np.pi, 100)
     assert mass(np.ones(g.n, complex), g) == pytest.approx(2.0 * np.pi)

@@ -5,8 +5,8 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  diff2, dot, line_grid, normalize,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
-from hasimoto_lab.llg import (LLGConfig, curvature_torsion_rhs, exchange_energy,
-                              llg_integrate, llg_rhs, stable_dt)
+from hasimoto_lab.llg import (LLGConfig, auto_dt, curvature_torsion_rhs,
+                              exchange_energy, llg_integrate, llg_rhs, stable_dt)
 
 
 def great_circle(g, k=1.0):
@@ -89,6 +89,33 @@ def test_blow_up_detection():
     u0[5] = np.nan
     with pytest.raises(BlowUpError):
         llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=1e-4, t_end=1e-3))
+
+
+def test_blow_up_message_names_step_time_and_last_finite_max():
+    g = periodic_grid(2.0 * np.pi, 32)
+    u0 = 1e200 * smooth_map(g)          # the cross products overflow at once
+    dt = 0.5 * stable_dt(g, 1.0, 0.0)
+    with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
+        llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+    msg = str(info.value)
+    assert msg.startswith(f"LLG flow blew up at step 1, t = {dt:.6g}:")
+    assert f"last finite max |y| = {np.max(np.abs(u0)):.6g} at t = 0" in msg
+    u0 = smooth_map(g)
+    u0[5] = np.nan
+    with pytest.raises(BlowUpError, match="the state before it was not finite"):
+        llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+
+
+def test_auto_dt():
+    g = line_grid(-10.0, 10.0, 64)
+    bound = stable_dt(g, 1.0, 0.5)
+    assert auto_dt(g, 1.0, 0.5, 0.0) == 0.9 * bound
+    dt = auto_dt(g, 1.0, 0.5, 0.01)
+    n_steps = int(np.ceil(0.01 / (0.9 * bound)))
+    assert dt == 0.01 / n_steps and dt <= 0.9 * bound
+    assert auto_dt(g, 0.0, 0.0, 0.01) == 0.01     # no bound: one step
+    with pytest.raises(ConfigurationError, match="automatic dt is inf"):
+        auto_dt(g, 0.0, 0.0, 0.0)
 
 
 def test_curvature_torsion_rhs_constants():

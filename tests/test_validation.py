@@ -1,14 +1,18 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
-from hasimoto_lab.fields import (ConfigurationError, line_grid, normalize,
-                                 open_view, periodic_grid)
+from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
+                                 normalize, open_view, periodic_grid)
 from hasimoto_lab.heat import HeatConfig, heat_integrate
 from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
                                      run_sllg_ensemble)
-from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
+from hasimoto_lab.validation import (_fork_map, covariance_check,
+                                     crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
                                      sllg_weak_residual, weak_residual)
@@ -50,6 +54,112 @@ def test_crosscheck_flags_nondecaying_data():
                                    -10.0, 10.0, 1.0, 1.0, t_end=0.01,
                                    grid_sizes=(64,))
     assert rep.flagged
+
+
+def use_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_crosscheck_independent_of_worker_count(monkeypatch):
+    reps = {}
+    for k in (1, 2, 3):
+        use_cpus(monkeypatch, k)
+        reps[k] = crosscheck_deterministic(localized_twist, -60.0, 20.0, 1.0, 1.0,
+                                           t_end=0.05, grid_sizes=(48, 96),
+                                           samples=4)
+        assert_no_child_left()
+    for k in (2, 3):
+        assert reps[k].orders == reps[1].orders
+        for lv, ref in zip(reps[k].levels, reps[1].levels):
+            for key in ("times", "disc_max", "disc_l2"):
+                assert np.array_equal(lv[key], ref[key])
+            assert lv["sup_disc"] == ref["sup_disc"] > 0.0
+    assert len(reps[1].orders) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_keeps_item_order(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    out = _fork_map(lambda x: (x * x, os.getpid()), range(7), cost=lambda x: x % 3)
+    assert [r for r, _ in out] == [x * x for x in range(7)]
+    assert len({pid for _, pid in out}) == cpus
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad,first", [((3, 5), 3), ((2, 5), 2), ((4, 5), 4)])
+def test_fork_map_raises_first_exception(monkeypatch, cpus, bad, first):
+    # equal costs: on 2 CPUs the parent runs items 0, 2, 4, 6 and a child
+    # runs 1, 3, 5; the parent's own failure comes first
+    def fn(x):
+        if x in bad:
+            raise KeyError(f"item {x}")
+        return x
+
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(KeyError, match=f"item {first}"):
+        _fork_map(fn, range(7), cost=lambda x: 0)
+    assert_no_child_left()
+
+
+def test_fork_map_kills_children_when_parent_share_fails(monkeypatch):
+    def fn(x):
+        if x == 0:
+            raise ValueError("parent share failed")
+        time.sleep(30.0)
+
+    use_cpus(monkeypatch, 2)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="parent share failed"):
+        _fork_map(fn, [0, 1], cost=lambda x: -x)
+    assert time.monotonic() - t0 < 10.0
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_fork_map_caller_finally_runs_once(monkeypatch, tmp_path, fail):
+    def fn(x):
+        if fail and x == 1:
+            raise RuntimeError("child failed")
+        return x
+
+    def caller():
+        try:
+            return _fork_map(fn, range(4), cost=lambda x: 0)
+        finally:
+            with open(tmp_path / "log", "a") as fh:
+                fh.write("finally\n")
+
+    use_cpus(monkeypatch, 2)
+    if fail:
+        with pytest.raises(RuntimeError, match="child failed"):
+            caller()
+    else:
+        assert caller() == [0, 1, 2, 3]
+    assert (tmp_path / "log").read_text() == "finally\n"
+    assert_no_child_left()
+
+
+def test_fork_map_blow_up_in_worker_matches_serial(monkeypatch):
+    g = periodic_grid(2.0 * np.pi, 32)
+    dt = 0.5 * stable_dt(g, 1.0, 0.0)
+    cfg = HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt)
+    blowing = 1e200 * np.ones(g.n, complex)
+    items = [np.ones(g.n, complex), blowing]   # on 2 CPUs item 1 runs in a child
+    errors = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
+            _fork_map(lambda q0: heat_integrate(q0, g, cfg), items, cost=lambda q: 0)
+        errors[cpus] = (type(info.value), str(info.value))
+        assert_no_child_left()
+    assert errors[2] == errors[1]
+    assert "at step 1" in errors[1][1]
 
 
 def test_identity_suite_great_circle():
