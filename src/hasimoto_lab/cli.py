@@ -5,7 +5,8 @@ Usage: hasimoto-lab <experiment> [--config FILE] [--set key=value ...]
 
 Experiments: llg, heat, crosscheck, identities, sllg, holonomy, covariance,
 plus the catalog command list-experiments. Config files are flat key=value
-text; every key can also be overridden on the command line with --set.
+text; every key can also be overridden on the command line with --set. An
+experiment accepts exactly the keys it reads (SCHEMA).
 Outputs per run: series_*.csv (time series), report.json (structured result),
 manifest.json (resolved config, seed, version, wall clock, monitor flags).
 (config, master_seed) fully determines every CSV byte.
@@ -21,9 +22,9 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .fields import (BlowUpError, ConfigurationError, Grid1D, line_grid,
-                     make_grid, time_steps)
-from .hashimoto import FrameField, closure_defect, reconstruct_frame, transform
+from .fields import (BlowUpError, ConfigurationError, Grid1D, check_unit,
+                     line_grid, make_grid, normalize, time_steps)
+from .hashimoto import FrameField, closure_defect, reconstruct_frame
 from .heat import HeatConfig, heat_integrate, mass
 from .llg import LLGConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
@@ -34,40 +35,60 @@ from .validation import (covariance_check, crosscheck_deterministic,
 
 EXPERIMENTS = ("llg", "heat", "crosscheck", "identities", "sllg",
                "holonomy", "covariance")
+# crosscheck builds its own line grids, and identities evolves nothing
+_GRIDDED = ("llg", "heat", "identities", "sllg", "holonomy", "covariance")
+_FLOWS = ("llg", "heat", "crosscheck", "sllg", "holonomy", "covariance")
+_STEPPED = ("llg", "heat", "sllg", "holonomy", "covariance")
+_STOCHASTIC = ("sllg", "covariance")
+_TWISTED = ("crosscheck", "identities", "holonomy")  # a localized twist on the line
+_SOLVERS = {"llg": LLGConfig, "heat": HeatConfig, "holonomy": HeatConfig,
+            "sllg": SLLGConfig, "covariance": SLLGConfig}
 
-# per-experiment defaults; every key is overridable via config file or --set
-_COMMON = {
-    "domain": "periodic", "n": "64", "circumference": "6.283185307179586",
-    "x_min": "-90.0", "x_max": "20.0", "basepoint_index": "0",
-    "alpha": "1.0", "beta": "1.0", "dt": "auto", "t_end": "0.1",
-    "output_stride": "auto", "master_seed": "0",
-    "initial_data": "great-circle", "k": "1.0",
-    "amplitude": "0.25", "width": "6.0", "center": "-15.0", "power": "3",
-    "initial_file": "",
+# One row per config key: (type, constraint, default, the experiments that
+# read it, their own defaults where they differ). Types: float (always
+# finite), int, auto|float, auto|int, enum, ints (comma list) and path (empty
+# or an existing file). A constraint is a bound every number must meet, or
+# an enum's values. An experiment accepts exactly the keys it reads.
+SCHEMA = {
+    "domain": ("enum", "periodic|line", "periodic", EXPERIMENTS,
+               dict.fromkeys(_TWISTED, "line")),
+    "n": ("int", ">= 4", "64", _GRIDDED, {"identities": "256", "holonomy": "128"}),
+    "circumference": ("float", "> 0", "6.283185307179586", _GRIDDED, {}),
+    "x_min": ("float", "", "-90.0", EXPERIMENTS,
+              {"crosscheck": "-250.0", "holonomy": "-30.0"}),
+    "x_max": ("float", "", "20.0", EXPERIMENTS, {"holonomy": "10.0"}),
+    "basepoint_index": ("int", ">= 0", "0", _GRIDDED, {}),
+    "alpha": ("float", ">= 0", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
+    "beta": ("float", "", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
+    "dt": ("auto|float", "> 0", "auto", _STEPPED,
+           dict.fromkeys(_STOCHASTIC, "0.001")),
+    "t_end": ("float", ">= 0", "0.1", _FLOWS,
+              {"sllg": "0.02", "holonomy": "0.02", "covariance": "0.01"}),
+    "output_stride": ("auto|int", ">= 1", "auto", ("llg", "heat", "sllg"), {}),
+    "master_seed": ("int", ">= 0", "0", EXPERIMENTS, {"covariance": "77"}),
+    "initial_data": ("enum", "great-circle|localized-twist|file",
+                     "great-circle", EXPERIMENTS,
+                     dict.fromkeys(_TWISTED, "localized-twist")),
+    "k": ("float", "", "1.0", _GRIDDED, {}),
+    "amplitude": ("float", "", "0.25", EXPERIMENTS, {"holonomy": "0.4"}),
+    "width": ("float", "> 0", "6.0", EXPERIMENTS, {"holonomy": "3.0"}),
+    "center": ("float", "", "-15.0", EXPERIMENTS, {"holonomy": "-10.0"}),
+    "power": ("int", ">= 1", "3", EXPERIMENTS, {}),
+    "initial_file": ("path", "to a file", "", _GRIDDED, {}),
+    "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
+    "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
+    "n_modes": ("int", ">= 0", "4", _STOCHASTIC, {}),
+    "coeff_profile": ("enum", "flat|power", "flat", _STOCHASTIC, {}),
+    "coeff_decay": ("float", "", "1.0", _STOCHASTIC, {}),
+    "coeff_amplitude": ("float", ">= 0", "1.0", _STOCHASTIC, {}),
+    # one path has no spread: its stderr and 3-sigma band would read 0
+    "n_paths": ("int", ">= 2", "8", _STOCHASTIC, {"covariance": "200"}),
 }
 
-DEFAULTS = {
-    "llg": dict(_COMMON),
-    "heat": dict(_COMMON),
-    # crosscheck picks each level's dt and its sampling stride itself
-    "crosscheck": dict({k: v for k, v in _COMMON.items()
-                        if k not in ("dt", "output_stride")},
-                       domain="line", x_min="-250.0",
-                       initial_data="localized-twist",
-                       grid_sizes="128,256,512", samples="10"),
-    "identities": dict(_COMMON, domain="line", n="256",
-                       initial_data="localized-twist"),
-    "sllg": dict(_COMMON, alpha="0.5", beta="0.5", dt="0.001", t_end="0.02",
-                 n_modes="4", coeff_profile="flat", coeff_decay="1.0",
-                 coeff_amplitude="1.0", n_paths="8"),
-    "holonomy": dict(_COMMON, domain="line", x_min="-30.0", x_max="10.0",
-                     n="128", t_end="0.02", initial_data="localized-twist",
-                     amplitude="0.4", width="3.0", center="-10.0"),
-    "covariance": dict(_COMMON, alpha="0.5", beta="0.5", dt="0.001",
-                       t_end="0.01", n_modes="4", coeff_profile="flat",
-                       coeff_decay="1.0", coeff_amplitude="1.0",
-                       n_paths="200", master_seed="77"),
-}
+DEFAULTS = {e: {key: over.get(e, default)
+                for key, (_, _, default, readers, over) in SCHEMA.items()
+                if e in readers}
+            for e in EXPERIMENTS}
 
 VALIDATING_MODULE = {
     "llg": "llg_solver", "heat": "heat_solver", "crosscheck": "validation",
@@ -91,139 +112,140 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(experiment: str, file_cfg: dict, sets: list,
-                   seed, errors: list) -> dict:
-    cfg = dict(DEFAULTS[experiment])
+def _parse(kind: str, need: str, text: str):
+    """text as a value of type kind that meets need; ValueError if it is none."""
+    if text == "auto" and kind.startswith("auto|"):
+        return text
+    if kind in ("enum", "path"):
+        if not (text in need.split("|") if kind == "enum"
+                else not text or os.path.isfile(text)):
+            raise ValueError
+        return text
+    cast = float if kind.endswith("float") else int
+    vals = [cast(s) for s in text.split(",")] if kind == "ints" else [cast(text)]
+    op, bound = (need or ">= -inf").split()
+    lo = float(bound)
+    if not all(-np.inf < v < np.inf and (v > lo if op == ">" else v >= lo) for v in vals):
+        raise ValueError
+    return tuple(vals) if kind == "ints" else vals[0]
+
+
+def resolve_config(experiment: str, file_cfg: dict, sets: list, seed, errors: list):
+    """Defaults, then the config file, then --set, then --seed, against SCHEMA.
+
+    Unknown keys and values that fail their type or constraint go to errors.
+    Returns (the resolved strings, their typed values); the typed values are
+    None if any of them failed.
+    """
+    raw = dict(DEFAULTS[experiment])
     for src in (file_cfg, dict(sets)):
         for key, val in src.items():
-            if key not in cfg:
+            if key not in raw:
                 errors.append(f"unknown config key {key!r} for experiment {experiment}")
             else:
-                cfg[key] = val
+                raw[key] = val
     if seed is not None:
-        cfg["master_seed"] = str(seed)
-    return cfg
-
-
-def _num(cfg, key, cast, errors, cond=lambda v: True, what=""):
-    try:
-        v = cast(cfg[key])
-        if not cond(v):
-            raise ValueError
-        return v
-    except (ValueError, KeyError):
-        errors.append(f"config key {key}={cfg.get(key)!r} invalid {what}".rstrip())
-        return None
-
-
-def resolve_grid(cfg: dict, errors: list):
-    try:
-        return make_grid({"domain": cfg["domain"], "n": cfg["n"],
-                          "circumference": cfg["circumference"],
-                          "x_min": cfg["x_min"], "x_max": cfg["x_max"],
-                          "basepoint_index": cfg["basepoint_index"]})
-    except (ConfigurationError, ValueError, KeyError) as exc:
-        errors.append(f"grid: {exc}")
-        return None
-
-
-def _t_end(cfg: dict, errors: list):
-    return _num(cfg, "t_end", float, errors, lambda v: 0 <= v < np.inf,
-                "(need finite >= 0)")
-
-
-def resolve_dt(cfg: dict, g, alpha: float, beta: float, errors: list):
-    """dt = 'auto' is llg.auto_dt; an explicit dt must divide t_end."""
-    t_end = _t_end(cfg, errors)
-    if t_end is None or g is None:
-        return None, t_end
-    if cfg["dt"] == "auto":
+        raw["master_seed"] = str(seed)
+    typed = {}
+    for key, text in raw.items():
+        kind, need = SCHEMA[key][:2]
         try:
-            return auto_dt(g, alpha, beta, t_end), t_end
-        except ConfigurationError as exc:
-            errors.append(str(exc))
-            return None, t_end
-    dt = _num(cfg, "dt", float, errors, lambda v: 0 < v < np.inf, "(need finite > 0)")
-    if dt is not None:
-        try:
-            time_steps(dt, t_end, rel_tol=1e-9)
-        except ConfigurationError as exc:
-            errors.append(str(exc))
-    return dt, t_end
+            typed[key] = _parse(kind, need, text)
+        except ValueError:
+            need = f"{kind.replace('float', 'finite float')} {need}".strip()
+            errors.append(f"config key {key}={text!r} invalid (need {need})")
+    return raw, typed if len(typed) == len(raw) else None
 
 
-def resolve_stride(cfg: dict, n_steps: int, errors: list) -> int:
-    if cfg["output_stride"] == "auto":
-        return max(1, n_steps // 10)
-    s = _num(cfg, "output_stride", int, errors, lambda v: v >= 1, "(need >= 1)")
-    return s if s is not None else 1
-
-
-def _load_initial_file(cfg: dict, g: Grid1D, columns: str, errors: list):
+def _load_initial_file(c: dict, g: Grid1D, columns: str) -> np.ndarray:
     """The g.n data rows of the CSV initial_file, one column per name in columns."""
-    path = cfg["initial_file"]
-    if not path or not os.path.isfile(path):
-        errors.append(f"initial_file {path!r} missing or not a file")
-        return None
+    path = c["initial_file"]
+    if not path:
+        raise ConfigurationError("initial_data=file needs an initial_file")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        errors.append(f"initial_file {path!r} is not numeric CSV: {exc}")
-        return None
+        raise ConfigurationError(
+            f"initial_file {path!r} is not numeric CSV: {exc}") from None
     if data.shape != (g.n, len(columns.split(","))):
-        errors.append(f"initial_file must have {g.n} rows of {columns}; got {data.shape}")
-        return None
+        raise ConfigurationError(
+            f"initial_file must have {g.n} rows of {columns}; got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"initial_file {path!r} holds non-finite values")
     return data
 
 
-def build_initial_q(cfg: dict, g: Grid1D, errors: list):
-    kind = cfg["initial_data"]
-    if kind == "great-circle":
-        k = _num(cfg, "k", float, errors)
-        if k is None:
-            return None
-        return k * np.ones(g.n, dtype=complex)
-    if kind == "localized-twist":
-        amp = _num(cfg, "amplitude", float, errors)
-        width = _num(cfg, "width", float, errors, lambda v: v > 0, "(need > 0)")
-        center = _num(cfg, "center", float, errors)
-        power = _num(cfg, "power", int, errors, lambda v: v >= 1, "(need >= 1)")
-        if None in (amp, width, center, power):
-            return None
-        return localized_twist(g.x, amp, width, center, power)
-    if kind == "file":
-        data = _load_initial_file(cfg, g, "re,im", errors)
-        return None if data is None else data[:, 0] + 1j * data[:, 1]
-    errors.append(f"unknown initial_data {kind!r}")
-    return None
+def initial_q(c: dict, g: Grid1D) -> np.ndarray:
+    if c["initial_data"] == "great-circle":
+        return c["k"] * np.ones(g.n, dtype=complex)
+    if c["initial_data"] == "localized-twist":
+        return localized_twist(g.x, c["amplitude"], c["width"], c["center"], c["power"])
+    data = _load_initial_file(c, g, "re,im")
+    return data[:, 0] + 1j * data[:, 1]
 
 
-def build_initial_u(cfg: dict, g: Grid1D, errors: list):
-    kind = cfg["initial_data"]
-    if kind == "great-circle":
-        k = _num(cfg, "k", float, errors)
-        if k is None:
-            return None
-        if g.periodic and abs(k * g.length / (2.0 * np.pi) -
-                              round(k * g.length / (2.0 * np.pi))) > 1e-12:
-            errors.append("great-circle k must close on the periodic domain")
-            return None
-        return np.stack([np.cos(k * g.x), np.sin(k * g.x),
-                         np.zeros(g.n)], axis=-1)
-    if kind == "file":
-        data = _load_initial_file(cfg, g, "ux,uy,uz", errors)
-        if data is None:
-            return None
-        nrm = np.sqrt(np.sum(data * data, axis=-1))
-        if np.max(np.abs(nrm - 1.0)) > 1e-8:
-            errors.append("initial_file sphere field is not unit length")
-            return None
-        return data / nrm[:, None]
-    q0 = build_initial_q(cfg, g, errors)
-    if q0 is None:
-        return None
-    return reconstruct_frame(q0, g, np.array([1.0, 0.0, 0.0]),
+def initial_u(c: dict, g: Grid1D) -> np.ndarray:
+    if c["initial_data"] == "great-circle":
+        k = c["k"]
+        turns = k * g.length / (2.0 * np.pi)
+        if g.periodic and abs(turns - round(turns)) > 1e-12:
+            raise ConfigurationError("great-circle k must close on the periodic domain")
+        return np.stack([np.cos(k * g.x), np.sin(k * g.x), np.zeros(g.n)], axis=-1)
+    if c["initial_data"] == "file":
+        data = _load_initial_file(c, g, "ux,uy,uz")
+        try:
+            check_unit(data, tol=1e-8)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"initial_file: {exc}") from None
+        return normalize(data)
+    return reconstruct_frame(initial_q(c, g), g, np.array([1.0, 0.0, 0.0]),
                              np.array([0.0, 1.0, 0.0])).u
+
+
+def validate(experiment: str, c: dict, errors: list):
+    """The checks that span several keys, run before any artifact exists.
+
+    Appends every violation to errors and returns None; otherwise returns c
+    with dt and output_stride resolved to numbers and the run's grid "g",
+    initial data "x0" and solver config "solver" added.
+    """
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
+
+    c = dict(c)
+    if experiment == "crosscheck":
+        for key, only in (("domain", "line"), ("initial_data", "localized-twist")):
+            if c[key] != only:
+                errors.append(f"crosscheck supports {key}={only} only")
+        for n in c["grid_sizes"]:               # each level's grid and automatic dt
+            attempt(lambda: auto_dt(line_grid(c["x_min"], c["x_max"], n),
+                                    c["alpha"], c["beta"], c["t_end"]))
+        return None if errors else c
+    g = c["g"] = attempt(make_grid, c)
+    if g is None:
+        return None
+    sphere = experiment in ("llg", "identities")       # start from u, not q
+    c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
+    if c.get("dt") == "auto":
+        c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
+    elif "dt" in c:
+        attempt(time_steps, c["dt"], c["t_end"], 1e-9)
+    if errors or "dt" not in c:                 # identities evolves nothing
+        return None if errors else c
+    n_steps = time_steps(c["dt"], c["t_end"])
+    if c.get("output_stride") == "auto":
+        c["output_stride"] = max(1, n_steps // 10)
+    # the solver config takes the typed values of the keys named like its fields
+    solver = _SOLVERS[experiment]
+    c["solver"] = solver(**{k: c[k] for k in solver.__dataclass_fields__ if k in c})
+    attempt(c["solver"].check_stability, g)
+    if experiment in _STOCHASTIC and n_steps < 1:
+        errors.append(f"t_end={c['t_end']!r} with dt={c['dt']!r} gives no "
+                      "time step (need >= 1)")
+    return None if errors else c
 
 
 def _fmt(v) -> str:
@@ -250,120 +272,71 @@ def write_csv(path: str, header: list, frames) -> None:
             fh.write("".join([",".join(r) + "\n" for r in zip(*cells)]))
 
 
-def _node_frames(g: Grid1D, samples):
-    """write_csv frames (t, node, x, *columns) of (t, (n, c) state) samples."""
+def _write_nodes(path: str, g: Grid1D, names: list, samples) -> None:
+    """A CSV of columns t, node, x, *names from (t, (n, len(names)) state) samples."""
     nodes = np.arange(g.n)
-    return ((t, nodes, g.x, *s.T) for t, s in samples)
+    write_csv(path, ["t", "node", "x", *names],
+              ((t, nodes, g.x, *s.T) for t, s in samples))
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def render_report(report: dict) -> str:
     """Aligned key/value text for humans; nested dicts are flattened."""
-    flat = []
-
-    def walk(prefix, obj):
+    def flat(obj, prefix=""):
         for k, v in obj.items():
             if isinstance(v, dict):
-                walk(f"{prefix}{k}.", v)
+                yield from flat(v, f"{prefix}{k}.")
             else:
-                flat.append((f"{prefix}{k}", v))
+                scalar = isinstance(v, (int, float, bool, str))
+                yield f"{prefix}{k}", v if scalar else "..."
 
-    walk("", report)
-    rows = [(k, v if isinstance(v, (int, float, bool, str)) else "...")
-            for k, v in flat]
+    rows = list(flat(report))
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k:<{width}}  {_fmt(v)}" for k, v in rows)
 
 
 # --- experiment bodies ---
-# Each runner parses and validates first and raises ConfigurationError with
-# every violated precondition; with validate_only=True it stops there, so
-# main() can refuse bad configs before any artifact is written. Otherwise it
-# returns (report dict, monitors dict, list of CSV filenames).
+# Each runner takes the config that validate() returned and the output
+# directory, solves and writes, and returns (report dict, monitors dict,
+# list of CSV filenames).
 
-def run_llg(cfg, g, outdir, validate_only=False):
-    errors = []
-    alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
-    beta = _num(cfg, "beta", float, errors)
-    dt, t_end = resolve_dt(cfg, g, alpha or 0.0, beta or 0.0, errors)
-    u0 = build_initial_u(cfg, g, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    n_steps = time_steps(dt, t_end)
-    stride = resolve_stride(cfg, n_steps, errors)
-    lcfg = LLGConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                     output_stride=stride)
-    lcfg.check_stability(g)
-    if validate_only:
-        return None
-    traj = llg_integrate(u0, g, lcfg)
-    write_csv(os.path.join(outdir, "series_u.csv"),
-              ["t", "node", "x", "ux", "uy", "uz"],
-              _node_frames(g, zip(traj.times, traj.states)))
+def run_llg(c, outdir):
+    g, cfg = c["g"], c["solver"]
+    traj = llg_integrate(c["x0"], g, cfg)
+    _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
+                 zip(traj.times, traj.states))
     unit_dev = max(float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)))
                    for u in traj.states)
-    report = {"dt": dt, "n_steps": n_steps,
+    report = {"dt": cfg.dt, "n_steps": cfg.n_steps,
               "energy_initial": exchange_energy(traj.states[0], g),
               "energy_final": exchange_energy(traj.states[-1], g),
               "unit_deviation_max": unit_dev}
-    return report, {"blow_up": False}, ["series_u.csv"]
+    return report, {}, ["series_u.csv"]
 
 
-def run_heat(cfg, g, outdir, validate_only=False):
-    errors = []
-    alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
-    beta = _num(cfg, "beta", float, errors)
-    dt, t_end = resolve_dt(cfg, g, alpha or 0.0, beta or 0.0, errors)
-    q0 = build_initial_q(cfg, g, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    n_steps = time_steps(dt, t_end)
-    stride = resolve_stride(cfg, n_steps, errors)
-    hcfg = HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                      output_stride=stride)
-    hcfg.check_stability(g)
-    if validate_only:
-        return None
-    traj = heat_integrate(q0, g, hcfg)
-    write_csv(os.path.join(outdir, "series_q.csv"), ["t", "node", "x", "re", "im"],
-              _node_frames(g, ((t, np.stack([q.real, q.imag], axis=-1))
-                               for t, q in zip(traj.times, traj.states))))
-    report = {"dt": dt, "n_steps": n_steps,
+def run_heat(c, outdir):
+    g, cfg = c["g"], c["solver"]
+    traj = heat_integrate(c["x0"], g, cfg)
+    _write_nodes(os.path.join(outdir, "series_q.csv"), g, ["re", "im"],
+                 ((t, np.stack([q.real, q.imag], axis=-1))
+                  for t, q in zip(traj.times, traj.states)))
+    report = {"dt": cfg.dt, "n_steps": cfg.n_steps,
               "mass_initial": mass(traj.states[0], g),
               "mass_final": mass(traj.states[-1], g),
-              "decay_ok": bool(traj.decay_ok)}
-    return report, {"decay_ok": bool(traj.decay_ok)}, ["series_q.csv"]
+              "decay_ok": traj.decay_ok}
+    return report, {"decay_ok": traj.decay_ok}, ["series_q.csv"]
 
 
-def run_crosscheck(cfg, g, outdir, validate_only=False):
-    errors = []
-    alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
-    beta = _num(cfg, "beta", float, errors)
-    t_end = _t_end(cfg, errors)
-    samples = _num(cfg, "samples", int, errors, lambda v: v >= 1, "(need >= 1)")
-    amp = _num(cfg, "amplitude", float, errors)
-    width = _num(cfg, "width", float, errors, lambda v: v > 0, "(need > 0)")
-    center = _num(cfg, "center", float, errors)
-    power = _num(cfg, "power", int, errors, lambda v: v >= 1, "(need >= 1)")
-    x_min = _num(cfg, "x_min", float, errors)
-    x_max = _num(cfg, "x_max", float, errors)
-    try:
-        sizes = tuple(int(s) for s in cfg["grid_sizes"].split(","))
-        if not sizes or any(s < 4 for s in sizes):
-            raise ValueError
-    except ValueError:
-        errors.append(f"grid_sizes={cfg.get('grid_sizes')!r} invalid")
-        sizes = ()
-    if cfg["initial_data"] != "localized-twist":
-        errors.append("crosscheck supports initial_data=localized-twist only")
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    for n in sizes:                     # each level's grid and automatic dt
-        auto_dt(line_grid(x_min, x_max, n), alpha, beta, t_end)
-    if validate_only:
-        return None
+def run_crosscheck(c, outdir):
     rep = crosscheck_deterministic(
-        lambda x: localized_twist(x, amp, width, center, power),
-        x_min, x_max, alpha, beta, t_end, grid_sizes=sizes, samples=samples)
+        lambda x: localized_twist(x, c["amplitude"], c["width"], c["center"], c["power"]),
+        c["x_min"], c["x_max"], c["alpha"], c["beta"], c["t_end"],
+        grid_sizes=c["grid_sizes"], samples=c["samples"])
     write_csv(os.path.join(outdir, "series_discrepancy.csv"),
               ["n", "t", "disc_max", "disc_l2"],
               ((lv["n"], lv["times"], lv["disc_max"], lv["disc_l2"])
@@ -371,14 +344,8 @@ def run_crosscheck(cfg, g, outdir, validate_only=False):
     return rep.to_dict(), {"decay_ok": not rep.flagged}, ["series_discrepancy.csv"]
 
 
-def run_identities(cfg, g, outdir, validate_only=False):
-    errors = []
-    u = build_initial_u(cfg, g, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    if validate_only:
-        return None
-    rep = identity_suite(u, g)
+def run_identities(c, outdir):
+    rep = identity_suite(c["x0"], c["g"])
     return rep.to_dict(), {"skipped": rep.skipped}, []
 
 
@@ -386,84 +353,46 @@ def _standard_phi(g: Grid1D) -> np.ndarray:
     return np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
 
 
-def _sllg_setup(cfg, g, errors):
-    alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
-    beta = _num(cfg, "beta", float, errors)
-    dt, t_end = resolve_dt(cfg, g, alpha or 0.0, beta or 0.0, errors)
-    n_modes = _num(cfg, "n_modes", int, errors, lambda v: v >= 0, "(need >= 0)")
-    decay = _num(cfg, "coeff_decay", float, errors)
-    amp = _num(cfg, "coeff_amplitude", float, errors, lambda v: v >= 0, "(need >= 0)")
-    # a single path has no spread, so its stderr and 3-sigma band would be 0
-    n_paths = _num(cfg, "n_paths", int, errors, lambda v: v >= 2, "(need >= 2)")
-    seed = _num(cfg, "master_seed", int, errors)
-    q0 = build_initial_q(cfg, g, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    scfg = SLLGConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                      n_modes=n_modes, coeff_profile=cfg["coeff_profile"],
-                      coeff_decay=decay, coeff_amplitude=amp)
-    scfg.check_stability(g)
-    if scfg.n_steps < 1:
-        raise ConfigurationError(
-            f"t_end={t_end!r} with dt={dt!r} gives no time step (need >= 1)")
-    return scfg, q0, n_paths, seed
+def _ensemble(c):
+    return run_sllg_ensemble(c["x0"], c["g"], np.array([1.0, 0.0, 0.0]),
+                             np.array([0.0, 1.0, 0.0]), c["solver"],
+                             c["master_seed"], c["n_paths"])
 
 
-def run_sllg_experiment(cfg, g, outdir, validate_only=False):
-    errors = []
-    scfg, q0, n_paths, seed = _sllg_setup(cfg, g, errors)
-    if validate_only:
-        return None
-    m = np.array([1.0, 0.0, 0.0])
-    e0 = np.array([0.0, 1.0, 0.0])
-    ens = run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths)
-    stride = resolve_stride(cfg, scfg.n_steps, errors)
+def run_sllg_experiment(c, outdir):
+    g, cfg = c["g"], c["solver"]
+    ens = _ensemble(c)
     p0 = ens.path(0)
-    keep = [k for k in range(len(p0.times))
-            if k % stride == 0 or k == len(p0.times) - 1]
-    write_csv(os.path.join(outdir, "series_u.csv"),
-              ["t", "node", "x", "ux", "uy", "uz"],
-              _node_frames(g, ((p0.times[k], p0.u[k]) for k in keep)))
-    res = sllg_weak_residual(ens, g, scfg.alpha, scfg.beta, _standard_phi(g))
+    keep = [k for k in range(cfg.n_steps + 1)
+            if k % c["output_stride"] == 0 or k == cfg.n_steps]
+    _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
+                 ((p0.times[k], p0.u[k]) for k in keep))
+    res = sllg_weak_residual(ens, g, cfg.alpha, cfg.beta, _standard_phi(g))
     closure = float(np.mean(closure_defect(
         ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0
-    report = {"dt": scfg.dt, "n_steps": scfg.n_steps, "n_paths": n_paths,
+    report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],
               "weak_residual": res.to_dict(), "mean_closure_defect": closure}
-    return report, {"blow_up": False, "closure_defect": closure}, ["series_u.csv"]
+    return report, {"closure_defect": closure}, ["series_u.csv"]
 
 
-def run_holonomy(cfg, g, outdir, validate_only=False):
-    errors = []
-    alpha = _num(cfg, "alpha", float, errors, lambda v: v >= 0, "(need >= 0)")
-    beta = _num(cfg, "beta", float, errors)
-    dt, t_end = resolve_dt(cfg, g, alpha or 0.0, beta or 0.0, errors)
-    q0 = build_initial_q(cfg, g, errors)
-    if errors:
-        raise ConfigurationError("; ".join(errors))
-    hcfg = HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end)
-    hcfg.check_stability(g)
-    if validate_only:
-        return None
-    traj = heat_integrate(q0, g, hcfg)
+def run_holonomy(c, outdir):
+    g, cfg, q0 = c["g"], c["solver"], c["x0"]
+    traj = heat_integrate(q0, g, cfg)
     q_path = np.array(traj.states)
-    pos = holonomy_defect(q_path, g, alpha, beta, dt)
-    frozen = holonomy_defect(np.array([q0] * q_path.shape[0]), g, alpha, beta, dt)
-    report = {"dt": dt, "t_end": t_end,
+    pos = holonomy_defect(q_path, g, cfg.alpha, cfg.beta, cfg.dt)
+    frozen = holonomy_defect(np.array([q0] * q_path.shape[0]), g,
+                             cfg.alpha, cfg.beta, cfg.dt)
+    report = {"dt": cfg.dt, "t_end": cfg.t_end,
               "solution": pos.to_dict(), "frozen_control": frozen.to_dict(),
               "separation": frozen.max_defect / max(pos.max_defect, 1e-300)}
-    return report, {"decay_ok": bool(traj.decay_ok)}, []
+    return report, {"decay_ok": traj.decay_ok}, []
 
 
-def run_covariance(cfg, g, outdir, validate_only=False):
-    errors = []
-    scfg, q0, n_paths, seed = _sllg_setup(cfg, g, errors)
-    if validate_only:
-        return None
-    m = np.array([1.0, 0.0, 0.0])
-    e0 = np.array([0.0, 1.0, 0.0])
-    ens = run_sllg_ensemble(q0, g, m, e0, scfg, seed, n_paths)
-    nm = make_noise_model(g, scfg.n_modes, seed, scfg.coeff_profile,
-                          scfg.coeff_decay, scfg.coeff_amplitude)
+def run_covariance(c, outdir):
+    g, cfg = c["g"], c["solver"]
+    ens = _ensemble(c)
+    nm = make_noise_model(g, cfg.n_modes, c["master_seed"], cfg.coeff_profile,
+                          cfg.coeff_decay, cfg.coeff_amplitude)
     one = np.ones(g.n)
     zero = np.zeros(g.n)
     phi1 = _standard_phi(g)
@@ -471,7 +400,7 @@ def run_covariance(cfg, g, outdir, validate_only=False):
     phi3 = np.stack([np.sin(2.0 * g.x), zero, np.cos(g.x)], axis=-1)
     pairs = {"phi1_phi1": (phi1, phi1), "phi1_phi2": (phi1, phi2),
              "phi2_phi3": (phi2, phi3)}
-    report = {"n_paths": n_paths, "t": scfg.t_end,
+    report = {"n_paths": c["n_paths"], "t": cfg.t_end,
               "pairs": {name: covariance_check(ens, g, nm, p, s).to_dict()
                         for name, (p, s) in pairs.items()}}
     ok = all(v["within_3sigma"] for v in report["pairs"].values())
@@ -493,12 +422,6 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def write_manifest(outdir: str, payload: dict) -> None:
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hasimoto-lab",
@@ -517,34 +440,26 @@ def main(argv=None) -> int:
         print(list_experiments())
         return 0
 
-    errors = []
+    errors = [f"--set expects key=value, got {item!r}"
+              for item in args.sets if "=" not in item]
+    sets = [tuple(s.strip() for s in item.split("=", 1))
+            for item in args.sets if "=" in item]
     file_cfg = {}
     if args.config:
         try:
             file_cfg = read_config_file(args.config)
         except (OSError, ConfigurationError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    sets = []
-    for item in args.sets:
-        if "=" not in item:
-            errors.append(f"--set expects key=value, got {item!r}")
-            continue
-        key, val = item.split("=", 1)
-        sets.append((key.strip(), val.strip()))
-    cfg = resolve_config(args.experiment, file_cfg, sets, args.seed, errors)
-    try:
-        g = resolve_grid(cfg, errors)
-        if g is not None and not errors:
-            RUNNERS[args.experiment](cfg, g, None, validate_only=True)
-    except ConfigurationError as exc:
-        errors.extend(str(exc).split("; "))
-    except Exception as exc:
-        # validation refuses before any artifact exists, so a defect there
-        # is a config error too, never a traceback
-        errors.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
+            errors.append(str(exc))
+    raw, cfg = resolve_config(args.experiment, file_cfg, sets, args.seed, errors)
+    if cfg is not None:
+        try:
+            cfg = validate(args.experiment, cfg, errors)
+        except Exception as exc:
+            # validation refuses before any artifact exists, so a defect there
+            # is a config error too, never a traceback
+            errors.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
     if errors:
-        for e in errors:
+        for e in dict.fromkeys(errors):         # each level may repeat one
             print(f"config error: {e}", file=sys.stderr)
         return 2
 
@@ -552,14 +467,14 @@ def main(argv=None) -> int:
                                     args.experiment)
     os.makedirs(root, exist_ok=True)
 
-    manifest = {"experiment": args.experiment, "config": cfg,
-                "master_seed": int(cfg["master_seed"]),
+    manifest = {"experiment": args.experiment, "config": raw,
+                "master_seed": cfg["master_seed"],
                 "version": __version__, "status": "running",
                 "outputs": [], "monitors": {}, "wall_clock_s": None}
-    write_manifest(root, manifest)
+    _write_json(os.path.join(root, "manifest.json"), manifest)
     t0 = time.monotonic()
     try:
-        report, monitors, outputs = RUNNERS[args.experiment](cfg, g, root)
+        report, monitors, outputs = RUNNERS[args.experiment](cfg, root)
     except Exception as exc:
         # no run may leave its manifest in "running"
         manifest.update(status="failed", error=str(exc),
@@ -573,17 +488,15 @@ def main(argv=None) -> int:
             # a defect: the traceback goes to the manifest, one line to the user
             manifest["traceback"] = traceback.format_exc()
             msg, rc = " ".join(f"run failed: {type(exc).__name__}: {exc}".split()), 1
-        write_manifest(root, manifest)
+        _write_json(os.path.join(root, "manifest.json"), manifest)
         print(msg, file=sys.stderr)
         return rc
 
-    with open(os.path.join(root, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(root, "report.json"), report)
     manifest.update(status="complete", monitors=monitors,
                     outputs=sorted(outputs + ["report.json"]),
                     wall_clock_s=time.monotonic() - t0)
-    write_manifest(root, manifest)
+    _write_json(os.path.join(root, "manifest.json"), manifest)
     print(render_report(report))
     print(f"artifacts in {root}")
     return 0

@@ -35,11 +35,11 @@ def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
 
 @dataclass
 class LLGConfig:
+    """Time stepping of a flow: coefficients, step, final time, sampling."""
     alpha: float
     beta: float
     dt: float
     t_end: float
-    renormalize: bool = True
     output_stride: int = 1
 
     def __post_init__(self):
@@ -83,11 +83,6 @@ def rk4_step(y, dt, f):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def heun_step(y, dt, f):
-    k1 = f(y)
-    return y + 0.5 * dt * (k1 + f(y + dt * k1))
-
-
 def check_finite(y, prev, k, dt, what):
     """Raise BlowUpError if step k (0-based) took the state prev to a
     non-finite y; the message gives the step, its time and the last finite
@@ -100,23 +95,37 @@ def check_finite(y, prev, k, dt, what):
                       f"non-finite values; {last}")
 
 
+def integrate(y0: np.ndarray, rhs, cfg, what: str, project=None,
+              monitor=None) -> Trajectory:
+    """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled every
+    cfg.output_stride steps and at the last one.
+
+    project, if given, maps each new state (e.g. back to the sphere); the
+    trajectory's decay_ok is whether monitor held at y0 and at every sample.
+    A non-finite state raises BlowUpError naming what blew up.
+    """
+    n_steps = cfg.n_steps
+    y = y0.copy()
+    times = [0.0]
+    states = [y]
+    ok = monitor is None or monitor(y)
+    for k in range(n_steps):
+        prev, y = y, rk4_step(y, cfg.dt, rhs)
+        check_finite(y, prev, k, cfg.dt, what)
+        if project is not None:
+            y = project(y)
+        if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
+            times.append((k + 1) * cfg.dt)
+            states.append(y)
+            ok = ok and (monitor is None or monitor(y))
+    return Trajectory(times=np.array(times), states=states, decay_ok=ok)
+
+
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
     """RK4 in time with per-step projection back to the sphere."""
     cfg.check_stability(g)
-    n_steps = cfg.n_steps
-    rhs = lambda u: llg_rhs(u, g, cfg.alpha, cfg.beta)
-    u = u0.copy()
-    times = [0.0]
-    states = [u.copy()]
-    for k in range(n_steps):
-        prev, u = u, rk4_step(u, cfg.dt, rhs)
-        check_finite(u, prev, k, cfg.dt, "LLG flow")
-        if cfg.renormalize:
-            u = normalize(u)
-        if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
-            times.append((k + 1) * cfg.dt)
-            states.append(u.copy())
-    return Trajectory(times=np.array(times), states=states)
+    return integrate(u0, lambda u: llg_rhs(u, g, cfg.alpha, cfg.beta), cfg,
+                     "LLG flow", project=normalize)
 
 
 def curvature_torsion_rhs(ct: CurvatureTorsion, g: Grid1D, alpha: float,

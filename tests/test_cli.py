@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, VALIDATING_MODULE, _fmt,
-                              list_experiments, main, read_config_file,
+from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, VALIDATING_MODULE,
+                              _fmt, list_experiments, main, read_config_file,
                               write_csv)
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.stochastic import SLLGConfig, run_sllg_ensemble
@@ -322,11 +322,100 @@ def test_infinite_auto_dt_rejected(tmp_path, capsys, experiment):
     assert "automatic dt is inf" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["dt=inf", "dt=0.001", "output_stride=7"])
+@pytest.mark.parametrize("setting", [
+    "dt=inf", "dt=0.001", "output_stride=7", "n=2", "n=64", "circumference=6.0",
+    "basepoint_index=4", "k=3", "initial_file=q0.csv"])
 def test_crosscheck_rejects_keys_it_does_not_use(tmp_path, capsys, setting):
-    # crosscheck picks each level's dt and sampling stride itself
+    # crosscheck picks each level's dt and sampling stride itself, builds its
+    # own line grids and has only localized-twist data
     out = tmp_path / "cc_keys"
     rc = run_cli("crosscheck", "--out", str(out), "--set", setting)
     assert rc == 2
     assert not out.exists()
     assert "unknown config key" in capsys.readouterr().err
+
+
+def assert_config_error(tmp_path, capsys, *args):
+    """The call exits 2 with config errors only, and creates no output directory."""
+    out = tmp_path / "refused"
+    assert run_cli(*args, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err and all(ln.startswith("config error: ") for ln in err.splitlines())
+    return err
+
+
+@pytest.mark.parametrize("experiment,setting", [
+    ("identities", "alpha=1.0"), ("identities", "beta=1.0"), ("identities", "dt=0.001"),
+    ("identities", "t_end=0.1"), ("identities", "output_stride=2"),
+    ("holonomy", "output_stride=2"), ("covariance", "output_stride=2")])
+def test_experiment_rejects_keys_it_does_not_read(tmp_path, capsys, experiment, setting):
+    err = assert_config_error(tmp_path, capsys, experiment, "--set", setting)
+    assert "unknown config key" in err
+
+
+def test_crosscheck_runs_on_the_line_only(tmp_path, capsys):
+    err = assert_config_error(tmp_path, capsys, "crosscheck", "--set", "domain=periodic")
+    assert "domain=line" in err
+
+
+@pytest.mark.parametrize("experiment,value", [("llg", "abc"), ("identities", "1.5"),
+                                              ("crosscheck", "-1")])
+def test_master_seed_validated_up_front(tmp_path, capsys, experiment, value):
+    err = assert_config_error(tmp_path, capsys, experiment,
+                              "--set", f"master_seed={value}")
+    assert "master_seed" in err
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    assert_config_error(tmp_path, capsys, "sllg", "--seed", "-1")
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+@pytest.mark.parametrize("experiment", ["llg", "heat", "sllg"])
+def test_invalid_output_stride_rejected(tmp_path, capsys, experiment, value):
+    err = assert_config_error(tmp_path, capsys, experiment, "--set", "n=16",
+                              "--set", f"output_stride={value}")
+    assert "output_stride" in err
+
+
+def violating_value(kind, need):
+    """A value of the row's type that breaks its constraint, or not of its type."""
+    if kind in ("enum", "path"):
+        return "no-such-value"          # no enum's value, and no file
+    if not need:
+        return "nan"                    # every float must be finite
+    op, bound = need.split()
+    v = float(bound) - 1 if op == ">=" else float(bound)
+    return repr(int(v)) if kind.endswith("int") or kind == "ints" else repr(v)
+
+
+@pytest.mark.parametrize("experiment,key", [
+    (e, key) for key, row in SCHEMA.items() for e in row[3]])
+def test_every_key_rejects_an_invalid_value(tmp_path, capsys, experiment, key):
+    kind, need = SCHEMA[key][:2]
+    value = violating_value(kind, need)
+    err = assert_config_error(tmp_path, capsys, experiment, "--set", f"{key}={value}")
+    assert key in err
+
+
+@pytest.mark.parametrize("row,message", [
+    ("2.0,0.0,0.0", "initial_file: field is not sphere-valued"),
+    ("nan,0.0,0.0", "non-finite")])
+def test_initial_file_sphere_field_checked(tmp_path, capsys, row, message):
+    path = tmp_path / "u0.csv"
+    path.write_text("ux,uy,uz\n" + (row + "\n") * 32)
+    err = assert_config_error(tmp_path, capsys, "llg", "--set", "n=32", "--set",
+                              "initial_data=file", "--set", f"initial_file={path}")
+    assert message in err
+
+
+def test_initial_data_file_needs_a_path(tmp_path, capsys):
+    err = assert_config_error(tmp_path, capsys, "heat", "--set", "initial_data=file")
+    assert "needs an initial_file" in err
+
+
+def test_unreadable_config_file_reported_with_other_errors(tmp_path, capsys):
+    err = assert_config_error(tmp_path, capsys, "llg", "--config",
+                              str(tmp_path / "none.txt"), "--set", "bogus=1")
+    assert "none.txt" in err and "unknown config key 'bogus'" in err

@@ -53,8 +53,6 @@ def test_config_validation():
         HeatConfig(alpha=-0.5, beta=1.0, dt=1e-3, t_end=0.1)
     with pytest.raises(ConfigurationError):
         HeatConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=0.1, form="other")
-    with pytest.raises(ConfigurationError):
-        HeatConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=0.1, method="euler")
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
         HeatConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)

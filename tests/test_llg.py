@@ -6,7 +6,8 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
 from hasimoto_lab.llg import (LLGConfig, auto_dt, curvature_torsion_rhs,
-                              exchange_energy, llg_integrate, llg_rhs, stable_dt)
+                              exchange_energy, integrate, llg_integrate, llg_rhs,
+                              stable_dt)
 
 
 def great_circle(g, k=1.0):
@@ -104,6 +105,21 @@ def test_blow_up_message_names_step_time_and_last_finite_max():
     u0[5] = np.nan
     with pytest.raises(BlowUpError, match="the state before it was not finite"):
         llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+
+
+def test_integrate_samples_projects_and_monitors():
+    cfg = LLGConfig(alpha=0.0, beta=0.0, dt=0.1, t_end=1.0, output_stride=3)
+    y0 = np.array([1.0, 2.0])
+    projected, monitored = [], []
+    tr = integrate(y0, lambda y: -y, cfg, "decay",
+                   project=lambda y: projected.append(y) or y,
+                   monitor=lambda y: monitored.append(y) or y[0] > 0.39)
+    assert np.allclose(tr.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert np.allclose(tr.states, np.exp(-tr.times)[:, None] * y0, rtol=1e-6)
+    assert tr.states[0] is not y0
+    assert len(projected) == 10             # after every step
+    assert len(monitored) == 5              # at y0 and at every sample
+    assert not tr.decay_ok                  # y(1) = exp(-1) < 0.39
 
 
 def test_auto_dt():
