@@ -8,7 +8,7 @@ plus the catalog command list-experiments. Config files are flat key=value
 text; every key can also be overridden on the command line with --set. An
 experiment accepts exactly the keys it reads (SCHEMA).
 Outputs per run: series_*.csv (time series), report.json (structured result),
-manifest.json (resolved config, seed, version, wall clock, monitor flags).
+manifest.json (resolved config, seed, version, status, wall clock).
 (config, master_seed) fully determines every CSV byte.
 """
 
@@ -302,8 +302,8 @@ def render_report(report: dict) -> str:
 
 # --- experiment bodies ---
 # Each runner takes the config that validate() returned and the output
-# directory, solves and writes, and returns (report dict, monitors dict,
-# list of CSV filenames).
+# directory, solves and writes, and returns (report dict, list of CSV
+# filenames).
 
 def run_llg(c, outdir):
     g, cfg = c["g"], c["solver"]
@@ -316,7 +316,7 @@ def run_llg(c, outdir):
               "energy_initial": exchange_energy(traj.states[0], g),
               "energy_final": exchange_energy(traj.states[-1], g),
               "unit_deviation_max": unit_dev}
-    return report, {}, ["series_u.csv"]
+    return report, ["series_u.csv"]
 
 
 def run_heat(c, outdir):
@@ -329,7 +329,7 @@ def run_heat(c, outdir):
               "mass_initial": mass(traj.states[0], g),
               "mass_final": mass(traj.states[-1], g),
               "decay_ok": traj.decay_ok}
-    return report, {"decay_ok": traj.decay_ok}, ["series_q.csv"]
+    return report, ["series_q.csv"]
 
 
 def run_crosscheck(c, outdir):
@@ -341,12 +341,12 @@ def run_crosscheck(c, outdir):
               ["n", "t", "disc_max", "disc_l2"],
               ((lv["n"], lv["times"], lv["disc_max"], lv["disc_l2"])
                for lv in rep.levels))
-    return rep.to_dict(), {"decay_ok": not rep.flagged}, ["series_discrepancy.csv"]
+    return rep.to_dict(), ["series_discrepancy.csv"]
 
 
 def run_identities(c, outdir):
     rep = identity_suite(c["x0"], c["g"])
-    return rep.to_dict(), {"skipped": rep.skipped}, []
+    return rep.to_dict(), []
 
 
 def _standard_phi(g: Grid1D) -> np.ndarray:
@@ -372,7 +372,7 @@ def run_sllg_experiment(c, outdir):
         ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0
     report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],
               "weak_residual": res.to_dict(), "mean_closure_defect": closure}
-    return report, {"closure_defect": closure}, ["series_u.csv"]
+    return report, ["series_u.csv"]
 
 
 def run_holonomy(c, outdir):
@@ -384,8 +384,9 @@ def run_holonomy(c, outdir):
                              cfg.alpha, cfg.beta, cfg.dt)
     report = {"dt": cfg.dt, "t_end": cfg.t_end,
               "solution": pos.to_dict(), "frozen_control": frozen.to_dict(),
-              "separation": frozen.max_defect / max(pos.max_defect, 1e-300)}
-    return report, {"decay_ok": traj.decay_ok}, []
+              "separation": frozen.max_defect / max(pos.max_defect, 1e-300),
+              "decay_ok": traj.decay_ok}
+    return report, []
 
 
 def run_covariance(c, outdir):
@@ -403,8 +404,7 @@ def run_covariance(c, outdir):
     report = {"n_paths": c["n_paths"], "t": cfg.t_end,
               "pairs": {name: covariance_check(ens, g, nm, p, s).to_dict()
                         for name, (p, s) in pairs.items()}}
-    ok = all(v["within_3sigma"] for v in report["pairs"].values())
-    return report, {"all_within_3sigma": ok}, []
+    return report, []
 
 
 RUNNERS = {"llg": run_llg, "heat": run_heat, "crosscheck": run_crosscheck,
@@ -470,11 +470,11 @@ def main(argv=None) -> int:
     manifest = {"experiment": args.experiment, "config": raw,
                 "master_seed": cfg["master_seed"],
                 "version": __version__, "status": "running",
-                "outputs": [], "monitors": {}, "wall_clock_s": None}
+                "outputs": [], "wall_clock_s": None}
     _write_json(os.path.join(root, "manifest.json"), manifest)
     t0 = time.monotonic()
     try:
-        report, monitors, outputs = RUNNERS[args.experiment](cfg, root)
+        report, outputs = RUNNERS[args.experiment](cfg, root)
     except Exception as exc:
         # no run may leave its manifest in "running"
         manifest.update(status="failed", error=str(exc),
@@ -493,8 +493,7 @@ def main(argv=None) -> int:
         return rc
 
     _write_json(os.path.join(root, "report.json"), report)
-    manifest.update(status="complete", monitors=monitors,
-                    outputs=sorted(outputs + ["report.json"]),
+    manifest.update(status="complete", outputs=sorted(outputs + ["report.json"]),
                     wall_clock_s=time.monotonic() - t0)
     _write_json(os.path.join(root, "manifest.json"), manifest)
     print(render_report(report))

@@ -148,6 +148,59 @@ def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
     return F - F[g.basepoint_index]
 
 
+# --- the same operators written into preallocated arrays ---
+# Here the node axis is the last one: (n,) scalar fields or (3, n)
+# component-major vector fields. Each runs its operator's operations in the
+# same order, so the result is bit for bit diff1's/diff2's/cumint's. The
+# endpoint stencils index the transposed views, whose node axis is first, as
+# the operators do; on (n,) fields these are scalar operations.
+
+def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
+    """diff1 of f along its last axis, written into out."""
+    h2 = 2.0 * g.h
+    mid = out[..., 1:-1]
+    np.subtract(f[..., 2:], f[..., :-2], out=mid)
+    np.divide(mid, h2, out=mid)
+    f, d = f.T, out.T
+    if g.periodic:
+        d[0] = (f[1] - f[-1]) / h2
+        d[-1] = (f[0] - f[-2]) / h2
+    else:
+        d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / h2
+        d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / h2
+    return out
+
+
+def diff2_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
+    """diff2 of f along its last axis, written into out."""
+    h2 = g.h * g.h
+    mid = out[..., 1:-1]
+    np.multiply(2.0, f[..., 1:-1], out=mid)
+    np.subtract(f[..., 2:], mid, out=mid)
+    np.add(mid, f[..., :-2], out=mid)
+    np.divide(mid, h2, out=mid)
+    f, d = f.T, out.T
+    if g.periodic:
+        d[0] = (f[1] - 2.0 * f[0] + f[-1]) / h2
+        d[-1] = (f[0] - 2.0 * f[-1] + f[-2]) / h2
+    else:
+        d[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
+        d[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
+    return out
+
+
+def cumint_into(f: np.ndarray, g: Grid1D, out: np.ndarray,
+                tmp: np.ndarray) -> np.ndarray:
+    """cumint of f along its last axis, written into out; tmp is scratch
+    shaped like f."""
+    seg = tmp[..., 1:]
+    np.add(f[..., 1:], f[..., :-1], out=seg)
+    np.multiply(0.5 * g.h, seg, out=seg)
+    out[..., 0] = 0.0
+    np.cumsum(seg, axis=-1, out=out[..., 1:])
+    return np.subtract(out, out[..., g.basepoint_index, None], out=out)
+
+
 def boundary_decay_ok(q: np.ndarray, g: Grid1D, frac: float = 0.05,
                       rel_tol: float = 1e-6) -> bool:
     """Monitor for left-boundary decay on line grids.
@@ -189,6 +242,18 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
     np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
     np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
+def cross_into(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """a x b of (3, n) component-major fields, written into out, in cross's
+    operation order; tmp is (2, n) scratch."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=tmp[0])
+        np.multiply(a[k], b[j], out=tmp[1])
+        np.subtract(tmp[0], tmp[1], out=out[i])
     return out
 
 

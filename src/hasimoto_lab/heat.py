@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Grid1D, ConfigurationError, boundary_decay_ok, cumint,
-                     diff1, diff2)
-from .llg import LLGConfig, Trajectory, integrate
+                     cumint_into, diff1, diff1_into, diff2, diff2_into)
+from .llg import RK4, LLGConfig, Trajectory, integrate
 
 
 @dataclass
@@ -45,6 +45,61 @@ def heat_rhs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     raise ConfigurationError(f"unknown form {form!r}")
 
 
+class HeatStepper(RK4):
+    """RK4 of the heat flow with heat_rhs evaluated in its own operation
+    order into preallocated buffers: a step is bit for bit
+    rk4_step(q, dt, lambda q: heat_rhs(q, g, alpha, beta, form))."""
+
+    def __init__(self, g: Grid1D, alpha: float, beta: float, form: str):
+        if form not in ("expanded", "compact"):
+            raise ConfigurationError(f"unknown form {form!r}")
+        super().__init__()
+        self.g, self.alpha, self.beta, self.form = g, alpha, beta, form
+
+    def load(self, q0: np.ndarray) -> np.ndarray:
+        q = super().load(np.asarray(q0, complex))
+        self.qx, self.qxx, self.nl, self.t1, self.t2 = (
+            np.empty_like(q) for _ in range(5))
+        self.q2 = np.empty(q.shape)
+        return q
+
+    def rhs(self, q, out):
+        g, qx, qxx, q2, nl, t1, t2 = (self.g, self.qx, self.qxx, self.q2,
+                                      self.nl, self.t1, self.t2)
+        alpha, beta = self.alpha, self.beta
+        diff1_into(q, g, qx)
+        diff2_into(q, g, qxx)
+        np.abs(q, out=q2)
+        np.square(q2, out=q2)
+        if self.form == "expanded":
+            np.conjugate(q, out=t1)
+            np.multiply(qx, t1, out=t1)
+            np.conjugate(qx, out=t2)
+            np.multiply(q, t2, out=t2)
+            np.subtract(t1, t2, out=t1)
+            cumint_into(t1, g, nl, t2)
+            np.multiply(0.5, q, out=t1)                 # alpha (qxx + q nl / 2)
+            np.multiply(t1, nl, out=t1)
+            np.add(qxx, t1, out=t1)
+            np.multiply(alpha, t1, out=out)
+            np.multiply(0.5, q2, out=q2)                # i beta (qxx + |q|^2 q / 2)
+            np.multiply(q2, q, out=t1)
+            np.add(qxx, t1, out=t1)
+            np.multiply(1j * beta, t1, out=t1)
+            np.add(out, t1, out=out)
+        else:
+            np.conjugate(qx, out=t1)
+            np.multiply(q, t1, out=t1)
+            cumint_into(t1, g, nl, t2)
+            np.multiply(0.5, q, out=t1)         # (alpha + i beta)(qxx + q |q|^2 / 2)
+            np.multiply(t1, q2, out=t1)
+            np.add(qxx, t1, out=t1)
+            np.multiply(alpha + 1j * beta, t1, out=out)
+            np.multiply(alpha, q, out=t1)               # - alpha q nl
+            np.multiply(t1, nl, out=t1)
+            np.subtract(out, t1, out=out)
+
+
 def mass(q: np.ndarray, g: Grid1D) -> float:
     """Discrete L^2 mass sum h |q|^2."""
     return float(g.h * np.sum(np.abs(q) ** 2))
@@ -57,6 +112,5 @@ def heat_integrate(q0: np.ndarray, g: Grid1D, cfg: HeatConfig) -> Trajectory:
     decay monitor held at every sampled state (line grids only).
     """
     cfg.check_stability(g)
-    rhs = lambda q: heat_rhs(q, g, cfg.alpha, cfg.beta, cfg.form)
-    return integrate(q0.astype(complex), rhs, cfg, "heat flow",
-                     monitor=lambda q: boundary_decay_ok(q, g))
+    return integrate(q0, HeatStepper(g, cfg.alpha, cfg.beta, cfg.form), cfg,
+                     "heat flow", monitor=lambda q: boundary_decay_ok(q, g))

@@ -6,9 +6,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, diff1,
-                     diff2, normalize, time_steps)
+from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cross_into,
+                     diff1, diff2, diff2_into, time_steps)
 from .hashimoto import CurvatureTorsion
+
+
+def check_coefficients(alpha: float, beta: float):
+    """alpha and beta must be finite, and the damping alpha >= 0; stable_dt
+    would drop a NaN."""
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ConfigurationError(
+            f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
+    if alpha < 0:
+        raise ConfigurationError(f"damping alpha must be >= 0, got {alpha}")
 
 
 def stable_dt(g: Grid1D, alpha: float, beta: float, safety: float = 0.2) -> float:
@@ -44,8 +54,7 @@ class LLGConfig:
 
     def __post_init__(self):
         time_steps(self.dt, self.t_end)
-        if self.alpha < 0:
-            raise ConfigurationError(f"damping alpha must be >= 0, got {self.alpha}")
+        check_coefficients(self.alpha, self.beta)
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
 
@@ -95,37 +104,139 @@ def check_finite(y, prev, k, dt, what):
                       f"non-finite values; {last}")
 
 
+class RK4:
+    """RK4 steps of y' = f(y) through preallocated stage buffers.
+
+    rhs(y, out) writes f(y) into out; a subclass evaluates its own f there.
+    step() runs rk4_step's operations in rk4_step's order, with every ufunc
+    writing into a buffer, so each step is bit for bit rk4_step's. load()
+    gives the working copy of the initial state (a subclass may store it in
+    another layout) and sizes the buffers on it; sample() gives a fresh
+    array of a state in the caller's layout.
+    """
+
+    def __init__(self, f=None, project=None):
+        self.f = f
+        self._project = project
+
+    def rhs(self, y: np.ndarray, out: np.ndarray):
+        np.copyto(out, self.f(y))
+
+    def load(self, y0: np.ndarray) -> np.ndarray:
+        # an integer y0 steps as floats, as with rk4_step
+        y = np.array(y0, dtype=np.result_type(y0, 1.0), order="C")
+        self.ys, self.k, self.acc = (np.empty_like(y) for _ in range(3))
+        return y
+
+    def step(self, y: np.ndarray, dt: float, out: np.ndarray):
+        ys, k, acc = self.ys, self.k, self.acc
+        self.rhs(y, acc)                                # acc = k1
+        np.multiply(0.5 * dt, acc, out=ys)
+        np.add(y, ys, out=ys)
+        self.rhs(ys, k)                                 # k2
+        np.multiply(0.5 * dt, k, out=ys)
+        np.add(y, ys, out=ys)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)                         # k1 + 2 k2
+        self.rhs(ys, k)                                 # k3
+        np.multiply(dt, k, out=ys)
+        np.add(y, ys, out=ys)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)                         # + 2 k3
+        self.rhs(ys, k)                                 # k4
+        np.add(acc, k, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(y, acc, out=out)
+
+    def project(self, y: np.ndarray):
+        """Map the new state y in place (e.g. back to the sphere)."""
+        if self._project is not None:
+            y[...] = self._project(y)
+
+    def sample(self, y: np.ndarray) -> np.ndarray:
+        return y.copy()
+
+
+class LLGStepper(RK4):
+    """RK4 of the LLG flow, projected back to the sphere after each step.
+
+    u is stored component-major, (3, n), so that the cross products read
+    contiguous rows, and llg_rhs and normalize run in their own operation
+    order into preallocated buffers: a step is bit for bit
+    normalize(rk4_step(u, dt, lambda u: llg_rhs(u, g, alpha, beta))).
+    """
+
+    def __init__(self, g: Grid1D, alpha: float, beta: float):
+        super().__init__()
+        self.g, self.alpha, self.beta = g, alpha, beta
+
+    def load(self, u0: np.ndarray) -> np.ndarray:
+        u = super().load(u0.T)
+        self.uxx, self.c = np.empty_like(u), np.empty_like(u)
+        self.tmp = np.empty((2, u.shape[1]))
+        return u
+
+    def rhs(self, u, out):
+        uxx, c, tmp = self.uxx, self.c, self.tmp
+        diff2_into(u, self.g, uxx)
+        cross_into(u, uxx, c, tmp)                      # u x u_xx
+        np.multiply(self.beta, c, out=out)
+        cross_into(u, c, uxx, tmp)                      # u x (u x u_xx)
+        np.multiply(self.alpha, uxx, out=uxx)
+        np.subtract(out, uxx, out=out)
+
+    def project(self, u):
+        s, t = self.tmp                                 # |u|^2 = u0^2 + u1^2 + u2^2
+        np.multiply(u[0], u[0], out=s)
+        np.multiply(u[1], u[1], out=t)
+        np.add(s, t, out=s)
+        np.multiply(u[2], u[2], out=t)
+        np.add(s, t, out=s)
+        np.sqrt(s, out=s)
+        np.divide(u, s, out=u)
+
+    def sample(self, u):
+        return u.T.copy()
+
+
 def integrate(y0: np.ndarray, rhs, cfg, what: str, project=None,
               monitor=None) -> Trajectory:
     """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled every
     cfg.output_stride steps and at the last one.
 
-    project, if given, maps each new state (e.g. back to the sphere); the
-    trajectory's decay_ok is whether monitor held at y0 and at every sample.
-    A non-finite state raises BlowUpError naming what blew up.
+    rhs is either the right-hand side f(y), stepped as rk4_step steps it,
+    or an RK4 stepper that evaluates f into its own buffers (LLGStepper,
+    heat.HeatStepper). project, if given, maps each new state of a plain f
+    (e.g. back to the sphere); a stepper projects through its own project().
+    The state alternates between two buffers, so the previous one survives
+    the finiteness check, and each sample is a fresh array in y0's layout.
+    The trajectory's decay_ok is whether monitor held at y0 and at every
+    sample. A non-finite state raises BlowUpError naming what blew up, the
+    step, its time and the last finite max |y|.
     """
+    stepper = rhs if isinstance(rhs, RK4) else RK4(rhs, project)
     n_steps = cfg.n_steps
-    y = y0.copy()
+    y = stepper.load(y0)
+    nxt = np.empty_like(y)
     times = [0.0]
-    states = [y]
-    ok = monitor is None or monitor(y)
+    states = [stepper.sample(y)]
+    ok = monitor is None or monitor(states[0])
     for k in range(n_steps):
-        prev, y = y, rk4_step(y, cfg.dt, rhs)
-        check_finite(y, prev, k, cfg.dt, what)
-        if project is not None:
-            y = project(y)
+        stepper.step(y, cfg.dt, nxt)
+        check_finite(nxt, y, k, cfg.dt, what)
+        stepper.project(nxt)
+        y, nxt = nxt, y
         if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
             times.append((k + 1) * cfg.dt)
-            states.append(y)
-            ok = ok and (monitor is None or monitor(y))
+            states.append(stepper.sample(y))
+            ok = ok and (monitor is None or monitor(states[-1]))
     return Trajectory(times=np.array(times), states=states, decay_ok=ok)
 
 
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
     """RK4 in time with per-step projection back to the sphere."""
     cfg.check_stability(g)
-    return integrate(u0, lambda u: llg_rhs(u, g, cfg.alpha, cfg.beta), cfg,
-                     "LLG flow", project=normalize)
+    return integrate(u0, LLGStepper(g, cfg.alpha, cfg.beta), cfg, "LLG flow")
 
 
 def curvature_torsion_rhs(ct: CurvatureTorsion, g: Grid1D, alpha: float,

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cumint,
-                     diff1, time_steps)
+from .fields import Grid1D, ConfigurationError, cross, cumint, diff1, time_steps
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import heat_rhs
-from .llg import stable_dt
+from .llg import check_coefficients, check_finite, stable_dt
 from .noise import (NoiseIncrement, TAG_PATH, coefficient_profile, derive_seed,
                     make_noise_model, noise_fields, sample_increments)
 from .rotations import generator_rotation
@@ -97,7 +96,8 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     The additive increment is split half before / half after the rotation:
     the two noises are driven by the same Brownian motions, and applying the
     whole increment on one side leaves a mean O(dt) cross term per step that
-    accumulates to an O(1) weak bias. Returns (q_new, q_mid, dPsi).
+    accumulates to an O(1) weak bias. Returns (q_new, q_mid, dPsi); the
+    caller checks q_new for finiteness.
     """
     additive = inc.dxW1 + 1j * inc.dxW2
     k1 = heat_rhs(q, g, alpha, beta, "expanded")
@@ -108,8 +108,6 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     k2 = heat_rhs(q_pred, g, alpha, beta, "expanded")
     q_new = (q + 0.5 * dt * (k1 + k2) + 0.5 * additive) * np.exp(-1j * dPsi) \
         + 0.5 * additive
-    if not np.all(np.isfinite(q_new)):
-        raise BlowUpError("stochastic heat step produced non-finite values")
     return q_new, q_mid, dPsi
 
 
@@ -126,8 +124,7 @@ class SLLGConfig:
 
     def __post_init__(self):
         time_steps(self.dt, self.t_end)
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        check_coefficients(self.alpha, self.beta)
         if self.n_modes < 0:
             raise ConfigurationError(f"n_modes must be >= 0, got {self.n_modes}")
         coefficient_profile(self.n_modes, self.coeff_profile)
@@ -214,6 +211,7 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
+    _check_seed(master_seed)
     return _run_paths(q0, g, m, e0, cfg,
                       [derive_seed(master_seed, TAG_PATH, i) for i in range(n_paths)])
 
@@ -221,7 +219,14 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
 def run_sllg(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
              cfg: SLLGConfig, master_seed: int) -> SllgPath:
     """One weak SLLG path on master_seed's noise: the one-path ensemble."""
+    _check_seed(master_seed)
     return _run_paths(q0, g, m, e0, cfg, [master_seed]).path(0)
+
+
+def _check_seed(master_seed):
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ConfigurationError(
+            f"master_seed must be an integer >= 0, got {master_seed!r}")
 
 
 def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
@@ -273,7 +278,10 @@ def _march(qs, us, es, dW_tilde, models, g, cfg):
         for t, k in enumerate(steps):
             inc = noise_fields(models[0], np.stack(
                 [sample_increments(nm, cfg.dt, k) for nm in models]))
-            q, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta, cfg.dt, inc)
+            q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
+                                                   cfg.dt, inc)
+            check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
+            q = q_new
             base = _basepoint_step(base, q_mid, inc, g, cfg)
             qs[k + 1] = q
             dW[:, t] = inc.dW1, inc.dW2, inc.dW3

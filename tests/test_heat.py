@@ -3,8 +3,9 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  periodic_grid)
-from hasimoto_lab.heat import HeatConfig, heat_integrate, heat_rhs, mass
-from hasimoto_lab.llg import stable_dt
+from hasimoto_lab.heat import (HeatConfig, HeatStepper, heat_integrate, heat_rhs,
+                               mass)
+from hasimoto_lab.llg import rk4_step, stable_dt
 
 
 def decaying_q(g):
@@ -56,6 +57,31 @@ def test_config_validation():
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
         HeatConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.inf, 1.0)])
+def test_config_rejects_non_finite_coefficients(alpha, beta):
+    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
+        HeatConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+
+
+@pytest.mark.parametrize("form", ["expanded", "compact"])
+@pytest.mark.parametrize("g", [line_grid(-8.0, 8.0, 97, 40),
+                               periodic_grid(2.0 * np.pi, 96, 7)],
+                         ids=["line", "periodic"])
+def test_heat_stepper_bit_identical_to_reference(g, form):
+    # the fused stepper against rk4_step on heat_rhs, bit for bit after
+    # every one of 60 steps
+    dt = 0.5 * stable_dt(g, 0.8, -0.6)
+    stepper = HeatStepper(g, 0.8, -0.6, form)
+    q = stepper.load(decaying_q(g))
+    nxt = np.empty_like(q)
+    ref = decaying_q(g)
+    for _ in range(60):
+        stepper.step(q, dt, nxt)
+        q, nxt = nxt, q
+        ref = rk4_step(ref, dt, lambda v: heat_rhs(v, g, 0.8, -0.6, form))
+        assert np.array_equal(q, ref)
 
 
 def test_config_rejects_bad_final_time():

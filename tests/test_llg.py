@@ -5,9 +5,9 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  diff2, dot, line_grid, normalize,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
-from hasimoto_lab.llg import (LLGConfig, auto_dt, curvature_torsion_rhs,
-                              exchange_energy, integrate, llg_integrate, llg_rhs,
-                              stable_dt)
+from hasimoto_lab.llg import (LLGConfig, LLGStepper, auto_dt,
+                              curvature_torsion_rhs, exchange_energy, integrate,
+                              llg_integrate, llg_rhs, rk4_step, stable_dt)
 
 
 def great_circle(g, k=1.0):
@@ -54,6 +54,40 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         cfg.check_stability(g)
     assert stable_dt(g, 0.0, 0.0) == np.inf
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.nan, 1.0),
+                                        (1.0, -np.inf), (np.inf, 0.0)])
+def test_config_rejects_non_finite_coefficients(alpha, beta):
+    # stable_dt's max() drops a NaN, so the check must not rely on it
+    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
+        LLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+
+
+@pytest.mark.parametrize("g", [line_grid(-6.0, 3.0, 97, 40),
+                               periodic_grid(2.0 * np.pi, 96, 7)],
+                         ids=["line", "periodic"])
+def test_llg_stepper_bit_identical_to_reference(g):
+    # the fused component-major stepper against the readable reference,
+    # bit for bit after every one of 60 steps
+    dt = 0.5 * stable_dt(g, 1.0, 0.7)
+    stepper = LLGStepper(g, 1.0, 0.7)
+    u = stepper.load(smooth_map(g))
+    nxt = np.empty_like(u)
+    ref = smooth_map(g)
+    for _ in range(60):
+        stepper.step(u, dt, nxt)
+        stepper.project(nxt)
+        u, nxt = nxt, u
+        ref = normalize(rk4_step(ref, dt, lambda v: llg_rhs(v, g, 1.0, 0.7)))
+        assert np.array_equal(stepper.sample(u), ref)
+
+
+def test_integer_initial_data_steps_as_floats():
+    g = periodic_grid(2.0 * np.pi, 16)
+    pole = np.tile([0, 0, 1], (g.n, 1))     # an integer array; a fixed point
+    tr = llg_integrate(pole, g, LLGConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=3e-3))
+    assert all(u.dtype == float and np.array_equal(u, pole) for u in tr.states)
 
 
 def test_great_circle_stationary():

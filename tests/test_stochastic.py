@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hasimoto_lab.fields import ConfigurationError, dot, line_grid, norm, periodic_grid
+from hasimoto_lab.fields import (BlowUpError, ConfigurationError, dot, line_grid,
+                                 norm, periodic_grid)
 from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
 from hasimoto_lab.heat import heat_rhs
 from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
@@ -200,6 +201,12 @@ def test_config_validation():
             SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.5, np.nan), (-np.inf, 0.5)])
+def test_config_rejects_non_finite_coefficients(alpha, beta):
+    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
+        SLLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+
+
 def _ensemble_inputs(n, dt, n_steps):
     g = periodic_grid(2.0 * np.pi, n)
     cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt, n_modes=4)
@@ -252,6 +259,31 @@ def test_ensemble_needs_a_path():
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
     with pytest.raises(ConfigurationError):
         run_sllg_ensemble(q0, g, m, e0, cfg, 2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_master_seed_must_be_a_nonnegative_integer(seed):
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
+    match = "master_seed must be an integer >= 0"
+    with pytest.raises(ConfigurationError, match=match):
+        run_sllg_ensemble(q0, g, m, e0, cfg, seed, 2)
+    with pytest.raises(ConfigurationError, match=match):
+        run_sllg(q0, g, m, e0, cfg, seed)
+
+
+def test_blow_up_names_step_time_and_last_finite_max():
+    # |q|^2 q grows q ~1e10 to ~1e76 in one step and overflows in the next
+    g, cfg, _, m, e0 = _ensemble_inputs(32, 1e-3, 4)
+    q0 = 1e10 * np.ones(g.n, complex)
+    one = SLLGConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=cfg.dt,
+                     n_modes=cfg.n_modes)
+    with np.errstate(all="ignore"):
+        q1 = run_sllg_ensemble(q0, g, m, e0, one, 3, 2).q[1]
+        with pytest.raises(BlowUpError) as info:
+            run_sllg_ensemble(q0, g, m, e0, cfg, 3, 2)
+    assert str(info.value) == (
+        "stochastic heat flow blew up at step 2, t = 0.002: non-finite values; "
+        f"last finite max |y| = {np.max(np.abs(q1)):.6g} at t = 0.001")
 
 
 def test_block_steps_rule():

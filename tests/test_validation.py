@@ -11,7 +11,7 @@ from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
                                      run_sllg_ensemble)
-from hasimoto_lab.validation import (_fork_map, covariance_check,
+from hasimoto_lab.validation import (_fork_map, _lpt_shares, covariance_check,
                                      crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
@@ -80,6 +80,17 @@ def test_crosscheck_independent_of_worker_count(monkeypatch):
                 assert np.array_equal(lv[key], ref[key])
             assert lv["sup_disc"] == ref["sup_disc"] > 0.0
     assert len(reps[1].orders) == 1
+
+
+def test_lpt_shares():
+    # longest first, each to the least-loaded worker: the crosscheck's two
+    # finest flows (costs 52 and 63) land on different workers
+    assert _lpt_shares([52, 63, 7, 8, 1, 1], 2) == [[1, 4, 5], [0, 3, 2]]
+    assert _lpt_shares([10, 1, 1, 1], 2) == [[0], [1, 2, 3]]
+    assert _lpt_shares([3, 3, 2, 2, 2], 2) == [[0, 2, 4], [1, 3]]
+    # equal costs are dealt round-robin
+    assert _lpt_shares([0] * 7, 2) == [[0, 2, 4, 6], [1, 3, 5]]
+    assert _lpt_shares([0] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -236,9 +247,11 @@ def test_weak_residual_deterministic_path_small():
                     0.3 * np.ones(g.n)], axis=-1)
     r = weak_residual(path, g, 1.0, 1.0, phi)
     assert abs(r) <= 50.0 * dt ** 2
-    rep = sllg_weak_residual(SllgEnsemble.stack([path]), g, 1.0, 1.0, phi)
+    rep = sllg_weak_residual(SllgEnsemble.stack([path, path]), g, 1.0, 1.0, phi)
     assert rep.mean == pytest.approx(r)
-    assert rep.stderr == 0.0 and rep.n_paths == 1
+    assert rep.stderr == 0.0 and rep.n_paths == 2
+    with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
+        sllg_weak_residual(SllgEnsemble.stack([path]), g, 1.0, 1.0, phi)
 
 
 def synthetic_frozen_path(g, nm, dt, seed_offset):
