@@ -107,20 +107,16 @@ def check_finite(y, prev, k, dt, what):
 class RK4:
     """RK4 steps of y' = f(y) through preallocated stage buffers.
 
-    rhs(y, out) writes f(y) into out; a subclass evaluates its own f there.
-    step() runs rk4_step's operations in rk4_step's order, with every ufunc
-    writing into a buffer, so each step is bit for bit rk4_step's. load()
-    gives the working copy of the initial state (a subclass may store it in
-    another layout) and sizes the buffers on it; sample() gives a fresh
-    array of a state in the caller's layout.
+    A subclass writes f(y) into out in rhs(y, out). step() runs rk4_step's
+    operations in rk4_step's order, with every ufunc writing into a buffer,
+    so each step is bit for bit rk4_step's. load() gives the working copy of
+    the initial state (a subclass may store it in another layout) and sizes
+    the buffers on it; project() maps each new state in place; sample()
+    gives a fresh array of a state in the caller's layout.
     """
 
-    def __init__(self, f=None, project=None):
-        self.f = f
-        self._project = project
-
     def rhs(self, y: np.ndarray, out: np.ndarray):
-        np.copyto(out, self.f(y))
+        raise NotImplementedError
 
     def load(self, y0: np.ndarray) -> np.ndarray:
         # an integer y0 steps as floats, as with rk4_step
@@ -150,8 +146,6 @@ class RK4:
 
     def project(self, y: np.ndarray):
         """Map the new state y in place (e.g. back to the sphere)."""
-        if self._project is not None:
-            y[...] = self._project(y)
 
     def sample(self, y: np.ndarray) -> np.ndarray:
         return y.copy()
@@ -167,7 +161,6 @@ class LLGStepper(RK4):
     """
 
     def __init__(self, g: Grid1D, alpha: float, beta: float):
-        super().__init__()
         self.g, self.alpha, self.beta = g, alpha, beta
 
     def load(self, u0: np.ndarray) -> np.ndarray:
@@ -199,22 +192,19 @@ class LLGStepper(RK4):
         return u.T.copy()
 
 
-def integrate(y0: np.ndarray, rhs, cfg, what: str, project=None,
+def integrate(y0: np.ndarray, stepper: RK4, cfg, what: str,
               monitor=None) -> Trajectory:
     """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled every
     cfg.output_stride steps and at the last one.
 
-    rhs is either the right-hand side f(y), stepped as rk4_step steps it,
-    or an RK4 stepper that evaluates f into its own buffers (LLGStepper,
-    heat.HeatStepper). project, if given, maps each new state of a plain f
-    (e.g. back to the sphere); a stepper projects through its own project().
-    The state alternates between two buffers, so the previous one survives
-    the finiteness check, and each sample is a fresh array in y0's layout.
+    The stepper (LLGStepper, heat.HeatStepper) evaluates the right-hand
+    side into its own buffers and projects each new state. The state
+    alternates between two buffers, so the previous one survives the
+    finiteness check, and each sample is a fresh array in y0's layout.
     The trajectory's decay_ok is whether monitor held at y0 and at every
     sample. A non-finite state raises BlowUpError naming what blew up, the
     step, its time and the last finite max |y|.
     """
-    stepper = rhs if isinstance(rhs, RK4) else RK4(rhs, project)
     n_steps = cfg.n_steps
     y = stepper.load(y0)
     nxt = np.empty_like(y)

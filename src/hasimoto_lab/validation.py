@@ -93,37 +93,23 @@ def _reap(pid, fd):
     return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _lpt_shares(costs, workers: int) -> list:
-    """Item indices per worker, longest processing time first: items in order
-    of decreasing cost (ties by index) each go to the worker whose share
-    costs least so far (ties: the one with fewer items, then the lower
-    index). Equal costs are thus dealt round-robin."""
-    shares = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
-        shares[w].append(i)
-        loads[w] += costs[i]
-    return shares
-
-
 def _fork_map(fn, items, cost):
     """[fn(item) for item in items] over one process per CPU of the affinity
     mask (at most one per item); without os.fork or os.sched_getaffinity it
     is that loop.
 
-    cost(item) estimates an item's run time, and _lpt_shares balances the
-    workers' total costs. The parent runs the first share and a forked child
-    each other one. A failure re-raises the item's exception: the parent's
-    own (after killing the children), else the children's of the lowest item
-    index.
+    Items are dealt round-robin by decreasing cost; the parent runs the first
+    share and a forked child each other one. A failure re-raises the item's
+    exception: the parent's own (after killing the children), else the
+    children's of the lowest item index.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items)) \
         if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     if workers <= 1:
         return [fn(item) for item in items]
-    shares = _lpt_shares([cost(item) for item in items], workers)
+    order = sorted(range(len(items)), key=lambda i: -cost(items[i]))
+    shares = [order[w::workers] for w in range(workers)]
     results = [None] * len(items)
     children = []                       # (pid, read end of its pipe, share)
     try:
@@ -159,12 +145,6 @@ def _fork_map(fn, items, cost):
             _reap(pid, fd)
 
 
-# Run time per node step of each flow's stepper, relative to the LLG flow's;
-# measured at n = 4096 on the line grid: ~0.65 ms (LLG) and ~0.8 ms (heat)
-# per step
-_NODE_STEP_COST = {llg_integrate: 1.0, heat_integrate: 1.2}
-
-
 def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                              alpha: float, beta: float, t_end: float,
                              grid_sizes=(128, 256, 512),
@@ -178,9 +158,8 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
     sides carry consistent discrete data (discrepancy is exactly 0 at t = 0).
     Both solvers run with llg.auto_dt; the discrepancy max_x |H(u(t)) - q(t)|
     is sampled along the flow. The 2 L integrations of the L levels are
-    independent and run in forked workers (_fork_map), balanced by their
-    node steps (~n^3, as dt ~ h^2) times the flow's cost per node step; the
-    results do not depend on the number of workers.
+    independent and run in forked workers (_fork_map); the results do not
+    depend on the number of workers.
     """
     m = np.asarray(m, float)
     e0 = np.asarray(e0, float)
@@ -195,9 +174,7 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                  (heat_integrate, transform(u0, g), g,
                   HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
                              output_stride=stride))]
-    node_steps = lambda job: job[3].n_steps * job[2].n
-    trajs = _fork_map(lambda job: job[0](*job[1:]), jobs,
-                      cost=lambda job: _NODE_STEP_COST[job[0]] * node_steps(job))
+    trajs = _fork_map(lambda job: job[0](*job[1:]), jobs, cost=lambda job: job[2].n)
     levels = []
     flagged = False
     for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):

@@ -11,7 +11,7 @@ from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
                                      run_sllg_ensemble)
-from hasimoto_lab.validation import (_fork_map, _lpt_shares, covariance_check,
+from hasimoto_lab.validation import (_fork_map, covariance_check,
                                      crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
@@ -80,17 +80,6 @@ def test_crosscheck_independent_of_worker_count(monkeypatch):
                 assert np.array_equal(lv[key], ref[key])
             assert lv["sup_disc"] == ref["sup_disc"] > 0.0
     assert len(reps[1].orders) == 1
-
-
-def test_lpt_shares():
-    # longest first, each to the least-loaded worker: the crosscheck's two
-    # finest flows (costs 52 and 63) land on different workers
-    assert _lpt_shares([52, 63, 7, 8, 1, 1], 2) == [[1, 4, 5], [0, 3, 2]]
-    assert _lpt_shares([10, 1, 1, 1], 2) == [[0], [1, 2, 3]]
-    assert _lpt_shares([3, 3, 2, 2, 2], 2) == [[0, 2, 4], [1, 3]]
-    # equal costs are dealt round-robin
-    assert _lpt_shares([0] * 7, 2) == [[0, 2, 4, 6], [1, 3, 5]]
-    assert _lpt_shares([0] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
