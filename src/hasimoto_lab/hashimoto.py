@@ -74,8 +74,16 @@ def accumulated_phase(ct: CurvatureTorsion, g: Grid1D) -> np.ndarray:
     return cumint(eta, g)
 
 
+def _require_finite(what: str, *fields):
+    """Non-finite input would spread through the stencils and the march
+    without an error, so it is rejected up front."""
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise ConfigurationError(f"{what} must be finite")
+
+
 def transform(u: np.ndarray, g: Grid1D, eps: float | None = None) -> np.ndarray:
-    """q = Theta * exp(i omega), phase anchored to omega(a) = 0."""
+    """q = Theta * exp(i omega), phase anchored to omega(a) = 0; u must be finite."""
+    _require_finite("u", u)
     ct = curvature_torsion(u, g, eps)
     omega = accumulated_phase(ct, g)
     return ct.theta * np.exp(1j * omega)
@@ -113,7 +121,9 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     q is (n,) with m, e0 of shape (3,), or (n, P) with one basepoint frame per
     path, m, e0 of shape (P, 3); each node step is then one stack of P 3x3
     products, and path i comes out bit for bit as if marched alone.
+    q, m and e0 must be finite.
     """
+    _require_finite("q, m and e0", q, m, e0)
     m, e0 = _check_initial_frame(m, e0)
     n = g.n
     b = g.basepoint_index

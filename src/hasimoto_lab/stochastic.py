@@ -12,11 +12,14 @@ Each path draws its noise from its own substream and no operation mixes
 paths, so path i comes out bit for bit the same in any batch.
 """
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid1D, ConfigurationError, cross, cumint, diff1, time_steps
+from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint,
+                     diff1, time_steps)
+from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import heat_rhs
 from .llg import check_coefficients, check_finite, stable_dt
@@ -208,6 +211,10 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     Paths are marched CHUNK_PATH_NODES // n at a time. Steps (1) and (2)
     never read the rebuilt field, so steps (3) and (4) run once per block
     of block_steps(n, paths) steps, with the same operations per step.
+    The paths are sharded into one contiguous range per usable CPU (at
+    most one per path), marched in forked workers straight into histories
+    shared with the caller; every path is bit for bit the same for any
+    number of workers, chunks or blocks.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -230,25 +237,59 @@ def _check_seed(master_seed):
 
 
 def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
+    """The ensemble of the paths on seeds. The q/u/e/W-tilde histories live
+    in one anonymous shared mapping, so the workers of forks.fork_map, one
+    per contiguous path range, march their ranges in place and return None.
+    A blow-up raises the serial march's BlowUpError."""
     cfg.check_stability(g)
     nm = make_noise_model(g, cfg.n_modes, seeds[0], cfg.coeff_profile,
                           cfg.coeff_decay, cfg.coeff_amplitude)
     models = [nm.reseeded(s) for s in seeds]
     K, n, P = cfg.n_steps, g.n, len(seeds)
-    qs = np.empty((K + 1, n, P), dtype=complex)
-    us = np.empty((K + 1, n, P, 3))
-    es = np.empty((K + 1, n, P, 3))
-    dW_tilde = np.empty((K, n, P, 3))
+    qs, us, es, dW_tilde = _shared_arrays([((K + 1, n, P), complex),
+                                           ((K + 1, n, P, 3), float),
+                                           ((K + 1, n, P, 3), float),
+                                           ((K, n, P, 3), float)])
     q0 = q0.astype(complex)
     f0 = reconstruct_frame(q0, g, m, e0)
     qs[0], us[0], es[0] = q0[:, None], f0.u[:, None], f0.e[:, None]
     width = max(1, CHUNK_PATH_NODES // n)
-    for lo in range(0, P, width):
-        c = slice(lo, lo + width)
-        _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
-               models[c], g, cfg)
+
+    def march(paths: range):
+        for lo in range(paths.start, paths.stop, width):
+            c = slice(lo, min(lo + width, paths.stop))
+            _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
+                   models[c], g, cfg)
+
+    # ceil(P w / W) bounds: nonincreasing range sizes, so the parent
+    # (fork_map's first share) marches the lowest paths
+    W = min(usable_cpus(), P)
+    bounds = [-(-P * w // W) for w in range(W + 1)]
+    try:
+        fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])],
+                 cost=len)
+    except BlowUpError:
+        # a BlowUpError gives the last max |q| over its chunk of paths, and
+        # the workers' chunks are not the serial ones: re-march serially
+        # to raise the serial run's error
+        if W > 1:
+            march(range(P))
+        raise
     return SllgEnsemble(times=cfg.dt * np.arange(K + 1), q=qs, u=us, e=es,
                         dW_tilde=dW_tilde, seeds=list(seeds))
+
+
+def _shared_arrays(specs):
+    """Uninitialised arrays of the given (shape, dtype) specs in one
+    anonymous shared mapping, which forked children write through."""
+    sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    buf = mmap.mmap(-1, sum(sizes))
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(np.frombuffer(buf, dtype, int(np.prod(shape)),
+                                    offset).reshape(shape))
+        offset += size
+    return arrays
 
 
 def block_steps(n: int, n_paths: int) -> int:
@@ -311,11 +352,12 @@ def _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g):
 
 
 def _basepoint_step(base, q_mid, inc, g, cfg):
-    """The basepoint frames (u, e), each (P, 3), advanced in time; there the
-    nonlocal integrals vanish, so dPsi(b) = 0."""
+    """The basepoint frames (u, e), each (P, 3), advanced in time. There the
+    nonlocal integrals vanish, so p(b) = (alpha + i beta) q_x(b),
+    C(b) = -beta |q(b)|^2 / 2 and dPsi(b) = 0."""
     b = g.basepoint_index
-    ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2, q_mid)
-    ic_base = InternalCoeffs(p=ic.p[b], C=ic.C[b], dPsi=ic.dPsi[b])
-    f = frame_time_step(FrameField(*base), ic_base, inc.dW1[b], inc.dW2[b],
-                        ic_base.dPsi, cfg.dt)
+    p = (cfg.alpha + 1j * cfg.beta) * diff1(q_mid, g)[b]
+    C = -0.5 * cfg.beta * np.abs(q_mid[b]) ** 2
+    f = frame_time_step(FrameField(*base), InternalCoeffs(p=p, C=C, dPsi=0.0),
+                        inc.dW1[b], inc.dW2[b], 0.0, cfg.dt)
     return f.u, f.e

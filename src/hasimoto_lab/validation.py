@@ -7,15 +7,13 @@ include negative controls, and the covariance check reports a 3-sigma
 confidence interval rather than a bare point estimate.
 """
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
                      dot, line_grid, norm, normalize, open_view, time_steps)
+from .forks import fork_map
 from .hashimoto import curvature_torsion, reconstruct_frame, transform
 from .heat import HeatConfig, heat_integrate
 from .llg import LLGConfig, auto_dt, llg_integrate, llg_rhs
@@ -62,89 +60,6 @@ class CrossCheckReport:
         }
 
 
-def _fork_child(fn, items, share, fd):
-    """Forked worker: pickle fn over items[share], or (item index, exception)
-    of its first failure, to fd, and leave through os._exit, so that no
-    finally block, atexit handler or stdio flush of the caller runs."""
-    code, done = 1, []
-    try:
-        try:
-            for i in share:
-                done.append(fn(items[i]))
-            payload = (True, done)
-        except BaseException as exc:
-            payload = (False, (share[len(done)], exc))
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid, fd):
-    """(payload or None, exit code) of a child. Its pipe is read to EOF before
-    the wait, because a payload can exceed the pipe buffer."""
-    with os.fdopen(fd, "rb") as fh:
-        try:
-            payload = pickle.load(fh)
-        except Exception:               # the child died before it wrote one
-            payload = None
-        fh.read()
-    return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _fork_map(fn, items, cost):
-    """[fn(item) for item in items] over one process per CPU of the affinity
-    mask (at most one per item); without os.fork or os.sched_getaffinity it
-    is that loop.
-
-    Items are dealt round-robin by decreasing cost; the parent runs the first
-    share and a forked child each other one. A failure re-raises the item's
-    exception: the parent's own (after killing the children), else the
-    children's of the lowest item index.
-    """
-    items = list(items)
-    workers = min(len(os.sched_getaffinity(0)), len(items)) \
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    order = sorted(range(len(items)), key=lambda i: -cost(items[i]))
-    shares = [order[w::workers] for w in range(workers)]
-    results = [None] * len(items)
-    children = []                       # (pid, read end of its pipe, share)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _fork_child(fn, items, share, w)
-            os.close(w)
-            children.append((pid, r, share))
-        for i in shares[0]:
-            results[i] = fn(items[i])
-        failures = []
-        while children:
-            payload, code = _reap(*children[0][:2])
-            pid, _, share = children.pop(0)
-            if code != 0 or payload is None:
-                raise RuntimeError(f"forked worker {pid} exited with code {code} "
-                                   "and no readable result")
-            ok, value = payload
-            if ok:
-                for i, res in zip(share, value):
-                    results[i] = res
-            else:
-                failures.append(value)
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return results
-    finally:
-        for pid, fd, _ in children:     # left only when the parent raised
-            os.kill(pid, signal.SIGKILL)
-            _reap(pid, fd)
-
-
 def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                              alpha: float, beta: float, t_end: float,
                              grid_sizes=(128, 256, 512),
@@ -158,7 +73,7 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
     sides carry consistent discrete data (discrepancy is exactly 0 at t = 0).
     Both solvers run with llg.auto_dt; the discrepancy max_x |H(u(t)) - q(t)|
     is sampled along the flow. The 2 L integrations of the L levels are
-    independent and run in forked workers (_fork_map); the results do not
+    independent and run in forked workers (forks.fork_map); the results do not
     depend on the number of workers.
     """
     m = np.asarray(m, float)
@@ -174,7 +89,7 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                  (heat_integrate, transform(u0, g), g,
                   HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
                              output_stride=stride))]
-    trajs = _fork_map(lambda job: job[0](*job[1:]), jobs, cost=lambda job: job[2].n)
+    trajs = fork_map(lambda job: job[0](*job[1:]), jobs, cost=lambda job: job[2].n)
     levels = []
     flagged = False
     for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):
@@ -310,6 +225,13 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sum(prod.reshape(len(prod), -1), axis=1)
 
 
+def _check_spread(paths: SllgEnsemble):
+    """A standard error over the paths needs at least two of them."""
+    if paths.n_paths < 2:
+        raise ConfigurationError(
+            f"a standard error needs at least 2 paths, got {paths.n_paths}")
+
+
 def _time_step(paths: SllgEnsemble) -> float:
     """The ensemble's dt; a check over the steps needs at least one."""
     if paths.n_steps < 1:
@@ -354,9 +276,7 @@ def sllg_weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float
                        phi: np.ndarray, noise_rule: str = "midpoint") -> ResidualReport:
     """Ensemble mean and standard error of the weak residual over paths; one
     path has no spread, so at least two are needed."""
-    if paths.n_paths < 2:
-        raise ConfigurationError(
-            f"a standard error needs at least 2 paths, got {paths.n_paths}")
+    _check_spread(paths)
     rs = weak_residual(paths, g, alpha, beta, phi, noise_rule)
     stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
     return ResidualReport(mean=float(np.mean(rs)), stderr=stderr, n_paths=len(rs))
@@ -395,8 +315,10 @@ def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
     Both sides are estimated from the same ensemble: the Monte Carlo side from
     the assembled W~ increments, the direct side by time quadrature of the
     ensemble-averaged products of frame projections onto the noise modes.
-    The quadrature runs step by step over all paths at once.
+    The quadrature runs step by step over all paths at once. One path has
+    no spread, so at least two are needed.
     """
+    _check_spread(paths)
     dt = _time_step(paths)
     h = g.h
     c2 = nm.coeffs ** 2
@@ -415,7 +337,7 @@ def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
         uxe = uxe_next
     n = len(prods)
     mc = float(np.mean(prods))
-    ci3 = float(3.0 * np.std(prods, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    ci3 = float(3.0 * np.std(prods, ddof=1) / np.sqrt(n))
     return CovarianceReport(mc_estimate=mc, mc_ci3=ci3,
                             direct=float(np.mean(directs)), n_paths=n,
                             t=float(paths.times[-1]))

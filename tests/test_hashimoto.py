@@ -153,3 +153,24 @@ def test_closure_defect_batched_matches_per_path():
     fl = reconstruct_frame(np.zeros((gl.n, P), complex), gl, m, e0)
     assert np.array_equal(closure_defect(np.zeros((gl.n, P), complex), gl, fl),
                           np.zeros(P))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transform_and_reconstruct_reject_non_finite_input(bad):
+    # one non-finite node would otherwise spread through the stencils and
+    # the frame march without an error
+    g = periodic_grid(2.0 * np.pi, 32)
+    u = smooth_map(g)
+    q = transform(u, g)
+    m, e0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    u_bad = u.copy()
+    u_bad[5, 1] = bad
+    with pytest.raises(ConfigurationError, match="u must be finite"):
+        transform(u_bad, g)
+    for qs, ms, es in ((q, m, e0), (q[:, None], m[None], e0[None])):
+        reconstruct_frame(qs, g, ms, es)            # one path, then a batch of one
+        for i in range(3):
+            args = [qs.copy(), ms.copy(), es.copy()]
+            args[i].flat[1] = bad
+            with pytest.raises(ConfigurationError, match="q, m and e0 must be finite"):
+                reconstruct_frame(args[0], g, *args[1:])

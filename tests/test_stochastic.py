@@ -10,8 +10,9 @@ from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
                                 make_noise_model, noise_fields,
                                 sample_increments)
 import hasimoto_lab.stochastic as stochastic
-from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, SLLGConfig,
-                                     SllgEnsemble, block_steps,
+from hasimoto_lab.rotations import generator_rotation
+from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, InternalCoeffs,
+                                     SLLGConfig, SllgEnsemble, block_steps,
                                      frame_time_step, internal_coeffs, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 
@@ -343,3 +344,89 @@ def test_ensemble_matches_step_by_step_construction():
             dW += exu_mid * inc.dW1[:, None]
             dW += u_mid * inc.dW3[:, None]
             assert np.array_equal(dW, p.dW_tilde[k])
+
+
+def old_basepoint_step(base, q_mid, inc, g, cfg):
+    """The basepoint step from full-grid coefficients sliced at node b."""
+    b = g.basepoint_index
+    ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2, q_mid)
+    ic_b = InternalCoeffs(p=ic.p[b], C=ic.C[b], dPsi=ic.dPsi[b])
+    f = frame_time_step(FrameField(*base), ic_b, inc.dW1[b], inc.dW2[b],
+                        ic_b.dPsi, cfg.dt)
+    return f.u, f.e
+
+
+@pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 32),
+                               line_grid(-5.0, 5.0, 33),
+                               line_grid(-5.0, 5.0, 33, basepoint_index=17)],
+                         ids=["periodic", "line", "line-interior-basepoint"])
+def test_basepoint_step_matches_full_grid_coefficients(g):
+    # bit for bit, the sign of zero included: path 0 has q(b) = 0, path 1 has
+    # q = 0 and no noise, and paths 1 and 2 start from frames with zeros
+    rng = np.random.default_rng(8)
+    n, P, b = g.n, 4, g.basepoint_index
+    q_mid = rng.normal(size=(n, P)) + 1j * rng.normal(size=(n, P))
+    q_mid[b, 0] = 0.0
+    q_mid[:, 1] = 0.0
+    dW = rng.normal(scale=0.03, size=(2, n, P))
+    dW[:, :, 1] = 0.0
+    inc = NoiseIncrement(dW1=dW[0], dW2=dW[1], dW3=np.zeros((n, P)),
+                         dxW1=np.zeros((n, P)), dxW2=np.zeros((n, P)))
+    R = generator_rotation(*rng.normal(size=(3, P)))
+    u, e = R[:, 0].copy(), R[:, 1].copy()
+    u[1:3], e[1:3] = [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]
+    for alpha, beta in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+        cfg = SLLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=1e-3)
+        new = stochastic._basepoint_step((u, e), q_mid, inc, g, cfg)
+        for got, want in zip(new, old_basepoint_step((u, e), q_mid, inc, g, cfg)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
+                                                     no_child_left):
+    # n = 2048 and 7 paths march serially in chunks of 4 paths. With chunks
+    # of 2 paths, 2 and 3 workers take the uneven ranges 4 + 3 and
+    # 3 + 2 + 2, and each worker marches several chunks into the shared
+    # histories
+    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 5)
+    use_cpus(1)
+    ref = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
+    monkeypatch.setattr(stochastic, "CHUNK_PATH_NODES", 4096)
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        ens = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
+        no_child_left()
+        for name in ("times", "q", "u", "e", "dW_tilde"):
+            assert np.array_equal(getattr(ens, name), getattr(ref, name)), (cpus, name)
+        assert ens.seeds == ref.seeds
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
+                                                     no_child_left, cpus):
+    # path 2 alone draws NaN noise at step 3; on 2 and 3 CPUs a forked child
+    # marches it alone, while the serial march checks paths 0-2 as one chunk
+    # and its message gives their common last finite max |q|, which is
+    # path 0's here
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 6)
+    two = SLLGConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=2 * cfg.dt,
+                     n_modes=cfg.n_modes)
+    q2 = run_sllg_ensemble(q0, g, m, e0, two, 4, 3).q[2]
+    assert np.max(np.abs(q2[:, 2])) < np.max(np.abs(q2[:, 0]))
+    bad = derive_seed(4, TAG_PATH, 2)
+    sample = stochastic.sample_increments
+
+    def blowing(nm, dt, k):
+        return sample(nm, dt, k) * (np.nan if nm.master_seed == bad and k == 2 else 1.0)
+
+    monkeypatch.setattr(stochastic, "sample_increments", blowing)
+    errors = {}
+    for k in (1, cpus):
+        use_cpus(k)
+        with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
+            run_sllg_ensemble(q0, g, m, e0, cfg, 4, 3)
+        errors[k] = str(info.value)
+        no_child_left()
+    assert errors[cpus] == errors[1] == (
+        "stochastic heat flow blew up at step 3, t = 0.003: non-finite values; "
+        f"last finite max |y| = {np.max(np.abs(q2)):.6g} at t = 0.002")

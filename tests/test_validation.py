@@ -6,12 +6,13 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  normalize, open_view, periodic_grid)
+from hasimoto_lab.forks import fork_map
 from hasimoto_lab.heat import HeatConfig, heat_integrate
 from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
                                      run_sllg_ensemble)
-from hasimoto_lab.validation import (_fork_map, covariance_check,
+from hasimoto_lab.validation import (covariance_check,
                                      crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
@@ -56,23 +57,14 @@ def test_crosscheck_flags_nondecaying_data():
     assert rep.flagged
 
 
-def use_cpus(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_crosscheck_independent_of_worker_count(monkeypatch):
+def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
     reps = {}
     for k in (1, 2, 3):
-        use_cpus(monkeypatch, k)
+        use_cpus(k)
         reps[k] = crosscheck_deterministic(localized_twist, -60.0, 20.0, 1.0, 1.0,
                                            t_end=0.05, grid_sizes=(48, 96),
                                            samples=4)
-        assert_no_child_left()
+        no_child_left()
     for k in (2, 3):
         assert reps[k].orders == reps[1].orders
         for lv, ref in zip(reps[k].levels, reps[1].levels):
@@ -83,17 +75,18 @@ def test_crosscheck_independent_of_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_fork_map_keeps_item_order(monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
-    out = _fork_map(lambda x: (x * x, os.getpid()), range(7), cost=lambda x: x % 3)
+def test_fork_map_keeps_item_order(use_cpus, no_child_left, cpus):
+    use_cpus(cpus)
+    out = fork_map(lambda x: (x * x, os.getpid()), range(7), cost=lambda x: x % 3)
     assert [r for r, _ in out] == [x * x for x in range(7)]
     assert len({pid for _, pid in out}) == cpus
-    assert_no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("bad,first", [((3, 5), 3), ((2, 5), 2), ((4, 5), 4)])
-def test_fork_map_raises_first_exception(monkeypatch, cpus, bad, first):
+def test_fork_map_raises_first_exception(use_cpus, no_child_left, cpus, bad,
+                                        first):
     # equal costs: on 2 CPUs the parent runs items 0, 2, 4, 6 and a child
     # runs 1, 3, 5; the parent's own failure comes first
     def fn(x):
@@ -101,28 +94,29 @@ def test_fork_map_raises_first_exception(monkeypatch, cpus, bad, first):
             raise KeyError(f"item {x}")
         return x
 
-    use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     with pytest.raises(KeyError, match=f"item {first}"):
-        _fork_map(fn, range(7), cost=lambda x: 0)
-    assert_no_child_left()
+        fork_map(fn, range(7), cost=lambda x: 0)
+    no_child_left()
 
 
-def test_fork_map_kills_children_when_parent_share_fails(monkeypatch):
+def test_fork_map_kills_children_when_parent_share_fails(use_cpus, no_child_left):
     def fn(x):
         if x == 0:
             raise ValueError("parent share failed")
         time.sleep(30.0)
 
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="parent share failed"):
-        _fork_map(fn, [0, 1], cost=lambda x: -x)
+        fork_map(fn, [0, 1], cost=lambda x: -x)
     assert time.monotonic() - t0 < 10.0
-    assert_no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("fail", [False, True])
-def test_fork_map_caller_finally_runs_once(monkeypatch, tmp_path, fail):
+def test_fork_map_caller_finally_runs_once(use_cpus, no_child_left, tmp_path,
+                                          fail):
     def fn(x):
         if fail and x == 1:
             raise RuntimeError("child failed")
@@ -130,22 +124,22 @@ def test_fork_map_caller_finally_runs_once(monkeypatch, tmp_path, fail):
 
     def caller():
         try:
-            return _fork_map(fn, range(4), cost=lambda x: 0)
+            return fork_map(fn, range(4), cost=lambda x: 0)
         finally:
             with open(tmp_path / "log", "a") as fh:
                 fh.write("finally\n")
 
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     if fail:
         with pytest.raises(RuntimeError, match="child failed"):
             caller()
     else:
         assert caller() == [0, 1, 2, 3]
     assert (tmp_path / "log").read_text() == "finally\n"
-    assert_no_child_left()
+    no_child_left()
 
 
-def test_fork_map_blow_up_in_worker_matches_serial(monkeypatch):
+def test_fork_map_blow_up_in_worker_matches_serial(use_cpus, no_child_left):
     g = periodic_grid(2.0 * np.pi, 32)
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
     cfg = HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt)
@@ -153,11 +147,11 @@ def test_fork_map_blow_up_in_worker_matches_serial(monkeypatch):
     items = [np.ones(g.n, complex), blowing]   # on 2 CPUs item 1 runs in a child
     errors = {}
     for cpus in (1, 2):
-        use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-            _fork_map(lambda q0: heat_integrate(q0, g, cfg), items, cost=lambda q: 0)
+            fork_map(lambda q0: heat_integrate(q0, g, cfg), items, cost=lambda q: 0)
         errors[cpus] = (type(info.value), str(info.value))
-        assert_no_child_left()
+        no_child_left()
     assert errors[2] == errors[1]
     assert "at step 1" in errors[1][1]
 
@@ -278,6 +272,18 @@ def test_covariance_orthogonal_pairing_vanishes():
     rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
     assert abs(rep.direct) <= 1e-24
     assert abs(rep.mc_estimate) <= 1e-24
+
+
+def test_covariance_check_needs_two_paths():
+    # one path has no spread: its 3-sigma half width would read 0
+    g = periodic_grid(2.0 * np.pi, 32)
+    nm = make_noise_model(g, 2, 5)
+    paths = [synthetic_frozen_path(g, nm, 0.01, k) for k in range(2)]
+    phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
+    with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
+        covariance_check(SllgEnsemble.stack(paths[:1]), g, nm, phi, phi)
+    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
+    assert rep.n_paths == 2 and rep.mc_ci3 > 0.0
 
 
 def reference_weak_residual(path, g, alpha, beta, phi, noise_rule):
