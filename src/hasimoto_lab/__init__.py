@@ -16,7 +16,6 @@ from .llg import (LLGConfig, Trajectory, curvature_torsion_rhs, exchange_energy,
 from .noise import (NoiseIncrement, NoiseModel, coefficient_profile, derive_seed,
                     fourier_basis, make_noise_model, noise_fields,
                     sample_increments)
-from .stochastic import (InternalCoeffs, SLLGConfig, SllgEnsemble, SllgPath,
-                         frame_generator, frame_time_step,
-                         internal_coeffs, run_sllg, run_sllg_ensemble,
-                         stochastic_heat_step)
+from .stochastic import (InternalCoeffs, SLLGConfig, SllgEnsemble,
+                         frame_generator, frame_time_step, internal_coeffs,
+                         run_sllg, run_sllg_ensemble, stochastic_heat_step)

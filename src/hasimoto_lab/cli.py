@@ -52,10 +52,10 @@ _SOLVERS = {"llg": LLGConfig, "heat": HeatConfig, "holonomy": HeatConfig,
 SCHEMA = {
     "domain": ("enum", "periodic|line", "periodic", EXPERIMENTS,
                dict.fromkeys(_TWISTED, "line")),
-    "n": ("int", ">= 4", "64", _GRIDDED, {"identities": "256", "holonomy": "128"}),
+    "n": ("int", ">= 4", "64", _GRIDDED, {"identities": "256", "holonomy": "176"}),
     "circumference": ("float", "> 0", "6.283185307179586", _GRIDDED, {}),
     "x_min": ("float", "", "-90.0", EXPERIMENTS,
-              {"crosscheck": "-250.0", "holonomy": "-30.0"}),
+              {"crosscheck": "-250.0", "holonomy": "-45.0"}),
     "x_max": ("float", "", "20.0", EXPERIMENTS, {"holonomy": "10.0"}),
     "basepoint_index": ("int", ">= 0", "0", _GRIDDED, {}),
     "alpha": ("float", ">= 0", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
@@ -91,7 +91,7 @@ DEFAULTS = {e: {key: over.get(e, default)
             for e in EXPERIMENTS}
 
 VALIDATING_MODULE = {
-    "llg": "llg_solver", "heat": "heat_solver", "crosscheck": "validation",
+    "llg": "llg", "heat": "heat", "crosscheck": "validation",
     "identities": "validation", "sllg": "stochastic + validation",
     "holonomy": "validation", "covariance": "validation",
 }
@@ -362,11 +362,10 @@ def _ensemble(c):
 def run_sllg_experiment(c, outdir):
     g, cfg = c["g"], c["solver"]
     ens = _ensemble(c)
-    p0 = ens.path(0)
     keep = [k for k in range(cfg.n_steps + 1)
             if k % c["output_stride"] == 0 or k == cfg.n_steps]
     _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
-                 ((p0.times[k], p0.u[k]) for k in keep))
+                 ((ens.times[k], ens.u[k, :, 0]) for k in keep))
     res = sllg_weak_residual(ens, g, cfg.alpha, cfg.beta, _standard_phi(g))
     closure = float(np.mean(closure_defect(
         ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0

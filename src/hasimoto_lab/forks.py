@@ -61,18 +61,16 @@ def _reap(pid, fd):
     return payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def fork_map(fn, items, cost):
+def fork_map(fn, items):
     """[fn(item) for item in items] over min(usable_cpus(), len(items))
-    processes. Items are dealt round-robin by decreasing cost (ties keep
-    item order); the parent runs the first share and a forked child each
-    other one.
+    processes. Items are dealt round-robin in item order; the parent runs
+    the first share and a forked child each other one.
     """
     items = list(items)
     workers = min(usable_cpus(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    order = sorted(range(len(items)), key=lambda i: -cost(items[i]))
-    shares = [order[w::workers] for w in range(workers)]
+    shares = [range(w, len(items), workers) for w in range(workers)]
     results = [None] * len(items)
     children = []                       # (pid, read end of its pipe, share)
     try:

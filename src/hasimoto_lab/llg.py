@@ -10,6 +10,9 @@ from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cross_into,
                      diff1, diff2, diff2_into, time_steps)
 from .hashimoto import CurvatureTorsion
 
+# stable_dt's factor in dt <= STABILITY_SAFETY h^2 / max(alpha, |beta|)
+STABILITY_SAFETY = 0.2
+
 
 def check_coefficients(alpha: float, beta: float):
     """alpha and beta must be finite, and the damping alpha >= 0; stable_dt
@@ -21,12 +24,12 @@ def check_coefficients(alpha: float, beta: float):
         raise ConfigurationError(f"damping alpha must be >= 0, got {alpha}")
 
 
-def stable_dt(g: Grid1D, alpha: float, beta: float, safety: float = 0.2) -> float:
-    """Explicit-step bound dt <= safety * h^2 / max(alpha, |beta|)."""
+def stable_dt(g: Grid1D, alpha: float, beta: float) -> float:
+    """Explicit-step bound dt <= STABILITY_SAFETY * h^2 / max(alpha, |beta|)."""
     scale = max(alpha, abs(beta))
     if scale == 0.0:
         return np.inf
-    return safety * g.h * g.h / scale
+    return STABILITY_SAFETY * g.h * g.h / scale
 
 
 def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
@@ -63,7 +66,7 @@ class LLGConfig:
         if self.dt > bound:
             raise ConfigurationError(
                 f"dt = {self.dt:.3e} exceeds the stability bound {bound:.3e} "
-                f"(0.2 h^2 / max(alpha, |beta|))")
+                f"({STABILITY_SAFETY} h^2 / max(alpha, |beta|))")
 
     @property
     def n_steps(self) -> int:

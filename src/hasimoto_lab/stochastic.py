@@ -33,6 +33,8 @@ CHUNK_PATH_NODES = 8192
 # Frame fields rebuilt per spatial march: a chunk's steps go in blocks of
 # about BLOCK_FRAMES // paths (see block_steps).
 BLOCK_FRAMES = 8
+# Largest orthonormality defect frame_time_step accepts in its input frame.
+ORTHO_TOL = 1e-8
 
 
 @dataclass
@@ -70,14 +72,13 @@ def internal_coeffs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
 
 
 def frame_time_step(f: FrameField, coeffs: InternalCoeffs, dW1: np.ndarray,
-                    dW2: np.ndarray, dPsi: np.ndarray, dt: float,
-                    ortho_tol: float = 1e-8) -> FrameField:
+                    dW2: np.ndarray, dPsi: np.ndarray, dt: float) -> FrameField:
     """One time step of the frame system by an exact rotation per node.
 
     Total generator entries (deterministic * dt + noise):
     a = p1 dt + dW1, b = p2 dt + dW2, c = C dt + dPsi.
     """
-    if f.orthonormality_defect() > ortho_tol:
+    if f.orthonormality_defect() > ORTHO_TOL:
         raise ConfigurationError("frame_time_step requires an orthonormal frame")
     a = coeffs.p.real * dt + dW1
     b = coeffs.p.imag * dt + dW2
@@ -144,23 +145,6 @@ class SLLGConfig:
 
 
 @dataclass
-class SllgPath:
-    times: np.ndarray       # (K+1,)
-    q: np.ndarray           # (K+1, n) complex
-    u: np.ndarray           # (K+1, n, 3)
-    e: np.ndarray           # (K+1, n, 3)
-    dW_tilde: np.ndarray    # (K, n, 3) assembled noise increments (midpoint frames)
-    seed: int
-
-    @property
-    def n_steps(self) -> int:
-        return self.dW_tilde.shape[0]
-
-    def frame(self, k: int) -> FrameField:
-        return FrameField(u=self.u[k], e=self.e[k])
-
-
-@dataclass
 class SllgEnsemble:
     """P paths stacked along an axis after the node axis."""
     times: np.ndarray       # (K+1,)
@@ -178,22 +162,13 @@ class SllgEnsemble:
     def n_steps(self) -> int:
         return self.dW_tilde.shape[0]
 
-    def path(self, i: int) -> SllgPath:
-        """Path i as a view into the stacked histories."""
-        return SllgPath(times=self.times, q=self.q[:, :, i], u=self.u[:, :, i],
-                        e=self.e[:, :, i], dW_tilde=self.dW_tilde[:, :, i],
-                        seed=self.seeds[i])
-
-    @classmethod
-    def stack(cls, paths) -> "SllgEnsemble":
-        """Stack paths that share their time grid into one ensemble."""
-        paths = list(paths)
-        return cls(times=paths[0].times,
-                   q=np.stack([p.q for p in paths], axis=2),
-                   u=np.stack([p.u for p in paths], axis=2),
-                   e=np.stack([p.e for p in paths], axis=2),
-                   dW_tilde=np.stack([p.dW_tilde for p in paths], axis=2),
-                   seeds=[p.seed for p in paths])
+    def path(self, i: int) -> "SllgEnsemble":
+        """Path i as the one-path ensemble viewing the stacked histories."""
+        i = range(self.n_paths)[i]      # IndexError out of range, as for a list
+        p = slice(i, i + 1)
+        return SllgEnsemble(times=self.times, q=self.q[:, :, p], u=self.u[:, :, p],
+                            e=self.e[:, :, p], dW_tilde=self.dW_tilde[:, :, p],
+                            seeds=self.seeds[p])
 
 
 def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
@@ -224,10 +199,10 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
 
 
 def run_sllg(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
-             cfg: SLLGConfig, master_seed: int) -> SllgPath:
+             cfg: SLLGConfig, master_seed: int) -> SllgEnsemble:
     """One weak SLLG path on master_seed's noise: the one-path ensemble."""
     _check_seed(master_seed)
-    return _run_paths(q0, g, m, e0, cfg, [master_seed]).path(0)
+    return _run_paths(q0, g, m, e0, cfg, [master_seed])
 
 
 def _check_seed(master_seed):
@@ -266,8 +241,7 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
     W = min(usable_cpus(), P)
     bounds = [-(-P * w // W) for w in range(W + 1)]
     try:
-        fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])],
-                 cost=len)
+        fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     except BlowUpError:
         # a BlowUpError gives the last max |q| over its chunk of paths, and
         # the workers' chunks are not the serial ones: re-march serially

@@ -19,7 +19,7 @@ from .heat import HeatConfig, heat_integrate
 from .llg import LLGConfig, auto_dt, llg_integrate, llg_rhs
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
-from .stochastic import SllgEnsemble, SllgPath, frame_generator
+from .stochastic import SllgEnsemble, frame_generator
 
 
 def fit_loglog_slope(scales, errors) -> float:
@@ -89,7 +89,7 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                  (heat_integrate, transform(u0, g), g,
                   HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
                              output_stride=stride))]
-    trajs = fork_map(lambda job: job[0](*job[1:]), jobs, cost=lambda job: job[2].n)
+    trajs = fork_map(lambda job: job[0](*job[1:]), jobs)
     levels = []
     flagged = False
     for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):
@@ -239,24 +239,29 @@ def _time_step(paths: SllgEnsemble) -> float:
     return float(paths.times[1] - paths.times[0])
 
 
-def weak_residual(paths, g: Grid1D, alpha: float, beta: float,
-                  phi: np.ndarray, noise_rule: str = "midpoint"):
+def weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
+                  phi: np.ndarray, noise_rule: str = "midpoint") -> np.ndarray:
     """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,).
 
-    For one SllgPath it is the one-path case, returned as a float.
     R = <u(T) - u(0), phi> - int <beta u x u_xx - alpha u x (u x u_xx), phi> dt
         - sum <u x dW~, phi>, with Stratonovich midpoint sums. Spatial
     derivatives use the open-curve view of the grid: the reconstruction does
     not close on the circle, so periodic stencils would be invalid at the seam.
     The sums run step by step over all paths at once.
 
+    On a periodic grid the one-sided stencils at the seam give the mean of R
+    a spatial O(h^2) bias. It does not change with dt (-2.9e-5 to -3.7e-5 at
+    n = 64 for dt from 2e-3 down to 2.5e-4), it shrinks with n (-1.35e-4,
+    -3.1e-5 and -5.5e-6 at n = 32, 64 and 128, dt = 5e-4), and it goes away
+    for a phi that vanishes to high order at the seam (phi sin(x/2)^8).
+    Measured with alpha = beta = 0.5, q0 = 0.2 + 0.06 cos x, 4 modes,
+    t_end = 0.02 and 8000 paths; a 3-sigma gate on the mean sees it only
+    with a few thousand paths.
+
     noise_rule "left" replaces the Stratonovich midpoint in the noise pairing
     by the left endpoint (an Ito sum). That is a deliberate negative control:
     it must produce a clearly biased residual.
     """
-    if isinstance(paths, SllgPath):
-        return float(weak_residual(SllgEnsemble.stack([paths]), g, alpha, beta,
-                                   phi, noise_rule)[0])
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
     dt = _time_step(paths)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 
@@ -29,6 +30,10 @@ def test_catalog_covers_all_experiments(capsys):
     for name in EXPERIMENTS:
         assert name in out
     assert list_experiments().startswith("available experiments:")
+    # the catalog names modules of the package
+    for modules in VALIDATING_MODULE.values():
+        for module in modules.split(" + "):
+            importlib.import_module(f"hasimoto_lab.{module}")
 
 
 def test_read_config_file(tmp_path):
@@ -101,6 +106,14 @@ def test_holonomy_smoke(tmp_path):
     assert rc == 0
     report = read_json(out / "report.json")
     assert report["separation"] > 1.0
+
+
+def test_holonomy_defaults_pass_the_decay_monitor(tmp_path):
+    # the default twist has decayed by x_min = -45; at -30 it was still
+    # ~1e-5 of its peak there and the run reported decay_ok false
+    out = tmp_path / "hol"
+    assert run_cli("holonomy", "--out", str(out)) == 0
+    assert read_json(out / "report.json")["decay_ok"] is True
 
 
 def test_covariance_smoke(tmp_path):
@@ -260,17 +273,17 @@ def test_sllg_csv_is_path_zero_exactly(tmp_path):
     assert (out1 / "series_u.csv").read_bytes() == (out2 / "series_u.csv").read_bytes()
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=0.001, t_end=0.003, n_modes=3)
-    p0 = run_sllg_ensemble(np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
-                           np.array([0.0, 1.0, 0.0]), cfg, 9, 3).path(0)
+    ens = run_sllg_ensemble(np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]), cfg, 9, 3)
     with open(out1 / "series_u.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "node", "x", "ux", "uy", "uz"]
     data = np.array(rows[1:], dtype=float).reshape(-1, g.n, 6)
     keep = [0, 2, 3]                    # stride 2, and the final step
-    assert np.array_equal(data[:, 0, 0], p0.times[keep])
+    assert np.array_equal(data[:, 0, 0], ens.times[keep])
     assert np.array_equal(data[:, :, 1], np.tile(np.arange(g.n), (3, 1)))
     assert np.array_equal(data[:, :, 2], np.tile(g.x, (3, 1)))
-    assert np.array_equal(data[:, :, 3:], p0.u[keep])
+    assert np.array_equal(data[:, :, 3:], ens.u[keep, :, 0])
 
 
 @pytest.mark.parametrize("experiment,setting", [

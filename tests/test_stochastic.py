@@ -12,7 +12,7 @@ from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import generator_rotation
 from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, InternalCoeffs,
-                                     SLLGConfig, SllgEnsemble, block_steps,
+                                     SLLGConfig, block_steps,
                                      frame_time_step, internal_coeffs, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 
@@ -137,9 +137,9 @@ def test_run_sllg_unit_norm_pathwise():
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
     path = run_sllg(q0, g, np.array([1.0, 0.0, 0.0]),
                     np.array([0.0, 1.0, 0.0]), cfg, master_seed=3)
-    for k in range(path.u.shape[0]):
-        assert np.max(np.abs(norm(path.u[k]) - 1.0)) <= 1e-12
-        assert path.frame(k).orthonormality_defect() <= 1e-11
+    for u, e in zip(path.u[:, :, 0], path.e[:, :, 0]):
+        assert np.max(np.abs(norm(u) - 1.0)) <= 1e-12
+        assert FrameField(u=u, e=e).orthonormality_defect() <= 1e-11
 
 
 def test_run_sllg_zero_noise_matches_llg():
@@ -157,7 +157,7 @@ def test_run_sllg_zero_noise_matches_llg():
     tr = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=1.0, dt=dt,
                                         t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
-    assert np.max(np.abs(path.u[-1] - tr.states[-1])) <= 1e-3
+    assert np.max(np.abs(path.u[-1, :, 0] - tr.states[-1])) <= 1e-3
 
 
 def test_run_sllg_seed_determinism():
@@ -180,9 +180,11 @@ def test_ensemble_paths_distinct():
     ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
                             np.array([0.0, 1.0, 0.0]), cfg,
                             master_seed=4, n_paths=3)
-    paths = [ens.path(i) for i in range(ens.n_paths)]
-    assert len({p.seed for p in paths}) == 3
-    assert not np.array_equal(paths[0].u, paths[1].u)
+    assert len(set(ens.seeds)) == 3
+    assert not np.array_equal(ens.u[:, :, 0], ens.u[:, :, 1])
+    assert ens.path(-1).seeds == ens.seeds[2:]
+    with pytest.raises(IndexError):
+        ens.path(3)
 
 
 def test_config_validation():
@@ -218,7 +220,7 @@ def _ensemble_inputs(n, dt, n_steps):
 def assert_same_path(a, b):
     for name in ("times", "q", "u", "e", "dW_tilde"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.seed == b.seed
+    assert a.seeds == b.seeds
 
 
 def test_ensemble_paths_independent_of_batch_size():
@@ -245,15 +247,6 @@ def test_ensemble_across_chunk_boundary():
     for i in range(7):
         alone = run_sllg(q0, g, m, e0, cfg, derive_seed(5, TAG_PATH, i))
         assert_same_path(ens.path(i), alone)
-
-
-def test_ensemble_stack_round_trip():
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
-    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 2, 3)
-    again = SllgEnsemble.stack(ens.path(i) for i in range(3))
-    for name in ("q", "u", "e", "dW_tilde"):
-        assert np.array_equal(getattr(again, name), getattr(ens, name))
-    assert again.seeds == ens.seeds and again.n_paths == 3
 
 
 def test_ensemble_needs_a_path():
@@ -329,21 +322,21 @@ def test_ensemble_matches_step_by_step_construction():
     ens = run_sllg_ensemble(q0, g, m, e0, cfg, 13, 3)
     b = g.basepoint_index
     nm = make_noise_model(g, cfg.n_modes, 0)
-    for i in range(ens.n_paths):
-        p = ens.path(i)
-        model = nm.reseeded(p.seed)
-        for k in range(p.n_steps + 1):
-            f = reconstruct_frame(p.q[k], g, p.u[k, b], p.e[k, b])
-            assert np.array_equal(f.u, p.u[k]) and np.array_equal(f.e, p.e[k])
-        for k in range(p.n_steps):
+    for i, seed in enumerate(ens.seeds):
+        q, u, e = ens.q[:, :, i], ens.u[:, :, i], ens.e[:, :, i]
+        model = nm.reseeded(seed)
+        for k in range(ens.n_steps + 1):
+            f = reconstruct_frame(q[k], g, u[k, b], e[k, b])
+            assert np.array_equal(f.u, u[k]) and np.array_equal(f.e, e[k])
+        for k in range(ens.n_steps):
             inc = noise_fields(model, sample_increments(model, cfg.dt, k))
-            u_mid = 0.5 * (p.u[k] + p.u[k + 1])
-            e_mid = 0.5 * (p.e[k] + p.e[k + 1])
-            exu_mid = 0.5 * (np.cross(p.e[k], p.u[k]) + np.cross(p.e[k + 1], p.u[k + 1]))
+            u_mid = 0.5 * (u[k] + u[k + 1])
+            e_mid = 0.5 * (e[k] + e[k + 1])
+            exu_mid = 0.5 * (np.cross(e[k], u[k]) + np.cross(e[k + 1], u[k + 1]))
             dW = e_mid * inc.dW2[:, None]
             dW += exu_mid * inc.dW1[:, None]
             dW += u_mid * inc.dW3[:, None]
-            assert np.array_equal(dW, p.dW_tilde[k])
+            assert np.array_equal(dW, ens.dW_tilde[k, :, i])
 
 
 def old_basepoint_step(base, q_mid, inc, g, cfg):

@@ -10,8 +10,7 @@ from hasimoto_lab.forks import fork_map
 from hasimoto_lab.heat import HeatConfig, heat_integrate
 from hasimoto_lab.llg import llg_rhs, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
-from hasimoto_lab.stochastic import (SLLGConfig, SllgEnsemble, SllgPath, run_sllg,
-                                     run_sllg_ensemble)
+from hasimoto_lab.stochastic import SLLGConfig, SllgEnsemble, run_sllg_ensemble
 from hasimoto_lab.validation import (covariance_check,
                                      crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
@@ -77,7 +76,7 @@ def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_fork_map_keeps_item_order(use_cpus, no_child_left, cpus):
     use_cpus(cpus)
-    out = fork_map(lambda x: (x * x, os.getpid()), range(7), cost=lambda x: x % 3)
+    out = fork_map(lambda x: (x * x, os.getpid()), range(7))
     assert [r for r, _ in out] == [x * x for x in range(7)]
     assert len({pid for _, pid in out}) == cpus
     no_child_left()
@@ -87,8 +86,8 @@ def test_fork_map_keeps_item_order(use_cpus, no_child_left, cpus):
 @pytest.mark.parametrize("bad,first", [((3, 5), 3), ((2, 5), 2), ((4, 5), 4)])
 def test_fork_map_raises_first_exception(use_cpus, no_child_left, cpus, bad,
                                         first):
-    # equal costs: on 2 CPUs the parent runs items 0, 2, 4, 6 and a child
-    # runs 1, 3, 5; the parent's own failure comes first
+    # on 2 CPUs the parent runs items 0, 2, 4, 6 and a child runs 1, 3, 5;
+    # the parent's own failure comes first
     def fn(x):
         if x in bad:
             raise KeyError(f"item {x}")
@@ -96,7 +95,7 @@ def test_fork_map_raises_first_exception(use_cpus, no_child_left, cpus, bad,
 
     use_cpus(cpus)
     with pytest.raises(KeyError, match=f"item {first}"):
-        fork_map(fn, range(7), cost=lambda x: 0)
+        fork_map(fn, range(7))
     no_child_left()
 
 
@@ -109,7 +108,7 @@ def test_fork_map_kills_children_when_parent_share_fails(use_cpus, no_child_left
     use_cpus(2)
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="parent share failed"):
-        fork_map(fn, [0, 1], cost=lambda x: -x)
+        fork_map(fn, [0, 1])
     assert time.monotonic() - t0 < 10.0
     no_child_left()
 
@@ -124,7 +123,7 @@ def test_fork_map_caller_finally_runs_once(use_cpus, no_child_left, tmp_path,
 
     def caller():
         try:
-            return fork_map(fn, range(4), cost=lambda x: 0)
+            return fork_map(fn, range(4))
         finally:
             with open(tmp_path / "log", "a") as fh:
                 fh.write("finally\n")
@@ -149,7 +148,7 @@ def test_fork_map_blow_up_in_worker_matches_serial(use_cpus, no_child_left):
     for cpus in (1, 2):
         use_cpus(cpus)
         with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-            fork_map(lambda q0: heat_integrate(q0, g, cfg), items, cost=lambda q: 0)
+            fork_map(lambda q0: heat_integrate(q0, g, cfg), items)
         errors[cpus] = (type(info.value), str(info.value))
         no_child_left()
     assert errors[2] == errors[1]
@@ -205,18 +204,19 @@ def test_holonomy_solution_beats_frozen():
     assert on_solution <= 0.1 * off_solution
 
 
-def make_zero_noise_path(g, dt, t_end):
+def make_zero_noise_paths(g, dt, t_end, n_paths):
+    """n_paths equal paths: with no noise modes the seeds make no difference."""
     q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
     cfg = SLLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end, n_modes=0)
-    return run_sllg(q0, g, np.array([1.0, 0.0, 0.0]),
-                    np.array([0.0, 1.0, 0.0]), cfg, master_seed=0)
+    return run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
+                             np.array([0.0, 1.0, 0.0]), cfg, 0, n_paths)
 
 
 def test_weak_residual_zero_test_function():
     g = line_grid(-30.0, 10.0, 64)
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
-    path = make_zero_noise_path(g, dt, 4.0 * dt)
-    assert weak_residual(path, g, 1.0, 1.0, np.zeros((g.n, 3))) == 0.0
+    path = make_zero_noise_paths(g, dt, 4.0 * dt, 1)
+    assert weak_residual(path, g, 1.0, 1.0, np.zeros((g.n, 3))).tolist() == [0.0]
     with pytest.raises(ConfigurationError):
         weak_residual(path, g, 1.0, 1.0, np.zeros((g.n, 3)), noise_rule="right")
 
@@ -225,39 +225,40 @@ def test_weak_residual_deterministic_path_small():
     # without noise the residual is pure time-discretization error
     g = line_grid(-30.0, 10.0, 64)
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
-    path = make_zero_noise_path(g, dt, 10.0 * dt)
+    paths = make_zero_noise_paths(g, dt, 10.0 * dt, 2)
     phi = np.stack([np.cos(g.x / 10.0), np.sin(g.x / 10.0),
                     0.3 * np.ones(g.n)], axis=-1)
-    r = weak_residual(path, g, 1.0, 1.0, phi)
-    assert abs(r) <= 50.0 * dt ** 2
-    rep = sllg_weak_residual(SllgEnsemble.stack([path, path]), g, 1.0, 1.0, phi)
-    assert rep.mean == pytest.approx(r)
+    r = weak_residual(paths, g, 1.0, 1.0, phi)
+    assert r[0] == r[1] and abs(r[0]) <= 50.0 * dt ** 2
+    rep = sllg_weak_residual(paths, g, 1.0, 1.0, phi)
+    assert rep.mean == pytest.approx(r[0])
     assert rep.stderr == 0.0 and rep.n_paths == 2
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
-        sllg_weak_residual(SllgEnsemble.stack([path]), g, 1.0, 1.0, phi)
+        sllg_weak_residual(paths.path(0), g, 1.0, 1.0, phi)
 
 
-def synthetic_frozen_path(g, nm, dt, seed_offset):
-    """One-step path with a frame frozen at the standard basis."""
-    u = np.tile([1.0, 0.0, 0.0], (2, g.n, 1)).reshape(2, g.n, 3)
-    e = np.tile([0.0, 1.0, 0.0], (2, g.n, 1)).reshape(2, g.n, 3)
-    inc = noise_fields(nm, sample_increments(nm, dt, seed_offset))
-    uxe = np.cross(u[0], e[0])
-    exu = -uxe
-    dW = (e[0] * inc.dW2[:, None] + exu * inc.dW1[:, None]
-          + u[0] * inc.dW3[:, None])
-    return SllgPath(times=np.array([0.0, dt]),
-                    q=np.zeros((2, g.n), complex), u=u, e=e,
-                    dW_tilde=dW[None, :, :], seed=seed_offset)
+def synthetic_frozen_ensemble(g, nm, dt, n_paths):
+    """One-step paths with a frame frozen at the standard basis; path k
+    takes the increments of step k of nm's noise."""
+    u = np.tile([1.0, 0.0, 0.0], (2, g.n, n_paths, 1))
+    e = np.tile([0.0, 1.0, 0.0], (2, g.n, n_paths, 1))
+    inc = noise_fields(nm, np.stack([sample_increments(nm, dt, k)
+                                     for k in range(n_paths)]))
+    exu = -np.cross(u[0], e[0])
+    dW = (e[0] * inc.dW2[..., None] + exu * inc.dW1[..., None]
+          + u[0] * inc.dW3[..., None])
+    return SllgEnsemble(times=np.array([0.0, dt]),
+                        q=np.zeros((2, g.n, n_paths), complex), u=u, e=e,
+                        dW_tilde=dW[None], seeds=list(range(n_paths)))
 
 
 def test_covariance_check_frozen_frame():
     g = periodic_grid(2.0 * np.pi, 64)
     nm = make_noise_model(g, 3, 21)
     dt = 0.01
-    paths = [synthetic_frozen_path(g, nm, dt, k) for k in range(2000)]
+    paths = synthetic_frozen_ensemble(g, nm, dt, 2000)
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
-    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
+    rep = covariance_check(paths, g, nm, phi, phi)
     assert rep.n_paths == 2000 and rep.t == dt
     assert rep.direct > 0.0
     assert rep.within_3sigma
@@ -267,9 +268,9 @@ def test_covariance_orthogonal_pairing_vanishes():
     # a test function with zero mean has no overlap with the constant mode
     g = periodic_grid(2.0 * np.pi, 64)
     nm = make_noise_model(g, 1, 13)
-    paths = [synthetic_frozen_path(g, nm, 0.01, k) for k in range(50)]
+    paths = synthetic_frozen_ensemble(g, nm, 0.01, 50)
     phi = np.stack([np.sin(g.x), np.zeros(g.n), np.zeros(g.n)], axis=-1)
-    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
+    rep = covariance_check(paths, g, nm, phi, phi)
     assert abs(rep.direct) <= 1e-24
     assert abs(rep.mc_estimate) <= 1e-24
 
@@ -278,42 +279,44 @@ def test_covariance_check_needs_two_paths():
     # one path has no spread: its 3-sigma half width would read 0
     g = periodic_grid(2.0 * np.pi, 32)
     nm = make_noise_model(g, 2, 5)
-    paths = [synthetic_frozen_path(g, nm, 0.01, k) for k in range(2)]
+    paths = synthetic_frozen_ensemble(g, nm, 0.01, 2)
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
-        covariance_check(SllgEnsemble.stack(paths[:1]), g, nm, phi, phi)
-    rep = covariance_check(SllgEnsemble.stack(paths), g, nm, phi, phi)
+        covariance_check(paths.path(0), g, nm, phi, phi)
+    rep = covariance_check(paths, g, nm, phi, phi)
     assert rep.n_paths == 2 and rep.mc_ci3 > 0.0
 
 
-def reference_weak_residual(path, g, alpha, beta, phi, noise_rule):
-    """The per-path, per-step loop the batched residual replaces."""
+def reference_weak_residual(ens, i, g, alpha, beta, phi, noise_rule):
+    """The per-path, per-step loop the batched residual replaces, for path i."""
     og = open_view(g)
     h = g.h
-    dt = float(path.times[1] - path.times[0])
-    R = h * float(np.sum(phi * (path.u[-1] - path.u[0])))
-    for k in range(path.n_steps):
-        u_mid = normalize(0.5 * (path.u[k] + path.u[k + 1]))
+    dt = float(ens.times[1] - ens.times[0])
+    u, dW_tilde = ens.u[:, :, i], ens.dW_tilde[:, :, i]
+    R = h * float(np.sum(phi * (u[-1] - u[0])))
+    for k in range(ens.n_steps):
+        u_mid = normalize(0.5 * (u[k] + u[k + 1]))
         R -= dt * h * float(np.sum(phi * llg_rhs(u_mid, og, alpha, beta)))
-        u_noise = u_mid if noise_rule == "midpoint" else path.u[k]
-        R -= h * float(np.sum(phi * np.cross(u_noise, path.dW_tilde[k])))
+        u_noise = u_mid if noise_rule == "midpoint" else u[k]
+        R -= h * float(np.sum(phi * np.cross(u_noise, dW_tilde[k])))
     return R
 
 
-def reference_covariance(paths, g, nm, phi, psi):
+def reference_covariance(ens, g, nm, phi, psi):
     """Per-path (Monte Carlo product, direct quadrature) of the covariance check."""
     h = g.h
     c2 = nm.coeffs ** 2
+    dt = float(ens.times[1] - ens.times[0])
     prods, directs = [], []
-    for p in paths:
-        dt = float(p.times[1] - p.times[0])
-        Wt = np.sum(p.dW_tilde, axis=0)
+    for i in range(ens.n_paths):
+        u, e = ens.u[:, :, i], ens.e[:, :, i]
+        Wt = np.sum(ens.dW_tilde[:, :, i], axis=0)
         prods.append(h * np.sum(phi * Wt) * h * np.sum(psi * Wt))
         d = 0.0
-        for k in range(p.n_steps):
-            u_mid = 0.5 * (p.u[k] + p.u[k + 1])
-            e_mid = 0.5 * (p.e[k] + p.e[k + 1])
-            uxe_mid = 0.5 * (np.cross(p.u[k], p.e[k]) + np.cross(p.u[k + 1], p.e[k + 1]))
+        for k in range(ens.n_steps):
+            u_mid = 0.5 * (u[k] + u[k + 1])
+            e_mid = 0.5 * (e[k] + e[k + 1])
+            uxe_mid = 0.5 * (np.cross(u[k], e[k]) + np.cross(u[k + 1], e[k + 1]))
             for F in (u_mid, e_mid, uxe_mid):
                 pf = h * (nm.basis @ np.sum(phi * F, axis=-1))
                 ps = h * (nm.basis @ np.sum(psi * F, axis=-1))
@@ -334,10 +337,9 @@ def small_ensemble():
 def test_batched_weak_residual_matches_per_path_sum():
     g, ens, _ = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
-    paths = [ens.path(i) for i in range(ens.n_paths)]
     for rule in ("midpoint", "left"):
-        ref = np.array([reference_weak_residual(p, g, 0.5, 0.5, phi, rule)
-                        for p in paths])
+        ref = np.array([reference_weak_residual(ens, i, g, 0.5, 0.5, phi, rule)
+                        for i in range(ens.n_paths)])
         got = weak_residual(ens, g, 0.5, 0.5, phi, rule)
         assert got.shape == (ens.n_paths,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -345,16 +347,16 @@ def test_batched_weak_residual_matches_per_path_sum():
         assert rep.mean == pytest.approx(np.mean(ref), rel=1e-12)
         assert rep.stderr == pytest.approx(
             np.std(ref, ddof=1) / np.sqrt(len(ref)), rel=1e-12)
-    assert weak_residual(paths[3], g, 0.5, 0.5, phi) == pytest.approx(
-        reference_weak_residual(paths[3], g, 0.5, 0.5, phi, "midpoint"), rel=1e-12)
+    one = weak_residual(ens.path(3), g, 0.5, 0.5, phi)
+    assert one.shape == (1,) and one[0] == pytest.approx(
+        reference_weak_residual(ens, 3, g, 0.5, 0.5, phi, "midpoint"), rel=1e-12)
 
 
 def test_batched_covariance_matches_per_path_sum():
     g, ens, nm = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     psi = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
-    prods, directs = reference_covariance(
-        [ens.path(i) for i in range(ens.n_paths)], g, nm, phi, psi)
+    prods, directs = reference_covariance(ens, g, nm, phi, psi)
     rep = covariance_check(ens, g, nm, phi, psi)
     assert rep.n_paths == ens.n_paths and rep.t == ens.times[-1]
     assert rep.mc_estimate == pytest.approx(np.mean(prods), rel=1e-12)
