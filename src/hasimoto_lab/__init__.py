@@ -10,12 +10,12 @@ from .fields import (BlowUpError, ConfigurationError, Grid1D, boundary_decay_ok,
 from .hashimoto import (CurvatureTorsion, FrameField, closure_defect,
                         curvature_torsion, inverse_identities,
                         reconstruct_frame, transform)
-from .heat import HeatConfig, heat_integrate, heat_rhs
+from .heat import HeatConfig, heat_integrate
 from .llg import (LLGConfig, Trajectory, curvature_torsion_rhs, exchange_energy,
-                  llg_integrate, llg_rhs, stable_dt)
+                  llg_integrate, stable_dt)
 from .noise import (NoiseIncrement, NoiseModel, coefficient_profile, derive_seed,
                     fourier_basis, make_noise_model, noise_fields,
                     sample_increments)
 from .stochastic import (InternalCoeffs, SLLGConfig, SllgEnsemble,
-                         frame_generator, frame_time_step, internal_coeffs,
-                         run_sllg, run_sllg_ensemble, stochastic_heat_step)
+                         frame_generator, frame_time_step, run_sllg,
+                         run_sllg_ensemble, stochastic_heat_step)

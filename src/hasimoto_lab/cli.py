@@ -421,6 +421,21 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
+def _print_stdout(text: str) -> int:
+    """Print text to stdout: 0, or 1 if stdout is a closed pipe. Then fd 1
+    points at os.devnull, so the flush at interpreter exit cannot raise
+    (the recipe of the signal module's documentation)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hasimoto-lab",
@@ -436,8 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list-experiments":
-        print(list_experiments())
-        return 0
+        return _print_stdout(list_experiments())
 
     errors = [f"--set expects key=value, got {item!r}"
               for item in args.sets if "=" not in item]
@@ -495,9 +509,7 @@ def main(argv=None) -> int:
     manifest.update(status="complete", outputs=sorted(outputs + ["report.json"]),
                     wall_clock_s=time.monotonic() - t0)
     _write_json(os.path.join(root, "manifest.json"), manifest)
-    print(render_report(report))
-    print(f"artifacts in {root}")
-    return 0
+    return _print_stdout(f"{render_report(report)}\nartifacts in {root}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """1D grids, finite-difference operators, cumulative quadrature and 3-vector algebra.
 
 All fields are plain numpy arrays aligned to a Grid1D: shape (n,) for scalar
-(real or complex) fields and (n, 3) for vector fields.
+(real or complex) fields and (n, 3) for vector fields, optionally with path
+axes between. Each operator's arithmetic lives once, in its *_into kernel.
 """
 
 from dataclasses import dataclass
@@ -107,30 +108,25 @@ def _check_shape(f: np.ndarray, g: Grid1D):
         raise ConfigurationError(f"field length {f.shape[0]} != grid n {g.n}")
 
 
+def _empty_like(f: np.ndarray) -> np.ndarray:
+    # an integer field differentiates and integrates as floats
+    return np.empty(f.shape, np.result_type(f, 1.0))
+
+
 def diff1(f: np.ndarray, g: Grid1D) -> np.ndarray:
     """Second-order first derivative; one-sided stencils at line endpoints."""
     _check_shape(f, g)
-    h = g.h
-    if g.periodic:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
-    d = np.empty_like(f)
-    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return d
+    out = _empty_like(f)
+    diff1_into(f.T, g, out.T)
+    return out
 
 
 def diff2(f: np.ndarray, g: Grid1D) -> np.ndarray:
     """Second-order second derivative; one-sided stencils at line endpoints."""
     _check_shape(f, g)
-    h2 = g.h * g.h
-    if g.periodic:
-        return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / h2
-    d = np.empty_like(f)
-    d[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    d[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
-    d[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    return d
+    out = _empty_like(f)
+    diff2_into(f.T, g, out.T)
+    return out
 
 
 def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
@@ -142,18 +138,17 @@ def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
     integral on the circle).
     """
     _check_shape(f, g)
-    F = np.empty_like(f)
-    F[0] = 0.0
-    np.cumsum(0.5 * g.h * (f[1:] + f[:-1]), axis=0, out=F[1:])
-    return F - F[g.basepoint_index]
+    out, tmp = _empty_like(f), _empty_like(f)
+    cumint_into(f.T, g, out.T, tmp.T)
+    return out
 
 
-# --- the same operators written into preallocated arrays ---
+# --- the operators' kernels, written into preallocated arrays ---
 # Here the node axis is the last one: (n,) scalar fields or (3, n)
-# component-major vector fields. Each runs its operator's operations in the
-# same order, so the result is bit for bit diff1's/diff2's/cumint's. The
-# endpoint stencils index the transposed views, whose node axis is first, as
-# the operators do; on (n,) fields these are scalar operations.
+# component-major vector fields, with any further leading axes. The
+# operators above call them on transposed views. The endpoint stencils index
+# the transposed views, whose node axis is first; on (n,) fields these are
+# scalar operations.
 
 def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
     """diff1 of f along its last axis, written into out."""
@@ -234,26 +229,24 @@ def open_view(g: Grid1D) -> Grid1D:
 # --- 3-vector algebra on (n, 3) (or (..., 3)) arrays ---
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, broadcast; the components are formed in
-    np.cross's own operation order, so the result is bit for bit the same."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    """a x b over the last axis, broadcast; bit for bit np.cross."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    out = np.empty(shape, np.result_type(a, b))
+    tmp = np.empty((2,) + shape[:-1], out.dtype)
+    cross_into(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0),
+               np.moveaxis(out, -1, 0), tmp)
     return out
 
 
 def cross_into(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                tmp: np.ndarray) -> np.ndarray:
-    """a x b of (3, n) component-major fields, written into out, in cross's
-    operation order; tmp is (2, n) scratch."""
+    """a x b of component-major fields, (3, ...), written into out in
+    np.cross's operation order; tmp is (2, ...) scratch."""
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(a[j], b[k], out=tmp[0])
-        np.multiply(a[k], b[j], out=tmp[1])
-        np.subtract(tmp[0], tmp[1], out=out[i])
+        np.multiply(a[j], b[k], out=tmp[0, ...])
+        np.multiply(a[k], b[j], out=tmp[1, ...])
+        np.subtract(tmp[0, ...], tmp[1, ...], out=out[i, ...])
     return out
 
 

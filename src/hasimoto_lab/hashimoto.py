@@ -131,7 +131,7 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, np.zeros(q_mid.shape))
     Rt = np.swapaxes(R, -1, -2)
     F = np.empty(q.shape + (3, 3))
-    F[b] = np.stack([m, e0, np.cross(m, e0)], axis=-2)
+    F[b] = np.stack([m, e0, cross(m, e0)], axis=-2)
     for j in range(b, n - 1):
         np.matmul(R[j], F[j], out=F[j + 1])
     for j in range(b, 0, -1):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid1D, ConfigurationError, boundary_decay_ok, cumint,
-                     cumint_into, diff1, diff1_into, diff2, diff2_into)
+from .fields import (Grid1D, ConfigurationError, boundary_decay_ok, cumint_into,
+                     diff1_into, diff2_into)
 from .llg import RK4, LLGConfig, Trajectory, integrate
 
 
@@ -30,35 +30,24 @@ class HeatConfig(LLGConfig):
             raise ConfigurationError(f"unknown form {self.form!r}")
 
 
-def heat_rhs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
-             form: str = "expanded") -> np.ndarray:
-    qx = diff1(q, g)
-    qxx = diff2(q, g)
-    q2 = np.abs(q) ** 2
-    if form == "expanded":
-        nonlocal_term = cumint(qx * np.conj(q) - q * np.conj(qx), g)
-        return (alpha * (qxx + 0.5 * q * nonlocal_term)
-                + 1j * beta * (qxx + 0.5 * q2 * q))
-    if form == "compact":
-        nonlocal_term = cumint(q * np.conj(qx), g)
-        return (alpha + 1j * beta) * (qxx + 0.5 * q * q2) - alpha * q * nonlocal_term
-    raise ConfigurationError(f"unknown form {form!r}")
-
-
 class HeatStepper(RK4):
-    """RK4 of the heat flow with heat_rhs evaluated in its own operation
-    order into preallocated buffers: a step is bit for bit
-    rk4_step(q, dt, lambda q: heat_rhs(q, g, alpha, beta, form))."""
+    """RK4 of the heat flow; rhs evaluates the chosen form of the module
+    docstring into preallocated buffers.
+
+    rhs is the package's one heat right-hand side: the stochastic Heun step
+    calls it too, on (P, n) views of its paths.
+    """
 
     def __init__(self, g: Grid1D, alpha: float, beta: float, form: str):
         self.g, self.alpha, self.beta, self.form = g, alpha, beta, form
 
     def load(self, q0: np.ndarray) -> np.ndarray:
-        q = super().load(np.asarray(q0, complex))
+        return super().load(np.asarray(q0, complex))
+
+    def size(self, q: np.ndarray):
         self.qx, self.qxx, self.nl, self.t1, self.t2 = (
-            np.empty_like(q) for _ in range(5))
+            np.empty(q.shape, complex) for _ in range(5))
         self.q2 = np.empty(q.shape)
-        return q
 
     def rhs(self, q, out):
         g, qx, qxx, q2, nl, t1, t2 = (self.g, self.qx, self.qxx, self.q2,

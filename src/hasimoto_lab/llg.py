@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid1D, BlowUpError, ConfigurationError, cross, cross_into,
-                     diff1, diff2, diff2_into, time_steps)
+from .fields import (Grid1D, BlowUpError, ConfigurationError, cross_into, diff1,
+                     diff2, diff2_into, time_steps)
 from .hashimoto import CurvatureTorsion
 
 # stable_dt's factor in dt <= STABILITY_SAFETY h^2 / max(alpha, |beta|)
@@ -47,19 +47,16 @@ def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
 
 
 @dataclass
-class LLGConfig:
-    """Time stepping of a flow: coefficients, step, final time, sampling."""
+class StepConfig:
+    """Time stepping of a flow: coefficients, step and final time."""
     alpha: float
     beta: float
     dt: float
     t_end: float
-    output_stride: int = 1
 
     def __post_init__(self):
         time_steps(self.dt, self.t_end)
         check_coefficients(self.alpha, self.beta)
-        if self.output_stride < 1:
-            raise ConfigurationError("output_stride must be >= 1")
 
     def check_stability(self, g: Grid1D):
         bound = stable_dt(g, self.alpha, self.beta)
@@ -74,25 +71,22 @@ class LLGConfig:
 
 
 @dataclass
+class LLGConfig(StepConfig):
+    """StepConfig's time stepping, sampled every output_stride steps."""
+    output_stride: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.output_stride < 1:
+            raise ConfigurationError("output_stride must be >= 1")
+
+
+@dataclass
 class Trajectory:
     """Sampled states of a time integration; states[k] is at times[k]."""
     times: np.ndarray
     states: list = field(default_factory=list)
     decay_ok: bool = True   # left-boundary decay monitor (line-grid heat flow)
-
-
-def llg_rhs(u: np.ndarray, g: Grid1D, alpha: float, beta: float) -> np.ndarray:
-    uxx = diff2(u, g)
-    uxuxx = cross(u, uxx)
-    return beta * uxuxx - alpha * cross(u, uxuxx)
-
-
-def rk4_step(y, dt, f):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def check_finite(y, prev, k, dt, what):
@@ -108,23 +102,28 @@ def check_finite(y, prev, k, dt, what):
 
 
 class RK4:
-    """RK4 steps of y' = f(y) through preallocated stage buffers.
+    """Classical RK4 steps of y' = f(y) through preallocated stage buffers.
 
-    A subclass writes f(y) into out in rhs(y, out). step() runs rk4_step's
-    operations in rk4_step's order, with every ufunc writing into a buffer,
-    so each step is bit for bit rk4_step's. load() gives the working copy of
-    the initial state (a subclass may store it in another layout) and sizes
-    the buffers on it; project() maps each new state in place; sample()
-    gives a fresh array of a state in the caller's layout.
+    A subclass writes f(y) into out in rhs(y, out), through the buffers that
+    size(y) allocates for states shaped like y. step() forms
+    y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) with every ufunc writing into a
+    buffer. load() gives the working copy of the initial state (a subclass
+    may store it in another layout) and sizes the buffers on it; project()
+    maps each new state in place; sample() gives a fresh array of a state in
+    the caller's layout.
     """
 
     def rhs(self, y: np.ndarray, out: np.ndarray):
         raise NotImplementedError
 
+    def size(self, y: np.ndarray):
+        """Allocate rhs's buffers for states shaped like y."""
+
     def load(self, y0: np.ndarray) -> np.ndarray:
-        # an integer y0 steps as floats, as with rk4_step
+        # an integer y0 steps as floats
         y = np.array(y0, dtype=np.result_type(y0, 1.0), order="C")
         self.ys, self.k, self.acc = (np.empty_like(y) for _ in range(3))
+        self.size(y)
         return y
 
     def step(self, y: np.ndarray, dt: float, out: np.ndarray):
@@ -158,19 +157,21 @@ class LLGStepper(RK4):
     """RK4 of the LLG flow, projected back to the sphere after each step.
 
     u is stored component-major, (3, n), so that the cross products read
-    contiguous rows, and llg_rhs and normalize run in their own operation
-    order into preallocated buffers: a step is bit for bit
-    normalize(rk4_step(u, dt, lambda u: llg_rhs(u, g, alpha, beta))).
+    contiguous rows; rhs evaluates beta u x u_xx - alpha u x (u x u_xx) and
+    project normalizes, both into preallocated buffers. rhs is the package's
+    one LLG right-hand side: the weak residual calls it too, on (3, P, n)
+    views of its paths.
     """
 
     def __init__(self, g: Grid1D, alpha: float, beta: float):
         self.g, self.alpha, self.beta = g, alpha, beta
 
     def load(self, u0: np.ndarray) -> np.ndarray:
-        u = super().load(u0.T)
-        self.uxx, self.c = np.empty_like(u), np.empty_like(u)
-        self.tmp = np.empty((2, u.shape[1]))
-        return u
+        return super().load(u0.T)
+
+    def size(self, u: np.ndarray):
+        self.uxx, self.c = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
+        self.tmp = np.empty((2,) + u.shape[1:], u.dtype)
 
     def rhs(self, u, out):
         uxx, c, tmp = self.uxx, self.c, self.tmp

@@ -9,7 +9,9 @@ round-off and |q| is untouched by the multiplicative phase noise.
 Every field may carry a path axis after the node axis: scalar fields are
 (n, P) and vector fields (n, P, 3), so one Python step advances P paths.
 Each path draws its noise from its own substream and no operation mixes
-paths, so path i comes out bit for bit the same in any batch.
+paths, so path i comes out bit for bit the same in any batch. The drift of
+the Heun step is the deterministic flow's own right-hand side,
+heat.HeatStepper.rhs, evaluated on (P, n) views of the paths.
 """
 
 import mmap
@@ -17,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint,
-                     diff1, time_steps)
+from .fields import BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1
 from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
-from .heat import heat_rhs
-from .llg import check_coefficients, check_finite, stable_dt
+from .heat import HeatStepper
+from .llg import StepConfig, check_finite
 from .noise import (NoiseIncrement, TAG_PATH, coefficient_profile, derive_seed,
                     make_noise_model, noise_fields, sample_increments)
 from .rotations import generator_rotation
@@ -58,19 +59,6 @@ def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
     return p, c_complex.real
 
 
-def internal_coeffs(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
-                    dW1: np.ndarray, dW2: np.ndarray,
-                    midpoint_q: np.ndarray) -> InternalCoeffs:
-    """p, C and the Psi increment for the frame time evolution.
-
-    midpoint_q is the Stratonovich midpoint supplied by the predictor stage;
-    it enters only the noise integral dPsi.
-    """
-    p, C = frame_generator(q, g, alpha, beta)
-    dPsi = cumint(midpoint_q.imag * dW1 - midpoint_q.real * dW2, g)
-    return InternalCoeffs(p=p, C=C, dPsi=dPsi)
-
-
 def frame_time_step(f: FrameField, coeffs: InternalCoeffs, dW1: np.ndarray,
                     dW2: np.ndarray, dPsi: np.ndarray, dt: float) -> FrameField:
     """One time step of the frame system by an exact rotation per node.
@@ -104,44 +92,33 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     caller checks q_new for finiteness.
     """
     additive = inc.dxW1 + 1j * inc.dxW2
-    k1 = heat_rhs(q, g, alpha, beta, "expanded")
+    drift = HeatStepper(g, alpha, beta, "expanded")   # rhs on (P, n) views
+    drift.size(q.T)
+    k1, k2 = np.empty(q.shape, complex), np.empty(q.shape, complex)
+    drift.rhs(q.T, k1.T)
     dPsi0 = cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
     q_pred = (q + dt * k1 + 0.5 * additive) * np.exp(-1j * dPsi0) + 0.5 * additive
     q_mid = 0.5 * (q + q_pred)
     dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
-    k2 = heat_rhs(q_pred, g, alpha, beta, "expanded")
+    drift.rhs(q_pred.T, k2.T)
     q_new = (q + 0.5 * dt * (k1 + k2) + 0.5 * additive) * np.exp(-1j * dPsi) \
         + 0.5 * additive
     return q_new, q_mid, dPsi
 
 
 @dataclass
-class SLLGConfig:
-    alpha: float
-    beta: float
-    dt: float
-    t_end: float
+class SLLGConfig(StepConfig):
+    """StepConfig's time stepping, plus the noise model's modes and profile."""
     n_modes: int = 4
     coeff_profile: str = "flat"
     coeff_decay: float = 1.0
     coeff_amplitude: float = 1.0
 
     def __post_init__(self):
-        time_steps(self.dt, self.t_end)
-        check_coefficients(self.alpha, self.beta)
+        super().__post_init__()
         if self.n_modes < 0:
             raise ConfigurationError(f"n_modes must be >= 0, got {self.n_modes}")
         coefficient_profile(self.n_modes, self.coeff_profile)
-
-    def check_stability(self, g: Grid1D):
-        bound = stable_dt(g, self.alpha, self.beta)
-        if self.dt > bound:
-            raise ConfigurationError(
-                f"dt = {self.dt:.3e} exceeds the stability bound {bound:.3e}")
-
-    @property
-    def n_steps(self) -> int:
-        return time_steps(self.dt, self.t_end)
 
 
 @dataclass

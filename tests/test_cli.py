@@ -2,6 +2,8 @@ import csv
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, VALIDATING_MODULE,
                               _fmt, list_experiments, main, read_config_file,
                               write_csv)
+import hasimoto_lab
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.stochastic import SLLGConfig, run_sllg_ensemble
 
@@ -34,6 +37,27 @@ def test_catalog_covers_all_experiments(capsys):
     for modules in VALIDATING_MODULE.values():
         for module in modules.split(" + "):
             importlib.import_module(f"hasimoto_lab.{module}")
+
+
+@pytest.mark.parametrize("argv", [["list-experiments"], ["identities"]],
+                         ids=["list-experiments", "runner"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # stdout is a pipe whose reader is gone before the run starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(hasimoto_lab.__file__))
+    out = tmp_path / "run"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hasimoto_lab.cli", *argv, "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    if argv[0] != "list-experiments":
+        assert read_json(out / "manifest.json")["status"] == "complete"
 
 
 def test_read_config_file(tmp_path):

@@ -5,6 +5,7 @@ from hasimoto_lab.fields import (ConfigurationError, boundary_decay_ok, cross,
                                  cumint, diff1, diff2, dot, line_grid,
                                  make_grid, norm, normalize, open_view,
                                  periodic_grid, check_unit, time_steps)
+import reference
 
 
 def test_periodic_spacing():
@@ -87,6 +88,34 @@ def test_cumint_complex():
     assert np.max(np.abs(F - exact)) <= 1e-4
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("trail", [(), (3,), (7,), (7, 3)],
+                         ids=["n", "n-3", "n-P", "n-P-3"])
+@pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 64),
+                               line_grid(-3.0, 5.0, 65),
+                               line_grid(-3.0, 5.0, 65, basepoint_index=17)],
+                         ids=["periodic", "line", "line-interior-basepoint"])
+def test_operators_bit_identical_to_reference(g, trail, dtype):
+    # the node-first operators, which run the *_into kernels on transposed
+    # views, against the readable np.roll / trapezoid formulas
+    rng = np.random.default_rng(len(trail))
+    f = rng.standard_normal((g.n,) + trail).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.standard_normal(f.shape)
+    for op, ref in ((diff1, reference.diff1), (diff2, reference.diff2),
+                    (cumint, reference.cumint)):
+        got = op(f, g)
+        assert got.shape == f.shape and got.dtype == f.dtype
+        assert np.array_equal(got, ref(f, g))
+
+
+def test_integer_field_differentiates_as_floats():
+    g = line_grid(0.0, 2.4, 9)                  # h = 0.3
+    f = np.arange(g.n) ** 2
+    for op in (diff1, diff2, cumint):
+        assert np.array_equal(op(f, g), op(f.astype(float), g))
+
+
 def test_boundary_decay_monitor():
     g = line_grid(-50.0, 10.0, 128)
     q = np.exp(-((g.x + 10.0) / 2.0) ** 2)
@@ -134,7 +163,8 @@ def test_cross_bit_identical_to_numpy():
     b = rng.standard_normal((64, 3))
     A = rng.standard_normal((64, 5, 3))
     B = rng.standard_normal((64, 5, 3))
-    for x, y in ((a, b), (A, B), (a[:, None, :], B), (A, b[:, None, :])):
+    for x, y in ((a, b), (A, B), (a[:, None, :], B), (A, b[:, None, :]),
+                 (a[0], b[0])):
         got = cross(x, y)
         assert got.shape == np.cross(x, y).shape
         assert np.array_equal(got, np.cross(x, y))

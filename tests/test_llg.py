@@ -7,7 +7,8 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
 from hasimoto_lab.hashimoto import curvature_torsion
 from hasimoto_lab.llg import (RK4, LLGConfig, LLGStepper, auto_dt,
                               curvature_torsion_rhs, exchange_energy, integrate,
-                              llg_integrate, llg_rhs, rk4_step, stable_dt)
+                              llg_integrate, stable_dt)
+from reference import llg_rhs, rk4_step
 
 
 def great_circle(g, k=1.0):
@@ -81,6 +82,23 @@ def test_llg_stepper_bit_identical_to_reference(g):
         u, nxt = nxt, u
         ref = normalize(rk4_step(ref, dt, lambda v: llg_rhs(v, g, 1.0, 0.7)))
         assert np.array_equal(stepper.sample(u), ref)
+
+
+@pytest.mark.parametrize("P", [1, 2, 7])
+@pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 64),
+                               line_grid(-6.0, 3.0, 65, 17)],
+                         ids=["periodic", "line"])
+def test_llg_kernel_on_path_views_bit_identical_to_reference(g, P):
+    # the stepper's rhs on (3, P, n) views of (n, P, 3) paths, as the weak
+    # residual calls it, against the reference llg_rhs
+    rng = np.random.default_rng(P)
+    u = normalize(smooth_map(g)[:, None, :]
+                  + 0.1 * rng.standard_normal((g.n, P, 3)))
+    kernel = LLGStepper(g, 1.0, 0.7)
+    kernel.size(u.T)
+    out = np.empty_like(u)
+    kernel.rhs(u.T, out.T)
+    assert np.array_equal(out, llg_rhs(u, g, 1.0, 0.7))
 
 
 def test_integer_initial_data_steps_as_floats():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hasimoto_lab.fields import (BlowUpError, ConfigurationError, dot, line_grid,
-                                 norm, periodic_grid)
+from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cumint, dot,
+                                 line_grid, norm, periodic_grid)
 from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
-from hasimoto_lab.heat import heat_rhs
 from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
 from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
                                 make_noise_model, noise_fields,
@@ -12,9 +11,10 @@ from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import generator_rotation
 from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, InternalCoeffs,
-                                     SLLGConfig, block_steps,
-                                     frame_time_step, internal_coeffs, run_sllg,
+                                     SLLGConfig, block_steps, frame_generator,
+                                     frame_time_step, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
+import reference
 
 
 def zero_increment(n):
@@ -31,19 +31,16 @@ def test_internal_coeffs_constant_q():
     g = periodic_grid(2.0 * np.pi, 64)
     k = 0.7
     q = k * np.ones(g.n, complex)
-    ic = internal_coeffs(q, g, 1.0, 0.9, np.zeros(g.n), np.zeros(g.n), q)
-    assert np.max(np.abs(ic.p)) == 0.0
-    assert np.max(np.abs(ic.C + 0.5 * 0.9 * k ** 2)) <= 1e-14
-    assert np.max(np.abs(ic.dPsi)) == 0.0
+    p, C = frame_generator(q, g, 1.0, 0.9)
+    assert np.max(np.abs(p)) == 0.0
+    assert np.max(np.abs(C + 0.5 * 0.9 * k ** 2)) <= 1e-14
 
 
 def test_internal_coeffs_zero_q():
     g = periodic_grid(2.0 * np.pi, 32)
-    q = np.zeros(g.n, complex)
-    ic = internal_coeffs(q, g, 1.0, 1.0, np.ones(g.n), np.ones(g.n), q)
-    assert np.max(np.abs(ic.p)) == 0.0
-    assert np.max(np.abs(ic.C)) == 0.0
-    assert np.max(np.abs(ic.dPsi)) == 0.0
+    p, C = frame_generator(np.zeros(g.n, complex), g, 1.0, 1.0)
+    assert np.max(np.abs(p)) == 0.0
+    assert np.max(np.abs(C)) == 0.0
 
 
 def test_internal_coeffs_C_is_real_integrand():
@@ -59,8 +56,8 @@ def test_frame_time_step_identity():
     f = FrameField(u=np.tile([1.0, 0.0, 0.0], (g.n, 1)),
                    e=np.tile([0.0, 1.0, 0.0], (g.n, 1)))
     z = np.zeros(g.n)
-    ic = internal_coeffs(np.zeros(g.n, complex), g, 1.0, 1.0, z, z,
-                         np.zeros(g.n, complex))
+    p, C = frame_generator(np.zeros(g.n, complex), g, 1.0, 1.0)
+    ic = InternalCoeffs(p=p, C=C, dPsi=z)
     f2 = frame_time_step(f, ic, z, z, ic.dPsi, 0.1)
     assert np.max(np.abs(f2.u - f.u)) == 0.0
     assert np.max(np.abs(f2.e - f.e)) == 0.0
@@ -73,7 +70,6 @@ def test_frame_time_step_planar_rotation():
                    e=np.tile([0.0, 1.0, 0.0], (n, 1)))
     z = np.zeros(n)
     theta = 0.3
-    from hasimoto_lab.stochastic import InternalCoeffs
     ic = InternalCoeffs(p=np.full(n, theta, complex), C=z, dPsi=z)
     f2 = frame_time_step(f, ic, z, z, z, 1.0)
     assert np.allclose(f2.u, [np.cos(theta), np.sin(theta), 0.0])
@@ -89,7 +85,6 @@ def test_frame_time_step_preserves_orthonormality():
     e -= dot(e, u)[:, None] * u
     e /= norm(e)[:, None]
     f = FrameField(u=u, e=e)
-    from hasimoto_lab.stochastic import InternalCoeffs
     ic = InternalCoeffs(p=rng.standard_normal(n) + 1j * rng.standard_normal(n),
                         C=rng.standard_normal(n), dPsi=rng.standard_normal(n))
     f2 = frame_time_step(f, ic, rng.standard_normal(n), rng.standard_normal(n),
@@ -102,7 +97,6 @@ def test_frame_time_step_rejects_bad_frame():
     f = FrameField(u=np.tile([1.0, 0.0, 0.0], (n, 1)),
                    e=np.tile([0.9, 0.1, 0.0], (n, 1)))
     z = np.zeros(n)
-    from hasimoto_lab.stochastic import InternalCoeffs
     ic = InternalCoeffs(p=np.zeros(n, complex), C=z, dPsi=z)
     with pytest.raises(ConfigurationError):
         frame_time_step(f, ic, z, z, z, 0.1)
@@ -114,11 +108,44 @@ def test_zero_noise_step_matches_heun():
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     q_new, q_mid, dPsi = stochastic_heat_step(q, g, 1.0, 1.0, dt,
                                               zero_increment(g.n))
-    k1 = heat_rhs(q, g, 1.0, 1.0, "expanded")
-    k2 = heat_rhs(q + dt * k1, g, 1.0, 1.0, "expanded")
+    k1 = reference.heat_rhs(q, g, 1.0, 1.0, "expanded")
+    k2 = reference.heat_rhs(q + dt * k1, g, 1.0, 1.0, "expanded")
     heun = q + 0.5 * dt * (k1 + k2)
     assert np.max(np.abs(q_new - heun)) == 0.0
     assert np.max(np.abs(dPsi)) == 0.0
+
+
+def reference_heun(q, g, alpha, beta, dt, inc):
+    """stochastic_heat_step's Heun formula on the reference heat_rhs and
+    trapezoid sum."""
+    additive = inc.dxW1 + 1j * inc.dxW2
+    k1 = reference.heat_rhs(q, g, alpha, beta, "expanded")
+    dPsi0 = reference.cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
+    q_pred = (q + dt * k1 + 0.5 * additive) * np.exp(-1j * dPsi0) + 0.5 * additive
+    q_mid = 0.5 * (q + q_pred)
+    dPsi = reference.cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
+    k2 = reference.heat_rhs(q_pred, g, alpha, beta, "expanded")
+    q_new = (q + 0.5 * dt * (k1 + k2) + 0.5 * additive) * np.exp(-1j * dPsi) \
+        + 0.5 * additive
+    return q_new, q_mid, dPsi
+
+
+@pytest.mark.parametrize("P", [1, 3])
+@pytest.mark.parametrize("b", [0, 23])
+def test_heun_step_bit_identical_to_reference(b, P):
+    # P paths at once, each on its own noise, against the readable formula
+    g = periodic_grid(2.0 * np.pi, 64, basepoint_index=b)
+    rng = np.random.default_rng(17)
+    q = (0.2 + 0.05 * rng.standard_normal((g.n, P))) \
+        * np.exp(1j * rng.standard_normal((g.n, P)))
+    nm = make_noise_model(g, 4, 29)
+    inc = noise_fields(nm, np.stack([sample_increments(nm.reseeded(s), 1e-3, 2)
+                                     for s in range(P)]))
+    assert inc.dW1.shape == (g.n, P) and np.all(inc.dxW1 != 0.0)
+    got = stochastic_heat_step(q, g, 0.5, 0.7, 1e-3, inc)
+    want = reference_heun(q, g, 0.5, 0.7, 1e-3, inc)
+    for a, r in zip(got, want):
+        assert np.array_equal(a, r)
 
 
 def test_phase_noise_anchored_at_basepoint():
@@ -342,8 +369,9 @@ def test_ensemble_matches_step_by_step_construction():
 def old_basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint step from full-grid coefficients sliced at node b."""
     b = g.basepoint_index
-    ic = internal_coeffs(q_mid, g, cfg.alpha, cfg.beta, inc.dW1, inc.dW2, q_mid)
-    ic_b = InternalCoeffs(p=ic.p[b], C=ic.C[b], dPsi=ic.dPsi[b])
+    p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
+    dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
+    ic_b = InternalCoeffs(p=p[b], C=C[b], dPsi=dPsi[b])
     f = frame_time_step(FrameField(*base), ic_b, inc.dW1[b], inc.dW2[b],
                         ic_b.dPsi, cfg.dt)
     return f.u, f.e

@@ -8,7 +8,7 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  normalize, open_view, periodic_grid)
 from hasimoto_lab.forks import fork_map
 from hasimoto_lab.heat import HeatConfig, heat_integrate
-from hasimoto_lab.llg import llg_rhs, stable_dt
+from hasimoto_lab.llg import stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import SLLGConfig, SllgEnsemble, run_sllg_ensemble
 from hasimoto_lab.validation import (covariance_check,
@@ -16,6 +16,7 @@ from hasimoto_lab.validation import (covariance_check,
                                      fit_loglog_slope, holonomy_defect,
                                      identity_suite, localized_twist,
                                      sllg_weak_residual, weak_residual)
+from reference import llg_rhs
 
 
 def smooth_map(g):
