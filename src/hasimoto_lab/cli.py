@@ -229,13 +229,14 @@ def validate(experiment: str, c: dict, errors: list):
         return None
     sphere = experiment in ("llg", "identities")       # start from u, not q
     c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
+    if experiment in _STOCHASTIC:               # the noise basis needs the circle
+        attempt(make_noise_model, g, c["n_modes"])
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
-    elif "dt" in c:
-        attempt(time_steps, c["dt"], c["t_end"], 1e-9)
-    if errors or "dt" not in c:                 # identities evolves nothing
+    if not errors and "dt" in c:                # identities evolves nothing
+        n_steps = attempt(time_steps, c["dt"], c["t_end"])
+    if errors or "dt" not in c:
         return None if errors else c
-    n_steps = time_steps(c["dt"], c["t_end"])
     if c.get("output_stride") == "auto":
         c["output_stride"] = max(1, n_steps // 10)
     # the solver config takes the typed values of the keys named like its fields
@@ -366,7 +367,7 @@ def run_sllg_experiment(c, outdir):
             if k % c["output_stride"] == 0 or k == cfg.n_steps]
     _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
                  ((ens.times[k], ens.u[k, :, 0]) for k in keep))
-    res = sllg_weak_residual(ens, g, cfg.alpha, cfg.beta, _standard_phi(g))
+    res = sllg_weak_residual(ens, _standard_phi(g))
     closure = float(np.mean(closure_defect(
         ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0
     report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],
@@ -391,8 +392,6 @@ def run_holonomy(c, outdir):
 def run_covariance(c, outdir):
     g, cfg = c["g"], c["solver"]
     ens = _ensemble(c)
-    nm = make_noise_model(g, cfg.n_modes, c["master_seed"], cfg.coeff_profile,
-                          cfg.coeff_decay, cfg.coeff_amplitude)
     one = np.ones(g.n)
     zero = np.zeros(g.n)
     phi1 = _standard_phi(g)
@@ -401,7 +400,7 @@ def run_covariance(c, outdir):
     pairs = {"phi1_phi1": (phi1, phi1), "phi1_phi2": (phi1, phi2),
              "phi2_phi3": (phi2, phi3)}
     report = {"n_paths": c["n_paths"], "t": cfg.t_end,
-              "pairs": {name: covariance_check(ens, g, nm, p, s).to_dict()
+              "pairs": {name: covariance_check(ens, p, s).to_dict()
                         for name, (p, s) in pairs.items()}}
     return report, []
 

@@ -85,19 +85,16 @@ def make_grid(spec: dict) -> Grid1D:
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
-def time_steps(dt: float, t_end: float, rel_tol: float | None = None) -> int:
-    """Number of steps of size dt from 0 to t_end, rounded to the nearest.
-
-    With rel_tol, dt must also divide t_end to that relative tolerance, so
-    that a run cannot stop short of the t_end it reports.
-    """
+def time_steps(dt: float, t_end: float) -> int:
+    """Number of steps of size dt from 0 to t_end. dt must divide t_end to
+    1e-9 relative, so that a run cannot stop short of the t_end it reports."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if not 0 <= t_end < np.inf:
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     steps = t_end / dt
     n = round(steps)
-    if rel_tol is not None and abs(steps - n) > rel_tol * steps:
+    if abs(steps - n) > 1e-9 * steps:
         raise ConfigurationError(
             f"dt={dt!r} does not divide t_end={t_end!r} ({steps:.6g} steps)")
     return n

@@ -2,12 +2,11 @@
 
 W^i(t, x) = sum_l c_l sigma_l(x) beta^i_l(t), i in {1, 2, 3}, with sigma_l a
 real Fourier basis orthonormal in L^2 of the circle (so derivatives are
-analytic) and beta^i_l independent scalar Brownian motions. Increments are a
-pure function of (master_seed, step_index), so identical seeds reproduce
-identical paths bit for bit.
+analytic) and beta^i_l independent scalar Brownian motions. The model holds
+no seed: a path's increments are a pure function of (path seed, step_index),
+so identical seeds reproduce identical paths bit for bit.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +67,6 @@ class NoiseModel:
     grid: Grid1D
     n_modes: int
     coeffs: np.ndarray
-    master_seed: int
     basis: np.ndarray = field(init=False)
     basis_x: np.ndarray = field(init=False)
 
@@ -85,19 +83,11 @@ class NoiseModel:
             self.basis = np.zeros((0, self.grid.n))
             self.basis_x = np.zeros((0, self.grid.n))
 
-    def reseeded(self, master_seed: int) -> "NoiseModel":
-        """The same model drawing from another master seed; the basis is shared."""
-        nm = copy.copy(self)
-        nm.master_seed = master_seed
-        return nm
 
-
-def make_noise_model(g: Grid1D, n_modes: int, master_seed: int,
-                     profile: str = "flat", decay: float = 1.0,
-                     amplitude: float = 1.0) -> NoiseModel:
+def make_noise_model(g: Grid1D, n_modes: int, profile: str = "flat",
+                     decay: float = 1.0, amplitude: float = 1.0) -> NoiseModel:
     return NoiseModel(grid=g, n_modes=n_modes,
-                      coeffs=coefficient_profile(n_modes, profile, decay, amplitude),
-                      master_seed=master_seed)
+                      coeffs=coefficient_profile(n_modes, profile, decay, amplitude))
 
 
 def derive_seed(master_seed: int, tag: int, index: int) -> int:
@@ -114,15 +104,17 @@ def derive_seed(master_seed: int, tag: int, index: int) -> int:
 TAG_PATH = 1
 
 
-def sample_increments(nm: NoiseModel, dt: float, step_index: int) -> np.ndarray:
-    """Brownian increments delta beta^i_l ~ N(0, dt), shape (3, n_modes).
+def sample_increments(nm: NoiseModel, seed: int, dt: float,
+                      step_index: int) -> np.ndarray:
+    """Brownian increments delta beta^i_l ~ N(0, dt) of the path on seed,
+    shape (3, n_modes).
 
-    A pure function of (master_seed, step_index): each step owns an
-    independent substream keyed by its index.
+    A pure function of (seed, step_index): each step owns an independent
+    substream keyed by its index.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    ss = np.random.SeedSequence(entropy=nm.master_seed, spawn_key=(step_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(step_index,))
     rng = np.random.default_rng(ss)
     return np.sqrt(dt) * rng.standard_normal((3, nm.n_modes))
 

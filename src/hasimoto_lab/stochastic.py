@@ -15,7 +15,7 @@ heat.HeatStepper.rhs, evaluated on (P, n) views of the paths.
 """
 
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,25 +24,16 @@ from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import HeatStepper
 from .llg import StepConfig, check_finite
-from .noise import (NoiseIncrement, TAG_PATH, coefficient_profile, derive_seed,
-                    make_noise_model, noise_fields, sample_increments)
+from .noise import (NoiseIncrement, NoiseModel, TAG_PATH, coefficient_profile,
+                    derive_seed, make_noise_model, noise_fields,
+                    sample_increments)
 from .rotations import generator_rotation
 
-# Paths are marched in chunks of at most this many path-nodes (n x paths),
-# which bounds the per-step temporaries whatever the ensemble size.
-CHUNK_PATH_NODES = 8192
-# Frame fields rebuilt per spatial march: a chunk's steps go in blocks of
+# Frame fields rebuilt per spatial march: a worker's steps go in blocks of
 # about BLOCK_FRAMES // paths (see block_steps).
 BLOCK_FRAMES = 8
 # Largest orthonormality defect frame_time_step accepts in its input frame.
 ORTHO_TOL = 1e-8
-
-
-@dataclass
-class InternalCoeffs:
-    p: np.ndarray      # complex, (alpha + i beta) q_x
-    C: np.ndarray      # real by construction
-    dPsi: np.ndarray   # increment of Psi over the current step; dPsi(a) = 0
 
 
 def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
@@ -59,18 +50,19 @@ def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
     return p, c_complex.real
 
 
-def frame_time_step(f: FrameField, coeffs: InternalCoeffs, dW1: np.ndarray,
+def frame_time_step(f: FrameField, p: np.ndarray, C: np.ndarray, dW1: np.ndarray,
                     dW2: np.ndarray, dPsi: np.ndarray, dt: float) -> FrameField:
     """One time step of the frame system by an exact rotation per node.
 
-    Total generator entries (deterministic * dt + noise):
+    (p, C) are frame_generator's coefficients and dPsi the phase increment
+    of the step. Total generator entries (deterministic * dt + noise):
     a = p1 dt + dW1, b = p2 dt + dW2, c = C dt + dPsi.
     """
     if f.orthonormality_defect() > ORTHO_TOL:
         raise ConfigurationError("frame_time_step requires an orthonormal frame")
-    a = coeffs.p.real * dt + dW1
-    b = coeffs.p.imag * dt + dW2
-    c = coeffs.C * dt + dPsi
+    a = p.real * dt + dW1
+    b = p.imag * dt + dW2
+    c = C * dt + dPsi
     R = generator_rotation(a, b, c)              # (..., 3, 3)
     F = f.as_matrix()
     F_new = R @ F
@@ -123,13 +115,21 @@ class SLLGConfig(StepConfig):
 
 @dataclass
 class SllgEnsemble:
-    """P paths stacked along an axis after the node axis."""
-    times: np.ndarray       # (K+1,)
+    """P paths stacked along an axis after the node axis, with the grid,
+    config and noise model they were marched on; path i drew its noise
+    from seeds[i]."""
+    grid: Grid1D
+    cfg: SLLGConfig
+    noise: NoiseModel
     q: np.ndarray           # (K+1, n, P) complex
     u: np.ndarray           # (K+1, n, P, 3)
     e: np.ndarray           # (K+1, n, P, 3)
     dW_tilde: np.ndarray    # (K, n, P, 3)
     seeds: list             # P path seeds
+    times: np.ndarray = field(init=False)   # (K+1,)
+
+    def __post_init__(self):
+        self.times = self.cfg.dt * np.arange(self.n_steps + 1)
 
     @property
     def n_paths(self) -> int:
@@ -143,9 +143,9 @@ class SllgEnsemble:
         """Path i as the one-path ensemble viewing the stacked histories."""
         i = range(self.n_paths)[i]      # IndexError out of range, as for a list
         p = slice(i, i + 1)
-        return SllgEnsemble(times=self.times, q=self.q[:, :, p], u=self.u[:, :, p],
-                            e=self.e[:, :, p], dW_tilde=self.dW_tilde[:, :, p],
-                            seeds=self.seeds[p])
+        return SllgEnsemble(grid=self.grid, cfg=self.cfg, noise=self.noise,
+                            q=self.q[:, :, p], u=self.u[:, :, p], e=self.e[:, :, p],
+                            dW_tilde=self.dW_tilde[:, :, p], seeds=self.seeds[p])
 
 
 def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
@@ -160,13 +160,12 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     spatial march, which enforces the curvature/torsion relation between u
     and q by construction; (4) assemble the increments of
     W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
-    Paths are marched CHUNK_PATH_NODES // n at a time. Steps (1) and (2)
-    never read the rebuilt field, so steps (3) and (4) run once per block
-    of block_steps(n, paths) steps, with the same operations per step.
     The paths are sharded into one contiguous range per usable CPU (at
-    most one per path), marched in forked workers straight into histories
-    shared with the caller; every path is bit for bit the same for any
-    number of workers, chunks or blocks.
+    most one per path), each marched whole by a forked worker straight
+    into histories shared with the caller. Steps (1) and (2) never read the
+    rebuilt field, so steps (3) and (4) run once per block of
+    block_steps(paths) steps, with the same operations per step. Every path
+    is bit for bit the same for any number of workers or steps per block.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -194,9 +193,8 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
     per contiguous path range, march their ranges in place and return None.
     A blow-up raises the serial march's BlowUpError."""
     cfg.check_stability(g)
-    nm = make_noise_model(g, cfg.n_modes, seeds[0], cfg.coeff_profile,
-                          cfg.coeff_decay, cfg.coeff_amplitude)
-    models = [nm.reseeded(s) for s in seeds]
+    nm = make_noise_model(g, cfg.n_modes, cfg.coeff_profile, cfg.coeff_decay,
+                          cfg.coeff_amplitude)
     K, n, P = cfg.n_steps, g.n, len(seeds)
     qs, us, es, dW_tilde = _shared_arrays([((K + 1, n, P), complex),
                                            ((K + 1, n, P, 3), float),
@@ -205,13 +203,11 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
     q0 = q0.astype(complex)
     f0 = reconstruct_frame(q0, g, m, e0)
     qs[0], us[0], es[0] = q0[:, None], f0.u[:, None], f0.e[:, None]
-    width = max(1, CHUNK_PATH_NODES // n)
 
     def march(paths: range):
-        for lo in range(paths.start, paths.stop, width):
-            c = slice(lo, min(lo + width, paths.stop))
-            _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
-                   models[c], g, cfg)
+        c = slice(paths.start, paths.stop)
+        _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
+               seeds[c], nm, g, cfg)
 
     # ceil(P w / W) bounds: nonincreasing range sizes, so the parent
     # (fork_map's first share) marches the lowest paths
@@ -220,13 +216,13 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
     try:
         fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     except BlowUpError:
-        # a BlowUpError gives the last max |q| over its chunk of paths, and
-        # the workers' chunks are not the serial ones: re-march serially
-        # to raise the serial run's error
+        # a BlowUpError gives the last max |q| over its range of paths, and
+        # a worker's range is not all of them: re-march serially to raise
+        # the serial run's error
         if W > 1:
             march(range(P))
         raise
-    return SllgEnsemble(times=cfg.dt * np.arange(K + 1), q=qs, u=us, e=es,
+    return SllgEnsemble(grid=g, cfg=cfg, noise=nm, q=qs, u=us, e=es,
                         dW_tilde=dW_tilde, seeds=list(seeds))
 
 
@@ -243,23 +239,22 @@ def _shared_arrays(specs):
     return arrays
 
 
-def block_steps(n: int, n_paths: int) -> int:
-    """Time steps whose frame fields one reconstruct_frame call rebuilds: about
-    BLOCK_FRAMES frames per node step, and at most BLOCK_FRAMES chunks'
-    worth of path-node-steps in one block."""
-    cap = BLOCK_FRAMES * CHUNK_PATH_NODES // (n * n_paths)
-    return max(1, min(BLOCK_FRAMES // n_paths, cap))
+def block_steps(n_paths: int) -> int:
+    """Time steps whose frame fields one reconstruct_frame call rebuilds when
+    n_paths paths march together: about BLOCK_FRAMES frames per node step."""
+    return max(1, BLOCK_FRAMES // n_paths)
 
 
-def _march(qs, us, es, dW_tilde, models, g, cfg):
-    """Advance one chunk of paths from its step-0 entries, filling the history views.
+def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
+    """Advance the paths on seeds from their step-0 entries, filling the
+    history views.
 
     q and the basepoint frames never read the rebuilt frame fields, so they
     advance a block of steps first; one spatial march then rebuilds the
     block's frame fields and W-tilde's increments follow from them.
     """
     K, n, P = dW_tilde.shape[:3]
-    T = block_steps(n, P)
+    T = block_steps(P)
     b = g.basepoint_index
     q = np.ascontiguousarray(qs[0])
     base = us[0, b], es[0, b]
@@ -268,8 +263,8 @@ def _march(qs, us, es, dW_tilde, models, g, cfg):
         dW = np.empty((3, len(steps), n, P))
         bases = np.empty((2, len(steps), P, 3))
         for t, k in enumerate(steps):
-            inc = noise_fields(models[0], np.stack(
-                [sample_increments(nm, cfg.dt, k) for nm in models]))
+            inc = noise_fields(nm, np.stack(
+                [sample_increments(nm, s, cfg.dt, k) for s in seeds]))
             q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
                                                    cfg.dt, inc)
             check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
@@ -309,6 +304,6 @@ def _basepoint_step(base, q_mid, inc, g, cfg):
     b = g.basepoint_index
     p = (cfg.alpha + 1j * cfg.beta) * diff1(q_mid, g)[b]
     C = -0.5 * cfg.beta * np.abs(q_mid[b]) ** 2
-    f = frame_time_step(FrameField(*base), InternalCoeffs(p=p, C=C, dPsi=0.0),
-                        inc.dW1[b], inc.dW2[b], 0.0, cfg.dt)
+    f = frame_time_step(FrameField(*base), p, C, inc.dW1[b], inc.dW2[b], 0.0,
+                        cfg.dt)
     return f.u, f.e

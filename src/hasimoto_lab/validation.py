@@ -233,16 +233,16 @@ def _check_spread(paths: SllgEnsemble):
             f"a standard error needs at least 2 paths, got {paths.n_paths}")
 
 
-def _time_step(paths: SllgEnsemble) -> float:
-    """The ensemble's dt; a check over the steps needs at least one."""
+def _check_steps(paths: SllgEnsemble):
+    """A check over the steps needs at least one."""
     if paths.n_steps < 1:
         raise ConfigurationError("the ensemble has no time step (need >= 1)")
-    return float(paths.times[1] - paths.times[0])
 
 
-def weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
-                  phi: np.ndarray, noise_rule: str = "midpoint") -> np.ndarray:
-    """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,).
+def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
+                  noise_rule: str = "midpoint") -> np.ndarray:
+    """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,),
+    on the ensemble's grid and coefficients.
 
     R = <u(T) - u(0), phi> - int <beta u x u_xx - alpha u x (u x u_xx), phi> dt
         - sum <u x dW~, phi>, with Stratonovich midpoint sums. Spatial
@@ -265,10 +265,10 @@ def weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
     """
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
-    dt = _time_step(paths)
-    h = g.h
-    u = paths.u
-    drift = LLGStepper(open_view(g), alpha, beta)    # rhs on (3, P, n) views
+    _check_steps(paths)
+    g, cfg = paths.grid, paths.cfg
+    dt, h, u = cfg.dt, g.h, paths.u
+    drift = LLGStepper(open_view(g), cfg.alpha, cfg.beta)   # rhs on (3, P, n) views
     drift.size(u[0].T)
     f = np.empty(u.shape[1:])
     R = h * _path_sums(phi, u[-1] - u[0])
@@ -281,12 +281,12 @@ def weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
     return R
 
 
-def sllg_weak_residual(paths: SllgEnsemble, g: Grid1D, alpha: float, beta: float,
-                       phi: np.ndarray, noise_rule: str = "midpoint") -> ResidualReport:
+def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray,
+                       noise_rule: str = "midpoint") -> ResidualReport:
     """Ensemble mean and standard error of the weak residual over paths; one
     path has no spread, so at least two are needed."""
     _check_spread(paths)
-    rs = weak_residual(paths, g, alpha, beta, phi, noise_rule)
+    rs = weak_residual(paths, phi, noise_rule)
     stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
     return ResidualReport(mean=float(np.mean(rs)), stderr=stderr, n_paths=len(rs))
 
@@ -317,9 +317,10 @@ def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndar
     return (nm.basis @ pointwise[:, :, None])[:, :, 0]
 
 
-def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
-                     phi: np.ndarray, psi: np.ndarray) -> CovarianceReport:
-    """Monte Carlo E[<W~, phi><W~, psi>] versus the frame-projection formula.
+def covariance_check(paths: SllgEnsemble, phi: np.ndarray,
+                     psi: np.ndarray) -> CovarianceReport:
+    """Monte Carlo E[<W~, phi><W~, psi>] versus the frame-projection formula
+    of the ensemble's noise model.
 
     Both sides are estimated from the same ensemble: the Monte Carlo side from
     the assembled W~ increments, the direct side by time quadrature of the
@@ -328,8 +329,8 @@ def covariance_check(paths: SllgEnsemble, g: Grid1D, nm: NoiseModel,
     no spread, so at least two are needed.
     """
     _check_spread(paths)
-    dt = _time_step(paths)
-    h = g.h
+    _check_steps(paths)
+    nm, dt, h = paths.noise, paths.cfg.dt, paths.grid.h
     c2 = nm.coeffs ** 2
     Wt = np.sum(paths.dW_tilde, axis=0)
     prods = h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt))

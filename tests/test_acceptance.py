@@ -14,9 +14,7 @@ from hasimoto_lab.fields import dot, line_grid, norm, periodic_grid
 from hasimoto_lab.hashimoto import curvature_torsion, reconstruct_frame, transform
 from hasimoto_lab.heat import HeatConfig, heat_integrate
 from hasimoto_lab.llg import LLGConfig, curvature_torsion_rhs, llg_integrate, stable_dt
-from hasimoto_lab.noise import make_noise_model
-from hasimoto_lab.stochastic import (InternalCoeffs, SLLGConfig,
-                                     frame_time_step, run_sllg_ensemble)
+from hasimoto_lab.stochastic import SLLGConfig, frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
 from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
                                      fit_loglog_slope, holonomy_defect,
@@ -112,13 +110,12 @@ def test_criterion_05_geometric_invariants():
     f = FrameField(u=np.tile([1.0, 0.0, 0.0], (n, 1)),
                    e=np.tile([0.0, 1.0, 0.0], (n, 1)))
     for _ in range(10 ** 4):
-        ic = InternalCoeffs(
-            p=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            C=rng.standard_normal(n),
-            dPsi=np.sqrt(dt) * rng.standard_normal(n))
+        p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        C = rng.standard_normal(n)
+        dPsi = np.sqrt(dt) * rng.standard_normal(n)
         dW1 = np.sqrt(dt) * rng.standard_normal(n)
         dW2 = np.sqrt(dt) * rng.standard_normal(n)
-        f = frame_time_step(f, ic, dW1, dW2, ic.dPsi, dt)
+        f = frame_time_step(f, p, C, dW1, dW2, dPsi, dt)
     assert np.max(np.abs(norm(f.u) - 1.0)) <= 1e-10
     assert np.max(np.abs(norm(f.e) - 1.0)) <= 1e-10
     assert np.max(np.abs(dot(f.u, f.e))) <= 1e-10
@@ -174,14 +171,13 @@ def test_criterion_08_weak_residual():
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
     phi = standard_phi(g)
     bounds = []
-    for dt in (3.2e-3, 1.6e-3, 8e-4):
+    for dt in (2e-3, 1e-3, 5e-4):
         cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02, n_modes=4)
         paths = run_sllg_ensemble(q0, g, M, E0, cfg, 2024, 1000)
-        rep = sllg_weak_residual(paths, g, 0.5, 0.5, phi)
+        rep = sllg_weak_residual(paths, phi)
         assert abs(rep.mean) <= 3.0 * rep.stderr
         bounds.append(3.0 * rep.stderr)
-        control = sllg_weak_residual(paths, g, 0.5, 0.5, phi,
-                                     noise_rule="left")
+        control = sllg_weak_residual(paths, phi, noise_rule="left")
         assert abs(control.mean) > 3.0 * control.stderr
     assert bounds[0] > bounds[1] > bounds[2]
 
@@ -197,9 +193,8 @@ def test_criterion_09_covariance():
     phi3 = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
     cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01, n_modes=4)
     paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 2000)
-    nm = make_noise_model(g, 4, 77)
     for pa, pb in ((phi1, phi1), (phi1, phi2), (phi2, phi3)):
-        assert covariance_check(paths, g, nm, pa, pb).within_3sigma
+        assert covariance_check(paths, pa, pb).within_3sigma
     # white-noise trend with unit coefficients
     target = 0.01 * g.h * float(np.sum(phi1 * phi1))
     gaps = []
@@ -207,8 +202,7 @@ def test_criterion_09_covariance():
         cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01,
                          n_modes=n_modes)
         paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 500)
-        nm = make_noise_model(g, n_modes, 77)
-        rep = covariance_check(paths, g, nm, phi1, phi1)
+        rep = covariance_check(paths, phi1, phi1)
         gaps.append(abs(rep.mc_estimate - target))
     assert gaps[0] > gaps[1] > gaps[2]
 

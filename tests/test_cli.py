@@ -214,6 +214,22 @@ def test_stochastic_zero_steps_rejected(tmp_path, capsys, experiment):
 
 
 @pytest.mark.parametrize("experiment", ["sllg", "covariance"])
+def test_stochastic_noise_on_the_line_rejected_up_front(tmp_path, capsys, experiment):
+    # the spectral noise basis lives on the circle; with no modes the line runs
+    out = tmp_path / "line"
+    rc = run_cli(experiment, "--out", str(out), "--set", "domain=line",
+                 "--set", "n=32", "--set", "t_end=0.002", "--set", "n_modes=2")
+    assert rc == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(ln.startswith("config error:") for ln in lines)
+    assert "spectral noise basis requires a periodic grid" in lines[0]
+    assert run_cli(experiment, "--out", str(out), "--set", "domain=line",
+                   "--set", "n=32", "--set", "t_end=0.002", "--set", "n_modes=0") == 0
+    assert read_json(out / "manifest.json")["status"] == "complete"
+
+
+@pytest.mark.parametrize("experiment", ["sllg", "covariance"])
 def test_stochastic_needs_two_paths(tmp_path, capsys, experiment):
     # one path has no spread: its stderr and 3-sigma band would read 0
     out = tmp_path / "one"

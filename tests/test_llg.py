@@ -111,7 +111,7 @@ def test_integer_initial_data_steps_as_floats():
 def test_great_circle_stationary():
     g = periodic_grid(2.0 * np.pi, 64)
     u0 = great_circle(g)
-    dt = 0.9 * stable_dt(g, 1.0, 1.0)
+    dt = 0.1 / np.ceil(0.1 / (0.9 * stable_dt(g, 1.0, 1.0)))
     tr = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=0.1,
                                         output_stride=100))
     assert np.max(np.abs(tr.states[-1] - u0)) <= 1e-10
@@ -119,7 +119,7 @@ def test_great_circle_stationary():
 
 def test_projection_keeps_unit_norm():
     g = periodic_grid(2.0 * np.pi, 64)
-    dt = 0.9 * stable_dt(g, 1.0, 0.5)
+    dt = 0.05 / np.ceil(0.05 / (0.9 * stable_dt(g, 1.0, 0.5)))
     tr = llg_integrate(smooth_map(g), g,
                        LLGConfig(alpha=1.0, beta=0.5, dt=dt, t_end=0.05))
     for u in tr.states:
@@ -128,7 +128,7 @@ def test_projection_keeps_unit_norm():
 
 def test_energy_non_increasing_with_damping():
     g = periodic_grid(2.0 * np.pi, 128)
-    dt = 0.5 * stable_dt(g, 1.0, 0.3)
+    dt = 0.05 / np.ceil(0.05 / (0.5 * stable_dt(g, 1.0, 0.3)))
     tr = llg_integrate(smooth_map(g), g,
                        LLGConfig(alpha=1.0, beta=0.3, dt=dt, t_end=0.05))
     energies = [exchange_energy(u, g) for u in tr.states]

@@ -42,45 +42,47 @@ def test_coefficient_profiles():
 def test_model_validation():
     g = periodic_grid(2.0 * np.pi, 32)
     with pytest.raises(ConfigurationError):
-        NoiseModel(grid=g, n_modes=2, coeffs=np.ones(3), master_seed=0)
-    nm = make_noise_model(g, 0, 0)
-    inc = noise_fields(nm, sample_increments(nm, 0.1, 0))
+        NoiseModel(grid=g, n_modes=2, coeffs=np.ones(3))
+    nm = make_noise_model(g, 0)
+    inc = noise_fields(nm, sample_increments(nm, 0, 0.1, 0))
     assert np.max(np.abs(inc.dW1)) == 0.0
     assert np.max(np.abs(inc.dW3)) == 0.0
 
 
 def test_increment_variance():
     g = periodic_grid(2.0 * np.pi, 16)
-    nm = make_noise_model(g, 3, 42)
+    nm = make_noise_model(g, 3)
     dt = 0.25
-    draws = np.stack([sample_increments(nm, dt, k) for k in range(11000)])
+    draws = np.stack([sample_increments(nm, 42, dt, k) for k in range(11000)])
     var = np.var(draws)
     assert dt * 0.99 <= var <= dt * 1.01
     with pytest.raises(ConfigurationError):
-        sample_increments(nm, 0.0, 0)
+        sample_increments(nm, 42, 0.0, 0)
 
 
 def test_determinism_and_step_independence():
     g = periodic_grid(2.0 * np.pi, 32)
-    nm1 = make_noise_model(g, 4, 7)
-    nm2 = make_noise_model(g, 4, 7)
-    a = sample_increments(nm1, 0.01, 5)
-    b = sample_increments(nm2, 0.01, 5)
+    nm1 = make_noise_model(g, 4)
+    nm2 = make_noise_model(g, 4)
+    a = sample_increments(nm1, 7, 0.01, 5)
+    b = sample_increments(nm2, 7, 0.01, 5)
     assert np.array_equal(a, b)
-    c = sample_increments(nm1, 0.01, 6)
+    c = sample_increments(nm1, 7, 0.01, 6)
     assert not np.array_equal(a, c)
+    d = sample_increments(nm1, 8, 0.01, 5)
+    assert not np.array_equal(a, d)
 
 
 def test_single_constant_mode_field():
     # one constant mode: dW^1(x) = c_1 dbeta / sqrt(length), no x dependence
     length = 2.0 * np.pi
     g = periodic_grid(length, 64)
-    nm = make_noise_model(g, 1, 3, amplitude=0.5)
-    inc = noise_fields(nm, sample_increments(nm, 0.01, 0))
+    nm = make_noise_model(g, 1, amplitude=0.5)
+    inc = noise_fields(nm, sample_increments(nm, 3, 0.01, 0))
     assert np.max(inc.dW1) == np.min(inc.dW1)
     assert np.max(np.abs(inc.dxW1)) == 0.0
     draws = np.array([
-        noise_fields(nm, sample_increments(nm, 0.01, k)).dW1[0]
+        noise_fields(nm, sample_increments(nm, 3, 0.01, k)).dW1[0]
         for k in range(20000)])
     target = 0.5 ** 2 * 0.01 / length
     assert abs(np.var(draws) - target) <= 0.05 * target
@@ -94,12 +96,10 @@ def test_derive_seed_distinct():
 
 def test_stacked_fields_match_single_path():
     # P stacked increment sets give (n, P) fields whose column i is, bit for
-    # bit, the field of the i-th set alone; reseeded models share the basis
+    # bit, the field of the i-th set alone
     g = periodic_grid(2.0 * np.pi, 48)
-    nm = make_noise_model(g, 5, 0, "power", 1.5)
-    models = [nm.reseeded(derive_seed(3, 1, i)) for i in range(6)]
-    assert all(m.basis is nm.basis for m in models)
-    incs = [sample_increments(m, 0.01, 2) for m in models]
+    nm = make_noise_model(g, 5, "power", 1.5)
+    incs = [sample_increments(nm, derive_seed(3, 1, i), 0.01, 2) for i in range(6)]
     stacked = noise_fields(nm, np.stack(incs))
     for i, inc in enumerate(incs):
         alone = noise_fields(nm, inc)

@@ -5,13 +5,12 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cumint, dot,
                                  line_grid, norm, periodic_grid)
 from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
 from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
-from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, derive_seed,
-                                make_noise_model, noise_fields,
+from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, coefficient_profile,
+                                derive_seed, make_noise_model, noise_fields,
                                 sample_increments)
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import generator_rotation
-from hasimoto_lab.stochastic import (CHUNK_PATH_NODES, InternalCoeffs,
-                                     SLLGConfig, block_steps, frame_generator,
+from hasimoto_lab.stochastic import (SLLGConfig, block_steps, frame_generator,
                                      frame_time_step, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 import reference
@@ -57,8 +56,7 @@ def test_frame_time_step_identity():
                    e=np.tile([0.0, 1.0, 0.0], (g.n, 1)))
     z = np.zeros(g.n)
     p, C = frame_generator(np.zeros(g.n, complex), g, 1.0, 1.0)
-    ic = InternalCoeffs(p=p, C=C, dPsi=z)
-    f2 = frame_time_step(f, ic, z, z, ic.dPsi, 0.1)
+    f2 = frame_time_step(f, p, C, z, z, z, 0.1)
     assert np.max(np.abs(f2.u - f.u)) == 0.0
     assert np.max(np.abs(f2.e - f.e)) == 0.0
 
@@ -70,8 +68,7 @@ def test_frame_time_step_planar_rotation():
                    e=np.tile([0.0, 1.0, 0.0], (n, 1)))
     z = np.zeros(n)
     theta = 0.3
-    ic = InternalCoeffs(p=np.full(n, theta, complex), C=z, dPsi=z)
-    f2 = frame_time_step(f, ic, z, z, z, 1.0)
+    f2 = frame_time_step(f, np.full(n, theta, complex), z, z, z, z, 1.0)
     assert np.allclose(f2.u, [np.cos(theta), np.sin(theta), 0.0])
     assert np.allclose(f2.e, [-np.sin(theta), np.cos(theta), 0.0])
 
@@ -85,10 +82,10 @@ def test_frame_time_step_preserves_orthonormality():
     e -= dot(e, u)[:, None] * u
     e /= norm(e)[:, None]
     f = FrameField(u=u, e=e)
-    ic = InternalCoeffs(p=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                        C=rng.standard_normal(n), dPsi=rng.standard_normal(n))
-    f2 = frame_time_step(f, ic, rng.standard_normal(n), rng.standard_normal(n),
-                         ic.dPsi, 0.1)
+    p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    C, dPsi = rng.standard_normal(n), rng.standard_normal(n)
+    f2 = frame_time_step(f, p, C, rng.standard_normal(n), rng.standard_normal(n),
+                         dPsi, 0.1)
     assert f2.orthonormality_defect() <= 1e-13
 
 
@@ -97,9 +94,8 @@ def test_frame_time_step_rejects_bad_frame():
     f = FrameField(u=np.tile([1.0, 0.0, 0.0], (n, 1)),
                    e=np.tile([0.9, 0.1, 0.0], (n, 1)))
     z = np.zeros(n)
-    ic = InternalCoeffs(p=np.zeros(n, complex), C=z, dPsi=z)
     with pytest.raises(ConfigurationError):
-        frame_time_step(f, ic, z, z, z, 0.1)
+        frame_time_step(f, np.zeros(n, complex), z, z, z, z, 0.1)
 
 
 def test_zero_noise_step_matches_heun():
@@ -138,8 +134,8 @@ def test_heun_step_bit_identical_to_reference(b, P):
     rng = np.random.default_rng(17)
     q = (0.2 + 0.05 * rng.standard_normal((g.n, P))) \
         * np.exp(1j * rng.standard_normal((g.n, P)))
-    nm = make_noise_model(g, 4, 29)
-    inc = noise_fields(nm, np.stack([sample_increments(nm.reseeded(s), 1e-3, 2)
+    nm = make_noise_model(g, 4)
+    inc = noise_fields(nm, np.stack([sample_increments(nm, s, 1e-3, 2)
                                      for s in range(P)]))
     assert inc.dW1.shape == (g.n, P) and np.all(inc.dxW1 != 0.0)
     got = stochastic_heat_step(q, g, 0.5, 0.7, 1e-3, inc)
@@ -150,8 +146,8 @@ def test_heun_step_bit_identical_to_reference(b, P):
 
 def test_phase_noise_anchored_at_basepoint():
     g = periodic_grid(2.0 * np.pi, 64)
-    nm = make_noise_model(g, 4, 11)
-    inc = noise_fields(nm, sample_increments(nm, 1e-3, 0))
+    nm = make_noise_model(g, 4)
+    inc = noise_fields(nm, sample_increments(nm, 11, 1e-3, 0))
     q = 0.2 * np.exp(1j * np.sin(g.x))
     _, _, dPsi = stochastic_heat_step(q, g, 0.5, 0.5, 1e-3, inc)
     assert dPsi[g.basepoint_index] == 0.0
@@ -214,6 +210,21 @@ def test_ensemble_paths_distinct():
         ens.path(3)
 
 
+def test_path_shares_grid_config_and_noise_model():
+    g = periodic_grid(2.0 * np.pi, 32)
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3, n_modes=3,
+                     coeff_profile="power")
+    ens = run_sllg_ensemble(0.2 * np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 1.0, 0.0]), cfg, master_seed=4, n_paths=3)
+    assert ens.grid is g and ens.cfg is cfg
+    assert np.array_equal(ens.noise.coeffs, coefficient_profile(3, "power"))
+    assert np.array_equal(ens.times, cfg.dt * np.arange(4))
+    for i in range(3):
+        one = ens.path(i)
+        assert one.grid is ens.grid and one.cfg is ens.cfg and one.noise is ens.noise
+        assert np.array_equal(one.times, ens.times)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SLLGConfig(alpha=0.5, beta=0.5, dt=0.0, t_end=1.0)
@@ -264,18 +275,6 @@ def test_ensemble_paths_independent_of_batch_size():
                 assert_same_path(ens.path(i), alone)
 
 
-def test_ensemble_across_chunk_boundary():
-    # n = 2048 marches max(1, 8192 // 2048) = 4 paths per chunk, so 7 paths
-    # take two chunks; every path must still match its lone run
-    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 2)
-    assert CHUNK_PATH_NODES // g.n == 4
-    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
-    assert ens.q.shape == (3, g.n, 7) and ens.u.shape == (3, g.n, 7, 3)
-    for i in range(7):
-        alone = run_sllg(q0, g, m, e0, cfg, derive_seed(5, TAG_PATH, i))
-        assert_same_path(ens.path(i), alone)
-
-
 def test_ensemble_needs_a_path():
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
     with pytest.raises(ConfigurationError):
@@ -308,11 +307,10 @@ def test_blow_up_names_step_time_and_last_finite_max():
 
 
 def test_block_steps_rule():
-    assert block_steps(4096, 2) == 4        # long curve: 8 frames per march
-    assert block_steps(64, 100) == 1        # wide ensemble: one step per march
-    assert block_steps(32, 1) == 8
-    assert block_steps(16384, 1) == 4       # capped at 8 chunks of path-nodes
-    assert block_steps(10 ** 6, 1) == 1
+    assert block_steps(2) == 4              # long curve: 8 frames per march
+    assert block_steps(100) == 1            # wide ensemble: one step per march
+    assert block_steps(3) == 2
+    assert block_steps(1) == 8              # at any n
 
 
 @pytest.mark.parametrize("frames", [3, 5])
@@ -323,22 +321,19 @@ def test_time_blocks_bit_identical(monkeypatch, frames):
     monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
     ref = run_sllg(q0, g, m, e0, cfg, 21)
     monkeypatch.setattr(stochastic, "BLOCK_FRAMES", frames)
-    assert block_steps(g.n, 1) == frames
+    assert block_steps(1) == frames
     assert_same_path(run_sllg(q0, g, m, e0, cfg, 21), ref)
 
 
-def test_time_blocks_across_chunk_boundary(monkeypatch):
-    # n = 2048 and 7 paths march as chunks of 4 and 3 paths; with
-    # BLOCK_FRAMES = 12 they take blocks of 3 and 4 steps, so each block
-    # holds more path-node-steps than one chunk, and K = 5 leaves short blocks
-    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 5)
+def test_time_blocks_bit_identical_at_large_n(monkeypatch):
+    # one path at n = 16384 marches its K = 6 steps in one block of 8
+    # frames, as at any n, against the step by step march
+    g, cfg, q0, m, e0 = _ensemble_inputs(16384, 1e-8, 6)
     monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
-    ref = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 12)
-    assert (block_steps(g.n, 4), block_steps(g.n, 3)) == (3, 4)
-    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 5, 7)
-    for name in ("q", "u", "e", "dW_tilde"):
-        assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+    ref = run_sllg(q0, g, m, e0, cfg, 21)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 8)
+    assert block_steps(1) == 8
+    assert_same_path(run_sllg(q0, g, m, e0, cfg, 21), ref)
 
 
 def test_ensemble_matches_step_by_step_construction():
@@ -348,15 +343,14 @@ def test_ensemble_matches_step_by_step_construction():
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 4)
     ens = run_sllg_ensemble(q0, g, m, e0, cfg, 13, 3)
     b = g.basepoint_index
-    nm = make_noise_model(g, cfg.n_modes, 0)
+    nm = ens.noise
     for i, seed in enumerate(ens.seeds):
         q, u, e = ens.q[:, :, i], ens.u[:, :, i], ens.e[:, :, i]
-        model = nm.reseeded(seed)
         for k in range(ens.n_steps + 1):
             f = reconstruct_frame(q[k], g, u[k, b], e[k, b])
             assert np.array_equal(f.u, u[k]) and np.array_equal(f.e, e[k])
         for k in range(ens.n_steps):
-            inc = noise_fields(model, sample_increments(model, cfg.dt, k))
+            inc = noise_fields(nm, sample_increments(nm, seed, cfg.dt, k))
             u_mid = 0.5 * (u[k] + u[k + 1])
             e_mid = 0.5 * (e[k] + e[k + 1])
             exu_mid = 0.5 * (np.cross(e[k], u[k]) + np.cross(e[k + 1], u[k + 1]))
@@ -371,9 +365,8 @@ def old_basepoint_step(base, q_mid, inc, g, cfg):
     b = g.basepoint_index
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
     dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
-    ic_b = InternalCoeffs(p=p[b], C=C[b], dPsi=dPsi[b])
-    f = frame_time_step(FrameField(*base), ic_b, inc.dW1[b], inc.dW2[b],
-                        ic_b.dPsi, cfg.dt)
+    f = frame_time_step(FrameField(*base), p[b], C[b], inc.dW1[b], inc.dW2[b],
+                        dPsi[b], cfg.dt)
     return f.u, f.e
 
 
@@ -405,14 +398,16 @@ def test_basepoint_step_matches_full_grid_coefficients(g):
 
 def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
                                                      no_child_left):
-    # n = 2048 and 7 paths march serially in chunks of 4 paths. With chunks
-    # of 2 paths, 2 and 3 workers take the uneven ranges 4 + 3 and
-    # 3 + 2 + 2, and each worker marches several chunks into the shared
-    # histories
-    g, cfg, q0, m, e0 = _ensemble_inputs(2048, 2e-6, 5)
+    # 7 paths, marched step by step by one worker, against 1, 2 and 3
+    # workers with BLOCK_FRAMES = 12: their ranges 7, 4 + 3 and 3 + 2 + 2
+    # take blocks of 1, 3 + 4 and 4 + 6 + 6 steps, and K = 5 leaves short
+    # last blocks
+    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 5)
     use_cpus(1)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
     ref = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
-    monkeypatch.setattr(stochastic, "CHUNK_PATH_NODES", 4096)
+    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 12)
+    assert [block_steps(p) for p in (7, 4, 3, 2)] == [1, 3, 4, 6]
     for cpus in (1, 2, 3):
         use_cpus(cpus)
         ens = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
@@ -426,7 +421,7 @@ def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
 def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
                                                      no_child_left, cpus):
     # path 2 alone draws NaN noise at step 3; on 2 and 3 CPUs a forked child
-    # marches it alone, while the serial march checks paths 0-2 as one chunk
+    # marches it alone, while the serial march checks paths 0-2 as one range
     # and its message gives their common last finite max |q|, which is
     # path 0's here
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 6)
@@ -437,8 +432,8 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     bad = derive_seed(4, TAG_PATH, 2)
     sample = stochastic.sample_increments
 
-    def blowing(nm, dt, k):
-        return sample(nm, dt, k) * (np.nan if nm.master_seed == bad and k == 2 else 1.0)
+    def blowing(nm, seed, dt, k):
+        return sample(nm, seed, dt, k) * (np.nan if seed == bad and k == 2 else 1.0)
 
     monkeypatch.setattr(stochastic, "sample_increments", blowing)
     errors = {}

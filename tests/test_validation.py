@@ -217,9 +217,9 @@ def test_weak_residual_zero_test_function():
     g = line_grid(-30.0, 10.0, 64)
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     path = make_zero_noise_paths(g, dt, 4.0 * dt, 1)
-    assert weak_residual(path, g, 1.0, 1.0, np.zeros((g.n, 3))).tolist() == [0.0]
+    assert weak_residual(path, np.zeros((g.n, 3))).tolist() == [0.0]
     with pytest.raises(ConfigurationError):
-        weak_residual(path, g, 1.0, 1.0, np.zeros((g.n, 3)), noise_rule="right")
+        weak_residual(path, np.zeros((g.n, 3)), noise_rule="right")
 
 
 def test_weak_residual_deterministic_path_small():
@@ -229,37 +229,38 @@ def test_weak_residual_deterministic_path_small():
     paths = make_zero_noise_paths(g, dt, 10.0 * dt, 2)
     phi = np.stack([np.cos(g.x / 10.0), np.sin(g.x / 10.0),
                     0.3 * np.ones(g.n)], axis=-1)
-    r = weak_residual(paths, g, 1.0, 1.0, phi)
+    r = weak_residual(paths, phi)
     assert r[0] == r[1] and abs(r[0]) <= 50.0 * dt ** 2
-    rep = sllg_weak_residual(paths, g, 1.0, 1.0, phi)
+    rep = sllg_weak_residual(paths, phi)
     assert rep.mean == pytest.approx(r[0])
     assert rep.stderr == 0.0 and rep.n_paths == 2
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
-        sllg_weak_residual(paths.path(0), g, 1.0, 1.0, phi)
+        sllg_weak_residual(paths.path(0), phi)
 
 
-def synthetic_frozen_ensemble(g, nm, dt, n_paths):
-    """One-step paths with a frame frozen at the standard basis; path k
-    takes the increments of step k of nm's noise."""
+def synthetic_frozen_ensemble(g, n_modes, seed, dt, n_paths):
+    """One-step paths with a frame frozen at the standard basis, driven by
+    n_modes flat modes; path k takes the increments of step k on seed."""
+    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=dt, n_modes=n_modes)
+    nm = make_noise_model(g, n_modes)
     u = np.tile([1.0, 0.0, 0.0], (2, g.n, n_paths, 1))
     e = np.tile([0.0, 1.0, 0.0], (2, g.n, n_paths, 1))
-    inc = noise_fields(nm, np.stack([sample_increments(nm, dt, k)
+    inc = noise_fields(nm, np.stack([sample_increments(nm, seed, dt, k)
                                      for k in range(n_paths)]))
     exu = -np.cross(u[0], e[0])
     dW = (e[0] * inc.dW2[..., None] + exu * inc.dW1[..., None]
           + u[0] * inc.dW3[..., None])
-    return SllgEnsemble(times=np.array([0.0, dt]),
+    return SllgEnsemble(grid=g, cfg=cfg, noise=nm,
                         q=np.zeros((2, g.n, n_paths), complex), u=u, e=e,
-                        dW_tilde=dW[None], seeds=list(range(n_paths)))
+                        dW_tilde=dW[None], seeds=[seed] * n_paths)
 
 
 def test_covariance_check_frozen_frame():
     g = periodic_grid(2.0 * np.pi, 64)
-    nm = make_noise_model(g, 3, 21)
     dt = 0.01
-    paths = synthetic_frozen_ensemble(g, nm, dt, 2000)
+    paths = synthetic_frozen_ensemble(g, 3, 21, dt, 2000)
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
-    rep = covariance_check(paths, g, nm, phi, phi)
+    rep = covariance_check(paths, phi, phi)
     assert rep.n_paths == 2000 and rep.t == dt
     assert rep.direct > 0.0
     assert rep.within_3sigma
@@ -268,10 +269,9 @@ def test_covariance_check_frozen_frame():
 def test_covariance_orthogonal_pairing_vanishes():
     # a test function with zero mean has no overlap with the constant mode
     g = periodic_grid(2.0 * np.pi, 64)
-    nm = make_noise_model(g, 1, 13)
-    paths = synthetic_frozen_ensemble(g, nm, 0.01, 50)
+    paths = synthetic_frozen_ensemble(g, 1, 13, 0.01, 50)
     phi = np.stack([np.sin(g.x), np.zeros(g.n), np.zeros(g.n)], axis=-1)
-    rep = covariance_check(paths, g, nm, phi, phi)
+    rep = covariance_check(paths, phi, phi)
     assert abs(rep.direct) <= 1e-24
     assert abs(rep.mc_estimate) <= 1e-24
 
@@ -279,17 +279,17 @@ def test_covariance_orthogonal_pairing_vanishes():
 def test_covariance_check_needs_two_paths():
     # one path has no spread: its 3-sigma half width would read 0
     g = periodic_grid(2.0 * np.pi, 32)
-    nm = make_noise_model(g, 2, 5)
-    paths = synthetic_frozen_ensemble(g, nm, 0.01, 2)
+    paths = synthetic_frozen_ensemble(g, 2, 5, 0.01, 2)
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
-        covariance_check(paths.path(0), g, nm, phi, phi)
-    rep = covariance_check(paths, g, nm, phi, phi)
+        covariance_check(paths.path(0), phi, phi)
+    rep = covariance_check(paths, phi, phi)
     assert rep.n_paths == 2 and rep.mc_ci3 > 0.0
 
 
-def reference_weak_residual(ens, i, g, alpha, beta, phi, noise_rule):
+def reference_weak_residual(ens, i, phi, noise_rule):
     """The per-path, per-step loop the batched residual replaces, for path i."""
+    g, alpha, beta = ens.grid, ens.cfg.alpha, ens.cfg.beta
     og = open_view(g)
     h = g.h
     dt = float(ens.times[1] - ens.times[0])
@@ -303,9 +303,9 @@ def reference_weak_residual(ens, i, g, alpha, beta, phi, noise_rule):
     return R
 
 
-def reference_covariance(ens, g, nm, phi, psi):
+def reference_covariance(ens, phi, psi):
     """Per-path (Monte Carlo product, direct quadrature) of the covariance check."""
-    h = g.h
+    nm, h = ens.noise, ens.grid.h
     c2 = nm.coeffs ** 2
     dt = float(ens.times[1] - ens.times[0])
     prods, directs = [], []
@@ -332,33 +332,45 @@ def small_ensemble():
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
     ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
                             np.array([0.0, 1.0, 0.0]), cfg, 17, 9)
-    return g, ens, make_noise_model(g, 4, 17)
+    return g, ens
 
 
 def test_batched_weak_residual_matches_per_path_sum():
-    g, ens, _ = small_ensemble()
+    g, ens = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     for rule in ("midpoint", "left"):
-        ref = np.array([reference_weak_residual(ens, i, g, 0.5, 0.5, phi, rule)
+        ref = np.array([reference_weak_residual(ens, i, phi, rule)
                         for i in range(ens.n_paths)])
-        got = weak_residual(ens, g, 0.5, 0.5, phi, rule)
+        got = weak_residual(ens, phi, rule)
         assert got.shape == (ens.n_paths,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        rep = sllg_weak_residual(ens, g, 0.5, 0.5, phi, rule)
+        rep = sllg_weak_residual(ens, phi, rule)
         assert rep.mean == pytest.approx(np.mean(ref), rel=1e-12)
         assert rep.stderr == pytest.approx(
             np.std(ref, ddof=1) / np.sqrt(len(ref)), rel=1e-12)
-    one = weak_residual(ens.path(3), g, 0.5, 0.5, phi)
+    one = weak_residual(ens.path(3), phi)
     assert one.shape == (1,) and one[0] == pytest.approx(
-        reference_weak_residual(ens, 3, g, 0.5, 0.5, phi, "midpoint"), rel=1e-12)
+        reference_weak_residual(ens, 3, phi, "midpoint"), rel=1e-12)
+
+
+def test_weak_residual_of_a_path_is_its_ensemble_entry():
+    # the one-path ensemble carries the grid, config and noise model of its
+    # ensemble, so its residual is the ensemble's entry bit for bit
+    g, ens = small_ensemble()
+    phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
+    for rule in ("midpoint", "left"):
+        every = weak_residual(ens, phi, rule)
+        for i in range(ens.n_paths):
+            one = weak_residual(ens.path(i), phi, rule)
+            assert one.tobytes() == every[i:i + 1].tobytes()
 
 
 def test_batched_covariance_matches_per_path_sum():
-    g, ens, nm = small_ensemble()
+    g, ens = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     psi = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
-    prods, directs = reference_covariance(ens, g, nm, phi, psi)
-    rep = covariance_check(ens, g, nm, phi, psi)
+    prods, directs = reference_covariance(ens, phi, psi)
+    rep = covariance_check(ens, phi, psi)
     assert rep.n_paths == ens.n_paths and rep.t == ens.times[-1]
     assert rep.mc_estimate == pytest.approx(np.mean(prods), rel=1e-12)
     assert rep.mc_ci3 == pytest.approx(
@@ -375,6 +387,6 @@ def test_checks_reject_zero_step_ensemble():
     assert ens.n_steps == 0
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     with pytest.raises(ConfigurationError):
-        weak_residual(ens, g, 0.5, 0.5, phi)
+        weak_residual(ens, phi)
     with pytest.raises(ConfigurationError):
-        covariance_check(ens, g, make_noise_model(g, 4, 17), phi, phi)
+        covariance_check(ens, phi, phi)
