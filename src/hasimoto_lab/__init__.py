@@ -5,8 +5,8 @@ equation, with executable checks of the equivalence structure."""
 __version__ = "0.1.0"
 
 from .fields import (BlowUpError, ConfigurationError, Grid1D, boundary_decay_ok,
-                     cross, cumint, diff1, diff2, dot, line_grid, make_grid,
-                     norm, normalize, periodic_grid)
+                     cross, cumint, diff1, diff2, dot, line_grid, norm,
+                     normalize, periodic_grid)
 from .hashimoto import (CurvatureTorsion, FrameField, closure_defect,
                         curvature_torsion, inverse_identities,
                         reconstruct_frame, transform)

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .fields import (BlowUpError, ConfigurationError, Grid1D, check_unit,
-                     line_grid, make_grid, normalize, time_steps)
-from .hashimoto import FrameField, closure_defect, reconstruct_frame
+                     line_grid, normalize, periodic_grid, time_steps)
+from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
+                        reconstruct_frame)
 from .heat import HeatConfig, heat_integrate, mass
 from .llg import LLGConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
@@ -40,6 +41,7 @@ _GRIDDED = ("llg", "heat", "identities", "sllg", "holonomy", "covariance")
 _FLOWS = ("llg", "heat", "crosscheck", "sllg", "holonomy", "covariance")
 _STEPPED = ("llg", "heat", "sllg", "holonomy", "covariance")
 _STOCHASTIC = ("sllg", "covariance")
+_CHECKS_STEPS = _STOCHASTIC + ("holonomy",)    # a check over the time steps
 _TWISTED = ("crosscheck", "identities", "holonomy")  # a localized twist on the line
 _SOLVERS = {"llg": LLGConfig, "heat": HeatConfig, "holonomy": HeatConfig,
             "sllg": SLLGConfig, "covariance": SLLGConfig}
@@ -77,7 +79,8 @@ SCHEMA = {
     "initial_file": ("path", "to a file", "", _GRIDDED, {}),
     "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
     "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
-    "n_modes": ("int", ">= 0", "4", _STOCHASTIC, {}),
+    # with no mode every path is the same: no spread, no noise to check
+    "n_modes": ("int", ">= 1", "4", _STOCHASTIC, {}),
     "coeff_profile": ("enum", "flat|power", "flat", _STOCHASTIC, {}),
     "coeff_decay": ("float", "", "1.0", _STOCHASTIC, {}),
     "coeff_amplitude": ("float", ">= 0", "1.0", _STOCHASTIC, {}),
@@ -194,12 +197,11 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
     if c["initial_data"] == "file":
         data = _load_initial_file(c, g, "ux,uy,uz")
         try:
-            check_unit(data, tol=1e-8)
+            check_unit(data)
         except ConfigurationError as exc:
             raise ConfigurationError(f"initial_file: {exc}") from None
         return normalize(data)
-    return reconstruct_frame(initial_q(c, g), g, np.array([1.0, 0.0, 0.0]),
-                             np.array([0.0, 1.0, 0.0])).u
+    return reconstruct_frame(initial_q(c, g), g, *BASEPOINT_FRAME).u
 
 
 def validate(experiment: str, c: dict, errors: list):
@@ -223,8 +225,13 @@ def validate(experiment: str, c: dict, errors: list):
         for n in c["grid_sizes"]:               # each level's grid and automatic dt
             attempt(lambda: auto_dt(line_grid(c["x_min"], c["x_max"], n),
                                     c["alpha"], c["beta"], c["t_end"]))
+        if c["t_end"] == 0:
+            errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
         return None if errors else c
-    g = c["g"] = attempt(make_grid, c)
+    g = c["g"] = (
+        attempt(periodic_grid, c["circumference"], c["n"], c["basepoint_index"])
+        if c["domain"] == "periodic" else
+        attempt(line_grid, c["x_min"], c["x_max"], c["n"], c["basepoint_index"]))
     if g is None:
         return None
     sphere = experiment in ("llg", "identities")       # start from u, not q
@@ -243,7 +250,7 @@ def validate(experiment: str, c: dict, errors: list):
     solver = _SOLVERS[experiment]
     c["solver"] = solver(**{k: c[k] for k in solver.__dataclass_fields__ if k in c})
     attempt(c["solver"].check_stability, g)
-    if experiment in _STOCHASTIC and n_steps < 1:
+    if experiment in _CHECKS_STEPS and n_steps < 1:
         errors.append(f"t_end={c['t_end']!r} with dt={c['dt']!r} gives no "
                       "time step (need >= 1)")
     return None if errors else c
@@ -355,8 +362,7 @@ def _standard_phi(g: Grid1D) -> np.ndarray:
 
 
 def _ensemble(c):
-    return run_sllg_ensemble(c["x0"], c["g"], np.array([1.0, 0.0, 0.0]),
-                             np.array([0.0, 1.0, 0.0]), c["solver"],
+    return run_sllg_ensemble(c["x0"], c["g"], *BASEPOINT_FRAME, c["solver"],
                              c["master_seed"], c["n_paths"])
 
 
@@ -368,8 +374,8 @@ def run_sllg_experiment(c, outdir):
     _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
                  ((ens.times[k], ens.u[k, :, 0]) for k in keep))
     res = sllg_weak_residual(ens, _standard_phi(g))
-    closure = float(np.mean(closure_defect(
-        ens.q[-1], g, FrameField(u=ens.u[-1], e=ens.e[-1])))) if g.periodic else 0.0
+    closure = float(np.mean(closure_defect(ens.q[-1], g,
+                                           FrameField(u=ens.u[-1], e=ens.e[-1]))))
     report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],
               "weak_residual": res.to_dict(), "mean_closure_defect": closure}
     return report, ["series_u.csv"]

@@ -46,10 +46,6 @@ class Grid1D:
         # circumference for periodic grids, extent for line grids
         return self.n * self.h if self.periodic else (self.n - 1) * self.h
 
-    @property
-    def basepoint(self) -> float:
-        return float(self.x[self.basepoint_index])
-
 
 def periodic_grid(circumference: float, n: int, basepoint_index: int = 0) -> Grid1D:
     if not circumference > 0:
@@ -67,22 +63,6 @@ def line_grid(x_min: float, x_max: float, n: int, basepoint_index: int = 0) -> G
         raise ConfigurationError(f"need n >= 4 nodes, got {n}")
     h = (x_max - x_min) / (n - 1)
     return Grid1D("line", n, h, np.linspace(x_min, x_max, n), basepoint_index)
-
-
-def make_grid(spec: dict) -> Grid1D:
-    """Build a grid from a flat descriptor, e.g. from a CLI config.
-
-    Keys: domain ("periodic"|"line"), n, and circumference (periodic) or
-    x_min/x_max (line); optional basepoint_index.
-    """
-    kind = spec.get("domain", "periodic")
-    n = int(spec["n"])
-    b = int(spec.get("basepoint_index", 0))
-    if kind == "periodic":
-        return periodic_grid(float(spec.get("circumference", 2.0 * np.pi)), n, b)
-    if kind == "line":
-        return line_grid(float(spec["x_min"]), float(spec["x_max"]), n, b)
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
 def time_steps(dt: float, t_end: float) -> int:
@@ -193,13 +173,16 @@ def cumint_into(f: np.ndarray, g: Grid1D, out: np.ndarray,
     return np.subtract(out, out[..., g.basepoint_index, None], out=out)
 
 
-def boundary_decay_ok(q: np.ndarray, g: Grid1D, frac: float = 0.05,
-                      rel_tol: float = 1e-6) -> bool:
+# boundary_decay_ok's bound on max |q| over the leftmost DECAY_FRAC of nodes
+DECAY_FRAC, DECAY_REL_TOL = 0.05, 1e-6
+
+
+def boundary_decay_ok(q: np.ndarray, g: Grid1D) -> bool:
     """Monitor for left-boundary decay on line grids.
 
     The nonlocal integrals use the left endpoint as a stand-in for -inf,
     which is only valid when the data decays there: max |q| over the
-    leftmost `frac` of nodes must not exceed rel_tol * max |q|.
+    leftmost DECAY_FRAC of nodes must not exceed DECAY_REL_TOL * max |q|.
     Periodic grids pass trivially.
     """
     if g.periodic:
@@ -207,8 +190,8 @@ def boundary_decay_ok(q: np.ndarray, g: Grid1D, frac: float = 0.05,
     m = np.max(np.abs(q))
     if m == 0.0:
         return True
-    k = max(1, int(np.ceil(frac * g.n)))
-    return bool(np.max(np.abs(q[:k])) <= rel_tol * m)
+    k = max(1, int(np.ceil(DECAY_FRAC * g.n)))
+    return bool(np.max(np.abs(q[:k])) <= DECAY_REL_TOL * m)
 
 
 def open_view(g: Grid1D) -> Grid1D:
@@ -259,8 +242,8 @@ def normalize(a: np.ndarray) -> np.ndarray:
     return a / norm(a)[..., None]
 
 
-def check_unit(u: np.ndarray, tol: float = 1e-12):
-    """Assert every row of u is a unit vector (sphere-valued field)."""
+def check_unit(u: np.ndarray):
+    """Assert every row of u is a unit vector to 1e-8 (sphere-valued field)."""
     dev = np.max(np.abs(norm(u) - 1.0))
-    if dev > tol:
+    if dev > 1e-8:
         raise ConfigurationError(f"field is not sphere-valued: max | |u|-1 | = {dev:.3e}")

@@ -24,7 +24,7 @@ class CurvatureTorsion:
     theta: np.ndarray        # curvature, >= 0
     eta: np.ndarray          # torsion, meaningful only on valid_mask
     valid_mask: np.ndarray   # theta > eps
-    eps: float
+    eps: float               # the regularization, 1e-8 max theta
 
     @property
     def all_invalid(self) -> bool:
@@ -36,13 +36,9 @@ class FrameField:
     u: np.ndarray   # (n, 3), or (n, P, 3) for P paths; sphere-valued
     e: np.ndarray   # same shape; unit, tangent to the sphere at u
 
-    @property
-    def uxe(self) -> np.ndarray:
-        return cross(self.u, self.e)
-
     def as_matrix(self) -> np.ndarray:
         """(..., 3, 3) with rows (u, e, u x e)."""
-        return np.stack([self.u, self.e, self.uxe], axis=-2)
+        return np.stack([self.u, self.e, cross(self.u, self.e)], axis=-2)
 
     def orthonormality_defect(self) -> float:
         return float(max(np.max(np.abs(norm(self.u) - 1.0)),
@@ -50,28 +46,19 @@ class FrameField:
                          np.max(np.abs(dot(self.u, self.e)))))
 
 
-def _resolve_eps(theta_max: float, eps) -> float:
-    # default regularization scales with the field; floor avoids 0/0 for u == const
-    if eps is None:
-        eps = 1e-8 * theta_max
-    return max(float(eps), 1e-300)
+def _with_torsion(theta: np.ndarray, num: np.ndarray) -> CurvatureTorsion:
+    """Curvature theta with torsion num / theta^2, regularized by
+    eps = 1e-8 max theta: the mask marks theta > eps and the division floors
+    theta^2 at eps^2. Both floors are at least 1e-300, so theta == 0
+    (u == const) and an eps^2 that underflows divide by a positive number."""
+    eps = max(1e-8 * float(np.max(theta)), 1e-300)
+    eta = num / np.maximum(theta * theta, max(eps * eps, 1e-300))
+    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=theta > eps, eps=eps)
 
 
-def curvature_torsion(u: np.ndarray, g: Grid1D, eps: float | None = None) -> CurvatureTorsion:
+def curvature_torsion(u: np.ndarray, g: Grid1D) -> CurvatureTorsion:
     ux = diff1(u, g)
-    uxx = diff2(u, g)
-    theta = norm(ux)
-    e = _resolve_eps(float(np.max(theta)), eps)
-    # e*e can underflow to zero for degenerate inputs; keep the floor finite
-    eta = dot(cross(u, ux), uxx) / np.maximum(theta * theta, max(e * e, 1e-300))
-    mask = theta > e
-    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=mask, eps=e)
-
-
-def accumulated_phase(ct: CurvatureTorsion, g: Grid1D) -> np.ndarray:
-    """omega(x) = int_a^x eta dy, with eta taken as 0 where the mask is invalid."""
-    eta = np.where(ct.valid_mask, ct.eta, 0.0)
-    return cumint(eta, g)
+    return _with_torsion(norm(ux), dot(cross(u, ux), diff2(u, g)))
 
 
 def _require_finite(what: str, *fields):
@@ -81,30 +68,37 @@ def _require_finite(what: str, *fields):
         raise ConfigurationError(f"{what} must be finite")
 
 
-def transform(u: np.ndarray, g: Grid1D, eps: float | None = None) -> np.ndarray:
-    """q = Theta * exp(i omega), phase anchored to omega(a) = 0; u must be finite."""
+def transform(u: np.ndarray, g: Grid1D) -> np.ndarray:
+    """q = Theta * exp(i omega) with omega(x) = int_a^x eta dy, eta taken as
+    0 where the mask is invalid, so the phase is anchored to omega(a) = 0;
+    u must be finite."""
     _require_finite("u", u)
-    ct = curvature_torsion(u, g, eps)
-    omega = accumulated_phase(ct, g)
+    ct = curvature_torsion(u, g)
+    omega = cumint(np.where(ct.valid_mask, ct.eta, 0.0), g)
     return ct.theta * np.exp(1j * omega)
 
 
-def inverse_identities(q: np.ndarray, g: Grid1D, eps: float | None = None) -> CurvatureTorsion:
+def inverse_identities(q: np.ndarray, g: Grid1D) -> CurvatureTorsion:
     """Recover (Theta, eta) directly from q: Theta = |q|, eta = Im(conj(q) q_x)/|q|^2."""
-    qx = diff1(q, g)
-    theta = np.abs(q)
-    e = _resolve_eps(float(np.max(theta)), eps)
-    eta = np.imag(np.conj(q) * qx) / np.maximum(theta * theta, max(e * e, 1e-300))
-    mask = theta > e
-    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=mask, eps=e)
+    return _with_torsion(np.abs(q), np.imag(np.conj(q) * diff1(q, g)))
 
 
-def _check_initial_frame(m: np.ndarray, e0: np.ndarray, tol: float = 1e-10):
-    """Every frame in m, e0 (each (..., 3)) must be orthonormal."""
+# The basepoint frame (u(a), e(a)) every run starts its frame march from.
+BASEPOINT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+def node_rotations(q0: np.ndarray, q1: np.ndarray, g: Grid1D) -> np.ndarray:
+    """Frame propagators across node intervals with q0 and q1 at their ends:
+    the exact exponentials of the midpoint generator K(h Re q, h Im q, 0)."""
+    q_mid = 0.5 * (q0 + q1)
+    return generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
+
+
+def _check_initial_frame(m: np.ndarray, e0: np.ndarray):
+    """Every frame in m, e0 (each (..., 3)) must be orthonormal to 1e-10."""
     m = np.asarray(m, float)
     e0 = np.asarray(e0, float)
-    if np.any(np.abs(norm(m) - 1.0) > tol) or np.any(np.abs(norm(e0) - 1.0) > tol) \
-            or np.any(np.abs(dot(m, e0)) > tol):
+    if FrameField(m, e0).orthonormality_defect() > 1e-10:
         raise ConfigurationError(
             "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
     return m, e0
@@ -127,8 +121,7 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     m, e0 = _check_initial_frame(m, e0)
     n = g.n
     b = g.basepoint_index
-    q_mid = 0.5 * (q[:-1] + q[1:])
-    R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, np.zeros(q_mid.shape))
+    R = node_rotations(q[:-1], q[1:], g)
     Rt = np.swapaxes(R, -1, -2)
     F = np.empty(q.shape + (3, 3))
     F[b] = np.stack([m, e0, cross(m, e0)], axis=-2)
@@ -149,9 +142,7 @@ def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField):
     """
     if not g.periodic:
         return 0.0 if q.ndim == 1 else np.zeros(q.shape[1])
-    q_mid = 0.5 * (q[-1] + q[0])
-    R = generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
     F = f.as_matrix()
-    wrapped = R @ F[-1]
+    wrapped = node_rotations(q[-1], q[0], g) @ F[-1]
     angle = rotation_angle(wrapped @ np.swapaxes(F[0], -1, -2))
     return float(angle) if q.ndim == 1 else angle

@@ -18,9 +18,10 @@ def fourier_basis(g: Grid1D, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """First n_modes real Fourier modes on the circle and their x-derivatives.
 
     Mode order: constant, then (cos, sin) pairs of increasing frequency.
-    Returns (basis, basis_x), each of shape (n_modes, n).
+    Returns (basis, basis_x), each of shape (n_modes, n); a line grid takes
+    no mode.
     """
-    if not g.periodic:
+    if n_modes and not g.periodic:
         raise ConfigurationError("spectral noise basis requires a periodic grid")
     lam = g.length
     basis = np.empty((n_modes, g.n))
@@ -45,6 +46,8 @@ def fourier_basis(g: Grid1D, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 def coefficient_profile(n_modes: int, profile: str = "flat", decay: float = 1.0,
                         amplitude: float = 1.0) -> np.ndarray:
     """c_l for l = 1..n_modes: amplitude ("flat") or amplitude * l^(-decay) ("power")."""
+    if n_modes < 0:
+        raise ConfigurationError(f"n_modes must be >= 0, got {n_modes}")
     l = np.arange(1, n_modes + 1, dtype=float)
     if profile == "flat":
         return amplitude * np.ones(n_modes)
@@ -65,29 +68,25 @@ class NoiseIncrement:
 @dataclass
 class NoiseModel:
     grid: Grid1D
-    n_modes: int
-    coeffs: np.ndarray
+    coeffs: np.ndarray                     # c_l, one per mode
     basis: np.ndarray = field(init=False)
     basis_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, float)
-        if self.n_modes < 0:
-            raise ConfigurationError("mode count must be >= 0")
-        if self.coeffs.shape != (self.n_modes,):
-            raise ConfigurationError(
-                f"need {self.n_modes} coefficients, got shape {self.coeffs.shape}")
-        if self.n_modes > 0:
-            self.basis, self.basis_x = fourier_basis(self.grid, self.n_modes)
-        else:
-            self.basis = np.zeros((0, self.grid.n))
-            self.basis_x = np.zeros((0, self.grid.n))
+        if self.coeffs.ndim != 1:
+            raise ConfigurationError(f"coeffs must be 1-D, got shape {self.coeffs.shape}")
+        self.basis, self.basis_x = fourier_basis(self.grid, self.n_modes)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.coeffs)
 
 
 def make_noise_model(g: Grid1D, n_modes: int, profile: str = "flat",
                      decay: float = 1.0, amplitude: float = 1.0) -> NoiseModel:
-    return NoiseModel(grid=g, n_modes=n_modes,
-                      coeffs=coefficient_profile(n_modes, profile, decay, amplitude))
+    return NoiseModel(grid=g, coeffs=coefficient_profile(n_modes, profile, decay,
+                                                         amplitude))
 
 
 def derive_seed(master_seed: int, tag: int, index: int) -> int:

@@ -108,9 +108,7 @@ class SLLGConfig(StepConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_modes < 0:
-            raise ConfigurationError(f"n_modes must be >= 0, got {self.n_modes}")
-        coefficient_profile(self.n_modes, self.coeff_profile)
+        coefficient_profile(self.n_modes, self.coeff_profile)   # checks both
 
 
 @dataclass
@@ -298,12 +296,11 @@ def _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g):
 
 
 def _basepoint_step(base, q_mid, inc, g, cfg):
-    """The basepoint frames (u, e), each (P, 3), advanced in time. There the
-    nonlocal integrals vanish, so p(b) = (alpha + i beta) q_x(b),
-    C(b) = -beta |q(b)|^2 / 2 and dPsi(b) = 0."""
+    """The basepoint frames (u, e), each (P, 3), advanced in time by
+    frame_generator's coefficients at node b, where the nonlocal integrals
+    and dPsi vanish."""
     b = g.basepoint_index
-    p = (cfg.alpha + 1j * cfg.beta) * diff1(q_mid, g)[b]
-    C = -0.5 * cfg.beta * np.abs(q_mid[b]) ** 2
-    f = frame_time_step(FrameField(*base), p, C, inc.dW1[b], inc.dW2[b], 0.0,
-                        cfg.dt)
+    p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
+    f = frame_time_step(FrameField(*base), p[b], C[b], inc.dW1[b], inc.dW2[b],
+                        0.0, cfg.dt)
     return f.u, f.e

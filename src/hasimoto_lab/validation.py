@@ -7,14 +7,15 @@ include negative controls, and the covariance check reports a 3-sigma
 confidence interval rather than a bare point estimate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
                      dot, line_grid, normalize, open_view, time_steps)
 from .forks import fork_map
-from .hashimoto import curvature_torsion, reconstruct_frame, transform
+from .hashimoto import (BASEPOINT_FRAME, curvature_torsion, node_rotations,
+                        reconstruct_frame, transform)
 from .heat import HeatConfig, heat_integrate
 from .llg import LLGConfig, LLGStepper, auto_dt, llg_integrate
 from .noise import NoiseModel
@@ -41,6 +42,13 @@ def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
     return amplitude * (1.0 + ((x - center) / width) ** 2) ** (-float(power)) + 0j
 
 
+class _Report:
+    """A record whose JSON form is its fields."""
+
+    def to_dict(self) -> dict:
+        return self.__dict__.copy()
+
+
 @dataclass
 class CrossCheckReport:
     alpha: float
@@ -62,26 +70,24 @@ class CrossCheckReport:
 
 def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
                              alpha: float, beta: float, t_end: float,
-                             grid_sizes=(128, 256, 512),
-                             m=(1.0, 0.0, 0.0), e0=(0.0, 1.0, 0.0),
-                             samples: int = 10) -> CrossCheckReport:
+                             grid_sizes, samples: int = 10) -> CrossCheckReport:
     """Evolve matched initial data through both flows and compare transforms.
 
     initial_q: callable x -> complex q0(x) with left-boundary decay. Per
     refinement level the sphere map u0 is rebuilt from q0 by the frame march
-    and the heat flow starts from the discrete transform of u0, so the two
-    sides carry consistent discrete data (discrepancy is exactly 0 at t = 0).
+    from BASEPOINT_FRAME and the heat flow starts from the discrete transform
+    of u0, so the two sides carry consistent discrete data (discrepancy is
+    exactly 0 at t = 0).
     Both solvers run with llg.auto_dt; the discrepancy max_x |H(u(t)) - q(t)|
     is sampled along the flow. The 2 L integrations of the L levels are
     independent and run in forked workers (forks.fork_map); the results do not
     depend on the number of workers.
     """
-    m = np.asarray(m, float)
-    e0 = np.asarray(e0, float)
     jobs = []
     for n in grid_sizes:
         g = line_grid(x_min, x_max, n)
-        u0 = reconstruct_frame(np.asarray(initial_q(g.x), complex), g, m, e0).u
+        u0 = reconstruct_frame(np.asarray(initial_q(g.x), complex), g,
+                               *BASEPOINT_FRAME).u
         dt = auto_dt(g, alpha, beta, t_end)
         stride = max(1, time_steps(dt, t_end) // samples)
         jobs += [(llg_integrate, u0, g, LLGConfig(alpha=alpha, beta=beta, dt=dt,
@@ -111,7 +117,7 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
 
 
 @dataclass
-class IdentityReport:
+class IdentityReport(_Report):
     skipped: bool
     valid_fraction: float
     lagrange_max_rel: float
@@ -119,18 +125,15 @@ class IdentityReport:
     u_uxxx_max: float            # | <u, u_xxx> + 3 Theta Theta_x |
     ratio_identity_max: float    # | Theta_x^2 - |u x u_xx|^2 + eta^2 Theta^2 |
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
-
-def identity_suite(u: np.ndarray, g: Grid1D, eps: float | None = None) -> IdentityReport:
+def identity_suite(u: np.ndarray, g: Grid1D) -> IdentityReport:
     """Node-wise residuals of the pointwise identities behind the equivalence.
 
     All residuals are evaluated with the discrete operators, so O(h^2) is the
     expected size on smooth maps; the Lagrange identity is purely algebraic
     and holds to round-off.
     """
-    ct = curvature_torsion(u, g, eps)
+    ct = curvature_torsion(u, g)
     if ct.all_invalid:
         return IdentityReport(skipped=True, valid_fraction=0.0,
                               lagrange_max_rel=0.0, uxx_expansion_max=0.0,
@@ -164,12 +167,9 @@ def identity_suite(u: np.ndarray, g: Grid1D, eps: float | None = None) -> Identi
 
 
 @dataclass
-class HolonomyReport:
+class HolonomyReport(_Report):
     max_defect: float
     mean_defect: float
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
@@ -180,22 +180,21 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
     versus t then x) are composed from exact rotation exponentials of the
     midpoint generators; the defect is the rotation angle between them. It
     decays at higher order when q solves the heat equation (compatibility)
-    and plateaus otherwise. Deterministic coefficients only.
+    and plateaus otherwise. Deterministic coefficients only. q_path holds
+    at least 2 time levels, since a single one has no plaquette.
     """
     q_path = np.asarray(q_path)
-    h = g.h
+    if len(q_path) < 2:
+        raise ConfigurationError(
+            f"a holonomy defect needs >= 2 time levels, got {len(q_path)}")
     worst = 0.0
     total = 0.0
     count = 0
-    for k in range(q_path.shape[0] - 1):
-        qb, qt = q_path[k], q_path[k + 1]
-        q_tmid = 0.5 * (qb + qt)
-        # x-transport at the bottom / top time levels (x-midpoint generators)
-        xb = 0.5 * (qb[:-1] + qb[1:])
-        xt = 0.5 * (qt[:-1] + qt[1:])
-        Xb = generator_rotation(h * xb.real, h * xb.imag, np.zeros(g.n - 1))
-        Xt = generator_rotation(h * xt.real, h * xt.imag, np.zeros(g.n - 1))
-        p, C = frame_generator(q_tmid, g, alpha, beta)
+    for qb, qt in zip(q_path[:-1], q_path[1:]):
+        # x-transport at the bottom / top time levels
+        Xb = node_rotations(qb[:-1], qb[1:], g)
+        Xt = node_rotations(qt[:-1], qt[1:], g)
+        p, C = frame_generator(0.5 * (qb + qt), g, alpha, beta)
         T = generator_rotation(dt * p.real, dt * p.imag, dt * C)
         P1 = T[1:] @ Xb                       # x-step then t-step
         P2 = Xt @ T[:-1]                      # t-step then x-step
@@ -203,19 +202,14 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
         worst = max(worst, float(np.max(ang)))
         total += float(np.sum(ang))
         count += ang.size
-    return HolonomyReport(max_defect=worst, mean_defect=total / max(count, 1))
+    return HolonomyReport(max_defect=worst, mean_defect=total / count)
 
 
 @dataclass
-class ResidualReport:
+class ResidualReport(_Report):
     mean: float
     stderr: float
     n_paths: int
-    per_level: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr,
-                "n_paths": self.n_paths, "per_level": self.per_level}
 
 
 def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -292,7 +286,7 @@ def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray,
 
 
 @dataclass
-class CovarianceReport:
+class CovarianceReport(_Report):
     mc_estimate: float
     mc_ci3: float                # 3-sigma half width of the Monte Carlo estimate
     direct: float                # time-quadrature of the covariance formula
@@ -304,9 +298,7 @@ class CovarianceReport:
         return abs(self.mc_estimate - self.direct) <= self.mc_ci3
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["within_3sigma"] = self.within_3sigma
-        return d
+        return super().to_dict() | {"within_3sigma": self.within_3sigma}
 
 
 def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndarray:

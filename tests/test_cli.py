@@ -203,19 +203,30 @@ def test_out_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envruns" / "identities" / "report.json").exists()
 
 
-@pytest.mark.parametrize("experiment", ["sllg", "covariance"])
+@pytest.mark.parametrize("experiment", ["sllg", "covariance", "holonomy"])
 def test_stochastic_zero_steps_rejected(tmp_path, capsys, experiment):
+    # a check over no step would read 0 and pass vacuously
     out = tmp_path / "zero"
     rc = run_cli(experiment, "--out", str(out), "--set", "n=32",
                  "--set", "t_end=0")
     assert rc == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gives no time step" in err
+
+
+def test_crosscheck_zero_steps_rejected(tmp_path, capsys):
+    # with no step, every level's discrepancy is 0 and orders would be []
+    out = tmp_path / "zero"
+    assert run_cli("crosscheck", "--out", str(out), "--set", "t_end=0") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gives no time step" in err
 
 
 @pytest.mark.parametrize("experiment", ["sllg", "covariance"])
 def test_stochastic_noise_on_the_line_rejected_up_front(tmp_path, capsys, experiment):
-    # the spectral noise basis lives on the circle; with no modes the line runs
+    # the spectral noise basis lives on the circle, and no mode is no noise
     out = tmp_path / "line"
     rc = run_cli(experiment, "--out", str(out), "--set", "domain=line",
                  "--set", "n=32", "--set", "t_end=0.002", "--set", "n_modes=2")
@@ -225,8 +236,9 @@ def test_stochastic_noise_on_the_line_rejected_up_front(tmp_path, capsys, experi
     assert lines and all(ln.startswith("config error:") for ln in lines)
     assert "spectral noise basis requires a periodic grid" in lines[0]
     assert run_cli(experiment, "--out", str(out), "--set", "domain=line",
-                   "--set", "n=32", "--set", "t_end=0.002", "--set", "n_modes=0") == 0
-    assert read_json(out / "manifest.json")["status"] == "complete"
+                   "--set", "n=32", "--set", "t_end=0.002", "--set", "n_modes=0") == 2
+    assert not out.exists()
+    assert "n_modes='0' invalid (need int >= 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["sllg", "covariance"])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hasimoto_lab.fields import (ConfigurationError, boundary_decay_ok, cross,
-                                 cumint, diff1, diff2, dot, line_grid,
-                                 make_grid, norm, normalize, open_view,
-                                 periodic_grid, check_unit, time_steps)
+from hasimoto_lab.fields import (ConfigurationError, Grid1D, boundary_decay_ok,
+                                 cross, cumint, diff1, diff2, dot, line_grid,
+                                 norm, normalize, open_view, periodic_grid,
+                                 check_unit, time_steps)
 import reference
 
 
@@ -29,11 +29,9 @@ def test_too_few_nodes_rejected():
         line_grid(0.0, 1.0, 2)
 
 
-def test_make_grid():
-    g = make_grid({"domain": "line", "n": 16, "x_min": 0.0, "x_max": 1.0})
-    assert not g.periodic and g.n == 16
-    with pytest.raises(ConfigurationError):
-        make_grid({"domain": "torus", "n": 16})
+def test_unknown_grid_kind_rejected():
+    with pytest.raises(ConfigurationError, match="unknown grid kind"):
+        Grid1D("torus", 16, 0.1, 0.1 * np.arange(16))
 
 
 def test_diff1_trig():

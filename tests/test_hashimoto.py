@@ -3,9 +3,9 @@ import pytest
 
 from hasimoto_lab.fields import (ConfigurationError, line_grid, normalize,
                                  periodic_grid)
-from hasimoto_lab.hashimoto import (closure_defect, curvature_torsion,
-                                    inverse_identities, reconstruct_frame,
-                                    transform)
+from hasimoto_lab.hashimoto import (BASEPOINT_FRAME, closure_defect,
+                                    curvature_torsion, inverse_identities,
+                                    reconstruct_frame, transform)
 
 
 def great_circle(g, k=1.0):
@@ -120,6 +120,37 @@ def test_round_trip_u_to_q_to_u():
     assert errs[2] <= 1e-3
     order = np.log2(errs[0] / errs[2]) / 2.0
     assert order >= 1.8
+
+
+def random_smooth_q(rng):
+    """x -> q(x): modulus 1 + three cosine modes of amplitude <= 0.2 (so
+    |q| >= 0.4) and a phase of three sine modes, all drawn from rng."""
+    k = np.arange(1, 4)
+    amp, tw = 0.2 * rng.uniform(-1.0, 1.0, 3), 0.5 * rng.uniform(-1.0, 1.0, 3)
+    ph, ps = rng.uniform(0.0, 2.0 * np.pi, (2, 3))
+
+    def q(x):
+        X = k * x[:, None]
+        return (1.0 + np.sum(amp * np.cos(X + ph), axis=1)) \
+            * np.exp(1j * np.sum(tw * np.sin(X + ps), axis=1))
+    return q
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_q_to_frame_to_q_recovers_q(seed):
+    # the transform of the frame march of q is q again, to O(h^2), once
+    # q's phase is anchored to 0 at the basepoint as the transform's is
+    q_of = random_smooth_q(np.random.default_rng(seed))
+    errs = []
+    for n in (128, 256):
+        g = line_grid(0.0, 2.0 * np.pi, n)
+        q = q_of(g.x)
+        q *= np.exp(-1j * np.angle(q[0]))
+        f = reconstruct_frame(q, g, *BASEPOINT_FRAME)
+        assert f.orthonormality_defect() <= 1e-12
+        errs.append(np.max(np.abs(transform(f.u, g) - q)))
+    assert errs[1] <= 10.0 * g.h ** 2
+    assert errs[0] >= 3.0 * errs[1]
 
 
 def test_closure_defect_small_for_closed_curve():

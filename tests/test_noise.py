@@ -37,12 +37,19 @@ def test_coefficient_profiles():
     assert np.allclose(coefficient_profile(2, "flat", amplitude=0.3), 0.3)
     with pytest.raises(ConfigurationError):
         coefficient_profile(3, "exp")
+    with pytest.raises(ConfigurationError, match="n_modes must be >= 0"):
+        make_noise_model(periodic_grid(1.0, 8), -1)
 
 
 def test_model_validation():
     g = periodic_grid(2.0 * np.pi, 32)
+    nm = NoiseModel(grid=g, coeffs=[0.5, 0.25, 0.125])
+    assert nm.n_modes == 3 and nm.basis.shape == nm.basis_x.shape == (3, g.n)
+    with pytest.raises(ConfigurationError, match="coeffs must be 1-D"):
+        NoiseModel(grid=g, coeffs=np.ones((2, 3)))
     with pytest.raises(ConfigurationError):
-        NoiseModel(grid=g, n_modes=2, coeffs=np.ones(3))
+        NoiseModel(grid=line_grid(0.0, 1.0, 16), coeffs=np.ones(2))
+    assert NoiseModel(grid=line_grid(0.0, 1.0, 16), coeffs=[]).basis.shape == (0, 16)
     nm = make_noise_model(g, 0)
     inc = noise_fields(nm, sample_increments(nm, 0, 0.1, 0))
     assert np.max(np.abs(inc.dW1)) == 0.0

@@ -14,10 +14,15 @@ def test_skew_acts_as_cross_product():
 def test_rotation_exp_is_orthogonal():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((50, 3)) * 3.0
+    # and angles on both sides of the series branch's switch at 1e-4
+    theta = np.array([1e-7, 5e-5, 9.99e-5, 1e-4 - 1e-12, 1e-4, 1e-4 + 1e-12,
+                      1.01e-4, 2e-4, 1e-2])
+    axis = rng.standard_normal((theta.size, 3))
+    w = np.concatenate([w, theta[:, None] * axis / np.linalg.norm(axis, axis=1)[:, None]])
     R = rotation_exp(w)
     eye = np.eye(3)
     assert np.max(np.abs(R @ np.swapaxes(R, -1, -2) - eye)) <= 1e-14
-    assert np.allclose(np.linalg.det(R), 1.0)
+    assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-14
 
 
 def test_small_angle_branch():
