@@ -10,8 +10,8 @@ from .fields import (BlowUpError, ConfigurationError, Grid1D, boundary_decay_ok,
 from .hashimoto import (CurvatureTorsion, FrameField, closure_defect,
                         curvature_torsion, inverse_identities,
                         reconstruct_frame, transform)
-from .heat import HeatConfig, heat_integrate
-from .llg import (LLGConfig, Trajectory, curvature_torsion_rhs, exchange_energy,
+from .heat import heat_integrate
+from .llg import (StepConfig, Trajectory, curvature_torsion_rhs, exchange_energy,
                   llg_integrate, stable_dt)
 from .noise import (NoiseIncrement, NoiseModel, coefficient_profile, derive_seed,
                     fourier_basis, make_noise_model, noise_fields,

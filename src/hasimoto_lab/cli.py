@@ -26,8 +26,8 @@ from .fields import (BlowUpError, ConfigurationError, Grid1D, check_unit,
                      line_grid, normalize, periodic_grid, time_steps)
 from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                         reconstruct_frame)
-from .heat import HeatConfig, heat_integrate, mass
-from .llg import LLGConfig, auto_dt, exchange_energy, llg_integrate
+from .heat import heat_integrate, mass
+from .llg import StepConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
 from .stochastic import SLLGConfig, run_sllg_ensemble
 from .validation import (covariance_check, crosscheck_deterministic,
@@ -43,8 +43,6 @@ _STEPPED = ("llg", "heat", "sllg", "holonomy", "covariance")
 _STOCHASTIC = ("sllg", "covariance")
 _CHECKS_STEPS = _STOCHASTIC + ("holonomy",)    # a check over the time steps
 _TWISTED = ("crosscheck", "identities", "holonomy")  # a localized twist on the line
-_SOLVERS = {"llg": LLGConfig, "heat": HeatConfig, "holonomy": HeatConfig,
-            "sllg": SLLGConfig, "covariance": SLLGConfig}
 
 # One row per config key: (type, constraint, default, the experiments that
 # read it, their own defaults where they differ). Types: float (always
@@ -79,11 +77,11 @@ SCHEMA = {
     "initial_file": ("path", "to a file", "", _GRIDDED, {}),
     "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
     "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
-    # with no mode every path is the same: no spread, no noise to check
+    # with no mode or no amplitude every path is the same: no spread, no noise
     "n_modes": ("int", ">= 1", "4", _STOCHASTIC, {}),
+    "coeff_amplitude": ("float", "> 0", "1.0", _STOCHASTIC, {}),
     "coeff_profile": ("enum", "flat|power", "flat", _STOCHASTIC, {}),
     "coeff_decay": ("float", "", "1.0", _STOCHASTIC, {}),
-    "coeff_amplitude": ("float", ">= 0", "1.0", _STOCHASTIC, {}),
     # one path has no spread: its stderr and 3-sigma band would read 0
     "n_paths": ("int", ">= 2", "8", _STOCHASTIC, {"covariance": "200"}),
 }
@@ -191,7 +189,7 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
     if c["initial_data"] == "great-circle":
         k = c["k"]
         turns = k * g.length / (2.0 * np.pi)
-        if g.periodic and abs(turns - round(turns)) > 1e-12:
+        if g.periodic and not abs(turns - np.round(turns)) <= 1e-12:
             raise ConfigurationError("great-circle k must close on the periodic domain")
         return np.stack([np.cos(k * g.x), np.sin(k * g.x), np.zeros(g.n)], axis=-1)
     if c["initial_data"] == "file":
@@ -217,14 +215,25 @@ def validate(experiment: str, c: dict, errors: list):
         except ConfigurationError as exc:
             errors.append(str(exc))
 
+    def initial(g):         # the initial data, whose frame must not overflow
+        x0 = attempt(initial_u if sphere else initial_q, c, g)
+        u0 = x0 if sphere or x0 is None else reconstruct_frame(x0, g, *BASEPOINT_FRAME).u
+        if u0 is not None and not np.all(np.isfinite(u0)):
+            errors.append("the initial frame overflows to inf or nan")
+        return x0
+
     c = dict(c)
+    sphere = experiment in ("llg", "identities", "crosscheck")  # start from u, not q
     if experiment == "crosscheck":
         for key, only in (("domain", "line"), ("initial_data", "localized-twist")):
             if c[key] != only:
                 errors.append(f"crosscheck supports {key}={only} only")
-        for n in c["grid_sizes"]:               # each level's grid and automatic dt
-            attempt(lambda: auto_dt(line_grid(c["x_min"], c["x_max"], n),
-                                    c["alpha"], c["beta"], c["t_end"]))
+        for n in c["grid_sizes"]:       # each level's grid, automatic dt and initial u
+            g = attempt(line_grid, c["x_min"], c["x_max"], n)
+            if g is not None:
+                attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
+                if c["initial_data"] == "localized-twist":
+                    initial(g)
         if c["t_end"] == 0:
             errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
         return None if errors else c
@@ -234,10 +243,10 @@ def validate(experiment: str, c: dict, errors: list):
         attempt(line_grid, c["x_min"], c["x_max"], c["n"], c["basepoint_index"]))
     if g is None:
         return None
-    sphere = experiment in ("llg", "identities")       # start from u, not q
-    c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
-    if experiment in _STOCHASTIC:               # the noise basis needs the circle
-        attempt(make_noise_model, g, c["n_modes"])
+    c["x0"] = initial(g)
+    if experiment in _STOCHASTIC:   # the noise needs the circle and finite coefficients
+        attempt(make_noise_model, g, *(c[k] for k in (
+            "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
     if not errors and "dt" in c:                # identities evolves nothing
@@ -247,7 +256,7 @@ def validate(experiment: str, c: dict, errors: list):
     if c.get("output_stride") == "auto":
         c["output_stride"] = max(1, n_steps // 10)
     # the solver config takes the typed values of the keys named like its fields
-    solver = _SOLVERS[experiment]
+    solver = SLLGConfig if experiment in _STOCHASTIC else StepConfig
     c["solver"] = solver(**{k: c[k] for k in solver.__dataclass_fields__ if k in c})
     attempt(c["solver"].check_stability, g)
     if experiment in _CHECKS_STEPS and n_steps < 1:
@@ -369,10 +378,9 @@ def _ensemble(c):
 def run_sllg_experiment(c, outdir):
     g, cfg = c["g"], c["solver"]
     ens = _ensemble(c)
-    keep = [k for k in range(cfg.n_steps + 1)
-            if k % c["output_stride"] == 0 or k == cfg.n_steps]
     _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
-                 ((ens.times[k], ens.u[k, :, 0]) for k in keep))
+                 ((ens.times[k], ens.u[k, :, 0]) for k in range(cfg.n_steps + 1)
+                  if cfg.sampled(k)))
     res = sllg_weak_residual(ens, _standard_phi(g))
     closure = float(np.mean(closure_defect(ens.q[-1], g,
                                            FrameField(u=ens.u[-1], e=ens.e[-1]))))
@@ -471,7 +479,8 @@ def main(argv=None) -> int:
     raw, cfg = resolve_config(args.experiment, file_cfg, sets, args.seed, errors)
     if cfg is not None:
         try:
-            cfg = validate(args.experiment, cfg, errors)
+            with np.errstate(all="ignore"):     # overflowed data is refused, not warned
+                cfg = validate(args.experiment, cfg, errors)
         except Exception as exc:
             # validation refuses before any artifact exists, so a defect there
             # is a config error too, never a traceback

@@ -31,8 +31,8 @@ class Grid1D:
             raise ConfigurationError(f"unknown grid kind {self.kind!r}")
         if self.n < 4:
             raise ConfigurationError(f"need n >= 4 nodes, got {self.n}")
-        if not self.h > 0:
-            raise ConfigurationError(f"need positive spacing, got h={self.h}")
+        if not 0 < self.h < np.inf:
+            raise ConfigurationError(f"need a positive finite spacing, got h={self.h}")
         if not 0 <= self.basepoint_index < self.n:
             raise ConfigurationError(
                 f"basepoint index {self.basepoint_index} outside [0, {self.n})")
@@ -57,8 +57,8 @@ def periodic_grid(circumference: float, n: int, basepoint_index: int = 0) -> Gri
 
 
 def line_grid(x_min: float, x_max: float, n: int, basepoint_index: int = 0) -> Grid1D:
-    if not x_max > x_min:
-        raise ConfigurationError(f"degenerate extent [{x_min}, {x_max}]")
+    if not 0 < x_max - x_min < np.inf:
+        raise ConfigurationError(f"extent [{x_min}, {x_max}] is not positive and finite")
     if n < 4:
         raise ConfigurationError(f"need n >= 4 nodes, got {n}")
     h = (x_max - x_min) / (n - 1)

@@ -14,16 +14,6 @@ from .hashimoto import CurvatureTorsion
 STABILITY_SAFETY = 0.2
 
 
-def check_coefficients(alpha: float, beta: float):
-    """alpha and beta must be finite, and the damping alpha >= 0; stable_dt
-    would drop a NaN."""
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise ConfigurationError(
-            f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
-    if alpha < 0:
-        raise ConfigurationError(f"damping alpha must be >= 0, got {alpha}")
-
-
 def stable_dt(g: Grid1D, alpha: float, beta: float) -> float:
     """Explicit-step bound dt <= STABILITY_SAFETY * h^2 / max(alpha, |beta|)."""
     scale = max(alpha, abs(beta))
@@ -37,6 +27,9 @@ def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
     if not 0 <= t_end < np.inf:
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     dt = 0.9 * stable_dt(g, alpha, beta)
+    if dt == 0.0 or t_end / dt == np.inf:
+        raise ConfigurationError(f"the stability bound {STABILITY_SAFETY} h^2 / "
+                                 f"max(alpha, |beta|) underflows at h = {g.h:.3e}")
     if t_end > 0:
         dt = t_end / max(1, int(np.ceil(t_end / dt)))
     if not np.isfinite(dt):
@@ -48,15 +41,23 @@ def auto_dt(g: Grid1D, alpha: float, beta: float, t_end: float) -> float:
 
 @dataclass
 class StepConfig:
-    """Time stepping of a flow: coefficients, step and final time."""
+    """Time stepping of a flow: finite coefficients (stable_dt would drop a
+    NaN), step and final time, and the states sampled every output_stride steps."""
     alpha: float
     beta: float
     dt: float
     t_end: float
+    output_stride: int = 1
 
     def __post_init__(self):
         time_steps(self.dt, self.t_end)
-        check_coefficients(self.alpha, self.beta)
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ConfigurationError(f"alpha and beta must be finite, got "
+                                     f"alpha={self.alpha}, beta={self.beta}")
+        if self.alpha < 0:
+            raise ConfigurationError(f"damping alpha must be >= 0, got {self.alpha}")
+        if self.output_stride < 1:
+            raise ConfigurationError("output_stride must be >= 1")
 
     def check_stability(self, g: Grid1D):
         bound = stable_dt(g, self.alpha, self.beta)
@@ -69,16 +70,10 @@ class StepConfig:
     def n_steps(self) -> int:
         return time_steps(self.dt, self.t_end)
 
-
-@dataclass
-class LLGConfig(StepConfig):
-    """StepConfig's time stepping, sampled every output_stride steps."""
-    output_stride: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.output_stride < 1:
-            raise ConfigurationError("output_stride must be >= 1")
+    def sampled(self, k: int) -> bool:
+        """Whether the state after k steps is sampled: every output_stride-th
+        step from 0, and the last one."""
+        return k % self.output_stride == 0 or k == self.n_steps
 
 
 @dataclass
@@ -196,10 +191,10 @@ class LLGStepper(RK4):
         return u.T.copy()
 
 
-def integrate(y0: np.ndarray, stepper: RK4, cfg, what: str,
+def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str,
               monitor=None) -> Trajectory:
-    """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled every
-    cfg.output_stride steps and at the last one.
+    """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled at the steps
+    that cfg.sampled picks.
 
     The stepper (LLGStepper, heat.HeatStepper) evaluates the right-hand
     side into its own buffers and projects each new state. The state
@@ -209,25 +204,24 @@ def integrate(y0: np.ndarray, stepper: RK4, cfg, what: str,
     sample. A non-finite state raises BlowUpError naming what blew up, the
     step, its time and the last finite max |y|.
     """
-    n_steps = cfg.n_steps
     y = stepper.load(y0)
     nxt = np.empty_like(y)
     times = [0.0]
     states = [stepper.sample(y)]
     ok = monitor is None or monitor(states[0])
-    for k in range(n_steps):
+    for k in range(cfg.n_steps):
         stepper.step(y, cfg.dt, nxt)
         check_finite(nxt, y, k, cfg.dt, what)
         stepper.project(nxt)
         y, nxt = nxt, y
-        if (k + 1) % cfg.output_stride == 0 or k == n_steps - 1:
+        if cfg.sampled(k + 1):
             times.append((k + 1) * cfg.dt)
             states.append(stepper.sample(y))
             ok = ok and (monitor is None or monitor(states[-1]))
     return Trajectory(times=np.array(times), states=states, decay_ok=ok)
 
 
-def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: LLGConfig) -> Trajectory:
+def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
     """RK4 in time with per-step projection back to the sphere."""
     cfg.check_stability(g)
     return integrate(u0, LLGStepper(g, cfg.alpha, cfg.beta), cfg, "LLG flow")

@@ -45,15 +45,19 @@ def fourier_basis(g: Grid1D, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def coefficient_profile(n_modes: int, profile: str = "flat", decay: float = 1.0,
                         amplitude: float = 1.0) -> np.ndarray:
-    """c_l for l = 1..n_modes: amplitude ("flat") or amplitude * l^(-decay) ("power")."""
+    """c_l for l = 1..n_modes: amplitude ("flat") or amplitude * l^(-decay)
+    ("power"); every c_l must be finite."""
     if n_modes < 0:
         raise ConfigurationError(f"n_modes must be >= 0, got {n_modes}")
     l = np.arange(1, n_modes + 1, dtype=float)
-    if profile == "flat":
-        return amplitude * np.ones(n_modes)
-    if profile == "power":
-        return amplitude * l ** (-decay)
-    raise ConfigurationError(f"unknown coefficient profile {profile!r}")
+    if profile not in ("flat", "power"):
+        raise ConfigurationError(f"unknown coefficient profile {profile!r}")
+    with np.errstate(over="ignore", invalid="ignore"):    # rejected below
+        c = amplitude * (np.ones(n_modes) if profile == "flat" else l ** (-decay))
+    if not np.all(np.isfinite(c)):
+        raise ConfigurationError(f"non-finite noise coefficients: the {profile} "
+                                 f"profile, decay {decay}, amplitude {amplitude}")
+    return c
 
 
 @dataclass

@@ -84,7 +84,7 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     caller checks q_new for finiteness.
     """
     additive = inc.dxW1 + 1j * inc.dxW2
-    drift = HeatStepper(g, alpha, beta, "expanded")   # rhs on (P, n) views
+    drift = HeatStepper(g, alpha, beta)         # rhs on (P, n) views
     drift.size(q.T)
     k1, k2 = np.empty(q.shape, complex), np.empty(q.shape, complex)
     drift.rhs(q.T, k1.T)
@@ -108,7 +108,8 @@ class SLLGConfig(StepConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        coefficient_profile(self.n_modes, self.coeff_profile)   # checks both
+        coefficient_profile(self.n_modes, self.coeff_profile, self.coeff_decay,
+                            self.coeff_amplitude)               # checks all four
 
 
 @dataclass

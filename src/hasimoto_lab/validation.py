@@ -16,8 +16,8 @@ from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
 from .forks import fork_map
 from .hashimoto import (BASEPOINT_FRAME, curvature_torsion, node_rotations,
                         reconstruct_frame, transform)
-from .heat import HeatConfig, heat_integrate
-from .llg import LLGConfig, LLGStepper, auto_dt, llg_integrate
+from .heat import heat_integrate
+from .llg import LLGStepper, StepConfig, auto_dt, llg_integrate
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
 from .stochastic import SllgEnsemble, frame_generator
@@ -39,7 +39,8 @@ def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
     curvature, which decays like 1/x^2 here but tends to a positive constant
     (or diverges) for exponential or Gaussian tails.
     """
-    return amplitude * (1.0 + ((x - center) / width) ** 2) ** (-float(power)) + 0j
+    with np.errstate(over="ignore"):            # far out the bump is 0
+        return amplitude * (1.0 + ((x - center) / width) ** 2) ** (-float(power)) + 0j
 
 
 class _Report:
@@ -50,22 +51,13 @@ class _Report:
 
 
 @dataclass
-class CrossCheckReport:
+class CrossCheckReport(_Report):
     alpha: float
     beta: float
     t_end: float
     levels: list                 # per level: dict with n, h, dt, times, disc, ...
     orders: list                 # observed orders between consecutive levels
     flagged: bool                # decay monitor failed somewhere
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "t_end": self.t_end,
-            "flagged": self.flagged, "orders": self.orders,
-            "levels": [
-                {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                 for k, v in lv.items()} for lv in self.levels],
-        }
 
 
 def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
@@ -89,31 +81,25 @@ def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
         u0 = reconstruct_frame(np.asarray(initial_q(g.x), complex), g,
                                *BASEPOINT_FRAME).u
         dt = auto_dt(g, alpha, beta, t_end)
-        stride = max(1, time_steps(dt, t_end) // samples)
-        jobs += [(llg_integrate, u0, g, LLGConfig(alpha=alpha, beta=beta, dt=dt,
-                                                  t_end=t_end, output_stride=stride)),
-                 (heat_integrate, transform(u0, g), g,
-                  HeatConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                             output_stride=stride))]
+        cfg = StepConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
+                         output_stride=max(1, time_steps(dt, t_end) // samples))
+        jobs += [(llg_integrate, u0, g, cfg), (heat_integrate, transform(u0, g), g, cfg)]
     trajs = fork_map(lambda job: job[0](*job[1:]), jobs)
     levels = []
-    flagged = False
     for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):
         absd = (np.abs(transform(u, g) - q) for u, q in zip(trl.states, trh.states))
         disc = np.array([(np.max(a), np.sqrt(g.h * np.sum(a ** 2))) for a in absd])
         disc_max, disc_l2 = disc.T
-        flagged = flagged or not trh.decay_ok
-        levels.append({"n": g.n, "h": g.h, "dt": cfg.dt, "times": trl.times,
-                       "disc_max": disc_max, "disc_l2": disc_l2,
+        levels.append({"n": g.n, "h": g.h, "dt": cfg.dt, "times": trl.times.tolist(),
+                       "disc_max": disc_max.tolist(), "disc_l2": disc_l2.tolist(),
                        "sup_disc": float(np.max(disc_max)),
                        "decay_ok": trh.decay_ok})
     sups = [lv["sup_disc"] for lv in levels]
-    if all(s > 0 for s in sups):
-        orders = [float(np.log2(sups[i] / sups[i + 1])) for i in range(len(sups) - 1)]
-    else:
-        orders = []
+    orders = ([float(np.log2(a / b)) for a, b in zip(sups, sups[1:])]
+              if all(s > 0 for s in sups) else [])
     return CrossCheckReport(alpha=alpha, beta=beta, t_end=t_end, levels=levels,
-                            orders=orders, flagged=flagged)
+                            orders=orders,
+                            flagged=not all(lv["decay_ok"] for lv in levels))
 
 
 @dataclass
@@ -221,10 +207,13 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _check_spread(paths: SllgEnsemble):
-    """A standard error over the paths needs at least two of them."""
+    """A standard error over the paths needs at least two of them, and noise."""
     if paths.n_paths < 2:
         raise ConfigurationError(
             f"a standard error needs at least 2 paths, got {paths.n_paths}")
+    if not np.any(paths.noise.coeffs):
+        raise ConfigurationError(f"every noise coefficient is zero ({paths.noise.n_modes}"
+                                 " modes), so the paths are all the same: no spread")
 
 
 def _check_steps(paths: SllgEnsemble):

@@ -12,8 +12,8 @@ import numpy as np
 from hasimoto_lab.cli import main as cli_main
 from hasimoto_lab.fields import dot, line_grid, norm, periodic_grid
 from hasimoto_lab.hashimoto import curvature_torsion, reconstruct_frame, transform
-from hasimoto_lab.heat import HeatConfig, heat_integrate
-from hasimoto_lab.llg import LLGConfig, curvature_torsion_rhs, llg_integrate, stable_dt
+from hasimoto_lab.heat import heat_integrate
+from hasimoto_lab.llg import StepConfig, curvature_torsion_rhs, llg_integrate, stable_dt
 from hasimoto_lab.stochastic import SLLGConfig, frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
 from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
@@ -73,8 +73,8 @@ def test_criterion_03_curvature_torsion_rate_oracle():
         g = line_grid(-45.0, 15.0, n)
         u0 = reconstruct_frame(localized_twist(g.x), g, M, E0).u
         dt = 0.45 * stable_dt(g, 1.0, 1.0)
-        tr = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=1.0, dt=dt,
-                                            t_end=4.0 * dt, output_stride=1))
+        tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
+                                             t_end=4.0 * dt, output_stride=1))
         cts = [curvature_torsion(u, g) for u in tr.states]
         d_th_fd = (cts[3].theta - cts[1].theta) / (2.0 * dt)
         d_eta_fd = (cts[3].eta - cts[1].eta) / (2.0 * dt)
@@ -131,7 +131,7 @@ def test_criterion_06_holonomy_controls():
         q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
         dt = t_end / n_steps
         assert dt <= stable_dt(g, 1.0, 1.0)
-        tr = heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=1.0, dt=dt,
+        tr = heat_integrate(q0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                               t_end=t_end, output_stride=1))
         q_path = np.array(tr.states)
         pos.append(holonomy_defect(q_path, g, 1.0, 1.0, dt).max_defect)
@@ -154,13 +154,13 @@ def test_criterion_07_gauge_phase_caveat():
     n_steps = int(np.ceil(t_end / dt))
     dt = t_end / n_steps
     tr = heat_integrate(k * np.ones(g.n, complex), g,
-                        HeatConfig(alpha=1.0, beta=beta, dt=dt, t_end=t_end,
+                        StepConfig(alpha=1.0, beta=beta, dt=dt, t_end=t_end,
                                    output_stride=n_steps))
     exact = k * np.exp(0.5j * beta * k ** 2 * t_end)
     assert np.max(np.abs(tr.states[-1] - exact)) / abs(exact) <= 1e-6
     u0 = np.stack([np.cos(g.x), np.sin(g.x), np.zeros(g.n)], axis=-1)
-    trl = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=beta, dt=dt,
-                                         t_end=t_end, output_stride=n_steps))
+    trl = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=beta, dt=dt,
+                                          t_end=t_end, output_stride=n_steps))
     assert np.max(np.abs(trl.states[-1] - u0)) <= 1e-10
 
 

@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -484,3 +485,47 @@ def test_unreadable_config_file_reported_with_other_errors(tmp_path, capsys):
     err = assert_config_error(tmp_path, capsys, "llg", "--config",
                               str(tmp_path / "none.txt"), "--set", "bogus=1")
     assert "none.txt" in err and "unknown config key 'bogus'" in err
+
+
+def readme_config_table():
+    """{key: (type, constraint, default, readers)} as README's config table
+    gives them, in SCHEMA's notation."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "README.md")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | type | constraint | default | read by |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys, kind, need, default, readers = (
+            cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+        kind = "ints" if kind == "comma list of ints" else kind.replace("auto or ", "auto|")
+        need = {"an existing file": "to a file"}.get(need, need)
+        need = need.removeprefix("each ").replace(", ", "|")
+        readers = re.sub(r"\s*\(.*\)", "", readers)
+        if readers.startswith("all"):
+            readers = set(EXPERIMENTS) - set(readers.removeprefix("all but ")
+                                             .removeprefix("all").split(", "))
+        else:
+            readers = set(readers.split(", "))
+        names = keys.split(", ")
+        defaults = default.split(", ") if len(names) > 1 else [default]
+        for name, value in zip(names, defaults):
+            value = {"empty": "", "2π": repr(2.0 * np.pi)}.get(value, value)
+            rows[name] = (kind, need, value, readers)
+    return rows
+
+
+def test_readme_config_table_matches_schema():
+    # README's table is written by hand: it must not drift from SCHEMA
+    table = readme_config_table()
+    assert set(table) == set(SCHEMA)
+    for key, (kind, need, default, readers, _) in SCHEMA.items():
+        doc_kind, doc_need, doc_default, doc_readers = table[key]
+        assert (doc_kind, doc_need, doc_readers) == (kind, need, set(readers)), key
+        if kind == "float":
+            assert float(doc_default) == float(default), key
+        else:
+            assert doc_default == default, key

@@ -34,6 +34,19 @@ def test_unknown_grid_kind_rejected():
         Grid1D("torus", 16, 0.1, 0.1 * np.arange(16))
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+def test_spacing_must_be_positive_and_finite(h):
+    with pytest.raises(ConfigurationError, match="positive finite spacing"):
+        Grid1D("line", 16, h, np.zeros(16))
+
+
+def test_line_extent_must_be_positive_and_finite():
+    # x_max - x_min overflows to inf; it must not reach np.linspace
+    for x_min, x_max in ((-1e308, 1e308), (1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ConfigurationError, match="not positive and finite"):
+            line_grid(x_min, x_max, 16)
+
+
 def test_diff1_trig():
     g = periodic_grid(2.0 * np.pi, 256)
     err = np.max(np.abs(diff1(np.sin(g.x), g) - np.cos(g.x)))

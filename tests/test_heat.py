@@ -3,8 +3,8 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  periodic_grid)
-from hasimoto_lab.heat import HeatConfig, HeatStepper, heat_integrate, mass
-from hasimoto_lab.llg import stable_dt
+from hasimoto_lab.heat import HeatStepper, heat_integrate, mass
+from hasimoto_lab.llg import StepConfig, stable_dt
 from reference import heat_rhs, rk4_step
 
 
@@ -43,45 +43,42 @@ def test_rhs_forms_agree_on_decaying_data():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        HeatConfig(alpha=1.0, beta=1.0, dt=-1e-3, t_end=0.1)
+        StepConfig(alpha=1.0, beta=1.0, dt=-1e-3, t_end=0.1)
     with pytest.raises(ConfigurationError):
-        HeatConfig(alpha=-0.5, beta=1.0, dt=1e-3, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        HeatConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=0.1, form="other")
+        StepConfig(alpha=-0.5, beta=1.0, dt=1e-3, t_end=0.1)
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
-        HeatConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+        StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.inf, 1.0)])
 def test_config_rejects_non_finite_coefficients(alpha, beta):
     with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
-        HeatConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
 
 
-@pytest.mark.parametrize("form", ["expanded", "compact"])
 @pytest.mark.parametrize("g", [line_grid(-8.0, 8.0, 97, 40),
                                periodic_grid(2.0 * np.pi, 96, 7)],
                          ids=["line", "periodic"])
-def test_heat_stepper_bit_identical_to_reference(g, form):
-    # the fused stepper against the reference rk4_step on heat_rhs, bit for
-    # bit after every one of 60 steps
+def test_heat_stepper_bit_identical_to_reference(g):
+    # the fused stepper against the reference rk4_step on the expanded
+    # heat_rhs, bit for bit after every one of 60 steps
     dt = 0.5 * stable_dt(g, 0.8, -0.6)
-    stepper = HeatStepper(g, 0.8, -0.6, form)
+    stepper = HeatStepper(g, 0.8, -0.6)
     q = stepper.load(decaying_q(g))
     nxt = np.empty_like(q)
     ref = decaying_q(g)
     for _ in range(60):
         stepper.step(q, dt, nxt)
         q, nxt = nxt, q
-        ref = rk4_step(ref, dt, lambda v: heat_rhs(v, g, 0.8, -0.6, form))
+        ref = rk4_step(ref, dt, lambda v: heat_rhs(v, g, 0.8, -0.6))
         assert np.array_equal(q, ref)
 
 
 def test_config_rejects_bad_final_time():
     for t_end in (-0.1, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
-            HeatConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=t_end)
+            StepConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=t_end)
 
 
 def test_constant_data_phase_rotation():
@@ -89,7 +86,7 @@ def test_constant_data_phase_rotation():
     g = periodic_grid(2.0 * np.pi, 32)
     k, beta = 1.0, 1.0
     dt = 0.1 / np.ceil(0.1 / (0.9 * stable_dt(g, 0.0, beta)))
-    cfg = HeatConfig(alpha=0.0, beta=beta, dt=dt, t_end=0.1, output_stride=10)
+    cfg = StepConfig(alpha=0.0, beta=beta, dt=dt, t_end=0.1, output_stride=10)
     tr = heat_integrate(k * np.ones(g.n, complex), g, cfg)
     exact = k * np.exp(0.5j * beta * k ** 2 * tr.times[-1])
     assert np.max(np.abs(tr.states[-1] - exact)) <= 1e-8
@@ -101,7 +98,7 @@ def test_rk4_temporal_self_convergence():
     base = 0.5 * stable_dt(g, 1.0, 1.0)
     sols = []
     for dt in (base, base / 2.0, base / 4.0):
-        cfg = HeatConfig(alpha=1.0, beta=1.0, dt=dt, t_end=16.0 * base,
+        cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=16.0 * base,
                          output_stride=10 ** 6)
         sols.append(heat_integrate(q0, g, cfg).states[-1])
     e1 = np.max(np.abs(sols[0] - sols[1]))
@@ -113,7 +110,7 @@ def test_rk4_temporal_self_convergence():
 def test_decay_monitor_flags_nondecaying_line_data():
     g = line_grid(-20.0, 20.0, 128)
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
-    cfg = HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4.0 * dt)
+    cfg = StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4.0 * dt)
     assert not heat_integrate(np.ones(g.n, complex), g, cfg).decay_ok
     assert heat_integrate(decaying_q(g), g, cfg).decay_ok
 
@@ -124,7 +121,7 @@ def test_blow_up_detection():
     q0[3] = np.nan
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
     with pytest.raises(BlowUpError):
-        heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+        heat_integrate(q0, g, StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
 
 
 def test_blow_up_message_names_step_time_and_last_finite_max():
@@ -132,7 +129,7 @@ def test_blow_up_message_names_step_time_and_last_finite_max():
     q0 = 1e200 * np.ones(g.n, complex)  # |q|^2 q overflows at once
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
     with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-        heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+        heat_integrate(q0, g, StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
     assert str(info.value) == (
         f"heat flow blew up at step 1, t = {dt:.6g}: non-finite values; "
         f"last finite max |y| = 1e+200 at t = 0")

@@ -5,7 +5,7 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  diff2, dot, line_grid, normalize,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
-from hasimoto_lab.llg import (RK4, LLGConfig, LLGStepper, auto_dt,
+from hasimoto_lab.llg import (RK4, LLGStepper, StepConfig, auto_dt,
                               curvature_torsion_rhs, exchange_energy, integrate,
                               llg_integrate, stable_dt)
 from reference import llg_rhs, rk4_step
@@ -47,11 +47,11 @@ def test_rhs_dual_formula():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        LLGConfig(alpha=-1.0, beta=0.0, dt=1e-3, t_end=0.1)
+        StepConfig(alpha=-1.0, beta=0.0, dt=1e-3, t_end=0.1)
     with pytest.raises(ConfigurationError):
-        LLGConfig(alpha=1.0, beta=0.0, dt=0.0, t_end=0.1)
+        StepConfig(alpha=1.0, beta=0.0, dt=0.0, t_end=0.1)
     g = periodic_grid(2.0 * np.pi, 64)
-    cfg = LLGConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0)
+    cfg = StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0)
     with pytest.raises(ConfigurationError):
         cfg.check_stability(g)
     assert stable_dt(g, 0.0, 0.0) == np.inf
@@ -62,7 +62,7 @@ def test_config_validation():
 def test_config_rejects_non_finite_coefficients(alpha, beta):
     # stable_dt's max() drops a NaN, so the check must not rely on it
     with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
-        LLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
 
 
 @pytest.mark.parametrize("g", [line_grid(-6.0, 3.0, 97, 40),
@@ -104,7 +104,7 @@ def test_llg_kernel_on_path_views_bit_identical_to_reference(g, P):
 def test_integer_initial_data_steps_as_floats():
     g = periodic_grid(2.0 * np.pi, 16)
     pole = np.tile([0, 0, 1], (g.n, 1))     # an integer array; a fixed point
-    tr = llg_integrate(pole, g, LLGConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=3e-3))
+    tr = llg_integrate(pole, g, StepConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=3e-3))
     assert all(u.dtype == float and np.array_equal(u, pole) for u in tr.states)
 
 
@@ -112,8 +112,8 @@ def test_great_circle_stationary():
     g = periodic_grid(2.0 * np.pi, 64)
     u0 = great_circle(g)
     dt = 0.1 / np.ceil(0.1 / (0.9 * stable_dt(g, 1.0, 1.0)))
-    tr = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=0.1,
-                                        output_stride=100))
+    tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=0.1,
+                                         output_stride=100))
     assert np.max(np.abs(tr.states[-1] - u0)) <= 1e-10
 
 
@@ -121,7 +121,7 @@ def test_projection_keeps_unit_norm():
     g = periodic_grid(2.0 * np.pi, 64)
     dt = 0.05 / np.ceil(0.05 / (0.9 * stable_dt(g, 1.0, 0.5)))
     tr = llg_integrate(smooth_map(g), g,
-                       LLGConfig(alpha=1.0, beta=0.5, dt=dt, t_end=0.05))
+                       StepConfig(alpha=1.0, beta=0.5, dt=dt, t_end=0.05))
     for u in tr.states:
         assert np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0)) <= 1e-15
 
@@ -130,7 +130,7 @@ def test_energy_non_increasing_with_damping():
     g = periodic_grid(2.0 * np.pi, 128)
     dt = 0.05 / np.ceil(0.05 / (0.5 * stable_dt(g, 1.0, 0.3)))
     tr = llg_integrate(smooth_map(g), g,
-                       LLGConfig(alpha=1.0, beta=0.3, dt=dt, t_end=0.05))
+                       StepConfig(alpha=1.0, beta=0.3, dt=dt, t_end=0.05))
     energies = [exchange_energy(u, g) for u in tr.states]
     slack = 10.0 * dt ** 2
     assert all(e2 <= e1 + slack for e1, e2 in zip(energies, energies[1:]))
@@ -141,7 +141,7 @@ def test_blow_up_detection():
     u0 = smooth_map(g)
     u0[5] = np.nan
     with pytest.raises(BlowUpError):
-        llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=1e-4, t_end=1e-3))
+        llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=1e-4, t_end=1e-3))
 
 
 def test_blow_up_message_names_step_time_and_last_finite_max():
@@ -149,14 +149,14 @@ def test_blow_up_message_names_step_time_and_last_finite_max():
     u0 = 1e200 * smooth_map(g)          # the cross products overflow at once
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
     with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-        llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+        llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
     msg = str(info.value)
     assert msg.startswith(f"LLG flow blew up at step 1, t = {dt:.6g}:")
     assert f"last finite max |y| = {np.max(np.abs(u0)):.6g} at t = 0" in msg
     u0 = smooth_map(g)
     u0[5] = np.nan
     with pytest.raises(BlowUpError, match="the state before it was not finite"):
-        llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+        llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
 
 
 class Decay(RK4):
@@ -173,7 +173,7 @@ class Decay(RK4):
 
 
 def test_integrate_samples_projects_and_monitors():
-    cfg = LLGConfig(alpha=0.0, beta=0.0, dt=0.1, t_end=1.0, output_stride=3)
+    cfg = StepConfig(alpha=0.0, beta=0.0, dt=0.1, t_end=1.0, output_stride=3)
     y0 = np.array([1.0, 2.0])
     stepper, monitored = Decay(), []
     tr = integrate(y0, stepper, cfg, "decay",
@@ -185,6 +185,8 @@ def test_integrate_samples_projects_and_monitors():
     assert np.array_equal(stepper.projected[2], tr.states[1])
     assert len(monitored) == 5              # at y0 and at every sample
     assert not tr.decay_ok                  # y(1) = exp(-1) < 0.39
+    # the one sampling rule, which the sllg runner's CSV uses too
+    assert [k for k in range(12) if cfg.sampled(k)] == [0, 3, 6, 9, 10]
 
 
 def test_auto_dt():
@@ -197,6 +199,14 @@ def test_auto_dt():
     assert auto_dt(g, 0.0, 0.0, 0.01) == 0.01     # no bound: one step
     with pytest.raises(ConfigurationError, match="automatic dt is inf"):
         auto_dt(g, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("circumference,alpha", [(1e-300, 1.0), (6.0, 1e308)])
+def test_auto_dt_rejects_an_underflowed_stability_bound(circumference, alpha):
+    # h^2 underflows to 0, or t_end / dt to inf: no whole number of steps
+    g = periodic_grid(circumference, 64)
+    with pytest.raises(ConfigurationError, match="stability bound .* underflows"):
+        auto_dt(g, alpha, 1.0, 0.1)
 
 
 def test_curvature_torsion_rhs_constants():

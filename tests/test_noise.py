@@ -39,6 +39,11 @@ def test_coefficient_profiles():
         coefficient_profile(3, "exp")
     with pytest.raises(ConfigurationError, match="n_modes must be >= 0"):
         make_noise_model(periodic_grid(1.0, 8), -1)
+    # 2^1e300 overflows: an infinite coefficient would blow up the first step
+    for profile, decay, amplitude in (("power", -1e300, 1.0), ("flat", 1.0, np.inf),
+                                      ("power", 1.0, np.nan)):
+        with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
+            coefficient_profile(3, profile, decay, amplitude)
 
 
 def test_model_validation():

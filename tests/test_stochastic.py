@@ -4,7 +4,7 @@ import pytest
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cumint, dot,
                                  line_grid, norm, periodic_grid)
 from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
-from hasimoto_lab.llg import LLGConfig, llg_integrate, stable_dt
+from hasimoto_lab.llg import StepConfig, llg_integrate, stable_dt
 from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, coefficient_profile,
                                 derive_seed, make_noise_model, noise_fields,
                                 sample_increments)
@@ -177,8 +177,8 @@ def test_run_sllg_zero_noise_matches_llg():
     t_end = 20.0 * dt
     cfg = SLLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end, n_modes=0)
     path = run_sllg(q0, g, m, e0, cfg, master_seed=0)
-    tr = llg_integrate(u0, g, LLGConfig(alpha=1.0, beta=1.0, dt=dt,
-                                        t_end=t_end, output_stride=100))
+    tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
+                                         t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
     assert np.max(np.abs(path.u[-1, :, 0] - tr.states[-1])) <= 1e-3
 
@@ -237,6 +237,11 @@ def test_config_validation():
         SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, coeff_profile="bogus")
     with pytest.raises(ConfigurationError):
         SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, n_modes=-1)
+    with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
+        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, coeff_profile="power",
+                   coeff_decay=-1e300)
+    with pytest.raises(ConfigurationError, match="output_stride"):
+        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
     for t_end in (np.inf, np.nan, -1.0):
         with pytest.raises(ConfigurationError):
             SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)

@@ -7,8 +7,8 @@ import pytest
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  normalize, open_view, periodic_grid)
 from hasimoto_lab.forks import fork_map
-from hasimoto_lab.heat import HeatConfig, heat_integrate
-from hasimoto_lab.llg import stable_dt
+from hasimoto_lab.heat import heat_integrate
+from hasimoto_lab.llg import StepConfig, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import SLLGConfig, SllgEnsemble, run_sllg_ensemble
 from hasimoto_lab.validation import (covariance_check,
@@ -142,7 +142,7 @@ def test_fork_map_caller_finally_runs_once(use_cpus, no_child_left, tmp_path,
 def test_fork_map_blow_up_in_worker_matches_serial(use_cpus, no_child_left):
     g = periodic_grid(2.0 * np.pi, 32)
     dt = 0.5 * stable_dt(g, 1.0, 0.0)
-    cfg = HeatConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt)
+    cfg = StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt)
     blowing = 1e200 * np.ones(g.n, complex)
     items = [np.ones(g.n, complex), blowing]   # on 2 CPUs item 1 runs in a child
     errors = {}
@@ -196,7 +196,7 @@ def test_holonomy_solution_beats_frozen():
     g = line_grid(-30.0, 10.0, 64)
     q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
     dt = 0.9 * stable_dt(g, 1.0, 1.0)
-    tr = heat_integrate(q0, g, HeatConfig(alpha=1.0, beta=1.0, dt=dt,
+    tr = heat_integrate(q0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                           t_end=4.0 * dt))
     q_path = np.array(tr.states)
     frozen = np.tile(q0, (q_path.shape[0], 1))
@@ -231,9 +231,11 @@ def test_weak_residual_deterministic_path_small():
                     0.3 * np.ones(g.n)], axis=-1)
     r = weak_residual(paths, phi)
     assert r[0] == r[1] and abs(r[0]) <= 50.0 * dt ** 2
-    rep = sllg_weak_residual(paths, phi)
-    assert rep.mean == pytest.approx(r[0])
-    assert rep.stderr == 0.0 and rep.n_paths == 2
+    # equal paths have no spread: their statistics are refused, not read as 0
+    for check in (lambda: sllg_weak_residual(paths, phi),
+                  lambda: covariance_check(paths, phi, phi)):
+        with pytest.raises(ConfigurationError, match="every noise coefficient is zero"):
+            check()
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
         sllg_weak_residual(paths.path(0), phi)
 
