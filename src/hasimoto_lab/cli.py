@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .fields import (BlowUpError, ConfigurationError, Grid1D, check_unit,
                      line_grid, normalize, periodic_grid, time_steps)
+from .forks import fork_map
 from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                         reconstruct_frame)
 from .heat import heat_integrate, mass
@@ -276,8 +277,9 @@ def write_csv(path: str, header: list, frames) -> None:
     """Write a CSV one frame at a time.
 
     Each frame is a tuple of columns: 1-D arrays of one common length, or
-    scalars that stand for a constant column. Cells are the repr of Python
-    scalars, which round-trips floats exactly, so output is byte-deterministic.
+    scalars that stand for a constant column. A str array holds its cells;
+    other cells are the repr of Python scalars, which round-trips floats
+    exactly, so output is byte-deterministic.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -285,15 +287,16 @@ def write_csv(path: str, header: list, frames) -> None:
             cols = [np.asarray(c) for c in frame]
             rows = max((c.shape[0] for c in cols if c.ndim), default=1)
             cells = [[repr(c.item())] * rows if c.ndim == 0
+                     else c.tolist() if c.dtype.kind == "U"
                      else list(map(repr, c.tolist())) for c in cols]
             fh.write("".join([",".join(r) + "\n" for r in zip(*cells)]))
 
 
 def _write_nodes(path: str, g: Grid1D, names: list, samples) -> None:
     """A CSV of columns t, node, x, *names from (t, (n, len(names)) state) samples."""
-    nodes = np.arange(g.n)
+    node_x = np.array([f"{j},{x!r}" for j, x in enumerate(g.x.tolist())])
     write_csv(path, ["t", "node", "x", *names],
-              ((t, nodes, g.x, *s.T) for t, s in samples))
+              ((t, node_x, *s.T) for t, s in samples))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -378,14 +381,19 @@ def _ensemble(c):
 def run_sllg_experiment(c, outdir):
     g, cfg = c["g"], c["solver"]
     ens = _ensemble(c)
-    _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
-                 ((ens.times[k], ens.u[k, :, 0]) for k in range(cfg.n_steps + 1)
-                  if cfg.sampled(k)))
-    res = sllg_weak_residual(ens, _standard_phi(g))
+
+    def output(csv):    # the CSV in the parent; the residual in a child, given 2 CPUs
+        if csv:
+            return _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
+                                ((ens.times[k], ens.u[k, :, 0])
+                                 for k in range(cfg.n_steps + 1) if cfg.sampled(k)))
+        return sllg_weak_residual(ens, _standard_phi(g)).to_dict()
+
+    _, residual = fork_map(output, [True, False])
     closure = float(np.mean(closure_defect(ens.q[-1], g,
                                            FrameField(u=ens.u[-1], e=ens.e[-1]))))
     report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],
-              "weak_residual": res.to_dict(), "mean_closure_defect": closure}
+              "weak_residual": residual, "mean_closure_defect": closure}
     return report, ["series_u.csv"]
 
 

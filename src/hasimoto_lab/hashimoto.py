@@ -85,6 +85,8 @@ def inverse_identities(q: np.ndarray, g: Grid1D) -> CurvatureTorsion:
 
 # The basepoint frame (u(a), e(a)) every run starts its frame march from.
 BASEPOINT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+# reconstruct_frame marches max(1, CHUNK_ROTATIONS // columns) nodes per chunk.
+CHUNK_ROTATIONS = 4096
 
 
 def node_rotations(q0: np.ndarray, q1: np.ndarray, g: Grid1D) -> np.ndarray:
@@ -94,17 +96,8 @@ def node_rotations(q0: np.ndarray, q1: np.ndarray, g: Grid1D) -> np.ndarray:
     return generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
 
 
-def _check_initial_frame(m: np.ndarray, e0: np.ndarray):
-    """Every frame in m, e0 (each (..., 3)) must be orthonormal to 1e-10."""
-    m = np.asarray(m, float)
-    e0 = np.asarray(e0, float)
-    if FrameField(m, e0).orthonormality_defect() > 1e-10:
-        raise ConfigurationError(
-            "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
-    return m, e0
-
-
-def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -> FrameField:
+def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
+                      out: FrameField = None) -> FrameField:
     """Integrate the spatial frame ODE from the basepoint with u(a) = m, e(a) = e0.
 
     Node-to-node update uses the exact rotation exponential of the generator
@@ -112,24 +105,38 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray) -
     orthonormal). On periodic grids the march does not wrap: the closure
     defect at the seam is reported by closure_defect, not enforced.
 
-    q is (n,) with m, e0 of shape (3,), or (n, P) with one basepoint frame per
-    path, m, e0 of shape (P, 3); each node step is then one stack of P 3x3
-    products, and path i comes out bit for bit as if marched alone.
-    q, m and e0 must be finite.
+    q is (n,) with m, e0 of shape (3,), or (n, *cols) with one basepoint
+    frame per column, m, e0 of shape (*cols, 3); every column comes out bit
+    for bit as if marched alone. The march holds the rotations and frames of
+    one chunk of nodes at a time, and writes u and e into out (a FrameField
+    of (n, *cols, 3) arrays or views) or new arrays. q, m, e0 must be finite,
+    and every basepoint frame orthonormal to 1e-10.
     """
     _require_finite("q, m and e0", q, m, e0)
-    m, e0 = _check_initial_frame(m, e0)
-    n = g.n
-    b = g.basepoint_index
-    R = node_rotations(q[:-1], q[1:], g)
-    Rt = np.swapaxes(R, -1, -2)
-    F = np.empty(q.shape + (3, 3))
-    F[b] = np.stack([m, e0, cross(m, e0)], axis=-2)
-    for j in range(b, n - 1):
-        np.matmul(R[j], F[j], out=F[j + 1])
-    for j in range(b, 0, -1):
-        np.matmul(Rt[j - 1], F[j], out=F[j - 1])
-    return FrameField(u=F[..., 0, :].copy(), e=F[..., 1, :].copy())
+    m, e0 = np.asarray(m, float), np.asarray(e0, float)
+    if FrameField(m, e0).orthonormality_defect() > 1e-10:
+        raise ConfigurationError(
+            "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
+    out = out or FrameField(u=np.empty(q.shape + (3,)), e=np.empty(q.shape + (3,)))
+    n, b = g.n, g.basepoint_index
+    step = max(1, CHUNK_ROTATIONS // max(1, q[0].size))
+    F = np.empty((step + 1,) + q.shape[1:] + (3, 3))
+    F0 = np.stack([m, e0, cross(m, e0)], axis=-2)
+    out.u[b], out.e[b] = F0[..., 0, :], F0[..., 1, :]
+    for ahead in (1, 0):
+        F[0], j = F0, b                     # j: the node whose frame is F[0]
+        while c := min(step, n - 1 - j if ahead else j):
+            lo = j if ahead else j - c      # the chunk's intervals lo .. lo + c - 1
+            R = node_rotations(q[lo:lo + c], q[lo + 1:lo + c + 1], g)
+            if not ahead:                   # the inverse rotations, in march order
+                R = np.swapaxes(R[::-1], -1, -2)
+            for i in range(c):
+                np.matmul(R[i], F[i], out=F[i + 1])
+            frames = F[1:c + 1] if ahead else F[c:0:-1]
+            out.u[lo + ahead:lo + c + ahead] = frames[..., 0, :]
+            out.e[lo + ahead:lo + c + ahead] = frames[..., 1, :]
+            F[0], j = F[c], j + c if ahead else j - c
+    return out
 
 
 def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField):

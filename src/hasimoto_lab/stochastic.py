@@ -11,7 +11,9 @@ Every field may carry a path axis after the node axis: scalar fields are
 Each path draws its noise from its own substream and no operation mixes
 paths, so path i comes out bit for bit the same in any batch. The drift of
 the Heun step is the deterministic flow's own right-hand side,
-heat.HeatStepper.rhs, evaluated on (P, n) views of the paths.
+heat.HeatStepper.rhs, evaluated on (P, n) views of the paths. A march
+worker advances q over all its steps first and then rebuilds their frame
+fields with one hashimoto.reconstruct_frame call, in chunks of nodes.
 """
 
 import mmap
@@ -29,9 +31,6 @@ from .noise import (NoiseIncrement, NoiseModel, TAG_PATH, coefficient_profile,
                     sample_increments)
 from .rotations import generator_rotation
 
-# Frame fields rebuilt per spatial march: a worker's steps go in blocks of
-# about BLOCK_FRAMES // paths (see block_steps).
-BLOCK_FRAMES = 8
 # Largest orthonormality defect frame_time_step accepts in its input frame.
 ORTHO_TOL = 1e-8
 
@@ -162,9 +161,10 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     The paths are sharded into one contiguous range per usable CPU (at
     most one per path), each marched whole by a forked worker straight
     into histories shared with the caller. Steps (1) and (2) never read the
-    rebuilt field, so steps (3) and (4) run once per block of
-    block_steps(paths) steps, with the same operations per step. Every path
-    is bit for bit the same for any number of workers or steps per block.
+    rebuilt field, so a worker runs them over all its steps, then step (3)
+    as one spatial march over all its steps and paths, in chunks of
+    hashimoto.CHUNK_ROTATIONS rotations, then step (4). Every path is bit
+    for bit the same for any number of workers or chunk size.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -215,9 +215,8 @@ def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
     try:
         fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     except BlowUpError:
-        # a BlowUpError gives the last max |q| over its range of paths, and
-        # a worker's range is not all of them: re-march serially to raise
-        # the serial run's error
+        # a BlowUpError gives the last max |q| over a worker's range of
+        # paths only: re-march serially to raise the serial run's error
         if W > 1:
             march(range(P))
         raise
@@ -238,62 +237,43 @@ def _shared_arrays(specs):
     return arrays
 
 
-def block_steps(n_paths: int) -> int:
-    """Time steps whose frame fields one reconstruct_frame call rebuilds when
-    n_paths paths march together: about BLOCK_FRAMES frames per node step."""
-    return max(1, BLOCK_FRAMES // n_paths)
-
-
 def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
     """Advance the paths on seeds from their step-0 entries, filling the
     history views.
 
     q and the basepoint frames never read the rebuilt frame fields, so they
-    advance a block of steps first; one spatial march then rebuilds the
-    block's frame fields and W-tilde's increments follow from them.
+    advance over all K steps first, keeping each step's raw dW1, dW2, dW3 in
+    dW_tilde. One spatial march over the K * P columns then rebuilds every
+    frame field, and W-tilde's increments replace the raw ones step by step.
     """
-    K, n, P = dW_tilde.shape[:3]
-    T = block_steps(P)
-    b = g.basepoint_index
+    K, _, P = dW_tilde.shape[:3]
+    if K == 0:
+        return
     q = np.ascontiguousarray(qs[0])
-    base = us[0, b], es[0, b]
-    for lo in range(0, K, T):
-        steps = range(lo, min(lo + T, K))
-        dW = np.empty((3, len(steps), n, P))
-        bases = np.empty((2, len(steps), P, 3))
-        for t, k in enumerate(steps):
-            inc = noise_fields(nm, np.stack(
-                [sample_increments(nm, s, cfg.dt, k) for s in seeds]))
-            q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
-                                                   cfg.dt, inc)
-            check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
-            q = q_new
-            base = _basepoint_step(base, q_mid, inc, g, cfg)
-            qs[k + 1] = q
-            dW[:, t] = inc.dW1, inc.dW2, inc.dW3
-            bases[:, t] = base
-        _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g)
-
-
-def _rebuild_block(qs, us, es, dW_tilde, lo, dW, bases, g):
-    """Frame fields of the T steps after step lo by one spatial march over
-    T * P columns, then W-tilde's increments (dW1, dW2, dW3 stacked in dW)
-    with midpoint frames."""
-    T, n, P = dW.shape[1:]
-    s = slice(lo + 1, lo + 1 + T)
-    f = reconstruct_frame(qs[s].transpose(1, 0, 2).reshape(n, T * P), g,
-                          bases[0].reshape(T * P, 3), bases[1].reshape(T * P, 3))
-    us[s] = f.u.reshape(n, T, P, 3).transpose(1, 0, 2, 3)
-    es[s] = f.e.reshape(n, T, P, 3).transpose(1, 0, 2, 3)
-    u, e = us[lo:lo + T + 1], es[lo:lo + T + 1]
-    exu = cross(e, u)
-    u_mid = 0.5 * (u[:-1] + u[1:])
-    e_mid = 0.5 * (e[:-1] + e[1:])
-    exu_mid = 0.5 * (exu[:-1] + exu[1:])
-    out = dW_tilde[lo:lo + T]
-    np.multiply(e_mid, dW[1][..., None], out=out)
-    out += exu_mid * dW[0][..., None]
-    out += u_mid * dW[2][..., None]
+    base = us[0, g.basepoint_index], es[0, g.basepoint_index]
+    bases = np.empty((2, K, P, 3))
+    for k in range(K):
+        inc = noise_fields(nm, np.stack(
+            [sample_increments(nm, s, cfg.dt, k) for s in seeds]))
+        q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
+                                               cfg.dt, inc)
+        check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
+        q = q_new
+        base = _basepoint_step(base, q_mid, inc, g, cfg)
+        qs[k + 1] = q
+        dW_tilde[k] = np.stack([inc.dW1, inc.dW2, inc.dW3], axis=-1)
+        bases[:, k] = base
+    reconstruct_frame(qs[1:].transpose(1, 0, 2), g, *bases,
+                      out=FrameField(u=us[1:].transpose(1, 0, 2, 3),
+                                     e=es[1:].transpose(1, 0, 2, 3)))
+    # W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames
+    exu = cross(es[0], us[0])
+    for k in range(K):
+        exu_prev, exu = exu, cross(es[k + 1], us[k + 1])
+        dW1, dW2, dW3 = np.moveaxis(dW_tilde[k], -1, 0)[:, ..., None].copy()
+        np.multiply(0.5 * (es[k] + es[k + 1]), dW2, out=dW_tilde[k])
+        dW_tilde[k] += 0.5 * (exu_prev + exu) * dW1
+        dW_tilde[k] += 0.5 * (us[k] + us[k + 1]) * dW3
 
 
 def _basepoint_step(base, q_mid, inc, g, cfg):

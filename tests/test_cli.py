@@ -111,17 +111,44 @@ def test_identities_smoke(tmp_path):
     assert report["lagrange_max_rel"] <= 1e-10
 
 
-def test_sllg_smoke_and_byte_determinism(tmp_path):
+def test_sllg_smoke_and_byte_determinism(tmp_path, use_cpus, no_child_left):
+    # on 2 CPUs a forked child computes the weak residual while the parent
+    # writes the CSV; on 1 CPU the parent does both
     args = ("sllg", "--set", "n=32", "--set", "t_end=0.002",
             "--set", "n_paths=2", "--set", "n_modes=2", "--seed", "5")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(*args, "--out", str(out1)) == 0
-    assert run_cli(*args, "--out", str(out2)) == 0
+    for cpus, out in ((1, out1), (2, out2)):
+        use_cpus(cpus)
+        assert run_cli(*args, "--out", str(out)) == 0
+        no_child_left()
     for name in ("series_u.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     out3 = tmp_path / "c"
     assert run_cli(*args[:-1], "6", "--out", str(out3)) == 0
     assert (out1 / "report.json").read_bytes() != (out3 / "report.json").read_bytes()
+
+
+def test_failing_residual_job_fails_manifest(tmp_path, capsys, monkeypatch,
+                                            use_cpus, no_child_left):
+    import hasimoto_lab.cli as cli
+    parent = os.getpid()
+
+    def broken(ens, phi):
+        raise RuntimeError(f"residual in a child: {os.getpid() != parent}\nsecond line")
+
+    monkeypatch.setattr(cli, "sllg_weak_residual", broken)
+    use_cpus(2)
+    out = tmp_path / "broken"
+    assert run_cli("sllg", "--set", "n=32", "--set", "t_end=0.002",
+                   "--set", "n_paths=2", "--out", str(out)) == 1
+    no_child_left()
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "RuntimeError"
+    assert "Traceback" in manifest["traceback"]
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err == "run failed: RuntimeError: residual in a child: True second line\n"
 
 
 def test_holonomy_smoke(tmp_path):
@@ -315,6 +342,21 @@ def test_write_csv_matches_rowwise_writer(tmp_path):
     write_csv(tmp_path / "streamed.csv", header, iter(frames))
     rowwise_csv(tmp_path / "rows.csv", header, rows)
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_writes_str_array_cells_as_they_are(tmp_path):
+    # a str column of "node,x" cells, formatted once, writes the bytes of the
+    # node and x columns formatted in every frame
+    x = np.array([-0.0, 0.1, 1e16, 5e-324, -2.5])
+    nodes = np.arange(len(x))
+    node_x = np.array([f"{j},{v!r}" for j, v in enumerate(x.tolist())])
+    u = np.linspace(0.0, 1.0, len(x))
+    header = ["t", "node", "x", "u"]
+    write_csv(tmp_path / "cells.csv", header,
+              iter([(0.5, node_x, u), (np.float64(1.0), node_x, -u)]))
+    write_csv(tmp_path / "numbers.csv", header,
+              iter([(0.5, nodes, x, u), (np.float64(1.0), nodes, x, -u)]))
+    assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "numbers.csv").read_bytes()
 
 
 def test_sllg_csv_is_path_zero_exactly(tmp_path):

@@ -3,9 +3,11 @@ import pytest
 
 from hasimoto_lab.fields import (ConfigurationError, line_grid, normalize,
                                  periodic_grid)
-from hasimoto_lab.hashimoto import (BASEPOINT_FRAME, closure_defect,
+import hasimoto_lab.hashimoto as hashimoto
+from hasimoto_lab.hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                                     curvature_torsion, inverse_identities,
                                     reconstruct_frame, transform)
+from hasimoto_lab.rotations import generator_rotation
 
 
 def great_circle(g, k=1.0):
@@ -101,6 +103,41 @@ def test_reconstruct_rejects_bad_initial_frame():
         reconstruct_frame(q, g, np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ConfigurationError):
         reconstruct_frame(q, g, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("g", [line_grid(-5.0, 5.0, 33, basepoint_index=b)
+                               for b in (0, 17, 32)]
+                         + [periodic_grid(2.0 * np.pi, 32, basepoint_index=b)
+                            for b in (0, 13, 31)],
+                         ids=["line-0", "line-17", "line-32",
+                              "periodic-0", "periodic-13", "periodic-31"])
+def test_batched_march_matches_column_marches(monkeypatch, g):
+    # an (n, K, P) batch of 6 columns against each column marched alone, bit
+    # for bit, in chunks of 1 node, of 5 nodes (a short last chunk on most
+    # sides) and of the default size (one chunk); the u and e rows go into
+    # new arrays or into views of larger arrays
+    rng = np.random.default_rng(3)
+    n, K, P = g.n, 3, 2
+    q = (0.5 + 0.2 * rng.standard_normal((n, K, P))) \
+        * np.exp(1j * rng.standard_normal((n, K, P)))
+    R = generator_rotation(*rng.standard_normal((3, K, P)))
+    m, e0 = R[..., 0, :], R[..., 1, :]
+    alone = [[reconstruct_frame(q[:, k, p], g, m[k, p], e0[k, p]) for p in range(P)]
+             for k in range(K)]
+    for chunk in (1, 5 * K * P, hashimoto.CHUNK_ROTATIONS):
+        monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
+        f = reconstruct_frame(q, g, m, e0)
+        qs = np.full((K + 1, n, P), np.nan, complex)
+        us, es = np.full((2, K + 1, n, P, 3), np.nan)
+        qs[1:] = q.transpose(1, 0, 2)
+        out = FrameField(u=us[1:].transpose(1, 0, 2, 3), e=es[1:].transpose(1, 0, 2, 3))
+        assert reconstruct_frame(qs[1:].transpose(1, 0, 2), g, m, e0, out=out) is out
+        assert np.all(np.isnan(us[0])) and np.all(np.isnan(es[0]))
+        for got in (f, out):
+            for k in range(K):
+                for p in range(P):
+                    assert np.array_equal(got.u[:, k, p], alone[k][p].u), (chunk, k, p)
+                    assert np.array_equal(got.e[:, k, p], alone[k][p].e), (chunk, k, p)
 
 
 def test_round_trip_u_to_q_to_u():

@@ -8,11 +8,12 @@ from hasimoto_lab.llg import StepConfig, llg_integrate, stable_dt
 from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, coefficient_profile,
                                 derive_seed, make_noise_model, noise_fields,
                                 sample_increments)
+import hasimoto_lab.hashimoto as hashimoto
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import generator_rotation
-from hasimoto_lab.stochastic import (SLLGConfig, block_steps, frame_generator,
-                                     frame_time_step, run_sllg,
-                                     run_sllg_ensemble, stochastic_heat_step)
+from hasimoto_lab.stochastic import (SLLGConfig, frame_generator, frame_time_step,
+                                     run_sllg, run_sllg_ensemble,
+                                     stochastic_heat_step)
 import reference
 
 
@@ -26,7 +27,7 @@ def twist_q(x):
     return 0.4 / (1.0 + ((x + 10.0) / 3.0) ** 2) ** 3 + 0.0j
 
 
-def test_internal_coeffs_constant_q():
+def test_frame_generator_constant_q():
     g = periodic_grid(2.0 * np.pi, 64)
     k = 0.7
     q = k * np.ones(g.n, complex)
@@ -35,14 +36,14 @@ def test_internal_coeffs_constant_q():
     assert np.max(np.abs(C + 0.5 * 0.9 * k ** 2)) <= 1e-14
 
 
-def test_internal_coeffs_zero_q():
+def test_frame_generator_zero_q():
     g = periodic_grid(2.0 * np.pi, 32)
     p, C = frame_generator(np.zeros(g.n, complex), g, 1.0, 1.0)
     assert np.max(np.abs(p)) == 0.0
     assert np.max(np.abs(C)) == 0.0
 
 
-def test_internal_coeffs_C_is_real_integrand():
+def test_frame_generator_C_is_real_integrand():
     # the nonlocal integrand q_x conj(q) - conj(q_x) q is purely imaginary
     g = periodic_grid(2.0 * np.pi, 128)
     q = (0.3 + 0.1 * np.cos(g.x)) * np.exp(1j * np.sin(g.x))
@@ -311,34 +312,17 @@ def test_blow_up_names_step_time_and_last_finite_max():
         f"last finite max |y| = {np.max(np.abs(q1)):.6g} at t = 0.001")
 
 
-def test_block_steps_rule():
-    assert block_steps(2) == 4              # long curve: 8 frames per march
-    assert block_steps(100) == 1            # wide ensemble: one step per march
-    assert block_steps(3) == 2
-    assert block_steps(1) == 8              # at any n
-
-
-@pytest.mark.parametrize("frames", [3, 5])
-def test_time_blocks_bit_identical(monkeypatch, frames):
-    # one path at n = 32 takes blocks of BLOCK_FRAMES steps: 1 (the step by
-    # step march), 3 (a short last block) and K = 5 (one block)
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 5)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
-    ref = run_sllg(q0, g, m, e0, cfg, 21)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", frames)
-    assert block_steps(1) == frames
-    assert_same_path(run_sllg(q0, g, m, e0, cfg, 21), ref)
-
-
-def test_time_blocks_bit_identical_at_large_n(monkeypatch):
-    # one path at n = 16384 marches its K = 6 steps in one block of 8
-    # frames, as at any n, against the step by step march
+def test_single_march_matches_per_step_marches_at_large_n():
+    # one path at n = 16384 rebuilds its K = 6 frame fields with one march
+    # in chunks of 682 nodes; each field equals the lone march of its q
+    # from its basepoint frame, which takes one chunk
     g, cfg, q0, m, e0 = _ensemble_inputs(16384, 1e-8, 6)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
-    ref = run_sllg(q0, g, m, e0, cfg, 21)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 8)
-    assert block_steps(1) == 8
-    assert_same_path(run_sllg(q0, g, m, e0, cfg, 21), ref)
+    path = run_sllg(q0, g, m, e0, cfg, 21)
+    b = g.basepoint_index
+    for k in range(path.n_steps + 1):
+        f = reconstruct_frame(path.q[k, :, 0], g, path.u[k, b, 0], path.e[k, b, 0])
+        assert np.array_equal(f.u, path.u[k, :, 0]), k
+        assert np.array_equal(f.e, path.e[k, :, 0]), k
 
 
 def test_ensemble_matches_step_by_step_construction():
@@ -403,16 +387,14 @@ def test_basepoint_step_matches_full_grid_coefficients(g):
 
 def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
                                                      no_child_left):
-    # 7 paths, marched step by step by one worker, against 1, 2 and 3
-    # workers with BLOCK_FRAMES = 12: their ranges 7, 4 + 3 and 3 + 2 + 2
-    # take blocks of 1, 3 + 4 and 4 + 6 + 6 steps, and K = 5 leaves short
-    # last blocks
+    # 7 paths, marched node by node by one worker, against 1, 2 and 3
+    # workers at the default chunk size: their ranges 7, 4 + 3 and 3 + 2 + 2
     g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 5)
+    chunk = hashimoto.CHUNK_ROTATIONS
     use_cpus(1)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 1)
+    monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", 1)
     ref = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
-    monkeypatch.setattr(stochastic, "BLOCK_FRAMES", 12)
-    assert [block_steps(p) for p in (7, 4, 3, 2)] == [1, 3, 4, 6]
+    monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
     for cpus in (1, 2, 3):
         use_cpus(cpus)
         ens = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
