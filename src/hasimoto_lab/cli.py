@@ -30,10 +30,10 @@ from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
 from .heat import heat_integrate, mass
 from .llg import StepConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
-from .stochastic import SLLGConfig, run_sllg_ensemble
-from .validation import (covariance_check, crosscheck_deterministic,
-                         holonomy_defect, identity_suite, localized_twist,
-                         sllg_weak_residual)
+from .stochastic import run_sllg_ensemble
+from .validation import (covariance_check, crosscheck_config,
+                         crosscheck_deterministic, holonomy_defect,
+                         identity_suite, localized_twist, sllg_weak_residual)
 
 EXPERIMENTS = ("llg", "heat", "crosscheck", "identities", "sllg",
                "holonomy", "covariance")
@@ -91,12 +91,6 @@ DEFAULTS = {e: {key: over.get(e, default)
                 for key, (_, _, default, readers, over) in SCHEMA.items()
                 if e in readers}
             for e in EXPERIMENTS}
-
-VALIDATING_MODULE = {
-    "llg": "llg", "heat": "heat", "crosscheck": "validation",
-    "identities": "validation", "sllg": "stochastic + validation",
-    "holonomy": "validation", "covariance": "validation",
-}
 
 
 def read_config_file(path: str) -> dict:
@@ -204,11 +198,19 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
 
 
 def validate(experiment: str, c: dict, errors: list):
-    """The checks that span several keys, run before any artifact exists.
+    """The checks that span several keys, run before any artifact exists,
+    and the one construction of everything a run starts from.
 
-    Appends every violation to errors and returns None; otherwise returns c
-    with dt and output_stride resolved to numbers and the run's grid "g",
-    initial data "x0" and solver config "solver" added.
+    Appends every violation to errors and returns None; otherwise returns
+    the run's plan: c with dt and output_stride resolved to numbers, plus
+    - "levels" (crosscheck only): one (grid, initial u, StepConfig) per
+      grid size, from validation.crosscheck_config;
+    - "g" and "x0" (every other experiment): the grid and the initial data,
+      u for llg and identities and q otherwise;
+    - "frame" (heat, sllg, holonomy, covariance): the FrameField that the
+      frame march builds from q0 and BASEPOINT_FRAME;
+    - "noise" (sllg, covariance): the NoiseModel on g;
+    - "solver" (every experiment that steps in time): its StepConfig.
     """
     def attempt(fn, *args):
         try:
@@ -218,8 +220,9 @@ def validate(experiment: str, c: dict, errors: list):
 
     def initial(g):         # the initial data, whose frame must not overflow
         x0 = attempt(initial_u if sphere else initial_q, c, g)
-        u0 = x0 if sphere or x0 is None else reconstruct_frame(x0, g, *BASEPOINT_FRAME).u
-        if u0 is not None and not np.all(np.isfinite(u0)):
+        if x0 is not None and not sphere:
+            c["frame"] = reconstruct_frame(x0, g, *BASEPOINT_FRAME)
+        if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
             errors.append("the initial frame overflows to inf or nan")
         return x0
 
@@ -229,12 +232,14 @@ def validate(experiment: str, c: dict, errors: list):
         for key, only in (("domain", "line"), ("initial_data", "localized-twist")):
             if c[key] != only:
                 errors.append(f"crosscheck supports {key}={only} only")
-        for n in c["grid_sizes"]:       # each level's grid, automatic dt and initial u
+        c["levels"] = []
+        for n in c["grid_sizes"]:       # each level's grid, solver config and initial u
             g = attempt(line_grid, c["x_min"], c["x_max"], n)
             if g is not None:
-                attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
-                if c["initial_data"] == "localized-twist":
-                    initial(g)
+                cfg = attempt(crosscheck_config, g, c["alpha"], c["beta"], c["t_end"],
+                              c["samples"])
+                u0 = initial(g) if c["initial_data"] == "localized-twist" else None
+                c["levels"].append((g, u0, cfg))
         if c["t_end"] == 0:
             errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
         return None if errors else c
@@ -246,7 +251,7 @@ def validate(experiment: str, c: dict, errors: list):
         return None
     c["x0"] = initial(g)
     if experiment in _STOCHASTIC:   # the noise needs the circle and finite coefficients
-        attempt(make_noise_model, g, *(c[k] for k in (
+        c["noise"] = attempt(make_noise_model, g, *(c[k] for k in (
             "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
@@ -256,9 +261,8 @@ def validate(experiment: str, c: dict, errors: list):
         return None if errors else c
     if c.get("output_stride") == "auto":
         c["output_stride"] = max(1, n_steps // 10)
-    # the solver config takes the typed values of the keys named like its fields
-    solver = SLLGConfig if experiment in _STOCHASTIC else StepConfig
-    c["solver"] = solver(**{k: c[k] for k in solver.__dataclass_fields__ if k in c})
+    c["solver"] = StepConfig(c["alpha"], c["beta"], c["dt"], c["t_end"],
+                             c.get("output_stride", 1))
     attempt(c["solver"].check_stability, g)
     if experiment in _CHECKS_STEPS and n_steps < 1:
         errors.append(f"t_end={c['t_end']!r} with dt={c['dt']!r} gives no "
@@ -321,7 +325,7 @@ def render_report(report: dict) -> str:
 
 
 # --- experiment bodies ---
-# Each runner takes the config that validate() returned and the output
+# Each runner takes the plan that validate() returned and the output
 # directory, solves and writes, and returns (report dict, list of CSV
 # filenames).
 
@@ -353,10 +357,7 @@ def run_heat(c, outdir):
 
 
 def run_crosscheck(c, outdir):
-    rep = crosscheck_deterministic(
-        lambda x: localized_twist(x, c["amplitude"], c["width"], c["center"], c["power"]),
-        c["x_min"], c["x_max"], c["alpha"], c["beta"], c["t_end"],
-        grid_sizes=c["grid_sizes"], samples=c["samples"])
+    rep = crosscheck_deterministic(c["levels"])
     write_csv(os.path.join(outdir, "series_discrepancy.csv"),
               ["n", "t", "disc_max", "disc_l2"],
               ((lv["n"], lv["times"], lv["disc_max"], lv["disc_l2"])
@@ -374,7 +375,7 @@ def _standard_phi(g: Grid1D) -> np.ndarray:
 
 
 def _ensemble(c):
-    return run_sllg_ensemble(c["x0"], c["g"], *BASEPOINT_FRAME, c["solver"],
+    return run_sllg_ensemble(c["x0"], c["frame"], c["noise"], c["solver"],
                              c["master_seed"], c["n_paths"])
 
 
@@ -435,10 +436,9 @@ RUNNERS = {"llg": run_llg, "heat": run_heat, "crosscheck": run_crosscheck,
 def list_experiments() -> str:
     lines = ["available experiments:"]
     for name in EXPERIMENTS:
-        lines.append(f"  {name:<12} validated by: {VALIDATING_MODULE[name]}")
-        defaults = DEFAULTS[name]
-        for key in sorted(defaults):
-            lines.append(f"    {key:<16} = {defaults[key]}")
+        lines.append(f"  {name}")
+        for key, val in sorted(DEFAULTS[name].items()):
+            lines.append(f"    {key:<16} = {val}")
     return "\n".join(lines)
 
 

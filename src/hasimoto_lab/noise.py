@@ -93,18 +93,14 @@ def make_noise_model(g: Grid1D, n_modes: int, profile: str = "flat",
                                                          amplitude))
 
 
-def derive_seed(master_seed: int, tag: int, index: int) -> int:
-    """Derived stream seed: master combined with a purpose tag and an index.
+def derive_seed(master_seed: int, index: int) -> int:
+    """Seed of path index under master_seed.
 
-    Realized through SeedSequence spawn keys so distinct (tag, index) pairs
-    give independent, reproducible streams.
+    Realized through the SeedSequence spawn key (1, index), so distinct
+    indices give independent, reproducible streams.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(tag, index))
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(1, index))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-# purpose tag for derive_seed
-TAG_PATH = 1
 
 
 def sample_increments(nm: NoiseModel, seed: int, dt: float,

@@ -26,8 +26,7 @@ from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import HeatStepper
 from .llg import StepConfig, check_finite
-from .noise import (NoiseIncrement, NoiseModel, TAG_PATH, coefficient_profile,
-                    derive_seed, make_noise_model, noise_fields,
+from .noise import (NoiseIncrement, NoiseModel, derive_seed, noise_fields,
                     sample_increments)
 from .rotations import generator_rotation
 
@@ -98,26 +97,12 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
 
 
 @dataclass
-class SLLGConfig(StepConfig):
-    """StepConfig's time stepping, plus the noise model's modes and profile."""
-    n_modes: int = 4
-    coeff_profile: str = "flat"
-    coeff_decay: float = 1.0
-    coeff_amplitude: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        coefficient_profile(self.n_modes, self.coeff_profile, self.coeff_decay,
-                            self.coeff_amplitude)               # checks all four
-
-
-@dataclass
 class SllgEnsemble:
     """P paths stacked along an axis after the node axis, with the grid,
     config and noise model they were marched on; path i drew its noise
     from seeds[i]."""
     grid: Grid1D
-    cfg: SLLGConfig
+    cfg: StepConfig
     noise: NoiseModel
     q: np.ndarray           # (K+1, n, P) complex
     u: np.ndarray           # (K+1, n, P, 3)
@@ -146,11 +131,12 @@ class SllgEnsemble:
                             dW_tilde=self.dW_tilde[:, :, p], seeds=self.seeds[p])
 
 
-def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
-                      cfg: SLLGConfig, master_seed: int,
+def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
+                      cfg: StepConfig, master_seed: int,
                       n_paths: int) -> SllgEnsemble:
-    """Independent weak SLLG paths; path i runs on the seed
-    derive_seed(master_seed, TAG_PATH, i).
+    """Independent weak SLLG paths from q0 and its frame field, driven by
+    nm's noise on nm's grid; path i runs on the seed
+    derive_seed(master_seed, i).
 
     Per step and for all paths at once: (1) advance q; (2) advance the
     basepoint frame in time with coefficients at x = a (where the nonlocal
@@ -169,15 +155,15 @@ def run_sllg_ensemble(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
     _check_seed(master_seed)
-    return _run_paths(q0, g, m, e0, cfg,
-                      [derive_seed(master_seed, TAG_PATH, i) for i in range(n_paths)])
+    return _run_paths(q0, frame, nm, cfg,
+                      [derive_seed(master_seed, i) for i in range(n_paths)])
 
 
-def run_sllg(q0: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
-             cfg: SLLGConfig, master_seed: int) -> SllgEnsemble:
+def run_sllg(q0: np.ndarray, frame: FrameField, nm: NoiseModel, cfg: StepConfig,
+             master_seed: int) -> SllgEnsemble:
     """One weak SLLG path on master_seed's noise: the one-path ensemble."""
     _check_seed(master_seed)
-    return _run_paths(q0, g, m, e0, cfg, [master_seed])
+    return _run_paths(q0, frame, nm, cfg, [master_seed])
 
 
 def _check_seed(master_seed):
@@ -186,22 +172,19 @@ def _check_seed(master_seed):
             f"master_seed must be an integer >= 0, got {master_seed!r}")
 
 
-def _run_paths(q0, g, m, e0, cfg, seeds) -> SllgEnsemble:
+def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
     """The ensemble of the paths on seeds. The q/u/e/W-tilde histories live
     in one anonymous shared mapping, so the workers of forks.fork_map, one
     per contiguous path range, march their ranges in place and return None.
     A blow-up raises the serial march's BlowUpError."""
+    g = nm.grid
     cfg.check_stability(g)
-    nm = make_noise_model(g, cfg.n_modes, cfg.coeff_profile, cfg.coeff_decay,
-                          cfg.coeff_amplitude)
     K, n, P = cfg.n_steps, g.n, len(seeds)
     qs, us, es, dW_tilde = _shared_arrays([((K + 1, n, P), complex),
                                            ((K + 1, n, P, 3), float),
                                            ((K + 1, n, P, 3), float),
                                            ((K, n, P, 3), float)])
-    q0 = q0.astype(complex)
-    f0 = reconstruct_frame(q0, g, m, e0)
-    qs[0], us[0], es[0] = q0[:, None], f0.u[:, None], f0.e[:, None]
+    qs[0], us[0], es[0] = q0[:, None], frame.u[:, None], frame.e[:, None]
 
     def march(paths: range):
         c = slice(paths.start, paths.stop)

@@ -12,22 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
-                     dot, line_grid, normalize, open_view, time_steps)
+                     dot, normalize, open_view, time_steps)
 from .forks import fork_map
-from .hashimoto import (BASEPOINT_FRAME, curvature_torsion, node_rotations,
-                        reconstruct_frame, transform)
+from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
 from .llg import LLGStepper, StepConfig, auto_dt, llg_integrate
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
 from .stochastic import SllgEnsemble, frame_generator
-
-
-def fit_loglog_slope(scales, errors) -> float:
-    """Least-squares slope of log(error) vs log(scale); the convergence order."""
-    s = np.log(np.asarray(scales, float))
-    e = np.log(np.asarray(errors, float))
-    return float(np.polyfit(s, e, 1)[0])
 
 
 def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
@@ -60,46 +52,52 @@ class CrossCheckReport(_Report):
     flagged: bool                # decay monitor failed somewhere
 
 
-def crosscheck_deterministic(initial_q, x_min: float, x_max: float,
-                             alpha: float, beta: float, t_end: float,
-                             grid_sizes, samples: int = 10) -> CrossCheckReport:
+def crosscheck_config(g: Grid1D, alpha: float, beta: float, t_end: float,
+                      samples: int = 10) -> StepConfig:
+    """The solver config of one crosscheck level on g: llg.auto_dt, with
+    every (steps // samples)-th state sampled."""
+    dt = auto_dt(g, alpha, beta, t_end)
+    return StepConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
+                      output_stride=max(1, time_steps(dt, t_end) // samples))
+
+
+def crosscheck_deterministic(levels) -> CrossCheckReport:
     """Evolve matched initial data through both flows and compare transforms.
 
-    initial_q: callable x -> complex q0(x) with left-boundary decay. Per
-    refinement level the sphere map u0 is rebuilt from q0 by the frame march
-    from BASEPOINT_FRAME and the heat flow starts from the discrete transform
-    of u0, so the two sides carry consistent discrete data (discrepancy is
-    exactly 0 at t = 0).
-    Both solvers run with llg.auto_dt; the discrepancy max_x |H(u(t)) - q(t)|
-    is sampled along the flow. The 2 L integrations of the L levels are
-    independent and run in forked workers (forks.fork_map); the results do not
-    depend on the number of workers.
+    levels: one (g, u0, cfg) per refinement level, with a common alpha,
+    beta and t_end, where u0 is the sphere map on g that the frame march
+    builds from q0 with left-boundary decay, and cfg is crosscheck_config's.
+    The heat flow starts from the discrete transform of u0, so the two sides
+    carry consistent discrete data (discrepancy is exactly 0 at t = 0).
+    The discrepancy max_x |H(u(t)) - q(t)| is sampled along the flow. The
+    2 L integrations of the L levels are independent and run in forked
+    workers (forks.fork_map); the results do not depend on the number of
+    workers.
     """
+    flows = {(cfg.alpha, cfg.beta, cfg.t_end) for _, _, cfg in levels}
+    if len(flows) != 1:
+        raise ConfigurationError("a crosscheck needs levels with one common alpha, "
+                                 f"beta and t_end, got {sorted(flows)}")
+    (alpha, beta, t_end), = flows
     jobs = []
-    for n in grid_sizes:
-        g = line_grid(x_min, x_max, n)
-        u0 = reconstruct_frame(np.asarray(initial_q(g.x), complex), g,
-                               *BASEPOINT_FRAME).u
-        dt = auto_dt(g, alpha, beta, t_end)
-        cfg = StepConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                         output_stride=max(1, time_steps(dt, t_end) // samples))
+    for g, u0, cfg in levels:
         jobs += [(llg_integrate, u0, g, cfg), (heat_integrate, transform(u0, g), g, cfg)]
     trajs = fork_map(lambda job: job[0](*job[1:]), jobs)
-    levels = []
-    for (_, _, g, cfg), trl, trh in zip(jobs[::2], trajs[::2], trajs[1::2]):
+    rows = []
+    for (g, _, cfg), trl, trh in zip(levels, trajs[::2], trajs[1::2]):
         absd = (np.abs(transform(u, g) - q) for u, q in zip(trl.states, trh.states))
         disc = np.array([(np.max(a), np.sqrt(g.h * np.sum(a ** 2))) for a in absd])
         disc_max, disc_l2 = disc.T
-        levels.append({"n": g.n, "h": g.h, "dt": cfg.dt, "times": trl.times.tolist(),
-                       "disc_max": disc_max.tolist(), "disc_l2": disc_l2.tolist(),
-                       "sup_disc": float(np.max(disc_max)),
-                       "decay_ok": trh.decay_ok})
-    sups = [lv["sup_disc"] for lv in levels]
+        rows.append({"n": g.n, "h": g.h, "dt": cfg.dt, "times": trl.times.tolist(),
+                     "disc_max": disc_max.tolist(), "disc_l2": disc_l2.tolist(),
+                     "sup_disc": float(np.max(disc_max)),
+                     "decay_ok": trh.decay_ok})
+    sups = [lv["sup_disc"] for lv in rows]
     orders = ([float(np.log2(a / b)) for a, b in zip(sups, sups[1:])]
               if all(s > 0 for s in sups) else [])
-    return CrossCheckReport(alpha=alpha, beta=beta, t_end=t_end, levels=levels,
+    return CrossCheckReport(alpha=alpha, beta=beta, t_end=t_end, levels=rows,
                             orders=orders,
-                            flagged=not all(lv["decay_ok"] for lv in levels))
+                            flagged=not all(lv["decay_ok"] for lv in rows))
 
 
 @dataclass
@@ -206,14 +204,18 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sum(prod.reshape(len(prod), -1), axis=1)
 
 
-def _check_spread(paths: SllgEnsemble):
-    """A standard error over the paths needs at least two of them, and noise."""
-    if paths.n_paths < 2:
+def _with_spread(values: np.ndarray, what: str) -> np.ndarray:
+    """values, the per-path sample of a standard error, refused if it has no
+    spread, since the error would then read 0: a single path, or paths that
+    all give one value, as when the noise is zero or underflows."""
+    if len(values) < 2:
         raise ConfigurationError(
-            f"a standard error needs at least 2 paths, got {paths.n_paths}")
-    if not np.any(paths.noise.coeffs):
-        raise ConfigurationError(f"every noise coefficient is zero ({paths.noise.n_modes}"
-                                 " modes), so the paths are all the same: no spread")
+            f"a standard error needs at least 2 paths, got {len(values)}")
+    if np.all(values == values[0]):
+        raise ConfigurationError(f"all {len(values)} paths give the same {what}, "
+                                 f"{float(values[0])!r}: no spread (the noise is "
+                                 "zero or underflows)")
+    return values
 
 
 def _check_steps(paths: SllgEnsemble):
@@ -267,9 +269,8 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
 def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray,
                        noise_rule: str = "midpoint") -> ResidualReport:
     """Ensemble mean and standard error of the weak residual over paths; one
-    path has no spread, so at least two are needed."""
-    _check_spread(paths)
-    rs = weak_residual(paths, phi, noise_rule)
+    path has no spread, so at least two are needed, with unequal residuals."""
+    rs = _with_spread(weak_residual(paths, phi, noise_rule), "weak residual")
     stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
     return ResidualReport(mean=float(np.mean(rs)), stderr=stderr, n_paths=len(rs))
 
@@ -307,14 +308,14 @@ def covariance_check(paths: SllgEnsemble, phi: np.ndarray,
     the assembled W~ increments, the direct side by time quadrature of the
     ensemble-averaged products of frame projections onto the noise modes.
     The quadrature runs step by step over all paths at once. One path has
-    no spread, so at least two are needed.
+    no spread, so at least two are needed, with unequal Monte Carlo products.
     """
-    _check_spread(paths)
     _check_steps(paths)
     nm, dt, h = paths.noise, paths.cfg.dt, paths.grid.h
     c2 = nm.coeffs ** 2
     Wt = np.sum(paths.dW_tilde, axis=0)
-    prods = h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt))
+    prods = _with_spread(h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt)),
+                         "product <W~, phi> <W~, psi>")
     u, e = paths.u, paths.e
     directs = np.zeros(paths.n_paths)
     uxe = cross(u[0], e[0])

@@ -6,9 +6,16 @@ The package keeps one implementation of each, its *_into kernels and the
 steppers' rhs, written into preallocated buffers. These copies share no
 arithmetic with the package, so a test that compares the two bit for bit
 checks the package against an independent formula.
+
+Also the tests' convergence-order fit, and the crosscheck levels a test
+builds from a curvature profile q0(x).
 """
 
 import numpy as np
+
+from hasimoto_lab.fields import line_grid
+from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
+from hasimoto_lab.validation import crosscheck_config
 
 
 def diff1(f, g):
@@ -81,3 +88,24 @@ def rk4_step(y, dt, f):
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def fit_loglog_slope(scales, errors) -> float:
+    """Least-squares slope of log(error) vs log(scale); the convergence order."""
+    s = np.log(np.asarray(scales, float))
+    e = np.log(np.asarray(errors, float))
+    return float(np.polyfit(s, e, 1)[0])
+
+
+def crosscheck_levels(initial_q, x_min, x_max, alpha, beta, t_end, grid_sizes,
+                      samples=10):
+    """The (g, u0, cfg) levels of validation.crosscheck_deterministic, as the
+    CLI's validate builds them: u0 is the frame march of initial_q(g.x) from
+    BASEPOINT_FRAME, and cfg is validation.crosscheck_config's."""
+    levels = []
+    for n in grid_sizes:
+        g = line_grid(x_min, x_max, n)
+        q0 = np.asarray(initial_q(g.x), complex)
+        u0 = reconstruct_frame(q0, g, *BASEPOINT_FRAME).u
+        levels.append((g, u0, crosscheck_config(g, alpha, beta, t_end, samples)))
+    return levels

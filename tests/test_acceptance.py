@@ -14,12 +14,13 @@ from hasimoto_lab.fields import dot, line_grid, norm, periodic_grid
 from hasimoto_lab.hashimoto import curvature_torsion, reconstruct_frame, transform
 from hasimoto_lab.heat import heat_integrate
 from hasimoto_lab.llg import StepConfig, curvature_torsion_rhs, llg_integrate, stable_dt
-from hasimoto_lab.stochastic import SLLGConfig, frame_time_step, run_sllg_ensemble
+from hasimoto_lab.noise import make_noise_model
+from hasimoto_lab.stochastic import frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
 from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
-                                     fit_loglog_slope, holonomy_defect,
-                                     identity_suite, localized_twist,
-                                     sllg_weak_residual)
+                                     holonomy_defect, identity_suite,
+                                     localized_twist, sllg_weak_residual)
+from reference import crosscheck_levels, fit_loglog_slope
 
 M = np.array([1.0, 0.0, 0.0])
 E0 = np.array([0.0, 1.0, 0.0])
@@ -57,8 +58,8 @@ def test_criterion_02_deterministic_equivalence():
     # both flows from matched localized-twist data: the transform of the
     # curve flow tracks the complex flow, sup discrepancy <= 1e-3 at the
     # finest level and decreasing with order >= 1
-    rep = crosscheck_deterministic(localized_twist, -250.0, 20.0, 1.0, 1.0,
-                                   t_end=0.1, grid_sizes=(128, 256, 512))
+    rep = crosscheck_deterministic(crosscheck_levels(
+        localized_twist, -250.0, 20.0, 1.0, 1.0, t_end=0.1, grid_sizes=(128, 256, 512)))
     sups = [lv["sup_disc"] for lv in rep.levels]
     assert sups[-1] <= 1e-3
     assert all(o >= 1.0 for o in rep.orders)
@@ -172,8 +173,9 @@ def test_criterion_08_weak_residual():
     phi = standard_phi(g)
     bounds = []
     for dt in (2e-3, 1e-3, 5e-4):
-        cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02, n_modes=4)
-        paths = run_sllg_ensemble(q0, g, M, E0, cfg, 2024, 1000)
+        cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02)
+        paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
+                                  make_noise_model(g, 4), cfg, 2024, 1000)
         rep = sllg_weak_residual(paths, phi)
         assert abs(rep.mean) <= 3.0 * rep.stderr
         bounds.append(3.0 * rep.stderr)
@@ -191,17 +193,17 @@ def test_criterion_09_covariance():
     phi1 = standard_phi(g)
     phi2 = np.stack([np.zeros(g.n), np.zeros(g.n), np.ones(g.n)], axis=-1)
     phi3 = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01, n_modes=4)
-    paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 2000)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01)
+    paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
+                              make_noise_model(g, 4), cfg, 77, 2000)
     for pa, pb in ((phi1, phi1), (phi1, phi2), (phi2, phi3)):
         assert covariance_check(paths, pa, pb).within_3sigma
     # white-noise trend with unit coefficients
     target = 0.01 * g.h * float(np.sum(phi1 * phi1))
     gaps = []
     for n_modes in (1, 4, 16):
-        cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01,
-                         n_modes=n_modes)
-        paths = run_sllg_ensemble(q0, g, M, E0, cfg, 77, 500)
+        paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
+                                  make_noise_model(g, n_modes), cfg, 77, 500)
         rep = covariance_check(paths, phi1, phi1)
         gaps.append(abs(rep.mc_estimate - target))
     assert gaps[0] > gaps[1] > gaps[2]

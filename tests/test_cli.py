@@ -1,5 +1,4 @@
 import csv
-import importlib
 import json
 import os
 import re
@@ -9,12 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, VALIDATING_MODULE,
-                              _fmt, list_experiments, main, read_config_file,
+from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt,
+                              list_experiments, main, read_config_file,
                               write_csv)
 import hasimoto_lab
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
-from hasimoto_lab.stochastic import SLLGConfig, run_sllg_ensemble
+from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
+from hasimoto_lab.llg import StepConfig
+from hasimoto_lab.noise import make_noise_model
+from hasimoto_lab.stochastic import run_sllg_ensemble
 
 
 def run_cli(*args):
@@ -28,16 +30,12 @@ def read_json(path):
 
 def test_catalog_covers_all_experiments(capsys):
     assert len(EXPERIMENTS) == 7
-    assert set(DEFAULTS) == set(EXPERIMENTS) == set(VALIDATING_MODULE)
+    assert set(DEFAULTS) == set(EXPERIMENTS)
     assert run_cli("list-experiments") == 0
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
     assert list_experiments().startswith("available experiments:")
-    # the catalog names modules of the package
-    for modules in VALIDATING_MODULE.values():
-        for module in modules.split(" + "):
-            importlib.import_module(f"hasimoto_lab.{module}")
 
 
 @pytest.mark.parametrize("argv", [["list-experiments"], ["identities"]],
@@ -280,6 +278,61 @@ def test_stochastic_needs_two_paths(tmp_path, capsys, experiment):
     assert "n_paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["sllg", "covariance"])
+def test_underflowed_noise_refused_after_the_run(tmp_path, capsys, experiment):
+    # noise of amplitude 1e-300 moves no path's statistic: every path gives
+    # the same residual or product, whose standard error would read 0
+    out = tmp_path / "tiny"
+    rc = run_cli(experiment, "--out", str(out), "--set", "coeff_amplitude=1e-300",
+                 "--set", "n=32", "--set", "t_end=0.002", "--set", "n_paths=4")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: all 4 paths give the same")
+    assert err[0].endswith("no spread (the noise is zero or underflows)")
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "ConfigurationError"
+    assert not (out / "report.json").exists()
+
+
+def wrap_everywhere(monkeypatch, module, name, counted):
+    """Wrap module.name in every package module that holds it; returns the
+    list that each call for which counted(*args) holds appends its args to."""
+    orig, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        if counted(*args):
+            calls.append(args)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("hasimoto_lab") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_crosscheck_marches_each_initial_frame_once(tmp_path, monkeypatch):
+    import hasimoto_lab.hashimoto as hashimoto
+    marches = wrap_everywhere(monkeypatch, hashimoto, "reconstruct_frame",
+                              lambda q, *rest: True)
+    assert run_cli("crosscheck", "--out", str(tmp_path / "cc")) == 0
+    sizes = [int(n) for n in DEFAULTS["crosscheck"]["grid_sizes"].split(",")]
+    assert [len(q) for q, *_ in marches] == sizes
+
+
+def test_sllg_builds_its_noise_model_and_initial_frame_once(tmp_path, monkeypatch):
+    # the march of the paths rebuilds (n, K, P) frame fields; the initial
+    # frame is the one march of q0 alone
+    import hasimoto_lab.hashimoto as hashimoto
+    import hasimoto_lab.noise as noise
+    models = wrap_everywhere(monkeypatch, noise, "make_noise_model", lambda *args: True)
+    marches = wrap_everywhere(monkeypatch, hashimoto, "reconstruct_frame",
+                              lambda q, *rest: q.ndim == 1)
+    assert run_cli("sllg", "--out", str(tmp_path / "sllg")) == 0
+    assert len(models) == 1
+    assert len(marches) == 1
+
+
 def test_unexpected_error_fails_manifest(tmp_path, capsys, monkeypatch):
     import hasimoto_lab.cli as cli
 
@@ -367,9 +420,10 @@ def test_sllg_csv_is_path_zero_exactly(tmp_path):
     assert run_cli(*args, "--out", str(out2)) == 0
     assert (out1 / "series_u.csv").read_bytes() == (out2 / "series_u.csv").read_bytes()
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=0.001, t_end=0.003, n_modes=3)
-    ens = run_sllg_ensemble(np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), cfg, 9, 3)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=0.001, t_end=0.003)
+    q0 = np.ones(g.n, complex)
+    ens = run_sllg_ensemble(q0, reconstruct_frame(q0, g, *BASEPOINT_FRAME),
+                            make_noise_model(g, 3), cfg, 9, 3)
     with open(out1 / "series_u.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "node", "x", "ux", "uy", "uz"]

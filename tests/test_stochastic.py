@@ -3,17 +3,15 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cumint, dot,
                                  line_grid, norm, periodic_grid)
-from hasimoto_lab.hashimoto import FrameField, reconstruct_frame
+from hasimoto_lab.hashimoto import BASEPOINT_FRAME, FrameField, reconstruct_frame
 from hasimoto_lab.llg import StepConfig, llg_integrate, stable_dt
-from hasimoto_lab.noise import (NoiseIncrement, TAG_PATH, coefficient_profile,
-                                derive_seed, make_noise_model, noise_fields,
-                                sample_increments)
+from hasimoto_lab.noise import (NoiseIncrement, coefficient_profile, derive_seed,
+                                make_noise_model, noise_fields, sample_increments)
 import hasimoto_lab.hashimoto as hashimoto
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import generator_rotation
-from hasimoto_lab.stochastic import (SLLGConfig, frame_generator, frame_time_step,
-                                     run_sllg, run_sllg_ensemble,
-                                     stochastic_heat_step)
+from hasimoto_lab.stochastic import (frame_generator, frame_time_step, run_sllg,
+                                     run_sllg_ensemble, stochastic_heat_step)
 import reference
 
 
@@ -157,10 +155,10 @@ def test_phase_noise_anchored_at_basepoint():
 
 def test_run_sllg_unit_norm_pathwise():
     g = periodic_grid(2.0 * np.pi, 64)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=5e-3, n_modes=4)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=5e-3)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    path = run_sllg(q0, g, np.array([1.0, 0.0, 0.0]),
-                    np.array([0.0, 1.0, 0.0]), cfg, master_seed=3)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    path = run_sllg(q0, frame, make_noise_model(g, 4), cfg, master_seed=3)
     for u, e in zip(path.u[:, :, 0], path.e[:, :, 0]):
         assert np.max(np.abs(norm(u) - 1.0)) <= 1e-12
         assert FrameField(u=u, e=e).orthonormality_defect() <= 1e-11
@@ -173,11 +171,12 @@ def test_run_sllg_zero_noise_matches_llg():
     q0 = twist_q(g.x)
     m = np.array([1.0, 0.0, 0.0])
     e0 = np.array([0.0, 1.0, 0.0])
-    u0 = reconstruct_frame(q0, g, m, e0).u
+    frame = reconstruct_frame(q0, g, m, e0)
+    u0 = frame.u
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     t_end = 20.0 * dt
-    cfg = SLLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end, n_modes=0)
-    path = run_sllg(q0, g, m, e0, cfg, master_seed=0)
+    cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end)
+    path = run_sllg(q0, frame, make_noise_model(g, 0), cfg, master_seed=0)
     tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                          t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
@@ -186,23 +185,24 @@ def test_run_sllg_zero_noise_matches_llg():
 
 def test_run_sllg_seed_determinism():
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3, n_modes=3)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3)
     q0 = 0.2 * np.ones(g.n, complex)
     m = np.array([1.0, 0.0, 0.0])
     e0 = np.array([0.0, 1.0, 0.0])
-    p1 = run_sllg(q0, g, m, e0, cfg, master_seed=8)
-    p2 = run_sllg(q0, g, m, e0, cfg, master_seed=8)
+    frame, nm = reconstruct_frame(q0, g, m, e0), make_noise_model(g, 3)
+    p1 = run_sllg(q0, frame, nm, cfg, master_seed=8)
+    p2 = run_sllg(q0, frame, nm, cfg, master_seed=8)
     assert np.array_equal(p1.u, p2.u) and np.array_equal(p1.q, p2.q)
-    p3 = run_sllg(q0, g, m, e0, cfg, master_seed=9)
+    p3 = run_sllg(q0, frame, nm, cfg, master_seed=9)
     assert not np.array_equal(p1.u, p3.u)
 
 
 def test_ensemble_paths_distinct():
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3, n_modes=3)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3)
     q0 = 0.2 * np.ones(g.n, complex)
-    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), cfg,
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 3), cfg,
                             master_seed=4, n_paths=3)
     assert len(set(ens.seeds)) == 3
     assert not np.array_equal(ens.u[:, :, 0], ens.u[:, :, 1])
@@ -213,11 +213,12 @@ def test_ensemble_paths_distinct():
 
 def test_path_shares_grid_config_and_noise_model():
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3, n_modes=3,
-                     coeff_profile="power")
-    ens = run_sllg_ensemble(0.2 * np.ones(g.n, complex), g, np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), cfg, master_seed=4, n_paths=3)
-    assert ens.grid is g and ens.cfg is cfg
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3)
+    nm = make_noise_model(g, 3, "power")
+    q0 = 0.2 * np.ones(g.n, complex)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    ens = run_sllg_ensemble(q0, frame, nm, cfg, master_seed=4, n_paths=3)
+    assert ens.grid is g and ens.cfg is cfg and ens.noise is nm
     assert np.array_equal(ens.noise.coeffs, coefficient_profile(3, "power"))
     assert np.array_equal(ens.times, cfg.dt * np.arange(4))
     for i in range(3):
@@ -228,37 +229,37 @@ def test_path_shares_grid_config_and_noise_model():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        SLLGConfig(alpha=0.5, beta=0.5, dt=0.0, t_end=1.0)
+        StepConfig(alpha=0.5, beta=0.5, dt=0.0, t_end=1.0)
     with pytest.raises(ConfigurationError):
-        SLLGConfig(alpha=-1.0, beta=0.5, dt=1e-3, t_end=1.0)
+        StepConfig(alpha=-1.0, beta=0.5, dt=1e-3, t_end=1.0)
     g = periodic_grid(2.0 * np.pi, 128)
     with pytest.raises(ConfigurationError):
-        SLLGConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+        StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
     with pytest.raises(ConfigurationError):
-        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, coeff_profile="bogus")
+        make_noise_model(g, 4, "bogus")
     with pytest.raises(ConfigurationError):
-        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, n_modes=-1)
+        make_noise_model(g, -1)
     with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
-        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, coeff_profile="power",
-                   coeff_decay=-1e300)
+        make_noise_model(g, 4, "power", -1e300)
     with pytest.raises(ConfigurationError, match="output_stride"):
-        SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
+        StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
     for t_end in (np.inf, np.nan, -1.0):
         with pytest.raises(ConfigurationError):
-            SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
+            StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, np.nan), (-np.inf, 0.5)])
 def test_config_rejects_non_finite_coefficients(alpha, beta):
     with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
-        SLLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
 
 
 def _ensemble_inputs(n, dt, n_steps):
     g = periodic_grid(2.0 * np.pi, n)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt, n_modes=4)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    return g, cfg, q0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    return g, cfg, q0, frame, make_noise_model(g, 4)
 
 
 def assert_same_path(a, b):
@@ -270,43 +271,43 @@ def assert_same_path(a, b):
 def test_ensemble_paths_independent_of_batch_size():
     # path i is bit-identical in ensembles of 1, 7 and 12 paths and equals a
     # lone run_sllg on its derived seed
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 3)
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 3)
     master = 31
-    ensembles = {p: run_sllg_ensemble(q0, g, m, e0, cfg, master, p)
+    ensembles = {p: run_sllg_ensemble(q0, frame, nm, cfg, master, p)
                  for p in (1, 7, 12)}
     for i in range(7):
-        alone = run_sllg(q0, g, m, e0, cfg, derive_seed(master, TAG_PATH, i))
+        alone = run_sllg(q0, frame, nm, cfg, derive_seed(master, i))
         for p, ens in ensembles.items():
             if i < p:
                 assert_same_path(ens.path(i), alone)
 
 
 def test_ensemble_needs_a_path():
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 2)
     with pytest.raises(ConfigurationError):
-        run_sllg_ensemble(q0, g, m, e0, cfg, 2, 0)
+        run_sllg_ensemble(q0, frame, nm, cfg, 2, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
 def test_master_seed_must_be_a_nonnegative_integer(seed):
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 2)
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 2)
     match = "master_seed must be an integer >= 0"
     with pytest.raises(ConfigurationError, match=match):
-        run_sllg_ensemble(q0, g, m, e0, cfg, seed, 2)
+        run_sllg_ensemble(q0, frame, nm, cfg, seed, 2)
     with pytest.raises(ConfigurationError, match=match):
-        run_sllg(q0, g, m, e0, cfg, seed)
+        run_sllg(q0, frame, nm, cfg, seed)
 
 
 def test_blow_up_names_step_time_and_last_finite_max():
     # |q|^2 q grows q ~1e10 to ~1e76 in one step and overflows in the next
-    g, cfg, _, m, e0 = _ensemble_inputs(32, 1e-3, 4)
+    g, cfg, _, _, nm = _ensemble_inputs(32, 1e-3, 4)
     q0 = 1e10 * np.ones(g.n, complex)
-    one = SLLGConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=cfg.dt,
-                     n_modes=cfg.n_modes)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    one = StepConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=cfg.dt)
     with np.errstate(all="ignore"):
-        q1 = run_sllg_ensemble(q0, g, m, e0, one, 3, 2).q[1]
+        q1 = run_sllg_ensemble(q0, frame, nm, one, 3, 2).q[1]
         with pytest.raises(BlowUpError) as info:
-            run_sllg_ensemble(q0, g, m, e0, cfg, 3, 2)
+            run_sllg_ensemble(q0, frame, nm, cfg, 3, 2)
     assert str(info.value) == (
         "stochastic heat flow blew up at step 2, t = 0.002: non-finite values; "
         f"last finite max |y| = {np.max(np.abs(q1)):.6g} at t = 0.001")
@@ -316,8 +317,8 @@ def test_single_march_matches_per_step_marches_at_large_n():
     # one path at n = 16384 rebuilds its K = 6 frame fields with one march
     # in chunks of 682 nodes; each field equals the lone march of its q
     # from its basepoint frame, which takes one chunk
-    g, cfg, q0, m, e0 = _ensemble_inputs(16384, 1e-8, 6)
-    path = run_sllg(q0, g, m, e0, cfg, 21)
+    g, cfg, q0, frame, nm = _ensemble_inputs(16384, 1e-8, 6)
+    path = run_sllg(q0, frame, nm, cfg, 21)
     b = g.basepoint_index
     for k in range(path.n_steps + 1):
         f = reconstruct_frame(path.q[k, :, 0], g, path.u[k, b, 0], path.e[k, b, 0])
@@ -329,8 +330,8 @@ def test_ensemble_matches_step_by_step_construction():
     # every frame field is the spatial march of its q from its basepoint
     # frame, and W-tilde's increments are the midpoint-frame sums of the
     # path's own noise, in this operation order
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 4)
-    ens = run_sllg_ensemble(q0, g, m, e0, cfg, 13, 3)
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 4)
+    ens = run_sllg_ensemble(q0, frame, nm, cfg, 13, 3)
     b = g.basepoint_index
     nm = ens.noise
     for i, seed in enumerate(ens.seeds):
@@ -379,7 +380,7 @@ def test_basepoint_step_matches_full_grid_coefficients(g):
     u, e = R[:, 0].copy(), R[:, 1].copy()
     u[1:3], e[1:3] = [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]
     for alpha, beta in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
-        cfg = SLLGConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=1e-3)
+        cfg = StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=1e-3)
         new = stochastic._basepoint_step((u, e), q_mid, inc, g, cfg)
         for got, want in zip(new, old_basepoint_step((u, e), q_mid, inc, g, cfg)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -389,15 +390,15 @@ def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
                                                      no_child_left):
     # 7 paths, marched node by node by one worker, against 1, 2 and 3
     # workers at the default chunk size: their ranges 7, 4 + 3 and 3 + 2 + 2
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 5)
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 5)
     chunk = hashimoto.CHUNK_ROTATIONS
     use_cpus(1)
     monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", 1)
-    ref = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
+    ref = run_sllg_ensemble(q0, frame, nm, cfg, 9, 7)
     monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
     for cpus in (1, 2, 3):
         use_cpus(cpus)
-        ens = run_sllg_ensemble(q0, g, m, e0, cfg, 9, 7)
+        ens = run_sllg_ensemble(q0, frame, nm, cfg, 9, 7)
         no_child_left()
         for name in ("times", "q", "u", "e", "dW_tilde"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), (cpus, name)
@@ -411,12 +412,11 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     # marches it alone, while the serial march checks paths 0-2 as one range
     # and its message gives their common last finite max |q|, which is
     # path 0's here
-    g, cfg, q0, m, e0 = _ensemble_inputs(32, 1e-3, 6)
-    two = SLLGConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=2 * cfg.dt,
-                     n_modes=cfg.n_modes)
-    q2 = run_sllg_ensemble(q0, g, m, e0, two, 4, 3).q[2]
+    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 6)
+    two = StepConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=2 * cfg.dt)
+    q2 = run_sllg_ensemble(q0, frame, nm, two, 4, 3).q[2]
     assert np.max(np.abs(q2[:, 2])) < np.max(np.abs(q2[:, 0]))
-    bad = derive_seed(4, TAG_PATH, 2)
+    bad = derive_seed(4, 2)
     sample = stochastic.sample_increments
 
     def blowing(nm, seed, dt, k):
@@ -427,7 +427,7 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     for k in (1, cpus):
         use_cpus(k)
         with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-            run_sllg_ensemble(q0, g, m, e0, cfg, 4, 3)
+            run_sllg_ensemble(q0, frame, nm, cfg, 4, 3)
         errors[k] = str(info.value)
         no_child_left()
     assert errors[cpus] == errors[1] == (

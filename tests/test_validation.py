@@ -8,15 +8,16 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  normalize, open_view, periodic_grid)
 from hasimoto_lab.forks import fork_map
 from hasimoto_lab.heat import heat_integrate
+from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
 from hasimoto_lab.llg import StepConfig, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
-from hasimoto_lab.stochastic import SLLGConfig, SllgEnsemble, run_sllg_ensemble
+from hasimoto_lab.stochastic import SllgEnsemble, run_sllg_ensemble
 from hasimoto_lab.validation import (covariance_check,
                                      crosscheck_deterministic,
-                                     fit_loglog_slope, holonomy_defect,
-                                     identity_suite, localized_twist,
-                                     sllg_weak_residual, weak_residual)
-from reference import llg_rhs
+                                     holonomy_defect, identity_suite,
+                                     localized_twist, sllg_weak_residual,
+                                     weak_residual)
+from reference import crosscheck_levels, fit_loglog_slope, llg_rhs
 
 
 def smooth_map(g):
@@ -44,16 +45,16 @@ def test_localized_twist_profile():
 def test_crosscheck_zero_time_is_exact():
     # the heat flow starts from the discrete transform of the reconstructed
     # map, so the discrepancy at t = 0 vanishes identically
-    rep = crosscheck_deterministic(localized_twist, -60.0, 20.0, 1.0, 1.0,
-                                   t_end=0.0, grid_sizes=(64, 128))
+    rep = crosscheck_deterministic(crosscheck_levels(
+        localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.0, grid_sizes=(64, 128)))
     assert all(lv["sup_disc"] == 0.0 for lv in rep.levels)
     assert rep.orders == []
 
 
 def test_crosscheck_flags_nondecaying_data():
-    rep = crosscheck_deterministic(lambda x: 0.5 * np.ones_like(x) + 0j,
-                                   -10.0, 10.0, 1.0, 1.0, t_end=0.01,
-                                   grid_sizes=(64,))
+    rep = crosscheck_deterministic(crosscheck_levels(
+        lambda x: 0.5 * np.ones_like(x) + 0j, -10.0, 10.0, 1.0, 1.0, t_end=0.01,
+        grid_sizes=(64,)))
     assert rep.flagged
 
 
@@ -61,9 +62,9 @@ def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
     reps = {}
     for k in (1, 2, 3):
         use_cpus(k)
-        reps[k] = crosscheck_deterministic(localized_twist, -60.0, 20.0, 1.0, 1.0,
-                                           t_end=0.05, grid_sizes=(48, 96),
-                                           samples=4)
+        reps[k] = crosscheck_deterministic(crosscheck_levels(
+            localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05, grid_sizes=(48, 96),
+            samples=4))
         no_child_left()
     for k in (2, 3):
         assert reps[k].orders == reps[1].orders
@@ -208,9 +209,9 @@ def test_holonomy_solution_beats_frozen():
 def make_zero_noise_paths(g, dt, t_end, n_paths):
     """n_paths equal paths: with no noise modes the seeds make no difference."""
     q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
-    cfg = SLLGConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end, n_modes=0)
-    return run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
-                             np.array([0.0, 1.0, 0.0]), cfg, 0, n_paths)
+    cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    return run_sllg_ensemble(q0, frame, make_noise_model(g, 0), cfg, 0, n_paths)
 
 
 def test_weak_residual_zero_test_function():
@@ -234,7 +235,7 @@ def test_weak_residual_deterministic_path_small():
     # equal paths have no spread: their statistics are refused, not read as 0
     for check in (lambda: sllg_weak_residual(paths, phi),
                   lambda: covariance_check(paths, phi, phi)):
-        with pytest.raises(ConfigurationError, match="every noise coefficient is zero"):
+        with pytest.raises(ConfigurationError, match="2 paths give the same .* no spread"):
             check()
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
         sllg_weak_residual(paths.path(0), phi)
@@ -243,7 +244,7 @@ def test_weak_residual_deterministic_path_small():
 def synthetic_frozen_ensemble(g, n_modes, seed, dt, n_paths):
     """One-step paths with a frame frozen at the standard basis, driven by
     n_modes flat modes; path k takes the increments of step k on seed."""
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=dt, t_end=dt, n_modes=n_modes)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=dt)
     nm = make_noise_model(g, n_modes)
     u = np.tile([1.0, 0.0, 0.0], (2, g.n, n_paths, 1))
     e = np.tile([0.0, 1.0, 0.0], (2, g.n, n_paths, 1))
@@ -330,10 +331,10 @@ def reference_covariance(ens, phi, psi):
 
 def small_ensemble():
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=4e-3, n_modes=4)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=4e-3)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), cfg, 17, 9)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 17, 9)
     return g, ens
 
 
@@ -382,10 +383,10 @@ def test_batched_covariance_matches_per_path_sum():
 
 def test_checks_reject_zero_step_ensemble():
     g = periodic_grid(2.0 * np.pi, 32)
-    cfg = SLLGConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.0, n_modes=4)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.0)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    ens = run_sllg_ensemble(q0, g, np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), cfg, 17, 3)
+    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 17, 3)
     assert ens.n_steps == 0
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     with pytest.raises(ConfigurationError):
