@@ -382,15 +382,21 @@ def _ensemble(c):
 def run_sllg_experiment(c, outdir):
     g, cfg = c["g"], c["solver"]
     ens = _ensemble(c)
+    csv_path = os.path.join(outdir, "series_u.csv")
 
     def output(csv):    # the CSV in the parent; the residual in a child, given 2 CPUs
         if csv:
-            return _write_nodes(os.path.join(outdir, "series_u.csv"), g, ["ux", "uy", "uz"],
-                                ((ens.times[k], ens.u[k, :, 0])
+            return _write_nodes(csv_path, g, ["ux", "uy", "uz"],
+                                ((ens.times[k], ens.u[k, 0])
                                  for k in range(cfg.n_steps + 1) if cfg.sampled(k)))
         return sllg_weak_residual(ens, _standard_phi(g)).to_dict()
 
-    _, residual = fork_map(output, [True, False])
+    try:
+        _, residual = fork_map(output, [True, False])
+    except Exception:       # a failed run's manifest lists no output to keep
+        if os.path.exists(csv_path):
+            os.remove(csv_path)
+        raise
     closure = float(np.mean(closure_defect(ens.q[-1], g,
                                            FrameField(u=ens.u[-1], e=ens.e[-1]))))
     report = {"dt": cfg.dt, "n_steps": cfg.n_steps, "n_paths": c["n_paths"],

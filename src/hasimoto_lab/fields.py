@@ -1,8 +1,8 @@
 """1D grids, finite-difference operators, cumulative quadrature and 3-vector algebra.
 
-All fields are plain numpy arrays aligned to a Grid1D: shape (n,) for scalar
-(real or complex) fields and (n, 3) for vector fields, optionally with path
-axes between. Each operator's arithmetic lives once, in its *_into kernel.
+Fields are plain numpy arrays aligned to a Grid1D: (n,) for scalar (real or
+complex) fields, (n, 3) for vector fields, and (P, n) or (P, n, 3) for P
+paths. Each operator's arithmetic lives once, in its *_into kernel.
 """
 
 from dataclasses import dataclass
@@ -81,6 +81,7 @@ def time_steps(dt: float, t_end: float) -> int:
 
 
 def _check_shape(f: np.ndarray, g: Grid1D):
+    # the operators take one field, node axis first: (n,) or (n, 3)
     if f.shape[0] != g.n:
         raise ConfigurationError(f"field length {f.shape[0]} != grid n {g.n}")
 
@@ -121,11 +122,10 @@ def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
 
 
 # --- the operators' kernels, written into preallocated arrays ---
-# Here the node axis is the last one: (n,) scalar fields or (3, n)
+# Here the node axis is the last one: (n,) or (P, n) scalar fields, or (3, n)
 # component-major vector fields, with any further leading axes. The
 # operators above call them on transposed views. The endpoint stencils index
-# the transposed views, whose node axis is first; on (n,) fields these are
-# scalar operations.
+# the transposed views, whose node axis is first.
 
 def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
     """diff1 of f along its last axis, written into out."""

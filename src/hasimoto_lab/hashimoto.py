@@ -33,7 +33,7 @@ class CurvatureTorsion:
 
 @dataclass
 class FrameField:
-    u: np.ndarray   # (n, 3), or (n, P, 3) for P paths; sphere-valued
+    u: np.ndarray   # (n, 3), or (P, n, 3) for P paths; sphere-valued
     e: np.ndarray   # same shape; unit, tangent to the sphere at u
 
     def as_matrix(self) -> np.ndarray:
@@ -105,12 +105,12 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     orthonormal). On periodic grids the march does not wrap: the closure
     defect at the seam is reported by closure_defect, not enforced.
 
-    q is (n,) with m, e0 of shape (3,), or (n, *cols) with one basepoint
-    frame per column, m, e0 of shape (*cols, 3); every column comes out bit
-    for bit as if marched alone. The march holds the rotations and frames of
-    one chunk of nodes at a time, and writes u and e into out (a FrameField
-    of (n, *cols, 3) arrays or views) or new arrays. q, m, e0 must be finite,
-    and every basepoint frame orthonormal to 1e-10.
+    q is (n,) with m, e0 of shape (3,), or node-first (n, *cols) with one
+    basepoint frame per column, m, e0 of shape (*cols, 3); every column comes
+    out bit for bit as if marched alone. The march holds the rotations and
+    frames of one chunk of nodes at a time, and writes u and e into out (a
+    FrameField of (n, *cols, 3) arrays or views) or new arrays. q, m, e0
+    must be finite, and every basepoint frame orthonormal to 1e-10.
     """
     _require_finite("q, m and e0", q, m, e0)
     m, e0 = np.asarray(m, float), np.asarray(e0, float)
@@ -144,12 +144,11 @@ def closure_defect(q: np.ndarray, g: Grid1D, f: FrameField):
 
     Only meaningful on periodic grids (0 elsewhere); propagates the last
     frame through the wrap segment and compares with the frame at the
-    basepoint side. q (n,) with an (n, 3) frame gives a float; q (n, P)
-    with (n, P, 3) frames gives the (P,) angles, each as for the path alone.
+    basepoint side. q (n,) with an (n, 3) frame gives one angle; q (P, n)
+    with (P, n, 3) frames gives the (P,) angles, each as for the path alone.
     """
     if not g.periodic:
-        return 0.0 if q.ndim == 1 else np.zeros(q.shape[1])
+        return np.zeros(q.shape[:-1])[()]
     F = f.as_matrix()
-    wrapped = node_rotations(q[-1], q[0], g) @ F[-1]
-    angle = rotation_angle(wrapped @ np.swapaxes(F[0], -1, -2))
-    return float(angle) if q.ndim == 1 else angle
+    wrapped = node_rotations(q[..., -1], q[..., 0], g) @ F[..., -1, :, :]
+    return rotation_angle(wrapped @ np.swapaxes(F[..., 0, :, :], -1, -2))

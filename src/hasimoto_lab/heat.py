@@ -24,7 +24,7 @@ class HeatStepper(RK4):
     docstring into preallocated buffers.
 
     rhs is the package's one heat right-hand side: the stochastic Heun step
-    calls it too, on (P, n) views of its paths.
+    calls it too, on its (P, n) paths as they are.
     """
 
     def __init__(self, g: Grid1D, alpha: float, beta: float):

@@ -155,7 +155,7 @@ class LLGStepper(RK4):
     contiguous rows; rhs evaluates beta u x u_xx - alpha u x (u x u_xx) and
     project normalizes, both into preallocated buffers. rhs is the package's
     one LLG right-hand side: the weak residual calls it too, on (3, P, n)
-    views of its paths.
+    views of its (P, n, 3) paths.
     """
 
     def __init__(self, g: Grid1D, alpha: float, beta: float):

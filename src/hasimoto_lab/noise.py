@@ -27,11 +27,8 @@ def fourier_basis(g: Grid1D, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     basis = np.empty((n_modes, g.n))
     basis_x = np.empty((n_modes, g.n))
     amp = np.sqrt(2.0 / lam)
-    for l in range(n_modes):
-        if l == 0:
-            basis[l] = 1.0 / np.sqrt(lam)
-            basis_x[l] = 0.0
-            continue
+    basis[:1], basis_x[:1] = 1.0 / np.sqrt(lam), 0.0      # the constant mode
+    for l in range(1, n_modes):
         m = (l + 1) // 2
         k = 2.0 * np.pi * m / lam
         if l % 2 == 1:
@@ -62,7 +59,7 @@ def coefficient_profile(n_modes: int, profile: str = "flat", decay: float = 1.0,
 
 @dataclass
 class NoiseIncrement:
-    dW1: np.ndarray    # (n,), or (n, P) for P paths
+    dW1: np.ndarray    # (n,), or (P, n) for P paths
     dW2: np.ndarray
     dW3: np.ndarray
     dxW1: np.ndarray   # analytic spatial derivative of the W^1 increment
@@ -122,11 +119,11 @@ def noise_fields(nm: NoiseModel, increments: np.ndarray) -> NoiseIncrement:
     """Assemble dW^i(x) = sum_l c_l sigma_l(x) dbeta^i_l and the x-derivatives.
 
     increments is (3, L) for one path or (P, 3, L) for P stacked paths; the
-    fields are then (n,) or (n, P). The stacked matmul does each path's
+    fields are then (n,) or (P, n). The stacked matmul does each path's
     product exactly as the single-path one, so the fields agree bit for bit.
     """
     w = nm.coeffs * increments                          # (..., 3, L)
-    dW = np.moveaxis(w @ nm.basis, -1, 0)               # (n, ..., 3)
-    dxW = np.moveaxis(w[..., :2, :] @ nm.basis_x, -1, 0)  # (n, ..., 2)
-    return NoiseIncrement(dW1=dW[..., 0], dW2=dW[..., 1], dW3=dW[..., 2],
-                          dxW1=dxW[..., 0], dxW2=dxW[..., 1])
+    dW = w @ nm.basis                                   # (..., 3, n)
+    dxW = w[..., :2, :] @ nm.basis_x                    # (..., 2, n)
+    return NoiseIncrement(dW1=dW[..., 0, :], dW2=dW[..., 1, :], dW3=dW[..., 2, :],
+                          dxW1=dxW[..., 0, :], dxW2=dxW[..., 1, :])

@@ -6,14 +6,12 @@ consistent) combined with exact rotation / phase exponentials for the
 group-valued updates, so |u| = |e| = 1 and <u, e> = 0 hold path-wise to
 round-off and |q| is untouched by the multiplicative phase noise.
 
-Every field may carry a path axis after the node axis: scalar fields are
-(n, P) and vector fields (n, P, 3), so one Python step advances P paths.
-Each path draws its noise from its own substream and no operation mixes
-paths, so path i comes out bit for bit the same in any batch. The drift of
-the Heun step is the deterministic flow's own right-hand side,
-heat.HeatStepper.rhs, evaluated on (P, n) views of the paths. A march
-worker advances q over all its steps first and then rebuilds their frame
-fields with one hashimoto.reconstruct_frame call, in chunks of nodes.
+A field is one path's, (n,) or (n, 3), or P paths stacked path-major,
+(P, n) or (P, n, 3), so one Python step advances all P. Each path draws its
+noise from its own substream and no operation mixes paths, so path i comes
+out bit for bit the same in any batch. The drift of the Heun step is the
+deterministic flow's own right-hand side, heat.HeatStepper.rhs, which runs
+along the last (node) axis.
 """
 
 import mmap
@@ -21,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1
+from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint_into,
+                     diff1_into)
 from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import HeatStepper
@@ -34,16 +33,23 @@ from .rotations import generator_rotation
 ORTHO_TOL = 1e-8
 
 
+def _cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
+    """fields.cumint of the (n,) or (P, n) fields f, along their last axis."""
+    if f.shape[-1] != g.n:
+        raise ConfigurationError(f"field length {f.shape[-1]} != grid n {g.n}")
+    return cumint_into(f, g, np.empty_like(f), np.empty_like(f))
+
+
 def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
     """Deterministic coefficients (p, C) of the frame time evolution.
 
     p = (alpha + i beta) q_x and
     C = -beta |q|^2 / 2 + (i alpha / 2) int (q_x conj(q) - conj(q_x) q) dy.
     """
-    qx = diff1(q, g)
+    qx = diff1_into(q, g, np.empty_like(q))
     p = (alpha + 1j * beta) * qx
     c_complex = (-0.5 * beta * np.abs(q) ** 2
-                 + 0.5j * alpha * cumint(qx * np.conj(q) - np.conj(qx) * q, g))
+                 + 0.5j * alpha * _cumint(qx * np.conj(q) - np.conj(qx) * q, g))
     # the integrand is purely imaginary, so C is real up to round-off
     return p, c_complex.real
 
@@ -58,13 +64,9 @@ def frame_time_step(f: FrameField, p: np.ndarray, C: np.ndarray, dW1: np.ndarray
     """
     if f.orthonormality_defect() > ORTHO_TOL:
         raise ConfigurationError("frame_time_step requires an orthonormal frame")
-    a = p.real * dt + dW1
-    b = p.imag * dt + dW2
-    c = C * dt + dPsi
-    R = generator_rotation(a, b, c)              # (..., 3, 3)
-    F = f.as_matrix()
-    F_new = R @ F
-    return FrameField(u=F_new[:, 0, :], e=F_new[:, 1, :])
+    F = generator_rotation(p.real * dt + dW1, p.imag * dt + dW2,
+                           C * dt + dPsi) @ f.as_matrix()
+    return FrameField(u=F[..., 0, :], e=F[..., 1, :])
 
 
 def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
@@ -82,15 +84,15 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     caller checks q_new for finiteness.
     """
     additive = inc.dxW1 + 1j * inc.dxW2
-    drift = HeatStepper(g, alpha, beta)         # rhs on (P, n) views
-    drift.size(q.T)
+    drift = HeatStepper(g, alpha, beta)
+    drift.size(q)
     k1, k2 = np.empty(q.shape, complex), np.empty(q.shape, complex)
-    drift.rhs(q.T, k1.T)
-    dPsi0 = cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
+    drift.rhs(q, k1)
+    dPsi0 = _cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
     q_pred = (q + dt * k1 + 0.5 * additive) * np.exp(-1j * dPsi0) + 0.5 * additive
     q_mid = 0.5 * (q + q_pred)
-    dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
-    drift.rhs(q_pred.T, k2.T)
+    dPsi = _cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
+    drift.rhs(q_pred, k2)
     q_new = (q + 0.5 * dt * (k1 + k2) + 0.5 * additive) * np.exp(-1j * dPsi) \
         + 0.5 * additive
     return q_new, q_mid, dPsi
@@ -98,21 +100,29 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
 
 @dataclass
 class SllgEnsemble:
-    """P paths stacked along an axis after the node axis, with the grid,
-    config and noise model they were marched on; path i drew its noise
-    from seeds[i]."""
-    grid: Grid1D
+    """P paths stacked path-major, with the config and noise model they were
+    marched on: path i drew its noise from seeds[i], and u[k, i] is its
+    (n, 3) field after k steps, on the noise model's grid."""
     cfg: StepConfig
     noise: NoiseModel
-    q: np.ndarray           # (K+1, n, P) complex
-    u: np.ndarray           # (K+1, n, P, 3)
-    e: np.ndarray           # (K+1, n, P, 3)
-    dW_tilde: np.ndarray    # (K, n, P, 3)
+    q: np.ndarray           # (K+1, P, n) complex
+    u: np.ndarray           # (K+1, P, n, 3)
+    e: np.ndarray           # (K+1, P, n, 3)
+    dW_tilde: np.ndarray    # (K, P, n, 3)
     seeds: list             # P path seeds
     times: np.ndarray = field(init=False)   # (K+1,)
 
     def __post_init__(self):
-        self.times = self.cfg.dt * np.arange(self.n_steps + 1)
+        K, P, n = self.cfg.n_steps, self.n_paths, self.grid.n
+        got = [x.shape for x in (self.q, self.u, self.e, self.dW_tilde)]
+        if got != [(K + 1, P, n), (K + 1, P, n, 3), (K + 1, P, n, 3), (K, P, n, 3)]:
+            raise ConfigurationError(f"q, u, e, dW_tilde shapes {got} do not fit {K} "
+                                     f"steps of {P} paths on the noise model's {n} nodes")
+        self.times = self.cfg.dt * np.arange(K + 1)
+
+    @property
+    def grid(self) -> Grid1D:
+        return self.noise.grid
 
     @property
     def n_paths(self) -> int:
@@ -126,9 +136,9 @@ class SllgEnsemble:
         """Path i as the one-path ensemble viewing the stacked histories."""
         i = range(self.n_paths)[i]      # IndexError out of range, as for a list
         p = slice(i, i + 1)
-        return SllgEnsemble(grid=self.grid, cfg=self.cfg, noise=self.noise,
-                            q=self.q[:, :, p], u=self.u[:, :, p], e=self.e[:, :, p],
-                            dW_tilde=self.dW_tilde[:, :, p], seeds=self.seeds[p])
+        return SllgEnsemble(cfg=self.cfg, noise=self.noise, q=self.q[:, p],
+                            u=self.u[:, p], e=self.e[:, p],
+                            dW_tilde=self.dW_tilde[:, p], seeds=self.seeds[p])
 
 
 def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
@@ -138,19 +148,15 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
     nm's noise on nm's grid; path i runs on the seed
     derive_seed(master_seed, i).
 
-    Per step and for all paths at once: (1) advance q; (2) advance the
-    basepoint frame in time with coefficients at x = a (where the nonlocal
-    integrals vanish); (3) rebuild the full frame field from q by the
-    spatial march, which enforces the curvature/torsion relation between u
-    and q by construction; (4) assemble the increments of
+    For all paths at once: (1) advance q; (2) advance the basepoint frame
+    in time with coefficients at x = a (where the nonlocal integrals
+    vanish); (3) rebuild the full frame field from q by the spatial march,
+    which enforces the curvature/torsion relation between u and q by
+    construction; (4) assemble the increments of
     W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
-    The paths are sharded into one contiguous range per usable CPU (at
-    most one per path), each marched whole by a forked worker straight
-    into histories shared with the caller. Steps (1) and (2) never read the
-    rebuilt field, so a worker runs them over all its steps, then step (3)
-    as one spatial march over all its steps and paths, in chunks of
-    hashimoto.CHUNK_ROTATIONS rotations, then step (4). Every path is bit
-    for bit the same for any number of workers or chunk size.
+    _run_paths shards the paths over the usable CPUs and _march orders the
+    steps. Every path is bit for bit the same for any number of workers or
+    hashimoto.CHUNK_ROTATIONS.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -175,36 +181,34 @@ def _check_seed(master_seed):
 def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
     """The ensemble of the paths on seeds. The q/u/e/W-tilde histories live
     in one anonymous shared mapping, so the workers of forks.fork_map, one
-    per contiguous path range, march their ranges in place and return None.
-    A blow-up raises the serial march's BlowUpError."""
+    per contiguous path range (at most one per usable CPU and per path),
+    march their ranges in place and return None. A blow-up raises the
+    serial march's BlowUpError."""
     g = nm.grid
     cfg.check_stability(g)
     K, n, P = cfg.n_steps, g.n, len(seeds)
-    qs, us, es, dW_tilde = _shared_arrays([((K + 1, n, P), complex),
-                                           ((K + 1, n, P, 3), float),
-                                           ((K + 1, n, P, 3), float),
-                                           ((K, n, P, 3), float)])
-    qs[0], us[0], es[0] = q0[:, None], frame.u[:, None], frame.e[:, None]
+    qs, us, es, dW_tilde = _shared_arrays([((K + 1, P, n), complex)]
+                                          + [((K + 1, P, n, 3), float)] * 2
+                                          + [((K, P, n, 3), float)])
+    qs[0], us[0], es[0] = q0, frame.u, frame.e
 
-    def march(paths: range):
-        c = slice(paths.start, paths.stop)
-        _march(qs[:, :, c], us[:, :, c], es[:, :, c], dW_tilde[:, :, c],
-               seeds[c], nm, g, cfg)
+    def march(c: slice):        # paths c: one contiguous block per history step
+        _march(qs[:, c], us[:, c], es[:, c], dW_tilde[:, c], seeds[c], nm, g, cfg)
 
     # ceil(P w / W) bounds: nonincreasing range sizes, so the parent
     # (fork_map's first share) marches the lowest paths
     W = min(usable_cpus(), P)
     bounds = [-(-P * w // W) for w in range(W + 1)]
     try:
-        fork_map(march, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+        fork_map(march, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
     except BlowUpError:
         # a BlowUpError gives the last max |q| over a worker's range of
         # paths only: re-march serially to raise the serial run's error
         if W > 1:
-            march(range(P))
+            march(slice(0, P))
         raise
-    return SllgEnsemble(grid=g, cfg=cfg, noise=nm, q=qs, u=us, e=es,
-                        dW_tilde=dW_tilde, seeds=list(seeds))
+    return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
+                        seeds=list(seeds))
 
 
 def _shared_arrays(specs):
@@ -212,12 +216,8 @@ def _shared_arrays(specs):
     anonymous shared mapping, which forked children write through."""
     sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs]
     buf = mmap.mmap(-1, sum(sizes))
-    arrays, offset = [], 0
-    for (shape, dtype), size in zip(specs, sizes):
-        arrays.append(np.frombuffer(buf, dtype, int(np.prod(shape)),
-                                    offset).reshape(shape))
-        offset += size
-    return arrays
+    return [np.ndarray(shape, dtype, buf, offset) for (shape, dtype), offset
+            in zip(specs, np.cumsum([0] + sizes))]
 
 
 def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
@@ -229,11 +229,11 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
     dW_tilde. One spatial march over the K * P columns then rebuilds every
     frame field, and W-tilde's increments replace the raw ones step by step.
     """
-    K, _, P = dW_tilde.shape[:3]
+    K, P = dW_tilde.shape[:2]
     if K == 0:
         return
-    q = np.ascontiguousarray(qs[0])
-    base = us[0, g.basepoint_index], es[0, g.basepoint_index]
+    q = qs[0]
+    base = us[0, :, g.basepoint_index], es[0, :, g.basepoint_index]
     bases = np.empty((2, K, P, 3))
     for k in range(K):
         inc = noise_fields(nm, np.stack(
@@ -241,22 +241,22 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
         q_new, q_mid, _ = stochastic_heat_step(q, g, cfg.alpha, cfg.beta,
                                                cfg.dt, inc)
         check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
-        q = q_new
+        q = qs[k + 1] = q_new
         base = _basepoint_step(base, q_mid, inc, g, cfg)
-        qs[k + 1] = q
         dW_tilde[k] = np.stack([inc.dW1, inc.dW2, inc.dW3], axis=-1)
         bases[:, k] = base
-    reconstruct_frame(qs[1:].transpose(1, 0, 2), g, *bases,
-                      out=FrameField(u=us[1:].transpose(1, 0, 2, 3),
-                                     e=es[1:].transpose(1, 0, 2, 3)))
+    # the march's columns are the (step, path) pairs, after the node axis
+    reconstruct_frame(qs[1:].transpose(2, 0, 1), g, *bases,
+                      out=FrameField(u=us[1:].transpose(2, 0, 1, 3),
+                                     e=es[1:].transpose(2, 0, 1, 3)))
     # W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames
     exu = cross(es[0], us[0])
     for k in range(K):
         exu_prev, exu = exu, cross(es[k + 1], us[k + 1])
-        dW1, dW2, dW3 = np.moveaxis(dW_tilde[k], -1, 0)[:, ..., None].copy()
-        np.multiply(0.5 * (es[k] + es[k + 1]), dW2, out=dW_tilde[k])
-        dW_tilde[k] += 0.5 * (exu_prev + exu) * dW1
-        dW_tilde[k] += 0.5 * (us[k] + us[k + 1]) * dW3
+        dW = dW_tilde[k].copy()                 # the raw dW1, dW2, dW3
+        np.multiply(0.5 * (es[k] + es[k + 1]), dW[..., 1, None], out=dW_tilde[k])
+        dW_tilde[k] += 0.5 * (exu_prev + exu) * dW[..., 0, None]
+        dW_tilde[k] += 0.5 * (us[k] + us[k + 1]) * dW[..., 2, None]
 
 
 def _basepoint_step(base, q_mid, inc, g, cfg):
@@ -265,6 +265,6 @@ def _basepoint_step(base, q_mid, inc, g, cfg):
     and dPsi vanish."""
     b = g.basepoint_index
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
-    f = frame_time_step(FrameField(*base), p[b], C[b], inc.dW1[b], inc.dW2[b],
-                        0.0, cfg.dt)
+    f = frame_time_step(FrameField(*base), p[..., b], C[..., b], inc.dW1[..., b],
+                        inc.dW2[..., b], 0.0, cfg.dt)
     return f.u, f.e

@@ -197,11 +197,10 @@ class ResidualReport(_Report):
 
 
 def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum phi.f of an (n, 3) test function with each path of an (n, P, 3)
-    field, shape (P,). Each path's products are laid out contiguously, so
-    its sum is added in the same order as for the path alone."""
-    prod = np.moveaxis(phi[:, None, :] * f, 1, 0)
-    return np.sum(prod.reshape(len(prod), -1), axis=1)
+    """sum phi.f of an (n, 3) test function with each path of a (P, n, 3)
+    field, shape (P,). Each path's products are contiguous, so its sum is
+    added in the same order as for the path alone."""
+    return np.sum((phi * f).reshape(len(f), -1), axis=1)
 
 
 def _with_spread(values: np.ndarray, what: str) -> np.ndarray:
@@ -254,12 +253,12 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
     g, cfg = paths.grid, paths.cfg
     dt, h, u = cfg.dt, g.h, paths.u
     drift = LLGStepper(open_view(g), cfg.alpha, cfg.beta)   # rhs on (3, P, n) views
-    drift.size(u[0].T)
     f = np.empty(u.shape[1:])
+    drift.size(f.transpose(2, 0, 1))
     R = h * _path_sums(phi, u[-1] - u[0])
     for k in range(paths.n_steps):
         u_mid = normalize(0.5 * (u[k] + u[k + 1]))
-        drift.rhs(u_mid.T, f.T)
+        drift.rhs(u_mid.transpose(2, 0, 1), f.transpose(2, 0, 1))
         R -= dt * h * _path_sums(phi, f)
         u_noise = u_mid if noise_rule == "midpoint" else u[k]
         R -= h * _path_sums(phi, cross(u_noise, paths.dW_tilde[k]))
@@ -292,11 +291,10 @@ class CovarianceReport(_Report):
 
 
 def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Projections sigma_l . <phi, F> of each path of an (n, P, 3) field onto
+    """Projections sigma_l . <phi, F> of each path of a (P, n, 3) field onto
     the noise modes, shape (P, L): one matrix-vector product per path, as for
     the path alone."""
-    pointwise = np.ascontiguousarray(dot(phi[:, None, :], F).T)   # (P, n)
-    return (nm.basis @ pointwise[:, :, None])[:, :, 0]
+    return (nm.basis @ dot(phi, F)[:, :, None])[:, :, 0]
 
 
 def covariance_check(paths: SllgEnsemble, phi: np.ndarray,

@@ -292,7 +292,8 @@ def test_underflowed_noise_refused_after_the_run(tmp_path, capsys, experiment):
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == "failed"
     assert manifest["error_type"] == "ConfigurationError"
-    assert not (out / "report.json").exists()
+    # the manifest lists no output, and none is left: sllg removes its CSV
+    assert manifest["outputs"] == [] and os.listdir(out) == ["manifest.json"]
 
 
 def wrap_everywhere(monkeypatch, module, name, counted):
@@ -432,7 +433,7 @@ def test_sllg_csv_is_path_zero_exactly(tmp_path):
     assert np.array_equal(data[:, 0, 0], ens.times[keep])
     assert np.array_equal(data[:, :, 1], np.tile(np.arange(g.n), (3, 1)))
     assert np.array_equal(data[:, :, 2], np.tile(g.x, (3, 1)))
-    assert np.array_equal(data[:, :, 3:], ens.u[keep, :, 0])
+    assert np.array_equal(data[:, :, 3:], ens.u[keep, 0])
 
 
 @pytest.mark.parametrize("experiment,setting", [

@@ -115,7 +115,8 @@ def test_batched_march_matches_column_marches(monkeypatch, g):
     # an (n, K, P) batch of 6 columns against each column marched alone, bit
     # for bit, in chunks of 1 node, of 5 nodes (a short last chunk on most
     # sides) and of the default size (one chunk); the u and e rows go into
-    # new arrays or into views of larger arrays
+    # new arrays or into node-first views of larger path-major histories,
+    # as the stochastic march passes them
     rng = np.random.default_rng(3)
     n, K, P = g.n, 3, 2
     q = (0.5 + 0.2 * rng.standard_normal((n, K, P))) \
@@ -127,11 +128,11 @@ def test_batched_march_matches_column_marches(monkeypatch, g):
     for chunk in (1, 5 * K * P, hashimoto.CHUNK_ROTATIONS):
         monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
         f = reconstruct_frame(q, g, m, e0)
-        qs = np.full((K + 1, n, P), np.nan, complex)
-        us, es = np.full((2, K + 1, n, P, 3), np.nan)
-        qs[1:] = q.transpose(1, 0, 2)
-        out = FrameField(u=us[1:].transpose(1, 0, 2, 3), e=es[1:].transpose(1, 0, 2, 3))
-        assert reconstruct_frame(qs[1:].transpose(1, 0, 2), g, m, e0, out=out) is out
+        qs = np.full((K + 1, P, n), np.nan, complex)
+        us, es = np.full((2, K + 1, P, n, 3), np.nan)
+        qs[1:] = q.transpose(1, 2, 0)
+        out = FrameField(u=us[1:].transpose(2, 0, 1, 3), e=es[1:].transpose(2, 0, 1, 3))
+        assert reconstruct_frame(qs[1:].transpose(2, 0, 1), g, m, e0, out=out) is out
         assert np.all(np.isnan(us[0])) and np.all(np.isnan(es[0]))
         for got in (f, out):
             for k in range(K):
@@ -207,20 +208,20 @@ def test_closure_defect_batched_matches_per_path():
     rng = np.random.default_rng(8)
     g = periodic_grid(2.0 * np.pi, 64)
     P = 5
-    q = (0.3 + 0.1 * rng.standard_normal((g.n, P))) \
-        * np.exp(1j * rng.standard_normal((g.n, P)))
-    m = np.tile([1.0, 0.0, 0.0], (P, 1))
-    e0 = np.tile([0.0, 1.0, 0.0], (P, 1))
-    f = reconstruct_frame(q, g, m, e0)
+    q = (0.3 + 0.1 * rng.standard_normal((P, g.n))) \
+        * np.exp(1j * rng.standard_normal((P, g.n)))
+    m, e0 = np.array(BASEPOINT_FRAME)
+    alone = [reconstruct_frame(qi, g, m, e0) for qi in q]
+    f = FrameField(u=np.stack([fi.u for fi in alone]),
+                   e=np.stack([fi.e for fi in alone]))     # (P, n, 3), path-major
     got = closure_defect(q, g, f)
     assert got.shape == (P,)
     for i in range(P):
-        fi = reconstruct_frame(q[:, i], g, m[i], e0[i])
-        assert got[i] == closure_defect(q[:, i], g, fi)
+        assert got[i] == closure_defect(q[i], g, alone[i])
     gl = line_grid(0.0, 1.0, 16)
-    fl = reconstruct_frame(np.zeros((gl.n, P), complex), gl, m, e0)
-    assert np.array_equal(closure_defect(np.zeros((gl.n, P), complex), gl, fl),
-                          np.zeros(P))
+    ql = np.zeros((P, gl.n), complex)
+    fl = FrameField(*(np.broadcast_to(v, (P, gl.n, 3)) for v in (m, e0)))
+    assert np.array_equal(closure_defect(ql, gl, fl), np.zeros(P))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

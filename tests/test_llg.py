@@ -89,16 +89,16 @@ def test_llg_stepper_bit_identical_to_reference(g):
                                line_grid(-6.0, 3.0, 65, 17)],
                          ids=["periodic", "line"])
 def test_llg_kernel_on_path_views_bit_identical_to_reference(g, P):
-    # the stepper's rhs on (3, P, n) views of (n, P, 3) paths, as the weak
-    # residual calls it, against the reference llg_rhs
+    # the stepper's rhs on (3, P, n) views of (P, n, 3) paths, as the weak
+    # residual calls it, against the reference llg_rhs on each path
     rng = np.random.default_rng(P)
-    u = normalize(smooth_map(g)[:, None, :]
-                  + 0.1 * rng.standard_normal((g.n, P, 3)))
+    u = normalize(smooth_map(g) + 0.1 * rng.standard_normal((P, g.n, 3)))
     kernel = LLGStepper(g, 1.0, 0.7)
-    kernel.size(u.T)
     out = np.empty_like(u)
-    kernel.rhs(u.T, out.T)
-    assert np.array_equal(out, llg_rhs(u, g, 1.0, 0.7))
+    kernel.size(out.transpose(2, 0, 1))
+    kernel.rhs(u.transpose(2, 0, 1), out.transpose(2, 0, 1))
+    for i in range(P):
+        assert np.array_equal(out[i], llg_rhs(u[i], g, 1.0, 0.7))
 
 
 def test_integer_initial_data_steps_as_floats():

@@ -109,7 +109,7 @@ def test_derive_seed_distinct():
 
 
 def test_stacked_fields_match_single_path():
-    # P stacked increment sets give (n, P) fields whose column i is, bit for
+    # P stacked increment sets give (P, n) fields whose row i is, bit for
     # bit, the field of the i-th set alone
     g = periodic_grid(2.0 * np.pi, 48)
     nm = make_noise_model(g, 5, "power", 1.5)
@@ -118,5 +118,5 @@ def test_stacked_fields_match_single_path():
     for i, inc in enumerate(incs):
         alone = noise_fields(nm, inc)
         for name in ("dW1", "dW2", "dW3", "dxW1", "dxW2"):
-            assert getattr(stacked, name).shape == (g.n, 6)
-            assert np.array_equal(getattr(stacked, name)[:, i], getattr(alone, name))
+            assert getattr(stacked, name).shape == (6, g.n)
+            assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name))

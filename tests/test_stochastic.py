@@ -97,6 +97,19 @@ def test_frame_time_step_rejects_bad_frame():
         frame_time_step(f, np.zeros(n, complex), z, z, z, z, 0.1)
 
 
+def test_batched_steps_refuse_node_first_fields():
+    # P paths are (P, n): a node-first (n, P) batch is refused, not stepped
+    # along its path axis
+    g = periodic_grid(2.0 * np.pi, 32)
+    q = np.ones((g.n, 5), complex)
+    with pytest.raises(ConfigurationError, match="field length 5 != grid n 32"):
+        frame_generator(q, g, 0.5, 0.5)
+    z = np.zeros((g.n, 5))
+    inc = NoiseIncrement(dW1=z, dW2=z, dW3=z, dxW1=z, dxW2=z)
+    with pytest.raises(ConfigurationError, match="field length 5 != grid n 32"):
+        stochastic_heat_step(q, g, 0.5, 0.5, 1e-3, inc)
+
+
 def test_zero_noise_step_matches_heun():
     g = line_grid(-30.0, 10.0, 128)
     q = twist_q(g.x)
@@ -131,16 +144,18 @@ def test_heun_step_bit_identical_to_reference(b, P):
     # P paths at once, each on its own noise, against the readable formula
     g = periodic_grid(2.0 * np.pi, 64, basepoint_index=b)
     rng = np.random.default_rng(17)
-    q = (0.2 + 0.05 * rng.standard_normal((g.n, P))) \
-        * np.exp(1j * rng.standard_normal((g.n, P)))
+    q = (0.2 + 0.05 * rng.standard_normal((P, g.n))) \
+        * np.exp(1j * rng.standard_normal((P, g.n)))
     nm = make_noise_model(g, 4)
     inc = noise_fields(nm, np.stack([sample_increments(nm, s, 1e-3, 2)
                                      for s in range(P)]))
-    assert inc.dW1.shape == (g.n, P) and np.all(inc.dxW1 != 0.0)
+    assert inc.dW1.shape == (P, g.n) and np.all(inc.dxW1 != 0.0)
     got = stochastic_heat_step(q, g, 0.5, 0.7, 1e-3, inc)
-    want = reference_heun(q, g, 0.5, 0.7, 1e-3, inc)
+    # the reference formulas are node-first: (n, P) views of the paths
+    want = reference_heun(q.T, g, 0.5, 0.7, 1e-3, NoiseIncrement(
+        *(x.T for x in (inc.dW1, inc.dW2, inc.dW3, inc.dxW1, inc.dxW2))))
     for a, r in zip(got, want):
-        assert np.array_equal(a, r)
+        assert np.array_equal(a, r.T)
 
 
 def test_phase_noise_anchored_at_basepoint():
@@ -159,7 +174,7 @@ def test_run_sllg_unit_norm_pathwise():
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
     frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
     path = run_sllg(q0, frame, make_noise_model(g, 4), cfg, master_seed=3)
-    for u, e in zip(path.u[:, :, 0], path.e[:, :, 0]):
+    for u, e in zip(path.u[:, 0], path.e[:, 0]):
         assert np.max(np.abs(norm(u) - 1.0)) <= 1e-12
         assert FrameField(u=u, e=e).orthonormality_defect() <= 1e-11
 
@@ -180,7 +195,7 @@ def test_run_sllg_zero_noise_matches_llg():
     tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                          t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
-    assert np.max(np.abs(path.u[-1, :, 0] - tr.states[-1])) <= 1e-3
+    assert np.max(np.abs(path.u[-1, 0] - tr.states[-1])) <= 1e-3
 
 
 def test_run_sllg_seed_determinism():
@@ -205,7 +220,7 @@ def test_ensemble_paths_distinct():
     ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 3), cfg,
                             master_seed=4, n_paths=3)
     assert len(set(ens.seeds)) == 3
-    assert not np.array_equal(ens.u[:, :, 0], ens.u[:, :, 1])
+    assert not np.array_equal(ens.u[:, 0], ens.u[:, 1])
     assert ens.path(-1).seeds == ens.seeds[2:]
     with pytest.raises(IndexError):
         ens.path(3)
@@ -221,6 +236,8 @@ def test_path_shares_grid_config_and_noise_model():
     assert ens.grid is g and ens.cfg is cfg and ens.noise is nm
     assert np.array_equal(ens.noise.coeffs, coefficient_profile(3, "power"))
     assert np.array_equal(ens.times, cfg.dt * np.arange(4))
+    for name in ("q", "u", "e", "dW_tilde"):    # path-major: one block per path
+        assert getattr(ens, name)[1, 2].flags.c_contiguous, name
     for i in range(3):
         one = ens.path(i)
         assert one.grid is ens.grid and one.cfg is ens.cfg and one.noise is ens.noise
@@ -321,9 +338,9 @@ def test_single_march_matches_per_step_marches_at_large_n():
     path = run_sllg(q0, frame, nm, cfg, 21)
     b = g.basepoint_index
     for k in range(path.n_steps + 1):
-        f = reconstruct_frame(path.q[k, :, 0], g, path.u[k, b, 0], path.e[k, b, 0])
-        assert np.array_equal(f.u, path.u[k, :, 0]), k
-        assert np.array_equal(f.e, path.e[k, :, 0]), k
+        f = reconstruct_frame(path.q[k, 0], g, path.u[k, 0, b], path.e[k, 0, b])
+        assert np.array_equal(f.u, path.u[k, 0]), k
+        assert np.array_equal(f.e, path.e[k, 0]), k
 
 
 def test_ensemble_matches_step_by_step_construction():
@@ -335,7 +352,7 @@ def test_ensemble_matches_step_by_step_construction():
     b = g.basepoint_index
     nm = ens.noise
     for i, seed in enumerate(ens.seeds):
-        q, u, e = ens.q[:, :, i], ens.u[:, :, i], ens.e[:, :, i]
+        q, u, e = ens.q[:, i], ens.u[:, i], ens.e[:, i]
         for k in range(ens.n_steps + 1):
             f = reconstruct_frame(q[k], g, u[k, b], e[k, b])
             assert np.array_equal(f.u, u[k]) and np.array_equal(f.e, e[k])
@@ -347,16 +364,16 @@ def test_ensemble_matches_step_by_step_construction():
             dW = e_mid * inc.dW2[:, None]
             dW += exu_mid * inc.dW1[:, None]
             dW += u_mid * inc.dW3[:, None]
-            assert np.array_equal(dW, ens.dW_tilde[k, :, i])
+            assert np.array_equal(dW, ens.dW_tilde[k, i])
 
 
 def old_basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint step from full-grid coefficients sliced at node b."""
     b = g.basepoint_index
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
-    dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
-    f = frame_time_step(FrameField(*base), p[b], C[b], inc.dW1[b], inc.dW2[b],
-                        dPsi[b], cfg.dt)
+    dPsi = cumint((q_mid.imag * inc.dW1 - q_mid.real * inc.dW2).T, g).T
+    f = frame_time_step(FrameField(*base), p[:, b], C[:, b], inc.dW1[:, b],
+                        inc.dW2[:, b], dPsi[:, b], cfg.dt)
     return f.u, f.e
 
 
@@ -369,13 +386,13 @@ def test_basepoint_step_matches_full_grid_coefficients(g):
     # q = 0 and no noise, and paths 1 and 2 start from frames with zeros
     rng = np.random.default_rng(8)
     n, P, b = g.n, 4, g.basepoint_index
-    q_mid = rng.normal(size=(n, P)) + 1j * rng.normal(size=(n, P))
-    q_mid[b, 0] = 0.0
-    q_mid[:, 1] = 0.0
-    dW = rng.normal(scale=0.03, size=(2, n, P))
-    dW[:, :, 1] = 0.0
-    inc = NoiseIncrement(dW1=dW[0], dW2=dW[1], dW3=np.zeros((n, P)),
-                         dxW1=np.zeros((n, P)), dxW2=np.zeros((n, P)))
+    q_mid = rng.normal(size=(P, n)) + 1j * rng.normal(size=(P, n))
+    q_mid[0, b] = 0.0
+    q_mid[1] = 0.0
+    dW = rng.normal(scale=0.03, size=(2, P, n))
+    dW[:, 1] = 0.0
+    inc = NoiseIncrement(dW1=dW[0], dW2=dW[1], dW3=np.zeros((P, n)),
+                         dxW1=np.zeros((P, n)), dxW2=np.zeros((P, n)))
     R = generator_rotation(*rng.normal(size=(3, P)))
     u, e = R[:, 0].copy(), R[:, 1].copy()
     u[1:3], e[1:3] = [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]
@@ -415,7 +432,7 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 6)
     two = StepConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=2 * cfg.dt)
     q2 = run_sllg_ensemble(q0, frame, nm, two, 4, 3).q[2]
-    assert np.max(np.abs(q2[:, 2])) < np.max(np.abs(q2[:, 0]))
+    assert np.max(np.abs(q2[2])) < np.max(np.abs(q2[0]))
     bad = derive_seed(4, 2)
     sample = stochastic.sample_increments
 

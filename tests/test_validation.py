@@ -246,16 +246,36 @@ def synthetic_frozen_ensemble(g, n_modes, seed, dt, n_paths):
     n_modes flat modes; path k takes the increments of step k on seed."""
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=dt)
     nm = make_noise_model(g, n_modes)
-    u = np.tile([1.0, 0.0, 0.0], (2, g.n, n_paths, 1))
-    e = np.tile([0.0, 1.0, 0.0], (2, g.n, n_paths, 1))
+    u = np.tile([1.0, 0.0, 0.0], (2, n_paths, g.n, 1))
+    e = np.tile([0.0, 1.0, 0.0], (2, n_paths, g.n, 1))
     inc = noise_fields(nm, np.stack([sample_increments(nm, seed, dt, k)
                                      for k in range(n_paths)]))
     exu = -np.cross(u[0], e[0])
     dW = (e[0] * inc.dW2[..., None] + exu * inc.dW1[..., None]
           + u[0] * inc.dW3[..., None])
-    return SllgEnsemble(grid=g, cfg=cfg, noise=nm,
-                        q=np.zeros((2, g.n, n_paths), complex), u=u, e=e,
-                        dW_tilde=dW[None], seeds=[seed] * n_paths)
+    return SllgEnsemble(cfg=cfg, noise=nm, q=np.zeros((2, n_paths, g.n), complex),
+                        u=u, e=e, dW_tilde=dW[None], seeds=[seed] * n_paths)
+
+
+def test_ensemble_refuses_histories_off_its_noise_grid():
+    # the fields live on the noise model's grid, the ensemble's only one:
+    # histories of another n, another path count or step count, or the
+    # node-first layout, are refused, not read against the wrong basis
+    g = periodic_grid(2.0 * np.pi, 16)
+    good = synthetic_frozen_ensemble(g, 2, 5, 0.01, 3)
+    assert good.grid is good.noise.grid is g
+    fields = {name: getattr(good, name) for name in ("q", "u", "e", "dW_tilde")}
+    other_n = make_noise_model(periodic_grid(2.0 * np.pi, 32), 2)
+    wrong = [dict(noise=other_n), dict(seeds=good.seeds[:2]),
+             dict(cfg=StepConfig(alpha=0.5, beta=0.5, dt=0.01, t_end=0.02)),
+             dict(u=good.u.transpose(0, 2, 1, 3)),
+             dict(dW_tilde=good.dW_tilde.transpose(0, 2, 1, 3))]
+    for change in wrong:
+        kw = dict(cfg=good.cfg, noise=good.noise, seeds=good.seeds, **fields) | change
+        with pytest.raises(ConfigurationError, match="not .* paths on the noise model's"):
+            SllgEnsemble(**kw)
+    with pytest.raises(AttributeError):
+        good.grid = periodic_grid(4.0 * np.pi, 16)
 
 
 def test_covariance_check_frozen_frame():
@@ -296,7 +316,7 @@ def reference_weak_residual(ens, i, phi, noise_rule):
     og = open_view(g)
     h = g.h
     dt = float(ens.times[1] - ens.times[0])
-    u, dW_tilde = ens.u[:, :, i], ens.dW_tilde[:, :, i]
+    u, dW_tilde = ens.u[:, i], ens.dW_tilde[:, i]
     R = h * float(np.sum(phi * (u[-1] - u[0])))
     for k in range(ens.n_steps):
         u_mid = normalize(0.5 * (u[k] + u[k + 1]))
@@ -313,8 +333,8 @@ def reference_covariance(ens, phi, psi):
     dt = float(ens.times[1] - ens.times[0])
     prods, directs = [], []
     for i in range(ens.n_paths):
-        u, e = ens.u[:, :, i], ens.e[:, :, i]
-        Wt = np.sum(ens.dW_tilde[:, :, i], axis=0)
+        u, e = ens.u[:, i], ens.e[:, i]
+        Wt = np.sum(ens.dW_tilde[:, i], axis=0)
         prods.append(h * np.sum(phi * Wt) * h * np.sum(psi * Wt))
         d = 0.0
         for k in range(ens.n_steps):
