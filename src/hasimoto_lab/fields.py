@@ -1,8 +1,9 @@
 """1D grids, finite-difference operators, cumulative quadrature and 3-vector algebra.
 
 Fields are plain numpy arrays aligned to a Grid1D: (n,) for scalar (real or
-complex) fields, (n, 3) for vector fields, and (P, n) or (P, n, 3) for P
-paths. Each operator's arithmetic lives once, in its *_into kernel.
+complex) fields and (n, 3) for vector fields. A batch stacks fields on leading
+axes, (..., n) or (..., n, 3), and every operator acts on each field of it
+alone. Each operator's arithmetic lives once, in its *_into kernel.
 """
 
 from dataclasses import dataclass
@@ -80,10 +81,15 @@ def time_steps(dt: float, t_end: float) -> int:
     return n
 
 
-def _check_shape(f: np.ndarray, g: Grid1D):
-    # the operators take one field, node axis first: (n,) or (n, 3)
-    if f.shape[0] != g.n:
-        raise ConfigurationError(f"field length {f.shape[0]} != grid n {g.n}")
+def _node_last(f: np.ndarray, g: Grid1D) -> np.ndarray:
+    # the kernels' view of a field: a vector field (..., n, 3) as (..., 3, n),
+    # a scalar field (..., n) as itself; n >= 4, so the two never meet
+    if f.shape[-2:] == (g.n, 3):
+        return f.swapaxes(-1, -2)
+    if f.shape[-1:] != (g.n,):
+        raise ConfigurationError(f"field length {f.shape[-1] if f.ndim else 0} != "
+                                 f"grid n {g.n} in shape {f.shape}")
+    return f
 
 
 def _empty_like(f: np.ndarray) -> np.ndarray:
@@ -93,17 +99,15 @@ def _empty_like(f: np.ndarray) -> np.ndarray:
 
 def diff1(f: np.ndarray, g: Grid1D) -> np.ndarray:
     """Second-order first derivative; one-sided stencils at line endpoints."""
-    _check_shape(f, g)
     out = _empty_like(f)
-    diff1_into(f.T, g, out.T)
+    diff1_into(_node_last(f, g), g, _node_last(out, g))
     return out
 
 
 def diff2(f: np.ndarray, g: Grid1D) -> np.ndarray:
     """Second-order second derivative; one-sided stencils at line endpoints."""
-    _check_shape(f, g)
     out = _empty_like(f)
-    diff2_into(f.T, g, out.T)
+    diff2_into(_node_last(f, g), g, _node_last(out, g))
     return out
 
 
@@ -115,17 +119,16 @@ def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
     general not periodic (a recorded defect of the basepoint-anchored
     integral on the circle).
     """
-    _check_shape(f, g)
     out, tmp = _empty_like(f), _empty_like(f)
-    cumint_into(f.T, g, out.T, tmp.T)
+    cumint_into(_node_last(f, g), g, _node_last(out, g), _node_last(tmp, g))
     return out
 
 
 # --- the operators' kernels, written into preallocated arrays ---
-# Here the node axis is the last one: (n,) or (P, n) scalar fields, or (3, n)
-# component-major vector fields, with any further leading axes. The
-# operators above call them on transposed views. The endpoint stencils index
-# the transposed views, whose node axis is first.
+# Here the node axis is the last one: scalar fields (..., n) as they are, and
+# vector fields component-major, (..., 3, n), as _node_last views them or as
+# LLGStepper stores them. The endpoint stencils index the transposed views,
+# whose node axis is first.
 
 def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
     """diff1 of f along its last axis, written into out."""

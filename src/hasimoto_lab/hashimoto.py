@@ -33,7 +33,7 @@ class CurvatureTorsion:
 
 @dataclass
 class FrameField:
-    u: np.ndarray   # (n, 3), or (P, n, 3) for P paths; sphere-valued
+    u: np.ndarray   # (n, 3), or (..., n, 3) for a batch; sphere-valued
     e: np.ndarray   # same shape; unit, tangent to the sphere at u
 
     def as_matrix(self) -> np.ndarray:
@@ -85,7 +85,8 @@ def inverse_identities(q: np.ndarray, g: Grid1D) -> CurvatureTorsion:
 
 # The basepoint frame (u(a), e(a)) every run starts its frame march from.
 BASEPOINT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-# reconstruct_frame marches max(1, CHUNK_ROTATIONS // columns) nodes per chunk.
+# reconstruct_frame marches max(4, CHUNK_ROTATIONS // columns) nodes per chunk; the
+# floor writes each column's frames in runs of nodes, not in single 24-byte rows.
 CHUNK_ROTATIONS = 4096
 
 
@@ -105,24 +106,29 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     orthonormal). On periodic grids the march does not wrap: the closure
     defect at the seam is reported by closure_defect, not enforced.
 
-    q is (n,) with m, e0 of shape (3,), or node-first (n, *cols) with one
+    q is (n,) with m, e0 of shape (3,), or a batch (*cols, n) with one
     basepoint frame per column, m, e0 of shape (*cols, 3); every column comes
     out bit for bit as if marched alone. The march holds the rotations and
     frames of one chunk of nodes at a time, and writes u and e into out (a
-    FrameField of (n, *cols, 3) arrays or views) or new arrays. q, m, e0
+    FrameField of (*cols, n, 3) arrays or views) or new arrays. q, m, e0
     must be finite, and every basepoint frame orthonormal to 1e-10.
     """
+    if q.shape[-1:] != (g.n,):
+        raise ConfigurationError(f"q of shape {q.shape} does not end in grid n {g.n}")
     _require_finite("q, m and e0", q, m, e0)
     m, e0 = np.asarray(m, float), np.asarray(e0, float)
     if FrameField(m, e0).orthonormality_defect() > 1e-10:
         raise ConfigurationError(
             "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
     out = out or FrameField(u=np.empty(q.shape + (3,)), e=np.empty(q.shape + (3,)))
+    # the march runs over views with the node axis first: node j is q[j], u[j]
+    q = np.moveaxis(q, -1, 0)
+    u, e = np.moveaxis(out.u, -2, 0), np.moveaxis(out.e, -2, 0)
     n, b = g.n, g.basepoint_index
-    step = max(1, CHUNK_ROTATIONS // max(1, q[0].size))
+    step = max(4, CHUNK_ROTATIONS // max(1, q[0].size))
     F = np.empty((step + 1,) + q.shape[1:] + (3, 3))
     F0 = np.stack([m, e0, cross(m, e0)], axis=-2)
-    out.u[b], out.e[b] = F0[..., 0, :], F0[..., 1, :]
+    u[b], e[b] = F0[..., 0, :], F0[..., 1, :]
     for ahead in (1, 0):
         F[0], j = F0, b                     # j: the node whose frame is F[0]
         while c := min(step, n - 1 - j if ahead else j):
@@ -133,8 +139,8 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
             for i in range(c):
                 np.matmul(R[i], F[i], out=F[i + 1])
             frames = F[1:c + 1] if ahead else F[c:0:-1]
-            out.u[lo + ahead:lo + c + ahead] = frames[..., 0, :]
-            out.e[lo + ahead:lo + c + ahead] = frames[..., 1, :]
+            u[lo + ahead:lo + c + ahead] = frames[..., 0, :]
+            e[lo + ahead:lo + c + ahead] = frames[..., 1, :]
             F[0], j = F[c], j + c if ahead else j - c
     return out
 

@@ -7,11 +7,11 @@ group-valued updates, so |u| = |e| = 1 and <u, e> = 0 hold path-wise to
 round-off and |q| is untouched by the multiplicative phase noise.
 
 A field is one path's, (n,) or (n, 3), or P paths stacked path-major,
-(P, n) or (P, n, 3), so one Python step advances all P. Each path draws its
-noise from its own substream and no operation mixes paths, so path i comes
-out bit for bit the same in any batch. The drift of the Heun step is the
-deterministic flow's own right-hand side, heat.HeatStepper.rhs, which runs
-along the last (node) axis.
+(P, n) or (P, n, 3), as every batch in the package, so one Python step of
+the public operators advances all P. Each path draws its noise from its own
+substream and no operation mixes paths, so path i comes out bit for bit the
+same in any batch. The Heun step's drift is the deterministic flow's own
+right-hand side, heat.HeatStepper.rhs, along the last (node) axis.
 """
 
 import mmap
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint_into,
-                     diff1_into)
+from .fields import BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1
 from .forks import fork_map, usable_cpus
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import HeatStepper
@@ -33,23 +32,16 @@ from .rotations import generator_rotation
 ORTHO_TOL = 1e-8
 
 
-def _cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
-    """fields.cumint of the (n,) or (P, n) fields f, along their last axis."""
-    if f.shape[-1] != g.n:
-        raise ConfigurationError(f"field length {f.shape[-1]} != grid n {g.n}")
-    return cumint_into(f, g, np.empty_like(f), np.empty_like(f))
-
-
 def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
     """Deterministic coefficients (p, C) of the frame time evolution.
 
     p = (alpha + i beta) q_x and
     C = -beta |q|^2 / 2 + (i alpha / 2) int (q_x conj(q) - conj(q_x) q) dy.
     """
-    qx = diff1_into(q, g, np.empty_like(q))
+    qx = diff1(q, g)
     p = (alpha + 1j * beta) * qx
     c_complex = (-0.5 * beta * np.abs(q) ** 2
-                 + 0.5j * alpha * _cumint(qx * np.conj(q) - np.conj(qx) * q, g))
+                 + 0.5j * alpha * cumint(qx * np.conj(q) - np.conj(qx) * q, g))
     # the integrand is purely imaginary, so C is real up to round-off
     return p, c_complex.real
 
@@ -88,10 +80,10 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     drift.size(q)
     k1, k2 = np.empty(q.shape, complex), np.empty(q.shape, complex)
     drift.rhs(q, k1)
-    dPsi0 = _cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
+    dPsi0 = cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)
     q_pred = (q + dt * k1 + 0.5 * additive) * np.exp(-1j * dPsi0) + 0.5 * additive
     q_mid = 0.5 * (q + q_pred)
-    dPsi = _cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
+    dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
     drift.rhs(q_pred, k2)
     q_new = (q + 0.5 * dt * (k1 + k2) + 0.5 * additive) * np.exp(-1j * dPsi) \
         + 0.5 * additive
@@ -227,7 +219,7 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
     q and the basepoint frames never read the rebuilt frame fields, so they
     advance over all K steps first, keeping each step's raw dW1, dW2, dW3 in
     dW_tilde. One spatial march over the K * P columns then rebuilds every
-    frame field, and W-tilde's increments replace the raw ones step by step.
+    frame field in place, and W-tilde's increments replace the raw ones.
     """
     K, P = dW_tilde.shape[:2]
     if K == 0:
@@ -245,10 +237,8 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
         base = _basepoint_step(base, q_mid, inc, g, cfg)
         dW_tilde[k] = np.stack([inc.dW1, inc.dW2, inc.dW3], axis=-1)
         bases[:, k] = base
-    # the march's columns are the (step, path) pairs, after the node axis
-    reconstruct_frame(qs[1:].transpose(2, 0, 1), g, *bases,
-                      out=FrameField(u=us[1:].transpose(2, 0, 1, 3),
-                                     e=es[1:].transpose(2, 0, 1, 3)))
+    # the march's columns are the (step, path) pairs
+    reconstruct_frame(qs[1:], g, *bases, out=FrameField(u=us[1:], e=es[1:]))
     # W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames
     exu = cross(es[0], us[0])
     for k in range(K):

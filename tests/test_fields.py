@@ -100,24 +100,30 @@ def test_cumint_complex():
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("trail", [(), (3,), (7,), (7, 3)],
-                         ids=["n", "n-3", "n-P", "n-P-3"])
+@pytest.mark.parametrize("lead, trail", [((), ()), ((), (3,)), ((7,), ()), ((7,), (3,)),
+                                         ((None,), ()), ((None,), (3,))],
+                         ids=["n", "n-3", "n-P", "n-P-3", "n-P=n", "n-P=n-3"])
 @pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 64),
                                line_grid(-3.0, 5.0, 65),
                                line_grid(-3.0, 5.0, 65, basepoint_index=17)],
                          ids=["periodic", "line", "line-interior-basepoint"])
-def test_operators_bit_identical_to_reference(g, trail, dtype):
-    # the node-first operators, which run the *_into kernels on transposed
-    # views, against the readable np.roll / trapezoid formulas
-    rng = np.random.default_rng(len(trail))
-    f = rng.standard_normal((g.n,) + trail).astype(dtype)
+def test_operators_bit_identical_to_reference(g, lead, trail, dtype):
+    # the operators, which run the *_into kernels on node-last views, against
+    # the readable np.roll / trapezoid formulas on node-first views; the ids
+    # name n nodes, 3 components and P paths, and a batch is path-major,
+    # (P, n) or (P, n, 3), also when P == n
+    lead = tuple(g.n if p is None else p for p in lead)
+    rng = np.random.default_rng(len(lead + trail))
+    f = rng.standard_normal(lead + (g.n,) + trail).astype(dtype)
     if dtype is complex:
         f += 1j * rng.standard_normal(f.shape)
+    node = len(lead)
     for op, ref in ((diff1, reference.diff1), (diff2, reference.diff2),
                     (cumint, reference.cumint)):
         got = op(f, g)
         assert got.shape == f.shape and got.dtype == f.dtype
-        assert np.array_equal(got, ref(f, g))
+        want = np.moveaxis(ref(np.moveaxis(f, node, 0), g), 0, node)
+        assert np.array_equal(got, want)
 
 
 def test_integer_field_differentiates_as_floats():

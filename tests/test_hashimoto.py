@@ -105,6 +105,17 @@ def test_reconstruct_rejects_bad_initial_frame():
         reconstruct_frame(q, g, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("shape", [(20,), (10,), (16, 5), (5, 16, 1)],
+                         ids=["longer", "shorter", "node-first", "node-in-middle"])
+def test_reconstruct_rejects_q_off_the_grid(shape):
+    # a q whose last (node) axis is not the grid's would march past the
+    # frame arrays or leave rows unwritten; a node-first batch is refused
+    g = periodic_grid(2.0 * np.pi, 16)
+    m, e0 = np.array(BASEPOINT_FRAME)
+    with pytest.raises(ConfigurationError, match=rf"q of shape \({shape[0]},"):
+        reconstruct_frame(np.ones(shape, complex), g, m, e0)
+
+
 @pytest.mark.parametrize("g", [line_grid(-5.0, 5.0, 33, basepoint_index=b)
                                for b in (0, 17, 32)]
                          + [periodic_grid(2.0 * np.pi, 32, basepoint_index=b)
@@ -112,33 +123,33 @@ def test_reconstruct_rejects_bad_initial_frame():
                          ids=["line-0", "line-17", "line-32",
                               "periodic-0", "periodic-13", "periodic-31"])
 def test_batched_march_matches_column_marches(monkeypatch, g):
-    # an (n, K, P) batch of 6 columns against each column marched alone, bit
-    # for bit, in chunks of 1 node, of 5 nodes (a short last chunk on most
-    # sides) and of the default size (one chunk); the u and e rows go into
-    # new arrays or into node-first views of larger path-major histories,
+    # a (K, P, n) batch of 6 columns against each column marched alone, bit
+    # for bit, in chunks of the 4-node floor and of 5 nodes (a short last
+    # chunk on most sides) and of the default size (one chunk); the u and e
+    # rows go into new arrays or into views of larger path-major histories,
     # as the stochastic march passes them
     rng = np.random.default_rng(3)
     n, K, P = g.n, 3, 2
-    q = (0.5 + 0.2 * rng.standard_normal((n, K, P))) \
-        * np.exp(1j * rng.standard_normal((n, K, P)))
+    q = (0.5 + 0.2 * rng.standard_normal((K, P, n))) \
+        * np.exp(1j * rng.standard_normal((K, P, n)))
     R = generator_rotation(*rng.standard_normal((3, K, P)))
     m, e0 = R[..., 0, :], R[..., 1, :]
-    alone = [[reconstruct_frame(q[:, k, p], g, m[k, p], e0[k, p]) for p in range(P)]
+    alone = [[reconstruct_frame(q[k, p], g, m[k, p], e0[k, p]) for p in range(P)]
              for k in range(K)]
     for chunk in (1, 5 * K * P, hashimoto.CHUNK_ROTATIONS):
         monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
         f = reconstruct_frame(q, g, m, e0)
         qs = np.full((K + 1, P, n), np.nan, complex)
         us, es = np.full((2, K + 1, P, n, 3), np.nan)
-        qs[1:] = q.transpose(1, 2, 0)
-        out = FrameField(u=us[1:].transpose(2, 0, 1, 3), e=es[1:].transpose(2, 0, 1, 3))
-        assert reconstruct_frame(qs[1:].transpose(2, 0, 1), g, m, e0, out=out) is out
+        qs[1:] = q
+        out = FrameField(u=us[1:], e=es[1:])
+        assert reconstruct_frame(qs[1:], g, m, e0, out=out) is out
         assert np.all(np.isnan(us[0])) and np.all(np.isnan(es[0]))
         for got in (f, out):
             for k in range(K):
                 for p in range(P):
-                    assert np.array_equal(got.u[:, k, p], alone[k][p].u), (chunk, k, p)
-                    assert np.array_equal(got.e[:, k, p], alone[k][p].e), (chunk, k, p)
+                    assert np.array_equal(got.u[k, p], alone[k][p].u), (chunk, k, p)
+                    assert np.array_equal(got.e[k, p], alone[k][p].e), (chunk, k, p)
 
 
 def test_round_trip_u_to_q_to_u():
@@ -236,7 +247,7 @@ def test_transform_and_reconstruct_reject_non_finite_input(bad):
     u_bad[5, 1] = bad
     with pytest.raises(ConfigurationError, match="u must be finite"):
         transform(u_bad, g)
-    for qs, ms, es in ((q, m, e0), (q[:, None], m[None], e0[None])):
+    for qs, ms, es in ((q, m, e0), (q[None], m[None], e0[None])):
         reconstruct_frame(qs, g, ms, es)            # one path, then a batch of one
         for i in range(3):
             args = [qs.copy(), ms.copy(), es.copy()]

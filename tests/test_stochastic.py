@@ -371,7 +371,7 @@ def old_basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint step from full-grid coefficients sliced at node b."""
     b = g.basepoint_index
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
-    dPsi = cumint((q_mid.imag * inc.dW1 - q_mid.real * inc.dW2).T, g).T
+    dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
     f = frame_time_step(FrameField(*base), p[:, b], C[:, b], inc.dW1[:, b],
                         inc.dW2[:, b], dPsi[:, b], cfg.dt)
     return f.u, f.e
