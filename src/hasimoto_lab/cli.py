@@ -42,6 +42,7 @@ _GRIDDED = ("llg", "heat", "identities", "sllg", "holonomy", "covariance")
 _FLOWS = ("llg", "heat", "crosscheck", "sllg", "holonomy", "covariance")
 _STEPPED = ("llg", "heat", "sllg", "holonomy", "covariance")
 _STOCHASTIC = ("sllg", "covariance")
+_LINED = ("llg", "heat", "crosscheck", "identities", "holonomy")  # may run on the line
 _CHECKS_STEPS = _STOCHASTIC + ("holonomy",)    # a check over the time steps
 _TWISTED = ("crosscheck", "identities", "holonomy")  # a localized twist on the line
 
@@ -55,10 +56,9 @@ SCHEMA = {
                dict.fromkeys(_TWISTED, "line")),
     "n": ("int", ">= 4", "64", _GRIDDED, {"identities": "256", "holonomy": "176"}),
     "circumference": ("float", "> 0", "6.283185307179586", _GRIDDED, {}),
-    "x_min": ("float", "", "-90.0", EXPERIMENTS,
+    "x_min": ("float", "", "-90.0", _LINED,
               {"crosscheck": "-250.0", "holonomy": "-45.0"}),
-    "x_max": ("float", "", "20.0", EXPERIMENTS, {"holonomy": "10.0"}),
-    "basepoint_index": ("int", ">= 0", "0", _GRIDDED, {}),
+    "x_max": ("float", "", "20.0", _LINED, {"holonomy": "10.0"}),
     "alpha": ("float", ">= 0", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
     "beta": ("float", "", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
     "dt": ("auto|float", "> 0", "auto", _STEPPED,
@@ -243,14 +243,16 @@ def validate(experiment: str, c: dict, errors: list):
         if c["t_end"] == 0:
             errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
         return None if errors else c
-    g = c["g"] = (
-        attempt(periodic_grid, c["circumference"], c["n"], c["basepoint_index"])
-        if c["domain"] == "periodic" else
-        attempt(line_grid, c["x_min"], c["x_max"], c["n"], c["basepoint_index"]))
+    if experiment in _STOCHASTIC and c["domain"] != "periodic":
+        errors.append(f"{experiment}: the spectral noise basis requires a periodic grid")
+        return None
+    g = c["g"] = (attempt(periodic_grid, c["circumference"], c["n"])
+                  if c["domain"] == "periodic" else
+                  attempt(line_grid, c["x_min"], c["x_max"], c["n"]))
     if g is None:
         return None
     c["x0"] = initial(g)
-    if experiment in _STOCHASTIC:   # the noise needs the circle and finite coefficients
+    if experiment in _STOCHASTIC:   # the noise needs finite coefficients
         c["noise"] = attempt(make_noise_model, g, *(c[k] for k in (
             "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
     if c.get("dt") == "auto":

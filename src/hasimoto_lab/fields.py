@@ -21,11 +21,12 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
+    """n nodes x, h apart. Node 0 is the basepoint a of the nonlocal integrals
+    and the frame march: the left end on the line, the seam on the circle."""
     kind: str                 # "periodic" or "line"
     n: int
     h: float
     x: np.ndarray
-    basepoint_index: int = 0
 
     def __post_init__(self):
         if self.kind not in ("periodic", "line"):
@@ -34,9 +35,8 @@ class Grid1D:
             raise ConfigurationError(f"need n >= 4 nodes, got {self.n}")
         if not 0 < self.h < np.inf:
             raise ConfigurationError(f"need a positive finite spacing, got h={self.h}")
-        if not 0 <= self.basepoint_index < self.n:
-            raise ConfigurationError(
-                f"basepoint index {self.basepoint_index} outside [0, {self.n})")
+        if self.h * self.h == 0.0:      # diff2 divides by h^2
+            raise ConfigurationError(f"spacing h={self.h} is too small: h^2 underflows")
 
     @property
     def periodic(self) -> bool:
@@ -48,22 +48,22 @@ class Grid1D:
         return self.n * self.h if self.periodic else (self.n - 1) * self.h
 
 
-def periodic_grid(circumference: float, n: int, basepoint_index: int = 0) -> Grid1D:
+def periodic_grid(circumference: float, n: int) -> Grid1D:
     if not circumference > 0:
         raise ConfigurationError(f"circumference must be positive, got {circumference}")
     if n < 4:
         raise ConfigurationError(f"need n >= 4 nodes, got {n}")
     h = circumference / n
-    return Grid1D("periodic", n, h, h * np.arange(n), basepoint_index)
+    return Grid1D("periodic", n, h, h * np.arange(n))
 
 
-def line_grid(x_min: float, x_max: float, n: int, basepoint_index: int = 0) -> Grid1D:
+def line_grid(x_min: float, x_max: float, n: int) -> Grid1D:
     if not 0 < x_max - x_min < np.inf:
         raise ConfigurationError(f"extent [{x_min}, {x_max}] is not positive and finite")
     if n < 4:
         raise ConfigurationError(f"need n >= 4 nodes, got {n}")
     h = (x_max - x_min) / (n - 1)
-    return Grid1D("line", n, h, np.linspace(x_min, x_max, n), basepoint_index)
+    return Grid1D("line", n, h, np.linspace(x_min, x_max, n))
 
 
 def time_steps(dt: float, t_end: float) -> int:
@@ -112,7 +112,7 @@ def diff2(f: np.ndarray, g: Grid1D) -> np.ndarray:
 
 
 def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
-    """Cumulative trapezoid of f from the basepoint; value 0 at the basepoint.
+    """Cumulative trapezoid of f from node 0, the basepoint; value 0 there.
 
     Integration runs in increasing node index. On periodic grids it is
     single-sheeted: no wraparound segment is added, so the result is in
@@ -173,7 +173,7 @@ def cumint_into(f: np.ndarray, g: Grid1D, out: np.ndarray,
     np.multiply(0.5 * g.h, seg, out=seg)
     out[..., 0] = 0.0
     np.cumsum(seg, axis=-1, out=out[..., 1:])
-    return np.subtract(out, out[..., g.basepoint_index, None], out=out)
+    return out
 
 
 # boundary_decay_ok's bound on max |q| over the leftmost DECAY_FRAC of nodes
@@ -206,7 +206,7 @@ def open_view(g: Grid1D) -> Grid1D:
     """
     if not g.periodic:
         return g
-    return Grid1D("line", g.n, g.h, g.x, g.basepoint_index)
+    return Grid1D("line", g.n, g.h, g.x)
 
 
 # --- 3-vector algebra on (n, 3) (or (..., 3)) arrays ---

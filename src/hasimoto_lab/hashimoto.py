@@ -99,7 +99,7 @@ def node_rotations(q0: np.ndarray, q1: np.ndarray, g: Grid1D) -> np.ndarray:
 
 def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
                       out: FrameField = None) -> FrameField:
-    """Integrate the spatial frame ODE from the basepoint with u(a) = m, e(a) = e0.
+    """Integrate the spatial frame ODE from node 0 with u(a) = m, e(a) = e0.
 
     Node-to-node update uses the exact rotation exponential of the generator
     built from the midpoint of q at adjacent nodes (second order, exactly
@@ -110,11 +110,16 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     basepoint frame per column, m, e0 of shape (*cols, 3); every column comes
     out bit for bit as if marched alone. The march holds the rotations and
     frames of one chunk of nodes at a time, and writes u and e into out (a
-    FrameField of (*cols, n, 3) arrays or views) or new arrays. q, m, e0
-    must be finite, and every basepoint frame orthonormal to 1e-10.
+    FrameField of float64 (*cols, n, 3) arrays or views) or new arrays. q, m,
+    e0 must be finite, and every basepoint frame orthonormal to 1e-10.
     """
-    if q.shape[-1:] != (g.n,):
-        raise ConfigurationError(f"q of shape {q.shape} does not end in grid n {g.n}")
+    if q.shape[-1:] != (g.n,) or not np.shape(m) == np.shape(e0) == q.shape[:-1] + (3,):
+        raise ConfigurationError(f"q of shape {q.shape} and m, e0 of shapes "
+                                 f"{np.shape(m)}, {np.shape(e0)} do not fit grid n {g.n}")
+    if out is not None and not (out.u.shape == out.e.shape == q.shape + (3,)
+                                and out.u.dtype == out.e.dtype == np.float64):
+        raise ConfigurationError(f"out of {out.u.dtype} {out.u.shape}, {out.e.dtype} "
+                                 f"{out.e.shape} is not float64 {q.shape + (3,)}")
     _require_finite("q, m and e0", q, m, e0)
     m, e0 = np.asarray(m, float), np.asarray(e0, float)
     if FrameField(m, e0).orthonormality_defect() > 1e-10:
@@ -124,24 +129,17 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     # the march runs over views with the node axis first: node j is q[j], u[j]
     q = np.moveaxis(q, -1, 0)
     u, e = np.moveaxis(out.u, -2, 0), np.moveaxis(out.e, -2, 0)
-    n, b = g.n, g.basepoint_index
     step = max(4, CHUNK_ROTATIONS // max(1, q[0].size))
     F = np.empty((step + 1,) + q.shape[1:] + (3, 3))
-    F0 = np.stack([m, e0, cross(m, e0)], axis=-2)
-    u[b], e[b] = F0[..., 0, :], F0[..., 1, :]
-    for ahead in (1, 0):
-        F[0], j = F0, b                     # j: the node whose frame is F[0]
-        while c := min(step, n - 1 - j if ahead else j):
-            lo = j if ahead else j - c      # the chunk's intervals lo .. lo + c - 1
-            R = node_rotations(q[lo:lo + c], q[lo + 1:lo + c + 1], g)
-            if not ahead:                   # the inverse rotations, in march order
-                R = np.swapaxes(R[::-1], -1, -2)
-            for i in range(c):
-                np.matmul(R[i], F[i], out=F[i + 1])
-            frames = F[1:c + 1] if ahead else F[c:0:-1]
-            u[lo + ahead:lo + c + ahead] = frames[..., 0, :]
-            e[lo + ahead:lo + c + ahead] = frames[..., 1, :]
-            F[0], j = F[c], j + c if ahead else j - c
+    F[0] = np.stack([m, e0, cross(m, e0)], axis=-2)
+    for lo in range(0, g.n - 1, step):     # the chunk's intervals lo .. lo + c - 1
+        c = min(step, g.n - 1 - lo)
+        R = node_rotations(q[lo:lo + c], q[lo + 1:lo + c + 1], g)
+        for i in range(c):
+            np.matmul(R[i], F[i], out=F[i + 1])
+        u[lo:lo + c + 1] = F[:c + 1, ..., 0, :]     # F[i] is node lo + i's frame
+        e[lo:lo + c + 1] = F[:c + 1, ..., 1, :]
+        F[0] = F[c]
     return out
 
 

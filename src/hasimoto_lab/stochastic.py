@@ -141,7 +141,7 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
     derive_seed(master_seed, i).
 
     For all paths at once: (1) advance q; (2) advance the basepoint frame
-    in time with coefficients at x = a (where the nonlocal integrals
+    in time with coefficients at node 0, x = a (where the nonlocal integrals
     vanish); (3) rebuild the full frame field from q by the spatial march,
     which enforces the curvature/torsion relation between u and q by
     construction; (4) assemble the increments of
@@ -225,7 +225,7 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
     if K == 0:
         return
     q = qs[0]
-    base = us[0, :, g.basepoint_index], es[0, :, g.basepoint_index]
+    base = us[0, :, 0], es[0, :, 0]
     bases = np.empty((2, K, P, 3))
     for k in range(K):
         inc = noise_fields(nm, np.stack(
@@ -251,10 +251,9 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
 
 def _basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint frames (u, e), each (P, 3), advanced in time by
-    frame_generator's coefficients at node b, where the nonlocal integrals
-    and dPsi vanish."""
-    b = g.basepoint_index
+    frame_generator's coefficients at node 0, the basepoint, where the
+    nonlocal integrals and dPsi vanish."""
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
-    f = frame_time_step(FrameField(*base), p[..., b], C[..., b], inc.dW1[..., b],
-                        inc.dW2[..., b], 0.0, cfg.dt)
+    f = frame_time_step(FrameField(*base), p[..., 0], C[..., 0], inc.dW1[..., 0],
+                        inc.dW2[..., 0], 0.0, cfg.dt)
     return f.u, f.e

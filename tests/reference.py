@@ -43,11 +43,11 @@ def diff2(f, g):
 
 
 def cumint(f, g):
-    """Cumulative trapezoid of f from the basepoint; value 0 at the basepoint."""
+    """Cumulative trapezoid of f from node 0, the basepoint; value 0 there."""
     F = np.empty_like(f)
     F[0] = 0.0
     np.cumsum(0.5 * g.h * (f[1:] + f[:-1]), axis=0, out=F[1:])
-    return F - F[g.basepoint_index]
+    return F
 
 
 def cross(a, b):

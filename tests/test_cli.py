@@ -511,7 +511,9 @@ def assert_config_error(tmp_path, capsys, *args):
 @pytest.mark.parametrize("experiment,setting", [
     ("identities", "alpha=1.0"), ("identities", "beta=1.0"), ("identities", "dt=0.001"),
     ("identities", "t_end=0.1"), ("identities", "output_stride=2"),
-    ("holonomy", "output_stride=2"), ("covariance", "output_stride=2")])
+    ("holonomy", "output_stride=2"), ("covariance", "output_stride=2"),
+    ("sllg", "x_min=-1e6"), ("covariance", "x_max=7.0"),
+    ("llg", "basepoint_index=0"), ("heat", "basepoint_index=0")])
 def test_experiment_rejects_keys_it_does_not_read(tmp_path, capsys, experiment, setting):
     err = assert_config_error(tmp_path, capsys, experiment, "--set", setting)
     assert "unknown config key" in err

@@ -19,15 +19,13 @@ import pytest
 
 from hasimoto_lab.cli import DEFAULTS, EXPERIMENTS, main, resolve_config, validate
 
-# Valid values at the bounds, tiny and huge magnitudes; "n-1" stands for the
-# last node of the draw's grid.
+# Valid values at the bounds, tiny and huge magnitudes.
 EXTREMES = {
     "domain": ["periodic", "line"],
     "n": ["4", "5", "16"],
     "circumference": ["1e-300", "1e-8", "1e300"],
     "x_min": ["-1e308", "-1e300", "-1e-300", "0.0", "1e300"],
     "x_max": ["1e308", "1e300", "1e-300", "0.0"],
-    "basepoint_index": ["0", "n-1"],
     "alpha": ["0.0", "1e-300", "1e300"],
     "beta": ["0.0", "-1e-300", "1e300", "-1e300"],
     "dt": ["auto", "1e-300", "0.002", "1e300"],
@@ -73,6 +71,7 @@ REFUSED = [
     ("covariance", {"coeff_amplitude": "0", "n_paths": "4"}),
     ("sllg", {"coeff_amplitude": "0"}),
     ("llg", {"k": "1e308"}),
+    ("identities", {"n": "8", "x_min": "-1e-300", "x_max": "0.0"}),
 ]
 
 # Valid data that overflows within the first step.
@@ -93,8 +92,6 @@ def draws(seed, per_experiment=7):
             sets = {k: v for k, v in SMALL.items() if k in DEFAULTS[e]}
             for key in rng.choice(keys, size=rng.integers(2, 4), replace=False):
                 sets[str(key)] = str(rng.choice(EXTREMES[key]))
-            if sets.get("basepoint_index") == "n-1":
-                sets["basepoint_index"] = str(int(sets["n"]) - 1)
             out.append((e, sets))
     return out
 

@@ -116,12 +116,22 @@ def test_reconstruct_rejects_q_off_the_grid(shape):
         reconstruct_frame(np.ones(shape, complex), g, m, e0)
 
 
-@pytest.mark.parametrize("g", [line_grid(-5.0, 5.0, 33, basepoint_index=b)
-                               for b in (0, 17, 32)]
-                         + [periodic_grid(2.0 * np.pi, 32, basepoint_index=b)
-                            for b in (0, 13, 31)],
-                         ids=["line-0", "line-17", "line-32",
-                              "periodic-0", "periodic-13", "periodic-31"])
+def test_reconstruct_rejects_out_and_basepoint_frames_that_do_not_fit_q():
+    # rows of a longer out would be left unwritten, a float32 out would round
+    # the frames, and frames for other columns would not broadcast
+    g = periodic_grid(2.0 * np.pi, 16)
+    m, e0 = np.array(BASEPOINT_FRAME)
+    q = np.ones((6, 16), complex)
+    ms, e0s = np.tile(m, (6, 1)), np.tile(e0, (6, 1))
+    for u, e in ((np.empty((6, 20, 3)),) * 2, (np.empty((6, 16, 3), np.float32),) * 2):
+        with pytest.raises(ConfigurationError, match=r"out of .* is not float64"):
+            reconstruct_frame(q, g, ms, e0s, out=FrameField(u=u, e=e))
+    with pytest.raises(ConfigurationError, match=r"m, e0 of shapes \(4, 3\)"):
+        reconstruct_frame(np.ones((5, 16), complex), g, ms[:4], e0s[:4])
+
+
+@pytest.mark.parametrize("g", [line_grid(-5.0, 5.0, 33), periodic_grid(2.0 * np.pi, 32)],
+                         ids=["line-0", "periodic-0"])
 def test_batched_march_matches_column_marches(monkeypatch, g):
     # a (K, P, n) batch of 6 columns against each column marched alone, bit
     # for bit, in chunks of the 4-node floor and of 5 nodes (a short last

@@ -65,8 +65,8 @@ def test_config_rejects_non_finite_coefficients(alpha, beta):
         StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
 
 
-@pytest.mark.parametrize("g", [line_grid(-6.0, 3.0, 97, 40),
-                               periodic_grid(2.0 * np.pi, 96, 7)],
+@pytest.mark.parametrize("g", [line_grid(-6.0, 3.0, 97),
+                               periodic_grid(2.0 * np.pi, 96)],
                          ids=["line", "periodic"])
 def test_llg_stepper_bit_identical_to_reference(g):
     # the fused component-major stepper against the readable reference,
@@ -86,7 +86,7 @@ def test_llg_stepper_bit_identical_to_reference(g):
 
 @pytest.mark.parametrize("P", [1, 2, 7])
 @pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 64),
-                               line_grid(-6.0, 3.0, 65, 17)],
+                               line_grid(-6.0, 3.0, 65)],
                          ids=["periodic", "line"])
 def test_llg_kernel_on_path_views_bit_identical_to_reference(g, P):
     # the stepper's rhs on (3, P, n) views of (P, n, 3) paths, as the weak
@@ -201,9 +201,9 @@ def test_auto_dt():
         auto_dt(g, 0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("circumference,alpha", [(1e-300, 1.0), (6.0, 1e308)])
+@pytest.mark.parametrize("circumference,alpha", [(6.0, 1e308)])
 def test_auto_dt_rejects_an_underflowed_stability_bound(circumference, alpha):
-    # h^2 underflows to 0, or t_end / dt to inf: no whole number of steps
+    # t_end / dt overflows to inf: no whole number of steps
     g = periodic_grid(circumference, 64)
     with pytest.raises(ConfigurationError, match="stability bound .* underflows"):
         auto_dt(g, alpha, 1.0, 0.1)

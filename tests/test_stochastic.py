@@ -139,10 +139,9 @@ def reference_heun(q, g, alpha, beta, dt, inc):
 
 
 @pytest.mark.parametrize("P", [1, 3])
-@pytest.mark.parametrize("b", [0, 23])
-def test_heun_step_bit_identical_to_reference(b, P):
+def test_heun_step_bit_identical_to_reference(P):
     # P paths at once, each on its own noise, against the readable formula
-    g = periodic_grid(2.0 * np.pi, 64, basepoint_index=b)
+    g = periodic_grid(2.0 * np.pi, 64)
     rng = np.random.default_rng(17)
     q = (0.2 + 0.05 * rng.standard_normal((P, g.n))) \
         * np.exp(1j * rng.standard_normal((P, g.n)))
@@ -164,7 +163,7 @@ def test_phase_noise_anchored_at_basepoint():
     inc = noise_fields(nm, sample_increments(nm, 11, 1e-3, 0))
     q = 0.2 * np.exp(1j * np.sin(g.x))
     _, _, dPsi = stochastic_heat_step(q, g, 0.5, 0.5, 1e-3, inc)
-    assert dPsi[g.basepoint_index] == 0.0
+    assert dPsi[0] == 0.0
     assert np.max(np.abs(dPsi.imag)) == 0.0
 
 
@@ -336,9 +335,8 @@ def test_single_march_matches_per_step_marches_at_large_n():
     # from its basepoint frame, which takes one chunk
     g, cfg, q0, frame, nm = _ensemble_inputs(16384, 1e-8, 6)
     path = run_sllg(q0, frame, nm, cfg, 21)
-    b = g.basepoint_index
     for k in range(path.n_steps + 1):
-        f = reconstruct_frame(path.q[k, 0], g, path.u[k, 0, b], path.e[k, 0, b])
+        f = reconstruct_frame(path.q[k, 0], g, path.u[k, 0, 0], path.e[k, 0, 0])
         assert np.array_equal(f.u, path.u[k, 0]), k
         assert np.array_equal(f.e, path.e[k, 0]), k
 
@@ -349,12 +347,11 @@ def test_ensemble_matches_step_by_step_construction():
     # path's own noise, in this operation order
     g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 4)
     ens = run_sllg_ensemble(q0, frame, nm, cfg, 13, 3)
-    b = g.basepoint_index
     nm = ens.noise
     for i, seed in enumerate(ens.seeds):
         q, u, e = ens.q[:, i], ens.u[:, i], ens.e[:, i]
         for k in range(ens.n_steps + 1):
-            f = reconstruct_frame(q[k], g, u[k, b], e[k, b])
+            f = reconstruct_frame(q[k], g, u[k, 0], e[k, 0])
             assert np.array_equal(f.u, u[k]) and np.array_equal(f.e, e[k])
         for k in range(ens.n_steps):
             inc = noise_fields(nm, sample_increments(nm, seed, cfg.dt, k))
@@ -368,26 +365,24 @@ def test_ensemble_matches_step_by_step_construction():
 
 
 def old_basepoint_step(base, q_mid, inc, g, cfg):
-    """The basepoint step from full-grid coefficients sliced at node b."""
-    b = g.basepoint_index
+    """The basepoint step from full-grid coefficients sliced at node 0."""
     p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
     dPsi = cumint(q_mid.imag * inc.dW1 - q_mid.real * inc.dW2, g)
-    f = frame_time_step(FrameField(*base), p[:, b], C[:, b], inc.dW1[:, b],
-                        inc.dW2[:, b], dPsi[:, b], cfg.dt)
+    f = frame_time_step(FrameField(*base), p[:, 0], C[:, 0], inc.dW1[:, 0],
+                        inc.dW2[:, 0], dPsi[:, 0], cfg.dt)
     return f.u, f.e
 
 
 @pytest.mark.parametrize("g", [periodic_grid(2.0 * np.pi, 32),
-                               line_grid(-5.0, 5.0, 33),
-                               line_grid(-5.0, 5.0, 33, basepoint_index=17)],
-                         ids=["periodic", "line", "line-interior-basepoint"])
+                               line_grid(-5.0, 5.0, 33)],
+                         ids=["periodic", "line"])
 def test_basepoint_step_matches_full_grid_coefficients(g):
-    # bit for bit, the sign of zero included: path 0 has q(b) = 0, path 1 has
+    # bit for bit, the sign of zero included: path 0 has q(a) = 0, path 1 has
     # q = 0 and no noise, and paths 1 and 2 start from frames with zeros
     rng = np.random.default_rng(8)
-    n, P, b = g.n, 4, g.basepoint_index
+    n, P = g.n, 4
     q_mid = rng.normal(size=(P, n)) + 1j * rng.normal(size=(P, n))
-    q_mid[0, b] = 0.0
+    q_mid[0, 0] = 0.0
     q_mid[1] = 0.0
     dW = rng.normal(scale=0.03, size=(2, P, n))
     dW[:, 1] = 0.0
