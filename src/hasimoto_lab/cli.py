@@ -3,10 +3,10 @@
 Usage: hasimoto-lab <experiment> [--config FILE] [--set key=value ...]
                                  [--out DIR] [--seed N]
 
-Experiments: llg, heat, crosscheck, identities, sllg, holonomy, covariance,
-plus the catalog command list-experiments. Config files are flat key=value
-text; every key can also be overridden on the command line with --set. An
-experiment accepts exactly the keys it reads (SCHEMA).
+Two tables define the command line: EXPERIMENTS, one row per experiment with
+its runner and traits, and SCHEMA, one row per config key with its readers by
+trait. Config files are flat key=value text, which --set overrides key by key;
+an experiment accepts exactly the keys it reads. list-experiments lists them.
 Outputs per run: series_*.csv (time series), report.json (structured result),
 manifest.json (resolved config, seed, version, status, wall clock).
 (config, master_seed) fully determines every CSV byte.
@@ -34,64 +34,6 @@ from .stochastic import run_sllg_ensemble
 from .validation import (covariance_check, crosscheck_config,
                          crosscheck_deterministic, holonomy_defect,
                          identity_suite, localized_twist, sllg_weak_residual)
-
-EXPERIMENTS = ("llg", "heat", "crosscheck", "identities", "sllg",
-               "holonomy", "covariance")
-# crosscheck builds its own line grids, and identities evolves nothing
-_GRIDDED = ("llg", "heat", "identities", "sllg", "holonomy", "covariance")
-_FLOWS = ("llg", "heat", "crosscheck", "sllg", "holonomy", "covariance")
-_STEPPED = ("llg", "heat", "sllg", "holonomy", "covariance")
-_STOCHASTIC = ("sllg", "covariance")
-_LINED = ("llg", "heat", "crosscheck", "identities", "holonomy")  # may run on the line
-_CHECKS_STEPS = _STOCHASTIC + ("holonomy",)    # a check over the time steps
-_TWISTED = ("crosscheck", "identities", "holonomy")  # a localized twist on the line
-
-# One row per config key: (type, constraint, default, the experiments that
-# read it, their own defaults where they differ). Types: float (always
-# finite), int, auto|float, auto|int, enum, ints (comma list) and path (empty
-# or an existing file). A constraint is a bound every number must meet, or
-# an enum's values. An experiment accepts exactly the keys it reads.
-SCHEMA = {
-    "domain": ("enum", "periodic|line", "periodic", EXPERIMENTS,
-               dict.fromkeys(_TWISTED, "line")),
-    "n": ("int", ">= 4", "64", _GRIDDED, {"identities": "256", "holonomy": "176"}),
-    "circumference": ("float", "> 0", "6.283185307179586", _GRIDDED, {}),
-    "x_min": ("float", "", "-90.0", _LINED,
-              {"crosscheck": "-250.0", "holonomy": "-45.0"}),
-    "x_max": ("float", "", "20.0", _LINED, {"holonomy": "10.0"}),
-    "alpha": ("float", ">= 0", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
-    "beta": ("float", "", "1.0", _FLOWS, dict.fromkeys(_STOCHASTIC, "0.5")),
-    "dt": ("auto|float", "> 0", "auto", _STEPPED,
-           dict.fromkeys(_STOCHASTIC, "0.001")),
-    "t_end": ("float", ">= 0", "0.1", _FLOWS,
-              {"sllg": "0.02", "holonomy": "0.02", "covariance": "0.01"}),
-    "output_stride": ("auto|int", ">= 1", "auto", ("llg", "heat", "sllg"), {}),
-    "master_seed": ("int", ">= 0", "0", EXPERIMENTS, {"covariance": "77"}),
-    "initial_data": ("enum", "great-circle|localized-twist|file",
-                     "great-circle", EXPERIMENTS,
-                     dict.fromkeys(_TWISTED, "localized-twist")),
-    "k": ("float", "", "1.0", _GRIDDED, {}),
-    "amplitude": ("float", "", "0.25", EXPERIMENTS, {"holonomy": "0.4"}),
-    "width": ("float", "> 0", "6.0", EXPERIMENTS, {"holonomy": "3.0"}),
-    "center": ("float", "", "-15.0", EXPERIMENTS, {"holonomy": "-10.0"}),
-    "power": ("int", ">= 1", "3", EXPERIMENTS, {}),
-    "initial_file": ("path", "to a file", "", _GRIDDED, {}),
-    "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
-    "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
-    # with no mode or no amplitude every path is the same: no spread, no noise
-    "n_modes": ("int", ">= 1", "4", _STOCHASTIC, {}),
-    "coeff_amplitude": ("float", "> 0", "1.0", _STOCHASTIC, {}),
-    "coeff_profile": ("enum", "flat|power", "flat", _STOCHASTIC, {}),
-    "coeff_decay": ("float", "", "1.0", _STOCHASTIC, {}),
-    # one path has no spread: its stderr and 3-sigma band would read 0
-    "n_paths": ("int", ">= 2", "8", _STOCHASTIC, {"covariance": "200"}),
-}
-
-DEFAULTS = {e: {key: over.get(e, default)
-                for key, (_, _, default, readers, over) in SCHEMA.items()
-                if e in readers}
-            for e in EXPERIMENTS}
-
 
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
@@ -202,15 +144,15 @@ def validate(experiment: str, c: dict, errors: list):
     and the one construction of everything a run starts from.
 
     Appends every violation to errors and returns None; otherwise returns
-    the run's plan: c with dt and output_stride resolved to numbers, plus
-    - "levels" (crosscheck only): one (grid, initial u, StepConfig) per
-      grid size, from validation.crosscheck_config;
-    - "g" and "x0" (every other experiment): the grid and the initial data,
-      u for llg and identities and q otherwise;
-    - "frame" (heat, sllg, holonomy, covariance): the FrameField that the
-      frame march builds from q0 and BASEPOINT_FRAME;
-    - "noise" (sllg, covariance): the NoiseModel on g;
-    - "solver" (every experiment that steps in time): its StepConfig.
+    the run's plan: c with dt and output_stride resolved to numbers, plus,
+    by the traits of the experiment's row in EXPERIMENTS,
+    - "levels" (not grid): one (grid, initial u, StepConfig) per grid size,
+      from validation.crosscheck_config;
+    - "g" and "x0" (grid): the grid and the initial data, u if u, else q;
+    - "frame" (grid, not u): the FrameField that the frame march builds
+      from q0 and BASEPOINT_FRAME;
+    - "noise" (noise): the NoiseModel on g;
+    - "solver" (dt): its StepConfig.
     """
     def attempt(fn, *args):
         try:
@@ -227,11 +169,11 @@ def validate(experiment: str, c: dict, errors: list):
         return x0
 
     c = dict(c)
-    sphere = experiment in ("llg", "identities", "crosscheck")  # start from u, not q
-    if experiment == "crosscheck":
+    sphere = experiment in _with("u")
+    if experiment not in _with("grid"):     # one line grid per grid size
         for key, only in (("domain", "line"), ("initial_data", "localized-twist")):
             if c[key] != only:
-                errors.append(f"crosscheck supports {key}={only} only")
+                errors.append(f"{experiment} supports {key}={only} only")
         c["levels"] = []
         for n in c["grid_sizes"]:       # each level's grid, solver config and initial u
             g = attempt(line_grid, c["x_min"], c["x_max"], n)
@@ -243,7 +185,7 @@ def validate(experiment: str, c: dict, errors: list):
         if c["t_end"] == 0:
             errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
         return None if errors else c
-    if experiment in _STOCHASTIC and c["domain"] != "periodic":
+    if experiment in _with("noise") and c["domain"] != "periodic":
         errors.append(f"{experiment}: the spectral noise basis requires a periodic grid")
         return None
     g = c["g"] = (attempt(periodic_grid, c["circumference"], c["n"])
@@ -252,7 +194,7 @@ def validate(experiment: str, c: dict, errors: list):
     if g is None:
         return None
     c["x0"] = initial(g)
-    if experiment in _STOCHASTIC:   # the noise needs finite coefficients
+    if experiment in _with("noise"):   # the noise needs finite coefficients
         c["noise"] = attempt(make_noise_model, g, *(c[k] for k in (
             "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
     if c.get("dt") == "auto":
@@ -266,7 +208,7 @@ def validate(experiment: str, c: dict, errors: list):
     c["solver"] = StepConfig(c["alpha"], c["beta"], c["dt"], c["t_end"],
                              c.get("output_stride", 1))
     attempt(c["solver"].check_stability, g)
-    if experiment in _CHECKS_STEPS and n_steps < 1:
+    if experiment in _with("checks") and n_steps < 1:
         errors.append(f"t_end={c['t_end']!r} with dt={c['dt']!r} gives no "
                       "time step (need >= 1)")
     return None if errors else c
@@ -436,9 +378,67 @@ def run_covariance(c, outdir):
     return report, []
 
 
-RUNNERS = {"llg": run_llg, "heat": run_heat, "crosscheck": run_crosscheck,
-           "identities": run_identities, "sllg": run_sllg_experiment,
-           "holonomy": run_holonomy, "covariance": run_covariance}
+def _with(trait: str) -> tuple:
+    return tuple(e for e, (_, traits) in EXPERIMENTS.items() if trait in traits.split())
+
+
+# One row per experiment: (runner, traits). u: starts from u, not q; grid: runs
+# on one grid; flow: evolves in time; dt: steps at a dt; line: may run on the
+# line; twist: a localized twist there by default; noise; checks: over the steps.
+EXPERIMENTS = {
+    "llg": (run_llg, "u grid flow dt line"),
+    "heat": (run_heat, "grid flow dt line"),
+    "crosscheck": (run_crosscheck, "u flow line twist"),
+    "identities": (run_identities, "u grid line twist"),
+    "sllg": (run_sllg_experiment, "grid flow dt noise checks"),
+    "holonomy": (run_holonomy, "grid flow dt line twist checks"),
+    "covariance": (run_covariance, "grid flow dt noise checks"),
+}
+
+# One row per config key: (type, constraint, default, readers, their own
+# defaults where they differ). Types: float (always finite), int, auto|float,
+# auto|int, enum, ints (comma list) and path (empty or an existing file). A
+# constraint is a bound every number must meet, or an enum's values.
+SCHEMA = {
+    "domain": ("enum", "periodic|line", "periodic", EXPERIMENTS,
+               dict.fromkeys(_with("twist"), "line")),
+    "n": ("int", ">= 4", "64", _with("grid"), {"identities": "256", "holonomy": "176"}),
+    "circumference": ("float", "> 0", "6.283185307179586", _with("grid"), {}),
+    "x_min": ("float", "", "-90.0", _with("line"),
+              {"crosscheck": "-250.0", "holonomy": "-45.0"}),
+    "x_max": ("float", "", "20.0", _with("line"), {"holonomy": "10.0"}),
+    "alpha": ("float", ">= 0", "1.0", _with("flow"), dict.fromkeys(_with("noise"), "0.5")),
+    "beta": ("float", "", "1.0", _with("flow"), dict.fromkeys(_with("noise"), "0.5")),
+    "dt": ("auto|float", "> 0", "auto", _with("dt"),
+           dict.fromkeys(_with("noise"), "0.001")),
+    "t_end": ("float", ">= 0", "0.1", _with("flow"),
+              {"sllg": "0.02", "holonomy": "0.02", "covariance": "0.01"}),
+    "output_stride": ("auto|int", ">= 1", "auto", ("llg", "heat", "sllg"), {}),
+    "master_seed": ("int", ">= 0", "0", EXPERIMENTS, {"covariance": "77"}),
+    "initial_data": ("enum", "great-circle|localized-twist|file",
+                     "great-circle", EXPERIMENTS,
+                     dict.fromkeys(_with("twist"), "localized-twist")),
+    "k": ("float", "", "1.0", _with("grid"), {}),
+    "amplitude": ("float", "", "0.25", EXPERIMENTS, {"holonomy": "0.4"}),
+    "width": ("float", "> 0", "6.0", EXPERIMENTS, {"holonomy": "3.0"}),
+    "center": ("float", "", "-15.0", EXPERIMENTS, {"holonomy": "-10.0"}),
+    "power": ("int", ">= 1", "3", EXPERIMENTS, {}),
+    "initial_file": ("path", "to a file", "", _with("grid"), {}),
+    "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
+    "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
+    # with no mode or no amplitude every path is the same: no spread, no noise
+    "n_modes": ("int", ">= 1", "4", _with("noise"), {}),
+    "coeff_amplitude": ("float", "> 0", "1.0", _with("noise"), {}),
+    "coeff_profile": ("enum", "flat|power", "flat", _with("noise"), {}),
+    "coeff_decay": ("float", "", "1.0", _with("noise"), {}),
+    # one path has no spread: its stderr and 3-sigma band would read 0
+    "n_paths": ("int", ">= 2", "8", _with("noise"), {"covariance": "200"}),
+}
+
+DEFAULTS = {e: {key: over.get(e, default)
+                for key, (_, _, default, readers, over) in SCHEMA.items()
+                if e in readers}
+            for e in EXPERIMENTS}
 
 
 def list_experiments() -> str:
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
         prog="hasimoto-lab",
         description="Run an equivalence-lab experiment and write CSV/JSON artifacts.")
     parser.add_argument("experiment",
-                        choices=EXPERIMENTS + ("list-experiments",))
+                        choices=[*EXPERIMENTS, "list-experiments"])
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     _write_json(os.path.join(root, "manifest.json"), manifest)
     t0 = time.monotonic()
     try:
-        report, outputs = RUNNERS[args.experiment](cfg, root)
+        report, outputs = EXPERIMENTS[args.experiment][0](cfg, root)
     except Exception as exc:
         # no run may leave its manifest in "running"
         manifest.update(status="failed", error=str(exc),

@@ -1,13 +1,23 @@
-"""Characterization ("golden master") test: the seven experiments' default
-runs write the bytes recorded in tests/data/characterization.json.
+"""Characterization ("golden master") tests of the command line, against
+three recordings in tests/data:
 
-A digest is exact only on the machine key it was recorded with (the numpy
-version, its BLAS and the SIMD features numpy dispatches to), because
-transcendental ufuncs and BLAS products may round differently elsewhere.
-On any other key the test compares every recorded report.json value to
-1e-12 relative instead; it never skips.
+- characterization.json: the bytes that the seven experiments' default
+  runs write. A digest is exact only on the machine key it was recorded
+  with (the numpy version, its BLAS and the SIMD features numpy dispatches
+  to), because transcendental ufuncs and BLAS products may round
+  differently elsewhere. On any other key the test compares every recorded
+  report.json value to 1e-12 relative instead; it never skips.
+- catalog.json: the text of list-experiments and DEFAULTS, so that every
+  experiment's own defaults (holonomy's n, covariance's master_seed) are
+  pinned.
+- refusals.json: the exit status and the exact stderr lines of every
+  config that tests/test_extreme_configs.py runs and that is refused
+  (exit 2): of its seeded draws (seeds 0 and 1) and of its REFUSED list.
+  Refusals come from config arithmetic, so they hold on any machine key;
+  only the value that a refusal after the run quotes is round-off, and it
+  is masked.
 
-Record again, only when an output is meant to change, with
+Record all three again, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_characterization.py
 """
@@ -18,16 +28,23 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
-from hasimoto_lab.cli import EXPERIMENTS, main
+from hasimoto_lab.cli import DEFAULTS, EXPERIMENTS, list_experiments, main
+from test_extreme_configs import MAX_NODE_STEPS, REFUSED, draws, node_steps
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                    "characterization.json")
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+DATA = os.path.join(DATA_DIR, "characterization.json")
+CATALOG = os.path.join(DATA_DIR, "catalog.json")
+REFUSALS = os.path.join(DATA_DIR, "refusals.json")
 REL_TOL = 1e-12
+# A refusal after the run quotes the value all its paths share: round-off
+SHARED_VALUE = re.compile(r"(?<=, )\S+(?=: no spread )")
 
 
 def machine_key() -> dict:
@@ -78,9 +95,40 @@ def assert_close(got, want, where: str):
         assert got == want, where
 
 
+def catalog() -> dict:
+    """list-experiments' lines and every experiment's defaults."""
+    return {"list_experiments": list_experiments().splitlines(), "defaults": DEFAULTS}
+
+
+def refusals(root: str) -> list:
+    """Each config that test_extreme_configs.py runs and that exits 2, run
+    under root: its settings, exit status and stderr lines."""
+    cases = [(e, sets) for seed in (0, 1) for e, sets in draws(seed)
+             if (node_steps(e, sets) or 0) <= MAX_NODE_STEPS] + REFUSED
+    out = []
+    for i, (experiment, sets) in enumerate(cases):
+        argv = [experiment, "--out", os.path.join(root, str(i))]
+        for key, val in sets.items():
+            argv += ["--set", f"{key}={val}"]
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("ignore")         # a blow-up's, never recorded
+            rc = main(argv)
+        if rc == 2:
+            out.append({"experiment": experiment, "sets": sets, "exit": rc,
+                        "stderr": [SHARED_VALUE.sub("<round-off>", ln)
+                                   for ln in err.getvalue().splitlines()]})
+    return out
+
+
+def recorded(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_default_runs_match_the_recording(tmp_path):
-    with open(DATA) as fh:
-        rec = json.load(fh)
+    rec = recorded(DATA)
     runs = default_runs(str(tmp_path))
     assert sorted(runs) == sorted(rec["runs"])
     if machine_key() == rec["key"]:
@@ -90,11 +138,21 @@ def test_default_runs_match_the_recording(tmp_path):
         assert_close(run["report"], rec["runs"][name]["report"], name)
 
 
+def test_catalog_matches_the_recording():
+    assert catalog() == recorded(CATALOG)
+
+
+def test_refusals_match_the_recording(tmp_path):
+    assert refusals(str(tmp_path)) == recorded(REFUSALS)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        record = {"key": machine_key(), "runs": default_runs(root)}
-    os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    with open(DATA, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"recorded {len(record['runs'])} runs in {DATA}", file=sys.stderr)
+        records = {DATA: {"key": machine_key(), "runs": default_runs(root)},
+                   CATALOG: catalog(), REFUSALS: refusals(root)}
+    os.makedirs(DATA_DIR, exist_ok=True)
+    for path, record in records.items():
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"recorded {path}", file=sys.stderr)
