@@ -8,8 +8,9 @@ its runner and traits, and SCHEMA, one row per config key with its readers by
 trait. Config files are flat key=value text, which --set overrides key by key;
 an experiment accepts exactly the keys it reads. list-experiments lists them.
 Outputs per run: series_*.csv (time series), report.json (structured result),
-manifest.json (resolved config, seed, version, status, wall clock).
-(config, master_seed) fully determines every CSV byte.
+manifest.json (resolved config, seed, version, status, wall clock). The
+resolved config, which holds master_seed only for the stochastic experiments
+(--seed N is --set master_seed=N), fully determines every CSV byte.
 """
 
 import argparse
@@ -31,9 +32,9 @@ from .heat import heat_integrate, mass
 from .llg import StepConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
 from .stochastic import run_sllg_ensemble
-from .validation import (covariance_check, crosscheck_config,
-                         crosscheck_deterministic, holonomy_defect,
-                         identity_suite, localized_twist, sllg_weak_residual)
+from .validation import (covariance_check, crosscheck_deterministic,
+                         holonomy_defect, identity_suite, localized_twist,
+                         sllg_weak_residual)
 
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
@@ -68,8 +69,9 @@ def _parse(kind: str, need: str, text: str):
     return tuple(vals) if kind == "ints" else vals[0]
 
 
-def resolve_config(experiment: str, file_cfg: dict, sets: list, seed, errors: list):
-    """Defaults, then the config file, then --set, then --seed, against SCHEMA.
+def resolve_config(experiment: str, file_cfg: dict, sets: list, errors: list):
+    """Defaults, then the config file, then the (key, value) pairs of sets,
+    against SCHEMA.
 
     Unknown keys and values that fail their type or constraint go to errors.
     Returns (the resolved strings, their typed values); the typed values are
@@ -82,8 +84,6 @@ def resolve_config(experiment: str, file_cfg: dict, sets: list, seed, errors: li
                 errors.append(f"unknown config key {key!r} for experiment {experiment}")
             else:
                 raw[key] = val
-    if seed is not None:
-        raw["master_seed"] = str(seed)
     typed = {}
     for key, text in raw.items():
         kind, need = SCHEMA[key][:2]
@@ -144,15 +144,31 @@ def validate(experiment: str, c: dict, errors: list):
     and the one construction of everything a run starts from.
 
     Appends every violation to errors and returns None; otherwise returns
-    the run's plan: c with dt and output_stride resolved to numbers, plus,
-    by the traits of the experiment's row in EXPERIMENTS,
-    - "levels" (not grid): one (grid, initial u, StepConfig) per grid size,
-      from validation.crosscheck_config;
-    - "g" and "x0" (grid): the grid and the initial data, u if u, else q;
-    - "frame" (grid, not u): the FrameField that the frame march builds
-      from q0 and BASEPOINT_FRAME;
+    the run's plan. A grid experiment's is _one_grid_plan's. Crosscheck's,
+    which runs only on the line from a localized twist, is c plus "levels":
+    the one-grid plan's (g, x0, solver) at each grid size, with dt=auto and
+    output_stride=auto.
+    """
+    if experiment in _with("grid"):
+        return _one_grid_plan(experiment, c, errors)
+    rules = (("domain", "line"), ("initial_data", "localized-twist"))
+    refused = [f"{experiment} supports {k}={v} only" for k, v in rules if c[k] != v]
+    errors.extend(refused)
+    plans = [] if refused else [
+        _one_grid_plan(experiment, dict(c, n=n, dt="auto", output_stride="auto"), errors)
+        for n in c["grid_sizes"]]
+    return None if errors else dict(c, levels=[(p["g"], p["x0"], p["solver"])
+                                               for p in plans])
+
+
+def _one_grid_plan(experiment: str, c: dict, errors: list):
+    """validate on one grid: c with dt and output_stride resolved to numbers,
+    plus, by the traits of the experiment's row in EXPERIMENTS,
+    - "g" and "x0": the grid and the initial data, u if u, else q;
+    - "frame" (not u): the FrameField that the frame march builds from q0
+      and BASEPOINT_FRAME;
     - "noise" (noise): the NoiseModel on g;
-    - "solver" (dt): its StepConfig.
+    - "solver" (if c has a dt): its StepConfig.
     """
     def attempt(fn, *args):
         try:
@@ -160,31 +176,8 @@ def validate(experiment: str, c: dict, errors: list):
         except ConfigurationError as exc:
             errors.append(str(exc))
 
-    def initial(g):         # the initial data, whose frame must not overflow
-        x0 = attempt(initial_u if sphere else initial_q, c, g)
-        if x0 is not None and not sphere:
-            c["frame"] = reconstruct_frame(x0, g, *BASEPOINT_FRAME)
-        if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
-            errors.append("the initial frame overflows to inf or nan")
-        return x0
-
     c = dict(c)
     sphere = experiment in _with("u")
-    if experiment not in _with("grid"):     # one line grid per grid size
-        for key, only in (("domain", "line"), ("initial_data", "localized-twist")):
-            if c[key] != only:
-                errors.append(f"{experiment} supports {key}={only} only")
-        c["levels"] = []
-        for n in c["grid_sizes"]:       # each level's grid, solver config and initial u
-            g = attempt(line_grid, c["x_min"], c["x_max"], n)
-            if g is not None:
-                cfg = attempt(crosscheck_config, g, c["alpha"], c["beta"], c["t_end"],
-                              c["samples"])
-                u0 = initial(g) if c["initial_data"] == "localized-twist" else None
-                c["levels"].append((g, u0, cfg))
-        if c["t_end"] == 0:
-            errors.append(f"t_end={c['t_end']!r} gives no time step (need >= 1)")
-        return None if errors else c
     if experiment in _with("noise") and c["domain"] != "periodic":
         errors.append(f"{experiment}: the spectral noise basis requires a periodic grid")
         return None
@@ -193,7 +186,11 @@ def validate(experiment: str, c: dict, errors: list):
                   attempt(line_grid, c["x_min"], c["x_max"], c["n"]))
     if g is None:
         return None
-    c["x0"] = initial(g)
+    x0 = c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
+    if x0 is not None and not sphere:
+        c["frame"] = reconstruct_frame(x0, g, *BASEPOINT_FRAME)
+    if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
+        errors.append("the initial frame overflows to inf or nan")
     if experiment in _with("noise"):   # the noise needs finite coefficients
         c["noise"] = attempt(make_noise_model, g, *(c[k] for k in (
             "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
@@ -388,7 +385,7 @@ def _with(trait: str) -> tuple:
 EXPERIMENTS = {
     "llg": (run_llg, "u grid flow dt line"),
     "heat": (run_heat, "grid flow dt line"),
-    "crosscheck": (run_crosscheck, "u flow line twist"),
+    "crosscheck": (run_crosscheck, "u flow line twist checks"),
     "identities": (run_identities, "u grid line twist"),
     "sllg": (run_sllg_experiment, "grid flow dt noise checks"),
     "holonomy": (run_holonomy, "grid flow dt line twist checks"),
@@ -414,7 +411,7 @@ SCHEMA = {
     "t_end": ("float", ">= 0", "0.1", _with("flow"),
               {"sllg": "0.02", "holonomy": "0.02", "covariance": "0.01"}),
     "output_stride": ("auto|int", ">= 1", "auto", ("llg", "heat", "sllg"), {}),
-    "master_seed": ("int", ">= 0", "0", EXPERIMENTS, {"covariance": "77"}),
+    "master_seed": ("int", ">= 0", "0", _with("noise"), {"covariance": "77"}),
     "initial_data": ("enum", "great-circle|localized-twist|file",
                      "great-circle", EXPERIMENTS,
                      dict.fromkeys(_with("twist"), "localized-twist")),
@@ -425,7 +422,6 @@ SCHEMA = {
     "power": ("int", ">= 1", "3", EXPERIMENTS, {}),
     "initial_file": ("path", "to a file", "", _with("grid"), {}),
     "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
-    "samples": ("int", ">= 1", "10", ("crosscheck",), {}),
     # with no mode or no amplitude every path is the same: no spread, no noise
     "n_modes": ("int", ">= 1", "4", _with("noise"), {}),
     "coeff_amplitude": ("float", "> 0", "1.0", _with("noise"), {}),
@@ -486,13 +482,15 @@ def main(argv=None) -> int:
               for item in args.sets if "=" not in item]
     sets = [tuple(s.strip() for s in item.split("=", 1))
             for item in args.sets if "=" in item]
+    if args.seed is not None:
+        sets.append(("master_seed", str(args.seed)))
     file_cfg = {}
     if args.config:
         try:
             file_cfg = read_config_file(args.config)
         except (OSError, ConfigurationError) as exc:
             errors.append(str(exc))
-    raw, cfg = resolve_config(args.experiment, file_cfg, sets, args.seed, errors)
+    raw, cfg = resolve_config(args.experiment, file_cfg, sets, errors)
     if cfg is not None:
         try:
             with np.errstate(all="ignore"):     # overflowed data is refused, not warned
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
     os.makedirs(root, exist_ok=True)
 
     manifest = {"experiment": args.experiment, "config": raw,
-                "master_seed": cfg["master_seed"],
+                "master_seed": cfg.get("master_seed"),
                 "version": __version__, "status": "running",
                 "outputs": [], "wall_clock_s": None}
     _write_json(os.path.join(root, "manifest.json"), manifest)

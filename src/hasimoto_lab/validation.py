@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
-                     dot, normalize, open_view, time_steps)
+                     dot, normalize, open_view)
 from .forks import fork_map
 from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
-from .llg import LLGStepper, StepConfig, auto_dt, llg_integrate
+from .llg import LLGStepper, llg_integrate
 from .noise import NoiseModel
 from .rotations import generator_rotation, rotation_angle
 from .stochastic import SllgEnsemble, frame_generator
@@ -52,21 +52,13 @@ class CrossCheckReport(_Report):
     flagged: bool                # decay monitor failed somewhere
 
 
-def crosscheck_config(g: Grid1D, alpha: float, beta: float, t_end: float,
-                      samples: int = 10) -> StepConfig:
-    """The solver config of one crosscheck level on g: llg.auto_dt, with
-    every (steps // samples)-th state sampled."""
-    dt = auto_dt(g, alpha, beta, t_end)
-    return StepConfig(alpha=alpha, beta=beta, dt=dt, t_end=t_end,
-                      output_stride=max(1, time_steps(dt, t_end) // samples))
-
-
 def crosscheck_deterministic(levels) -> CrossCheckReport:
     """Evolve matched initial data through both flows and compare transforms.
 
     levels: one (g, u0, cfg) per refinement level, with a common alpha,
     beta and t_end, where u0 is the sphere map on g that the frame march
-    builds from q0 with left-boundary decay, and cfg is crosscheck_config's.
+    builds from q0 with left-boundary decay, and cfg its StepConfig; the CLI
+    gives each level the one-grid plan's, with dt and output_stride auto.
     The heat flow starts from the discrete transform of u0, so the two sides
     carry consistent discrete data (discrepancy is exactly 0 at t = 0).
     The discrepancy max_x |H(u(t)) - q(t)| is sampled along the flow. The
@@ -211,9 +203,8 @@ def _with_spread(values: np.ndarray, what: str) -> np.ndarray:
         raise ConfigurationError(
             f"a standard error needs at least 2 paths, got {len(values)}")
     if np.all(values == values[0]):
-        raise ConfigurationError(f"all {len(values)} paths give the same {what}, "
-                                 f"{float(values[0])!r}: no spread (the noise is "
-                                 "zero or underflows)")
+        raise ConfigurationError(f"all {len(values)} paths give the same {what}: "
+                                 "no spread (the noise is zero or underflows)")
     return values
 
 

@@ -8,14 +8,15 @@ arithmetic with the package, so a test that compares the two bit for bit
 checks the package against an independent formula.
 
 Also the tests' convergence-order fit, and the crosscheck levels a test
-builds from a curvature profile q0(x).
+builds from a curvature profile q0(x), with their own copy of the CLI's
+dt=auto and output_stride=auto rules.
 """
 
 import numpy as np
 
-from hasimoto_lab.fields import line_grid
+from hasimoto_lab.fields import line_grid, time_steps
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
-from hasimoto_lab.validation import crosscheck_config
+from hasimoto_lab.llg import StepConfig, auto_dt
 
 
 def diff1(f, g):
@@ -97,15 +98,17 @@ def fit_loglog_slope(scales, errors) -> float:
     return float(np.polyfit(s, e, 1)[0])
 
 
-def crosscheck_levels(initial_q, x_min, x_max, alpha, beta, t_end, grid_sizes,
-                      samples=10):
+def crosscheck_levels(initial_q, x_min, x_max, alpha, beta, t_end, grid_sizes):
     """The (g, u0, cfg) levels of validation.crosscheck_deterministic, as the
     CLI's validate builds them: u0 is the frame march of initial_q(g.x) from
-    BASEPOINT_FRAME, and cfg is validation.crosscheck_config's."""
+    BASEPOINT_FRAME, and cfg steps at llg.auto_dt and samples every
+    (steps // 10)-th state."""
     levels = []
     for n in grid_sizes:
         g = line_grid(x_min, x_max, n)
         q0 = np.asarray(initial_q(g.x), complex)
         u0 = reconstruct_frame(q0, g, *BASEPOINT_FRAME).u
-        levels.append((g, u0, crosscheck_config(g, alpha, beta, t_end, samples)))
+        dt = auto_dt(g, alpha, beta, t_end)
+        stride = max(1, time_steps(dt, t_end) // 10)
+        levels.append((g, u0, StepConfig(alpha, beta, dt, t_end, stride)))
     return levels

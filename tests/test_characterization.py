@@ -1,11 +1,13 @@
 """Characterization ("golden master") tests of the command line, against
 three recordings in tests/data:
 
-- characterization.json: the bytes that the seven experiments' default
-  runs write. A digest is exact only on the machine key it was recorded
-  with (the numpy version, its BLAS and the SIMD features numpy dispatches
-  to), because transcendental ufuncs and BLAS products may round
-  differently elsewhere. On any other key the test compares every recorded
+- characterization.json: the bytes that the runs of RUNS write: each
+  experiment's default run, and three runs on the line (README's
+  crosscheck example, heat and llg from a localized twist). A digest is
+  exact only on the machine key it was recorded with (the numpy version,
+  its BLAS and the SIMD features numpy dispatches to), because
+  transcendental ufuncs and BLAS products may round differently
+  elsewhere. On any other key the test compares every recorded
   report.json value to 1e-12 relative instead; it never skips.
 - catalog.json: the text of list-experiments and DEFAULTS, so that every
   experiment's own defaults (holonomy's n, covariance's master_seed) are
@@ -13,13 +15,14 @@ three recordings in tests/data:
 - refusals.json: the exit status and the exact stderr lines of every
   config that tests/test_extreme_configs.py runs and that is refused
   (exit 2): of its seeded draws (seeds 0 and 1) and of its REFUSED list.
-  Refusals come from config arithmetic, so they hold on any machine key;
-  only the value that a refusal after the run quotes is round-off, and it
-  is masked.
+  Refusals come from config arithmetic, so they hold on any machine key.
 
-Record all three again, only when an output is meant to change, with
+Record them again, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_characterization.py
+
+which rewrites a file only when its content differs, and prints
+"recorded" or "unchanged" for each.
 """
 
 import contextlib
@@ -28,7 +31,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 import warnings
@@ -43,8 +45,13 @@ DATA = os.path.join(DATA_DIR, "characterization.json")
 CATALOG = os.path.join(DATA_DIR, "catalog.json")
 REFUSALS = os.path.join(DATA_DIR, "refusals.json")
 REL_TOL = 1e-12
-# A refusal after the run quotes the value all its paths share: round-off
-SHARED_VALUE = re.compile(r"(?<=, )\S+(?=: no spread )")
+# Each experiment's default run, and the line domain's regime
+LINE_TWIST = ["--set", "domain=line", "--set", "initial_data=localized-twist"]
+RUNS = {**{name: [name] for name in EXPERIMENTS},
+        "crosscheck-readme": ["crosscheck", "--set", "grid_sizes=64,128",
+                              "--set", "t_end=0.05"],
+        "heat-line-twist": ["heat", *LINE_TWIST],
+        "llg-line-twist": ["llg", *LINE_TWIST]}
 
 
 def machine_key() -> dict:
@@ -61,14 +68,14 @@ def machine_key() -> dict:
             "simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]}
 
 
-def default_runs(root: str) -> dict:
-    """Each experiment's default run under root: the SHA-256 of every file
-    it writes but its manifest, and its report."""
+def runs_under(root: str) -> dict:
+    """Each run of RUNS under root: the SHA-256 of every file it writes but
+    its manifest, and its report."""
     runs = {}
-    for name in EXPERIMENTS:
+    for name, argv in RUNS.items():
         out = os.path.join(root, name)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main([name, "--out", out]) == 0, name
+            assert main([*argv, "--out", out]) == 0, name
         digests = {}
         for f in sorted(os.listdir(out)):
             if f != "manifest.json":
@@ -117,8 +124,7 @@ def refusals(root: str) -> list:
             rc = main(argv)
         if rc == 2:
             out.append({"experiment": experiment, "sets": sets, "exit": rc,
-                        "stderr": [SHARED_VALUE.sub("<round-off>", ln)
-                                   for ln in err.getvalue().splitlines()]})
+                        "stderr": err.getvalue().splitlines()})
     return out
 
 
@@ -129,7 +135,7 @@ def recorded(path: str):
 
 def test_default_runs_match_the_recording(tmp_path):
     rec = recorded(DATA)
-    runs = default_runs(str(tmp_path))
+    runs = runs_under(str(tmp_path))
     assert sorted(runs) == sorted(rec["runs"])
     if machine_key() == rec["key"]:
         for name, run in runs.items():
@@ -148,11 +154,16 @@ def test_refusals_match_the_recording(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        records = {DATA: {"key": machine_key(), "runs": default_runs(root)},
+        records = {DATA: {"key": machine_key(), "runs": runs_under(root)},
                    CATALOG: catalog(), REFUSALS: refusals(root)}
     os.makedirs(DATA_DIR, exist_ok=True)
     for path, record in records.items():
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"recorded {path}", file=sys.stderr)
+        text = json.dumps(record, indent=1, sort_keys=True) + "\n"
+        old = None
+        if os.path.exists(path):
+            with open(path) as fh:
+                old = fh.read()
+        if text != old:
+            with open(path, "w") as fh:
+                fh.write(text)
+        print(f"{'unchanged' if text == old else 'recorded'} {path}", file=sys.stderr)

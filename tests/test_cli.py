@@ -8,15 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt,
+from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt, _with,
                               list_experiments, main, read_config_file,
-                              write_csv)
+                              resolve_config, validate, write_csv)
 import hasimoto_lab
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
 from hasimoto_lab.llg import StepConfig
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import run_sllg_ensemble
+from hasimoto_lab.validation import localized_twist
+from reference import crosscheck_levels
 
 
 def run_cli(*args):
@@ -77,6 +79,7 @@ def test_llg_smoke(tmp_path):
     assert report["unit_deviation_max"] <= 1e-12
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == "complete"
+    assert manifest["master_seed"] is None          # a deterministic run has no seed
     assert "series_u.csv" in manifest["outputs"]
     assert (out / "series_u.csv").exists()
 
@@ -121,6 +124,7 @@ def test_sllg_smoke_and_byte_determinism(tmp_path, use_cpus, no_child_left):
         no_child_left()
     for name in ("series_u.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert read_json(out1 / "manifest.json")["master_seed"] == 5
     out3 = tmp_path / "c"
     assert run_cli(*args[:-1], "6", "--out", str(out3)) == 0
     assert (out1 / "report.json").read_bytes() != (out3 / "report.json").read_bytes()
@@ -319,6 +323,51 @@ def test_crosscheck_marches_each_initial_frame_once(tmp_path, monkeypatch):
     assert run_cli("crosscheck", "--out", str(tmp_path / "cc")) == 0
     sizes = [int(n) for n in DEFAULTS["crosscheck"]["grid_sizes"].split(",")]
     assert [len(q) for q, *_ in marches] == sizes
+
+
+def plan(experiment, sets):
+    """The resolved strings and validate's plan of experiment with sets."""
+    errors = []
+    raw, typed = resolve_config(experiment, {}, list(sets.items()), errors)
+    c = validate(experiment, typed, errors)
+    assert errors == [] and c is not None
+    return raw, c
+
+
+def assert_same_levels(levels, want):
+    """Equal (grid, initial data, StepConfig) levels, arrays bit for bit."""
+    assert len(levels) == len(want)
+    for (g, x0, cfg), (wg, wx0, wcfg) in zip(levels, want):
+        assert (g.kind, g.n, g.h) == (wg.kind, wg.n, wg.h)
+        assert np.array_equal(g.x, wg.x) and np.array_equal(x0, wx0)
+        assert cfg == wcfg
+
+
+# The defaults sample every state; the fine level here takes 59 steps
+CROSSCHECK_SETS = [{}, {"grid_sizes": "64,512", "x_min": "-30.0", "alpha": "0.5"}]
+
+
+@pytest.mark.parametrize("sets", CROSSCHECK_SETS, ids=["defaults", "strided"])
+def test_crosscheck_levels_are_the_llg_plan_on_the_line(sets):
+    raw, c = plan("crosscheck", sets)
+    shared = {k: v for k, v in raw.items() if k in DEFAULTS["llg"]}
+    want = []
+    for n in c["grid_sizes"]:
+        _, llg = plan("llg", dict(shared, n=str(n), dt="auto", output_stride="auto"))
+        want.append((llg["g"], llg["x0"], llg["solver"]))
+    assert_same_levels(c["levels"], want)
+    assert sets == {} or max(cfg.output_stride for *_, cfg in c["levels"]) > 1
+
+
+@pytest.mark.parametrize("sets", CROSSCHECK_SETS, ids=["defaults", "strided"])
+def test_reference_crosscheck_levels_match_validate(sets):
+    # the tests' copy of the dt and stride rules must not drift from the CLI's
+    _, c = plan("crosscheck", sets)
+    twist = lambda x: localized_twist(x, *(c[k] for k in ("amplitude", "width",
+                                                          "center", "power")))
+    assert_same_levels(c["levels"], crosscheck_levels(
+        twist, *(c[k] for k in ("x_min", "x_max", "alpha", "beta", "t_end",
+                                "grid_sizes"))))
 
 
 def test_sllg_builds_its_noise_model_and_initial_frame_once(tmp_path, monkeypatch):
@@ -524,12 +573,26 @@ def test_crosscheck_runs_on_the_line_only(tmp_path, capsys):
     assert "domain=line" in err
 
 
-@pytest.mark.parametrize("experiment,value", [("llg", "abc"), ("identities", "1.5"),
-                                              ("crosscheck", "-1")])
+@pytest.mark.parametrize("experiment,value", [
+    ("llg", "abc"), ("identities", "1.5"), ("crosscheck", "-1"),
+    ("sllg", "abc"), ("covariance", "1.5"), ("covariance", "-1")])
 def test_master_seed_validated_up_front(tmp_path, capsys, experiment, value):
+    # only the stochastic experiments read a seed
     err = assert_config_error(tmp_path, capsys, experiment,
                               "--set", f"master_seed={value}")
-    assert "master_seed" in err
+    assert (f"config key master_seed={value!r} invalid" if experiment in _with("noise")
+            else "unknown config key 'master_seed'") in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    ([e, *flag], "master_seed") for e in ("llg", "heat", "crosscheck", "identities",
+                                          "holonomy")
+    for flag in (["--seed", "3"], ["--set", "master_seed=1"])]
+    + [(["crosscheck", "--set", "samples=10"], "samples")],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_deterministic_experiments_take_no_seed_or_samples(tmp_path, capsys, argv, key):
+    err = assert_config_error(tmp_path, capsys, *argv)
+    assert f"unknown config key {key!r} for experiment {argv[0]}" in err
 
 
 def test_negative_seed_flag_rejected(tmp_path, capsys):

@@ -63,8 +63,7 @@ def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
     for k in (1, 2, 3):
         use_cpus(k)
         reps[k] = crosscheck_deterministic(crosscheck_levels(
-            localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05, grid_sizes=(48, 96),
-            samples=4))
+            localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05, grid_sizes=(48, 96)))
         no_child_left()
     for k in (2, 3):
         assert reps[k].orders == reps[1].orders
