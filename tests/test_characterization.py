@@ -1,9 +1,11 @@
 """Characterization ("golden master") tests of the command line, against
 three recordings in tests/data:
 
-- characterization.json: the bytes that the runs of RUNS write: each
-  experiment's default run, and three runs on the line (README's
-  crosscheck example, heat and llg from a localized twist). A digest is
+- characterization.json: the bytes that the runs of RUNS and ENSEMBLE_RUNS
+  write: each experiment's default run, three runs on the line (README's
+  crosscheck example, heat and llg from a localized twist), and the two
+  calls of the benchmark's ensemble workload, checked on 1 and on 2
+  workers. A digest is
   exact only on the machine key it was recorded with (the numpy version,
   its BLAS and the SIMD features numpy dispatches to), because
   transcendental ufuncs and BLAS products may round differently
@@ -36,6 +38,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 
 from hasimoto_lab.cli import DEFAULTS, EXPERIMENTS, list_experiments, main
 from test_extreme_configs import MAX_NODE_STEPS, REFUSED, draws, node_steps
@@ -52,6 +55,15 @@ RUNS = {**{name: [name] for name in EXPERIMENTS},
                               "--set", "t_end=0.05"],
         "heat-line-twist": ["heat", *LINE_TWIST],
         "llg-line-twist": ["llg", *LINE_TWIST]}
+# The benchmark's ensemble workload: 100 paths of 10 steps at n = 64 from the
+# file initial data q0 = 0.2 + 0.06 cos x (ensemble_q0.csv, written as
+# perfbench/workloads.py writes it), which on 2 workers run as two 50-path
+# ranges, for the march and for each check over the paths
+ENSEMBLE = [f"--set={kv}" for kv in (
+    "domain=periodic", "n=64", "dt=0.001", "t_end=0.01", "n_modes=4", "n_paths=100",
+    "initial_data=file", f"initial_file={os.path.join(DATA_DIR, 'ensemble_q0.csv')}")]
+ENSEMBLE_RUNS = {"sllg-ensemble": ["sllg", "--seed", "2024", *ENSEMBLE],
+                 "covariance-ensemble": ["covariance", "--seed", "77", *ENSEMBLE]}
 
 
 def machine_key() -> dict:
@@ -68,11 +80,11 @@ def machine_key() -> dict:
             "simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]}
 
 
-def runs_under(root: str) -> dict:
-    """Each run of RUNS under root: the SHA-256 of every file it writes but
+def runs_under(root: str, argvs: dict) -> dict:
+    """Each run of argvs under root: the SHA-256 of every file it writes but
     its manifest, and its report."""
     runs = {}
-    for name, argv in RUNS.items():
+    for name, argv in argvs.items():
         out = os.path.join(root, name)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*argv, "--out", out]) == 0, name
@@ -133,15 +145,29 @@ def recorded(path: str):
         return json.load(fh)
 
 
-def test_default_runs_match_the_recording(tmp_path):
+def assert_recorded(runs: dict):
+    """runs match their recording: digests on its machine key, report
+    values to REL_TOL anywhere."""
     rec = recorded(DATA)
-    runs = runs_under(str(tmp_path))
-    assert sorted(runs) == sorted(rec["runs"])
+    assert sorted(rec["runs"]) == sorted([*RUNS, *ENSEMBLE_RUNS])
     if machine_key() == rec["key"]:
         for name, run in runs.items():
             assert run["digests"] == rec["runs"][name]["digests"], name
     for name, run in runs.items():
         assert_close(run["report"], rec["runs"][name]["report"], name)
+
+
+def test_default_runs_match_the_recording(tmp_path):
+    assert_recorded(runs_under(str(tmp_path), RUNS))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ensemble_runs_match_the_recording_on_any_worker_count(tmp_path, use_cpus,
+                                                               cpus):
+    use_cpus(cpus)
+    runs = runs_under(str(tmp_path), ENSEMBLE_RUNS)
+    assert [run["report"]["n_paths"] for run in runs.values()] == [100, 100]
+    assert_recorded(runs)
 
 
 def test_catalog_matches_the_recording():
@@ -154,7 +180,8 @@ def test_refusals_match_the_recording(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        records = {DATA: {"key": machine_key(), "runs": runs_under(root)},
+        records = {DATA: {"key": machine_key(),
+                          "runs": runs_under(root, {**RUNS, **ENSEMBLE_RUNS})},
                    CATALOG: catalog(), REFUSALS: refusals(root)}
     os.makedirs(DATA_DIR, exist_ok=True)
     for path, record in records.items():
