@@ -14,6 +14,7 @@ resolved config, which holds master_seed only for the stochastic experiments
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .heat import heat_integrate, mass
 from .llg import StepConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
 from .stochastic import run_sllg_ensemble
-from .validation import (covariance_check, crosscheck_deterministic,
+from .validation import (covariance_checks, crosscheck_deterministic,
                          holonomy_defect, identity_suite, localized_twist,
                          sllg_weak_residual)
 
@@ -147,16 +148,20 @@ def validate(experiment: str, c: dict, errors: list):
     the run's plan. A grid experiment's is _one_grid_plan's. Crosscheck's,
     which runs only on the line from a localized twist, is c plus "levels":
     the one-grid plan's (g, x0, solver) at each grid size, with dt=auto and
-    output_stride=auto.
+    output_stride=auto. Levels are planned up to the first refused one, whose
+    violations stand for the later levels' (which repeat them at another n).
     """
     if experiment in _with("grid"):
         return _one_grid_plan(experiment, c, errors)
     rules = (("domain", "line"), ("initial_data", "localized-twist"))
     refused = [f"{experiment} supports {k}={v} only" for k, v in rules if c[k] != v]
     errors.extend(refused)
-    plans = [] if refused else [
-        _one_grid_plan(experiment, dict(c, n=n, dt="auto", output_stride="auto"), errors)
-        for n in c["grid_sizes"]]
+    plans = []
+    for n in [] if refused else c["grid_sizes"]:
+        plans.append(_one_grid_plan(experiment, dict(c, n=n, dt="auto",
+                                                     output_stride="auto"), errors))
+        if errors:
+            break
     return None if errors else dict(c, levels=[(p["g"], p["x0"], p["solver"])
                                                for p in plans])
 
@@ -196,10 +201,11 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
             "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
-    if not errors and "dt" in c:                # identities evolves nothing
-        n_steps = attempt(time_steps, c["dt"], c["t_end"])
-    if errors or "dt" not in c:
+    if c.get("dt") is None:             # identities evolves nothing, or auto_dt failed
         return None if errors else c
+    n_steps = attempt(time_steps, c["dt"], c["t_end"])
+    if n_steps is None:
+        return None
     if c.get("output_stride") == "auto":
         c["output_stride"] = max(1, n_steps // 10)
     c["solver"] = StepConfig(c["alpha"], c["beta"], c["dt"], c["t_end"],
@@ -223,8 +229,8 @@ def write_csv(path: str, header: list, frames) -> None:
 
     Each frame is a tuple of columns: 1-D arrays of one common length, or
     scalars that stand for a constant column. A str array holds its cells;
-    other cells are the repr of Python scalars, which round-trips floats
-    exactly, so output is byte-deterministic.
+    other cells are the repr of Python scalars (float.__repr__ for a float
+    array), which round-trips floats exactly, so output is byte-deterministic.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -233,8 +239,9 @@ def write_csv(path: str, header: list, frames) -> None:
             rows = max((c.shape[0] for c in cols if c.ndim), default=1)
             cells = [[repr(c.item())] * rows if c.ndim == 0
                      else c.tolist() if c.dtype.kind == "U"
-                     else list(map(repr, c.tolist())) for c in cols]
-            fh.write("".join([",".join(r) + "\n" for r in zip(*cells)]))
+                     else map(float.__repr__ if c.dtype.kind == "f" else repr,
+                              c.tolist()) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_nodes(path: str, g: Grid1D, names: list, samples) -> None:
@@ -369,9 +376,9 @@ def run_covariance(c, outdir):
     phi3 = np.stack([np.sin(2.0 * g.x), zero, np.cos(g.x)], axis=-1)
     pairs = {"phi1_phi1": (phi1, phi1), "phi1_phi2": (phi1, phi2),
              "phi2_phi3": (phi2, phi3)}
+    reports = covariance_checks(ens, pairs.values())
     report = {"n_paths": c["n_paths"], "t": cfg.t_end,
-              "pairs": {name: covariance_check(ens, p, s).to_dict()
-                        for name, (p, s) in pairs.items()}}
+              "pairs": {name: rep.to_dict() for name, rep in zip(pairs, reports)}}
     return report, []
 
 
@@ -540,5 +547,14 @@ def main(argv=None) -> int:
     return _print_stdout(f"{render_report(report)}\nartifacts in {root}")
 
 
+def entry() -> int:
+    """main() for the console script and `python -m`, with the import heap
+    frozen first: the collector then never walks it again, in forked workers
+    (copying its pages) or at shutdown. main() freezes nothing, since tests
+    and other callers run it in their own process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

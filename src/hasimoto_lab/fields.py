@@ -137,13 +137,21 @@ def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
     np.subtract(f[..., 2:], f[..., :-2], out=mid)
     np.divide(mid, h2, out=mid)
     f, d = f.T, out.T
+    d[0] = diff1_at_0(f, g)
     if g.periodic:
-        d[0] = (f[1] - f[-1]) / h2
         d[-1] = (f[0] - f[-2]) / h2
     else:
-        d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / h2
         d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / h2
     return out
+
+
+def diff1_at_0(f: np.ndarray, g: Grid1D) -> np.ndarray:
+    """diff1 at node 0 alone of f with its node axis first, as the endpoint
+    stencils index it: central on the circle, one-sided on the line."""
+    h2 = 2.0 * g.h
+    if g.periodic:
+        return (f[1] - f[-1]) / h2
+    return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / h2
 
 
 def diff2_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:

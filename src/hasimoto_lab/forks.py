@@ -16,25 +16,39 @@ stochastic path march does). The guarantees:
   the parent's exception propagates; otherwise the exception of the lowest
   failing item index is re-raised as its child pickled it;
 - without os.fork or os.sched_getaffinity, the items run serially in the
-  caller.
+  caller, and so does a fork_map inside a forked worker, which already
+  holds its CPU.
 """
 
 import os
 import pickle
 import signal
 
+_in_worker = False          # set in a forked worker
+
 
 def usable_cpus() -> int:
     """CPUs fork_map can run workers on: the affinity mask, or 1 without
-    os.fork or os.sched_getaffinity."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    os.fork or os.sched_getaffinity, or inside a forked worker."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not _in_worker:
         return len(os.sched_getaffinity(0))
     return 1
+
+
+def contiguous_ranges(count: int) -> list:
+    """range(count) as min(usable_cpus(), count) contiguous slices, at the
+    bounds ceil(count w / W): nonincreasing sizes, so fork_map's parent
+    share is the first and largest."""
+    W = min(usable_cpus(), count)
+    bounds = [-(-count * w // W) for w in range(W + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _child(fn, items, share, fd):
     """Forked worker: pickle fn over items[share], or (item index, exception)
     of its first failure, to fd, and leave through os._exit."""
+    global _in_worker
+    _in_worker = True
     code, done = 1, []
     try:
         try:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1
-from .forks import fork_map, usable_cpus
+from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1,
+                     diff1_at_0)
+from .forks import contiguous_ranges, fork_map
 from .hashimoto import FrameField, reconstruct_frame
 from .heat import HeatStepper
 from .llg import StepConfig, check_finite
@@ -127,7 +128,10 @@ class SllgEnsemble:
     def path(self, i: int) -> "SllgEnsemble":
         """Path i as the one-path ensemble viewing the stacked histories."""
         i = range(self.n_paths)[i]      # IndexError out of range, as for a list
-        p = slice(i, i + 1)
+        return self.view(slice(i, i + 1))
+
+    def view(self, p: slice) -> "SllgEnsemble":
+        """The paths p as the ensemble viewing the stacked histories."""
         return SllgEnsemble(cfg=self.cfg, noise=self.noise, q=self.q[:, p],
                             u=self.u[:, p], e=self.e[:, p],
                             dW_tilde=self.dW_tilde[:, p], seeds=self.seeds[p])
@@ -173,9 +177,9 @@ def _check_seed(master_seed):
 def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
     """The ensemble of the paths on seeds. The q/u/e/W-tilde histories live
     in one anonymous shared mapping, so the workers of forks.fork_map, one
-    per contiguous path range (at most one per usable CPU and per path),
-    march their ranges in place and return None. A blow-up raises the
-    serial march's BlowUpError."""
+    per range of forks.contiguous_ranges (the parent marches the lowest
+    paths), march their ranges in place and return None. A blow-up raises
+    the serial march's BlowUpError."""
     g = nm.grid
     cfg.check_stability(g)
     K, n, P = cfg.n_steps, g.n, len(seeds)
@@ -187,16 +191,13 @@ def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
     def march(c: slice):        # paths c: one contiguous block per history step
         _march(qs[:, c], us[:, c], es[:, c], dW_tilde[:, c], seeds[c], nm, g, cfg)
 
-    # ceil(P w / W) bounds: nonincreasing range sizes, so the parent
-    # (fork_map's first share) marches the lowest paths
-    W = min(usable_cpus(), P)
-    bounds = [-(-P * w // W) for w in range(W + 1)]
+    ranges = contiguous_ranges(P)
     try:
-        fork_map(march, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
+        fork_map(march, ranges)
     except BlowUpError:
         # a BlowUpError gives the last max |q| over a worker's range of
         # paths only: re-march serially to raise the serial run's error
-        if W > 1:
+        if len(ranges) > 1:
             march(slice(0, P))
         raise
     return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
@@ -252,8 +253,12 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
 def _basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint frames (u, e), each (P, 3), advanced in time by
     frame_generator's coefficients at node 0, the basepoint, where the
-    nonlocal integrals and dPsi vanish."""
-    p, C = frame_generator(q_mid, g, cfg.alpha, cfg.beta)
-    f = frame_time_step(FrameField(*base), p[..., 0], C[..., 0], inc.dW1[..., 0],
-                        inc.dW2[..., 0], 0.0, cfg.dt)
+    nonlocal integrals and dPsi vanish. Only node 0's are evaluated, bit for
+    bit as on the whole grid: p from diff1's stencil there, and C from
+    -beta |q|^2 / 2 plus the integral's term, whose real part is +0.0 there
+    (it turns a -0.0 into +0.0)."""
+    p = (cfg.alpha + 1j * cfg.beta) * diff1_at_0(q_mid.T, g)
+    C = -0.5 * cfg.beta * np.abs(q_mid[..., 0]) ** 2 + 0.0
+    f = frame_time_step(FrameField(*base), p, C, inc.dW1[..., 0], inc.dW2[..., 0],
+                        0.0, cfg.dt)
     return f.u, f.e

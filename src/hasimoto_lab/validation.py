@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
                      dot, normalize, open_view)
-from .forks import fork_map
+from .forks import contiguous_ranges, fork_map
 from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
 from .llg import LLGStepper, llg_integrate
@@ -208,6 +208,15 @@ def _with_spread(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _per_path(fn, paths: SllgEnsemble) -> np.ndarray:
+    """fn's arrays over the paths, whose last axis is the path axis: fn of
+    each range of forks.contiguous_ranges (the march's ranges) in a forked
+    worker, joined along that axis. fn computes each path's values as for
+    the path alone, so they do not depend on the number of workers."""
+    return np.concatenate(fork_map(lambda r: fn(paths.view(r)),
+                                   contiguous_ranges(paths.n_paths)), axis=-1)
+
+
 def _check_steps(paths: SllgEnsemble):
     """A check over the steps needs at least one."""
     if paths.n_steps < 1:
@@ -223,7 +232,8 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
         - sum <u x dW~, phi>, with Stratonovich midpoint sums. Spatial
     derivatives use the open-curve view of the grid: the reconstruction does
     not close on the circle, so periodic stencils would be invalid at the seam.
-    The sums run step by step over all paths at once.
+    The sums run step by step over all paths of a range at once, and the
+    ranges of _per_path in forked workers.
 
     On a periodic grid the one-sided stencils at the seam give the mean of R
     a spatial O(h^2) bias. It does not change with dt (-2.9e-5 to -3.7e-5 at
@@ -241,6 +251,11 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
     _check_steps(paths)
+    return _per_path(lambda part: _residuals(part, phi, noise_rule), paths)
+
+
+def _residuals(paths: SllgEnsemble, phi: np.ndarray, noise_rule: str) -> np.ndarray:
+    """weak_residual of every path, in this process."""
     g, cfg = paths.grid, paths.cfg
     dt, h, u = cfg.dt, g.h, paths.u
     drift = LLGStepper(open_view(g), cfg.alpha, cfg.beta)   # rhs on (3, P, n) views
@@ -290,35 +305,56 @@ def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndar
 
 def covariance_check(paths: SllgEnsemble, phi: np.ndarray,
                      psi: np.ndarray) -> CovarianceReport:
+    """covariance_checks of the one pair (phi, psi)."""
+    return covariance_checks(paths, [(phi, psi)])[0]
+
+
+def covariance_checks(paths: SllgEnsemble, pairs) -> list:
     """Monte Carlo E[<W~, phi><W~, psi>] versus the frame-projection formula
-    of the ensemble's noise model.
+    of the ensemble's noise model, one CovarianceReport per (phi, psi) of
+    pairs.
 
     Both sides are estimated from the same ensemble: the Monte Carlo side from
     the assembled W~ increments, the direct side by time quadrature of the
     ensemble-averaged products of frame projections onto the noise modes.
-    The quadrature runs step by step over all paths at once. One path has
-    no spread, so at least two are needed, with unequal Monte Carlo products.
+    One pass serves every pair: each step builds the midpoint frames once
+    and projects each distinct test function (by identity) once. It runs
+    step by step over all paths of a range at once, and the ranges of
+    _per_path in forked workers; the means and spreads are taken here. One
+    path has no spread, so at least two are needed, with unequal Monte Carlo
+    products.
     """
     _check_steps(paths)
+    pairs = list(pairs)
+    prods, directs = _per_path(lambda part: _covariance_samples(part, pairs), paths)
+    n, t = paths.n_paths, float(paths.times[-1])
+    reports = []
+    for prod, direct in zip(prods, directs):
+        _with_spread(prod, "product <W~, phi> <W~, psi>")
+        reports.append(CovarianceReport(
+            mc_estimate=float(np.mean(prod)),
+            mc_ci3=float(3.0 * np.std(prod, ddof=1) / np.sqrt(n)),
+            direct=float(np.mean(direct)), n_paths=n, t=t))
+    return reports
+
+
+def _covariance_samples(paths: SllgEnsemble, pairs: list) -> np.ndarray:
+    """Per pair and path, the Monte Carlo product and the direct quadrature,
+    shape (2, len(pairs), P), in this process."""
     nm, dt, h = paths.noise, paths.cfg.dt, paths.grid.h
     c2 = nm.coeffs ** 2
     Wt = np.sum(paths.dW_tilde, axis=0)
-    prods = _with_spread(h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt)),
-                         "product <W~, phi> <W~, psi>")
+    prods = [h * _path_sums(phi, Wt) * (h * _path_sums(psi, Wt)) for phi, psi in pairs]
+    tests = {id(f): f for pair in pairs for f in pair}
     u, e = paths.u, paths.e
-    directs = np.zeros(paths.n_paths)
+    directs = np.zeros((len(pairs), paths.n_paths))
     uxe = cross(u[0], e[0])
     for k in range(paths.n_steps):
         uxe_next = cross(u[k + 1], e[k + 1])
         for F in (0.5 * (u[k] + u[k + 1]), 0.5 * (e[k] + e[k + 1]),
                   0.5 * (uxe + uxe_next)):
-            pf = h * _mode_projections(nm, phi, F)
-            ps = h * _mode_projections(nm, psi, F)
-            directs += dt * np.sum(c2 * pf * ps, axis=1)
+            proj = {i: h * _mode_projections(nm, f, F) for i, f in tests.items()}
+            for direct, (phi, psi) in zip(directs, pairs):
+                direct += dt * np.sum(c2 * proj[id(phi)] * proj[id(psi)], axis=1)
         uxe = uxe_next
-    n = len(prods)
-    mc = float(np.mean(prods))
-    ci3 = float(3.0 * np.std(prods, ddof=1) / np.sqrt(n))
-    return CovarianceReport(mc_estimate=mc, mc_ci3=ci3,
-                            direct=float(np.mean(directs)), n_paths=n,
-                            t=float(paths.times[-1]))
+    return np.array([prods, directs])

@@ -17,7 +17,8 @@ from hasimoto_lab.llg import StepConfig, curvature_torsion_rhs, llg_integrate, s
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
-from hasimoto_lab.validation import (covariance_check, crosscheck_deterministic,
+from hasimoto_lab.validation import (covariance_check, covariance_checks,
+                                     crosscheck_deterministic,
                                      holonomy_defect, identity_suite,
                                      localized_twist, sllg_weak_residual)
 from reference import crosscheck_levels, fit_loglog_slope
@@ -196,8 +197,8 @@ def test_criterion_09_covariance():
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01)
     paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                               make_noise_model(g, 4), cfg, 77, 2000)
-    for pa, pb in ((phi1, phi1), (phi1, phi2), (phi2, phi3)):
-        assert covariance_check(paths, pa, pb).within_3sigma
+    for rep in covariance_checks(paths, [(phi1, phi1), (phi1, phi2), (phi2, phi3)]):
+        assert rep.within_3sigma
     # white-noise trend with unit coefficients
     target = 0.01 * g.h * float(np.sum(phi1 * phi1))
     gaps = []

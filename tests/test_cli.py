@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -59,6 +60,39 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
     assert proc.stderr == b""
     if argv[0] != "list-experiments":
         assert read_json(out / "manifest.json")["status"] == "complete"
+
+
+def console_script() -> tuple:
+    """(module, function) of pyproject.toml's hasimoto-lab script."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        return re.search(r'^hasimoto-lab = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+
+
+@pytest.mark.parametrize("start", [
+    "runpy.run_module('hasimoto_lab.cli', run_name='__main__', alter_sys=True)",
+    "sys.exit(getattr(importlib.import_module({0!r}), {1!r})())"],
+    ids=["python -m", "console script"])
+def test_command_line_freezes_the_import_heap(start):
+    # the process's collector skips the import heap from the start of main()
+    # on, in forked workers and at shutdown
+    code = ("import atexit, gc, importlib, runpy, sys\n"
+            "print(gc.get_freeze_count(), file=sys.stderr)\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['hasimoto-lab', 'list-experiments']\n"
+            + start.format(*console_script()))
+    src = os.path.dirname(os.path.dirname(hasimoto_lab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stderr.split())
+    assert before == 0 and after > 0
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert run_cli("identities", "--set", "n=64", "--out", str(tmp_path / "i")) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_read_config_file(tmp_path):
@@ -186,6 +220,16 @@ def test_unknown_key_exits_2_without_outputs(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_unknown_key_does_not_hide_the_time_step_checks(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert run_cli("llg", "--out", str(out), "--set", "bogus=1", "--set", "dt=0.003",
+                   "--set", "t_end=0.01") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown config key 'bogus' for experiment llg",
+        "config error: dt=0.003 does not divide t_end=0.01 (3.33333 steps)"]
+    assert not out.exists()
 
 
 def test_all_violations_reported(tmp_path, capsys):

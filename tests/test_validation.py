@@ -6,13 +6,14 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  normalize, open_view, periodic_grid)
-from hasimoto_lab.forks import fork_map
+from hasimoto_lab import validation
+from hasimoto_lab.forks import contiguous_ranges, fork_map, usable_cpus
 from hasimoto_lab.heat import heat_integrate
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
 from hasimoto_lab.llg import StepConfig, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import SllgEnsemble, run_sllg_ensemble
-from hasimoto_lab.validation import (covariance_check,
+from hasimoto_lab.validation import (covariance_check, covariance_checks,
                                      crosscheck_deterministic,
                                      holonomy_defect, identity_suite,
                                      localized_twist, sllg_weak_residual,
@@ -136,6 +137,18 @@ def test_fork_map_caller_finally_runs_once(use_cpus, no_child_left, tmp_path,
     else:
         assert caller() == [0, 1, 2, 3]
     assert (tmp_path / "log").read_text() == "finally\n"
+    no_child_left()
+
+
+def test_contiguous_ranges_cover_the_count_in_order(use_cpus, no_child_left):
+    for cpus, sizes in ((1, [7]), (2, [4, 3]), (3, [3, 2, 2]), (9, [1] * 7)):
+        use_cpus(cpus)
+        ranges = contiguous_ranges(7)
+        assert [r.stop - r.start for r in ranges] == sizes
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+    # a forked worker has its CPU: a fork_map inside it runs serially
+    use_cpus(2)
+    assert fork_map(lambda x: usable_cpus(), range(2)) == [2, 1]
     no_child_left()
 
 
@@ -412,3 +425,45 @@ def test_checks_reject_zero_step_ensemble():
         weak_residual(ens, phi)
     with pytest.raises(ConfigurationError):
         covariance_check(ens, phi, phi)
+
+
+def standard_pairs(g):
+    """The three (phi, psi) pairs of the CLI's covariance and criterion 09."""
+    zero, one = np.zeros(g.n), np.ones(g.n)
+    phi1 = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * one], axis=-1)
+    phi2 = np.stack([zero, zero, one], axis=-1)
+    phi3 = np.stack([np.sin(2.0 * g.x), zero, np.cos(g.x)], axis=-1)
+    return [(phi1, phi1), (phi1, phi2), (phi2, phi3)]
+
+
+def test_covariance_pairs_in_one_pass_equal_one_pass_each():
+    # sharing the frame midpoints and the projections of phi1 and phi2
+    # leaves every pair's per-path values and report as they are alone
+    g, ens = small_ensemble()
+    pairs = standard_pairs(g)
+    together = validation._covariance_samples(ens, pairs)
+    alone = [validation._covariance_samples(ens, [pair]) for pair in pairs]
+    assert together.shape == (2, 3, ens.n_paths)
+    assert np.array_equal(together, np.concatenate(alone, axis=1))
+    for rep, (phi, psi) in zip(covariance_checks(ens, pairs), pairs):
+        assert rep.to_dict() == covariance_check(ens, phi, psi).to_dict()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sharded_per_path_values_equal_the_serial_ones(use_cpus, no_child_left, cpus):
+    # 9 paths in ranges 9, 5 + 4 and 3 + 3 + 3, each a view of the ensemble
+    g, ens = small_ensemble()
+    part = ens.view(slice(2, 5))
+    assert part.seeds == ens.seeds[2:5] and np.shares_memory(part.u, ens.u)
+    pairs = standard_pairs(g)
+    phi = pairs[0][0]
+    residuals = {rule: validation._residuals(ens, phi, rule)
+                 for rule in ("midpoint", "left")}
+    samples = validation._covariance_samples(ens, pairs)
+    use_cpus(cpus)
+    for rule, serial in residuals.items():
+        assert np.array_equal(weak_residual(ens, phi, rule), serial)
+    sharded = validation._per_path(
+        lambda part: validation._covariance_samples(part, pairs), ens)
+    assert np.array_equal(sharded, samples)
+    no_child_left()
