@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import (Grid1D, ConfigurationError, cross, cumint, diff1, diff2,
                      dot, norm)
-from .rotations import generator_rotation, rotation_angle
+from .rotations import rotation_angle, rotation_exp
 
 
 @dataclass
@@ -94,7 +94,7 @@ def node_rotations(q0: np.ndarray, q1: np.ndarray, g: Grid1D) -> np.ndarray:
     """Frame propagators across node intervals with q0 and q1 at their ends:
     the exact exponentials of the midpoint generator K(h Re q, h Im q, 0)."""
     q_mid = 0.5 * (q0 + q1)
-    return generator_rotation(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
+    return rotation_exp(g.h * q_mid.real, g.h * q_mid.imag, 0.0)
 
 
 def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
@@ -131,7 +131,7 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     u, e = np.moveaxis(out.u, -2, 0), np.moveaxis(out.e, -2, 0)
     step = max(4, CHUNK_ROTATIONS // max(1, q[0].size))
     F = np.empty((step + 1,) + q.shape[1:] + (3, 3))
-    F[0] = np.stack([m, e0, cross(m, e0)], axis=-2)
+    F[0] = FrameField(m, e0).as_matrix()
     for lo in range(0, g.n - 1, step):     # the chunk's intervals lo .. lo + c - 1
         c = min(step, g.n - 1 - lo)
         R = node_rotations(q[lo:lo + c], q[lo + 1:lo + c + 1], g)

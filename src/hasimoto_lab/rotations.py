@@ -14,54 +14,40 @@ frame is preserved to round-off regardless of step size.
 import numpy as np
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: w (..., 3) rotation vectors -> (..., 3, 3) matrices.
+def rotation_exp(a, b, c) -> np.ndarray:
+    """exp(K(a, b, c)) for a, b, c broadcastable: (..., 3, 3) rotations.
 
-    Small angles use the series for sin(t)/t and (1-cos t)/t^2 to avoid
-    0/0; the switch point keeps both branches accurate to ~1e-16.
+    Rodrigues: exp(K) = I + s K + k K^2 with theta^2 = a^2 + b^2 + c^2,
+    s = sin(theta) / theta and k = (1 - cos theta) / theta^2. Below
+    theta = 1e-4 their series replace them, which avoids 0/0; the switch
+    point keeps both branches accurate to ~1e-16.
     """
-    w = np.asarray(w, dtype=float)
-    theta = np.sqrt(np.sum(w * w, axis=-1))
+    a, b, c = (np.asarray(x, float) for x in (a, b, c))
+    theta = np.sqrt(c * c + b * b + a * a)
     t2 = theta * theta
     small = theta < 1e-4
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0,
-                     np.sin(theta) / np.where(small, 1.0, theta))
-        c = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    # I + s K + c K^2, evaluated in place in that summation order
-    K = skew(w)
+    big = ~small
+    s, k = np.empty_like(theta), np.empty_like(theta)
+    with np.errstate(invalid="ignore"):        # an infinite angle's sin and cos
+        tb, ts = theta[big], t2[small]
+        s[big] = np.sin(tb) / tb
+        k[big] = (1.0 - np.cos(tb)) / t2[big]
+        s[small] = 1.0 - ts / 6.0 + ts * ts / 120.0
+        k[small] = 0.5 - ts / 24.0 + ts * ts / 720.0
+    K = np.zeros(theta.shape + (3, 3))
+    K[..., 0, 1] = a
+    K[..., 0, 2] = b
+    K[..., 1, 0] = -a
+    K[..., 1, 2] = c
+    K[..., 2, 0] = -b
+    K[..., 2, 1] = -c
+    # I + s K + k K^2, evaluated in place in that summation order
     K2 = K @ K
-    K2 *= c[..., None, None]
+    K2 *= k[..., None, None]
     K *= s[..., None, None]
     K += np.eye(3)
     K += K2
     return K
-
-
-def skew(w: np.ndarray) -> np.ndarray:
-    """(..., 3) -> (..., 3, 3) antisymmetric matrices with skew(w) v = w x v."""
-    w = np.asarray(w)
-    K = np.zeros(w.shape[:-1] + (3, 3), dtype=w.dtype)
-    K[..., 0, 1] = -w[..., 2]
-    K[..., 0, 2] = w[..., 1]
-    K[..., 1, 0] = w[..., 2]
-    K[..., 1, 2] = -w[..., 0]
-    K[..., 2, 0] = -w[..., 1]
-    K[..., 2, 1] = w[..., 0]
-    return K
-
-
-def generator_rotation(a, b, c) -> np.ndarray:
-    """exp(K(a, b, c)) for the frame generator above; a, b, c broadcastable.
-
-    K(a, b, c) = skew((-c, b, -a)), so the result is rotation_exp of that
-    vector, batched over the leading shape of a, b, c.
-    """
-    a, b, c = np.broadcast_arrays(a, b, c)
-    w = np.stack([-np.asarray(c, float), np.asarray(b, float),
-                  -np.asarray(a, float)], axis=-1)
-    return rotation_exp(w)
 
 
 def rotation_angle(R: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .heat import HeatStepper
 from .llg import StepConfig, check_finite
 from .noise import (NoiseIncrement, NoiseModel, derive_seed, noise_fields,
                     sample_increments)
-from .rotations import generator_rotation
+from .rotations import rotation_exp
 
 # Largest orthonormality defect frame_time_step accepts in its input frame.
 ORTHO_TOL = 1e-8
@@ -57,8 +57,8 @@ def frame_time_step(f: FrameField, p: np.ndarray, C: np.ndarray, dW1: np.ndarray
     """
     if f.orthonormality_defect() > ORTHO_TOL:
         raise ConfigurationError("frame_time_step requires an orthonormal frame")
-    F = generator_rotation(p.real * dt + dW1, p.imag * dt + dW2,
-                           C * dt + dPsi) @ f.as_matrix()
+    F = rotation_exp(p.real * dt + dW1, p.imag * dt + dW2,
+                     C * dt + dPsi) @ f.as_matrix()
     return FrameField(u=F[..., 0, :], e=F[..., 1, :])
 
 

@@ -18,7 +18,7 @@ from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
 from .llg import LLGStepper, llg_integrate
 from .noise import NoiseModel
-from .rotations import generator_rotation, rotation_angle
+from .rotations import rotation_angle, rotation_exp
 from .stochastic import SllgEnsemble, frame_generator
 
 
@@ -171,7 +171,7 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
         Xb = node_rotations(qb[:-1], qb[1:], g)
         Xt = node_rotations(qt[:-1], qt[1:], g)
         p, C = frame_generator(0.5 * (qb + qt), g, alpha, beta)
-        T = generator_rotation(dt * p.real, dt * p.imag, dt * C)
+        T = rotation_exp(dt * p.real, dt * p.imag, dt * C)
         P1 = T[1:] @ Xb                       # x-step then t-step
         P2 = Xt @ T[:-1]                      # t-step then x-step
         ang = rotation_angle(P1 @ np.swapaxes(P2, -1, -2))

@@ -1,11 +1,12 @@
 """Characterization ("golden master") tests of the command line, against
 three recordings in tests/data:
 
-- characterization.json: the bytes that the runs of RUNS and ENSEMBLE_RUNS
-  write: each experiment's default run, three runs on the line (README's
-  crosscheck example, heat and llg from a localized twist), and the two
-  calls of the benchmark's ensemble workload, checked on 1 and on 2
-  workers. A digest is
+- characterization.json: the bytes that the runs of RUNS, ENSEMBLE_RUNS
+  and REGIME_RUNS write: each experiment's default run, three runs on the
+  line (README's crosscheck example, heat and llg from a localized twist),
+  the two calls of the benchmark's ensemble workload, and three runs that
+  each reach one regime of the forked workers; the last two sets are
+  checked on 1 and on 2 workers. A digest is
   exact only on the machine key it was recorded with (the numpy version,
   its BLAS and the SIMD features numpy dispatches to), because
   transcendental ufuncs and BLAS products may round differently
@@ -40,6 +41,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hasimoto_lab import hashimoto
 from hasimoto_lab.cli import DEFAULTS, EXPERIMENTS, list_experiments, main
 from test_extreme_configs import MAX_NODE_STEPS, REFUSED, draws, node_steps
 
@@ -64,6 +66,21 @@ ENSEMBLE = [f"--set={kv}" for kv in (
     "initial_data=file", f"initial_file={os.path.join(DATA_DIR, 'ensemble_q0.csv')}")]
 ENSEMBLE_RUNS = {"sllg-ensemble": ["sllg", "--seed", "2024", *ENSEMBLE],
                  "covariance-ensemble": ["covariance", "--seed", "77", *ENSEMBLE]}
+# One run for each regime that the test below asserts on 1 and on 2 workers:
+# - sllg-wide (CI's wide sllg at 820 paths, not 1000, to save time): a
+#   march of 10 steps of 820 paths, whose worker holds 8200 or 4100 (step,
+#   path) columns, over the 4096 that take the march's chunks to their
+#   4-node floor;
+# - sllg-n4096: n = 4096 with few columns, 12 steps of 2 paths, so chunks of
+#   4096 // 24 = 170 nodes on one worker and 4096 // 12 = 341 on two;
+# - crosscheck-n4096: crosscheck's six forked flows at n = 1024, 2048 and 4096.
+REGIME_RUNS = {
+    "sllg-wide": ["sllg", "--seed", "5", *[f"--set={kv}" for kv in (
+        "n=64", "n_paths=820", "dt=0.001", "t_end=0.01", "output_stride=5")]],
+    "sllg-n4096": ["sllg", "--seed", "11", *[f"--set={kv}" for kv in (
+        "n=4096", "n_paths=2", "dt=auto", "t_end=1e-5", "output_stride=6")]],
+    "crosscheck-n4096": ["crosscheck", "--set=grid_sizes=1024,2048,4096",
+                         "--set=t_end=0.01"]}
 
 
 def machine_key() -> dict:
@@ -149,7 +166,7 @@ def assert_recorded(runs: dict):
     """runs match their recording: digests on its machine key, report
     values to REL_TOL anywhere."""
     rec = recorded(DATA)
-    assert sorted(rec["runs"]) == sorted([*RUNS, *ENSEMBLE_RUNS])
+    assert sorted(rec["runs"]) == sorted([*RUNS, *ENSEMBLE_RUNS, *REGIME_RUNS])
     if machine_key() == rec["key"]:
         for name, run in runs.items():
             assert run["digests"] == rec["runs"][name]["digests"], name
@@ -170,6 +187,36 @@ def test_ensemble_runs_match_the_recording_on_any_worker_count(tmp_path, use_cpu
     assert_recorded(runs)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_regime_runs_match_the_recording_on_any_worker_count(tmp_path, monkeypatch,
+                                                             use_cpus, cpus):
+    use_cpus(cpus)
+    # (nodes, steps, paths) of each chunk that a march in this process rotates:
+    # the parent's, which marches the first and largest range of paths
+    chunks = []
+    node_rotations = hashimoto.node_rotations
+
+    def spy(q0, q1, g):
+        if q0.ndim == 3:
+            chunks.append(q0.shape)
+        return node_rotations(q0, q1, g)
+
+    monkeypatch.setattr(hashimoto, "node_rotations", spy)
+    runs, marched = {}, {}
+    for name, argv in REGIME_RUNS.items():
+        chunks.clear()
+        runs.update(runs_under(str(tmp_path), {name: argv}))
+        marched[name] = chunks[:]
+    assert 10 * (820 // cpus) > hashimoto.CHUNK_ROTATIONS
+    assert {c[1:] for c in marched["sllg-wide"]} == {(10, 820 // cpus)}
+    assert max(c[0] for c in marched["sllg-wide"]) == 4
+    assert {c[1:] for c in marched["sllg-n4096"]} == {(12, 2 // cpus)}
+    assert max(c[0] for c in marched["sllg-n4096"]) == [170, 341][cpus - 1]
+    assert [lv["n"] for lv in runs["crosscheck-n4096"]["report"]["levels"]] == \
+        [1024, 2048, 4096]
+    assert_recorded(runs)
+
+
 def test_catalog_matches_the_recording():
     assert catalog() == recorded(CATALOG)
 
@@ -181,7 +228,8 @@ def test_refusals_match_the_recording(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         records = {DATA: {"key": machine_key(),
-                          "runs": runs_under(root, {**RUNS, **ENSEMBLE_RUNS})},
+                          "runs": runs_under(root, {**RUNS, **ENSEMBLE_RUNS,
+                                                   **REGIME_RUNS})},
                    CATALOG: catalog(), REFUSALS: refusals(root)}
     os.makedirs(DATA_DIR, exist_ok=True)
     for path, record in records.items():

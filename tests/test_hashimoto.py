@@ -7,7 +7,7 @@ import hasimoto_lab.hashimoto as hashimoto
 from hasimoto_lab.hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                                     curvature_torsion, inverse_identities,
                                     reconstruct_frame, transform)
-from hasimoto_lab.rotations import generator_rotation
+from hasimoto_lab.rotations import rotation_exp
 
 
 def great_circle(g, k=1.0):
@@ -142,7 +142,7 @@ def test_batched_march_matches_column_marches(monkeypatch, g):
     n, K, P = g.n, 3, 2
     q = (0.5 + 0.2 * rng.standard_normal((K, P, n))) \
         * np.exp(1j * rng.standard_normal((K, P, n)))
-    R = generator_rotation(*rng.standard_normal((3, K, P)))
+    R = rotation_exp(*rng.standard_normal((3, K, P)))
     m, e0 = R[..., 0, :], R[..., 1, :]
     alone = [[reconstruct_frame(q[k, p], g, m[k, p], e0[k, p]) for p in range(P)]
              for k in range(K)]

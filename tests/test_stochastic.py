@@ -9,7 +9,7 @@ from hasimoto_lab.noise import (NoiseIncrement, coefficient_profile, derive_seed
                                 make_noise_model, noise_fields, sample_increments)
 import hasimoto_lab.hashimoto as hashimoto
 import hasimoto_lab.stochastic as stochastic
-from hasimoto_lab.rotations import generator_rotation
+from hasimoto_lab.rotations import rotation_exp
 from hasimoto_lab.stochastic import (frame_generator, frame_time_step, run_sllg,
                                      run_sllg_ensemble, stochastic_heat_step)
 import reference
@@ -388,7 +388,7 @@ def test_basepoint_step_matches_full_grid_coefficients(g):
     dW[:, 1] = 0.0
     inc = NoiseIncrement(dW1=dW[0], dW2=dW[1], dW3=np.zeros((P, n)),
                          dxW1=np.zeros((P, n)), dxW2=np.zeros((P, n)))
-    R = generator_rotation(*rng.normal(size=(3, P)))
+    R = rotation_exp(*rng.normal(size=(3, P)))
     u, e = R[:, 0].copy(), R[:, 1].copy()
     u[1:3], e[1:3] = [1.0, -0.0, 0.0], [0.0, 1.0, -0.0]
     for alpha, beta in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
