@@ -13,8 +13,7 @@ from .hashimoto import (CurvatureTorsion, FrameField, closure_defect,
 from .heat import heat_integrate
 from .llg import (StepConfig, Trajectory, curvature_torsion_rhs, exchange_energy,
                   llg_integrate, stable_dt)
-from .noise import (NoiseIncrement, NoiseModel, coefficient_profile, derive_seed,
-                    fourier_basis, make_noise_model, noise_fields,
-                    sample_increments)
+from .noise import (NoiseIncrement, NoiseModel, derive_seed, fourier_basis,
+                    make_noise_model, noise_fields, sample_increments)
 from .stochastic import (SllgEnsemble, frame_generator, frame_time_step,
                          run_sllg, run_sllg_ensemble, stochastic_heat_step)

@@ -40,15 +40,19 @@ from .validation import (covariance_checks, crosscheck_deterministic,
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
     out = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for ln, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -118,7 +122,7 @@ def initial_q(c: dict, g: Grid1D) -> np.ndarray:
     if c["initial_data"] == "great-circle":
         return c["k"] * np.ones(g.n, dtype=complex)
     if c["initial_data"] == "localized-twist":
-        return localized_twist(g.x, c["amplitude"], c["width"], c["center"], c["power"])
+        return localized_twist(g.x, c["amplitude"], c["width"], c["center"])
     data = _load_initial_file(c, g, "re,im")
     return data[:, 0] + 1j * data[:, 1]
 
@@ -147,17 +151,21 @@ def validate(experiment: str, c: dict, errors: list):
     Appends every violation to errors and returns None; otherwise returns
     the run's plan. A grid experiment's is _one_grid_plan's. Crosscheck's,
     which runs only on the line from a localized twist, is c plus "levels":
-    the one-grid plan's (g, x0, solver) at each grid size, with dt=auto and
-    output_stride=auto. Levels are planned up to the first refused one, whose
-    violations stand for the later levels' (which repeat them at another n).
+    the one-grid plan's (g, x0, solver) at each of the strictly increasing
+    grid sizes, with dt=auto and output_stride=auto. Levels are planned up
+    to the first refused one, whose violations stand for the later levels'
+    (which repeat them at another n).
     """
     if experiment in _with("grid"):
         return _one_grid_plan(experiment, c, errors)
     rules = (("domain", "line"), ("initial_data", "localized-twist"))
     refused = [f"{experiment} supports {k}={v} only" for k, v in rules if c[k] != v]
     errors.extend(refused)
+    sizes = list(c["grid_sizes"])
+    if sizes != sorted(set(sizes)):
+        errors.append(f"grid_sizes={','.join(map(str, sizes))} must strictly increase")
     plans = []
-    for n in [] if refused else c["grid_sizes"]:
+    for n in [] if refused else sizes:
         plans.append(_one_grid_plan(experiment, dict(c, n=n, dt="auto",
                                                      output_stride="auto"), errors))
         if errors:
@@ -196,9 +204,8 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
         c["frame"] = reconstruct_frame(x0, g, *BASEPOINT_FRAME)
     if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
         errors.append("the initial frame overflows to inf or nan")
-    if experiment in _with("noise"):   # the noise needs finite coefficients
-        c["noise"] = attempt(make_noise_model, g, *(c[k] for k in (
-            "n_modes", "coeff_profile", "coeff_decay", "coeff_amplitude")))
+    if experiment in _with("noise"):
+        c["noise"] = make_noise_model(g, c["n_modes"], c["coeff_amplitude"])
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
     if c.get("dt") is None:             # identities evolves nothing, or auto_dt failed
@@ -426,14 +433,11 @@ SCHEMA = {
     "amplitude": ("float", "", "0.25", EXPERIMENTS, {"holonomy": "0.4"}),
     "width": ("float", "> 0", "6.0", EXPERIMENTS, {"holonomy": "3.0"}),
     "center": ("float", "", "-15.0", EXPERIMENTS, {"holonomy": "-10.0"}),
-    "power": ("int", ">= 1", "3", EXPERIMENTS, {}),
     "initial_file": ("path", "to a file", "", _with("grid"), {}),
     "grid_sizes": ("ints", ">= 4", "128,256,512", ("crosscheck",), {}),
     # with no mode or no amplitude every path is the same: no spread, no noise
     "n_modes": ("int", ">= 1", "4", _with("noise"), {}),
     "coeff_amplitude": ("float", "> 0", "1.0", _with("noise"), {}),
-    "coeff_profile": ("enum", "flat|power", "flat", _with("noise"), {}),
-    "coeff_decay": ("float", "", "1.0", _with("noise"), {}),
     # one path has no spread: its stderr and 3-sigma band would read 0
     "n_paths": ("int", ">= 2", "8", _with("noise"), {"covariance": "200"}),
 }
@@ -513,7 +517,12 @@ def main(argv=None) -> int:
 
     root = args.out or os.path.join(os.environ.get("HASIMOTO_LAB_OUT", "runs"),
                                     args.experiment)
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot make the output directory {root!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
 
     manifest = {"experiment": args.experiment, "config": raw,
                 "master_seed": cfg.get("master_seed"),

@@ -40,23 +40,6 @@ def fourier_basis(g: Grid1D, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis_x
 
 
-def coefficient_profile(n_modes: int, profile: str = "flat", decay: float = 1.0,
-                        amplitude: float = 1.0) -> np.ndarray:
-    """c_l for l = 1..n_modes: amplitude ("flat") or amplitude * l^(-decay)
-    ("power"); every c_l must be finite."""
-    if n_modes < 0:
-        raise ConfigurationError(f"n_modes must be >= 0, got {n_modes}")
-    l = np.arange(1, n_modes + 1, dtype=float)
-    if profile not in ("flat", "power"):
-        raise ConfigurationError(f"unknown coefficient profile {profile!r}")
-    with np.errstate(over="ignore", invalid="ignore"):    # rejected below
-        c = amplitude * (np.ones(n_modes) if profile == "flat" else l ** (-decay))
-    if not np.all(np.isfinite(c)):
-        raise ConfigurationError(f"non-finite noise coefficients: the {profile} "
-                                 f"profile, decay {decay}, amplitude {amplitude}")
-    return c
-
-
 @dataclass
 class NoiseIncrement:
     dW1: np.ndarray    # (n,), or (P, n) for P paths
@@ -84,10 +67,15 @@ class NoiseModel:
         return len(self.coeffs)
 
 
-def make_noise_model(g: Grid1D, n_modes: int, profile: str = "flat",
-                     decay: float = 1.0, amplitude: float = 1.0) -> NoiseModel:
-    return NoiseModel(grid=g, coeffs=coefficient_profile(n_modes, profile, decay,
-                                                         amplitude))
+def make_noise_model(g: Grid1D, n_modes: int, amplitude: float = 1.0) -> NoiseModel:
+    """The NoiseModel on g of n_modes modes with the flat spectrum
+    c_l = amplitude, which must be finite; NoiseModel(g, coeffs) takes any
+    other spectrum."""
+    if n_modes < 0:
+        raise ConfigurationError(f"n_modes must be >= 0, got {n_modes}")
+    if not np.isfinite(amplitude):
+        raise ConfigurationError(f"non-finite noise coefficients: amplitude {amplitude}")
+    return NoiseModel(grid=g, coeffs=amplitude * np.ones(n_modes))
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -23,8 +23,8 @@ from .stochastic import SllgEnsemble, frame_generator
 
 
 def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
-                    center: float = -15.0, power: int = 3) -> np.ndarray:
-    """Rational-bump curvature profile q0 = A (1 + ((x-c)/w)^2)^(-power).
+                    center: float = -15.0) -> np.ndarray:
+    """Rational-bump curvature profile q0 = A (1 + ((x-c)/w)^2)^(-3).
 
     Polynomial tails are the admissible decay class for the line-domain
     equivalence: the phase-rate boundary term behaves like (curvature)_xx /
@@ -32,7 +32,7 @@ def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
     (or diverges) for exponential or Gaussian tails.
     """
     with np.errstate(over="ignore"):            # far out the bump is 0
-        return amplitude * (1.0 + ((x - center) / width) ** 2) ** (-float(power)) + 0j
+        return amplitude * (1.0 + ((x - center) / width) ** 2) ** -3.0 + 0j
 
 
 class _Report:
@@ -55,10 +55,11 @@ class CrossCheckReport(_Report):
 def crosscheck_deterministic(levels) -> CrossCheckReport:
     """Evolve matched initial data through both flows and compare transforms.
 
-    levels: one (g, u0, cfg) per refinement level, with a common alpha,
-    beta and t_end, where u0 is the sphere map on g that the frame march
-    builds from q0 with left-boundary decay, and cfg its StepConfig; the CLI
-    gives each level the one-grid plan's, with dt and output_stride auto.
+    levels: one (g, u0, cfg) per refinement level, of strictly increasing
+    g.n and with a common alpha, beta and t_end, where u0 is the sphere map
+    on g that the frame march builds from q0 with left-boundary decay, and
+    cfg its StepConfig; the CLI gives each level the one-grid plan's, with
+    dt and output_stride auto.
     The heat flow starts from the discrete transform of u0, so the two sides
     carry consistent discrete data (discrepancy is exactly 0 at t = 0).
     The discrepancy max_x |H(u(t)) - q(t)| is sampled along the flow. The
@@ -67,9 +68,11 @@ def crosscheck_deterministic(levels) -> CrossCheckReport:
     workers.
     """
     flows = {(cfg.alpha, cfg.beta, cfg.t_end) for _, _, cfg in levels}
-    if len(flows) != 1:
-        raise ConfigurationError("a crosscheck needs levels with one common alpha, "
-                                 f"beta and t_end, got {sorted(flows)}")
+    ns = [g.n for g, _, _ in levels]
+    if len(flows) != 1 or ns != sorted(set(ns)):
+        raise ConfigurationError(
+            "a crosscheck needs levels of strictly increasing n with one common "
+            f"alpha, beta and t_end, got n {ns} and {sorted(flows)}")
     (alpha, beta, t_end), = flows
     jobs = []
     for g, u0, cfg in levels:

@@ -138,6 +138,14 @@ def test_crosscheck_smoke(tmp_path):
     assert (out / "series_discrepancy.csv").exists()
 
 
+def test_crosscheck_runs_one_level(tmp_path):
+    out = tmp_path / "cc1"
+    assert run_cli("crosscheck", "--out", str(out), "--set", "grid_sizes=32",
+                   "--set", "x_min=-60.0", "--set", "t_end=0.01") == 0
+    report = read_json(out / "report.json")
+    assert [lv["n"] for lv in report["levels"]] == [32] and report["orders"] == []
+
+
 def test_identities_smoke(tmp_path):
     out = tmp_path / "ident"
     assert run_cli("identities", "--out", str(out)) == 0
@@ -408,7 +416,7 @@ def test_reference_crosscheck_levels_match_validate(sets):
     # the tests' copy of the dt and stride rules must not drift from the CLI's
     _, c = plan("crosscheck", sets)
     twist = lambda x: localized_twist(x, *(c[k] for k in ("amplitude", "width",
-                                                          "center", "power")))
+                                                          "center")))
     assert_same_levels(c["levels"], crosscheck_levels(
         twist, *(c[k] for k in ("x_min", "x_max", "alpha", "beta", "t_end",
                                 "grid_sizes"))))
@@ -606,7 +614,10 @@ def assert_config_error(tmp_path, capsys, *args):
     ("identities", "t_end=0.1"), ("identities", "output_stride=2"),
     ("holonomy", "output_stride=2"), ("covariance", "output_stride=2"),
     ("sllg", "x_min=-1e6"), ("covariance", "x_max=7.0"),
-    ("llg", "basepoint_index=0"), ("heat", "basepoint_index=0")])
+    ("llg", "basepoint_index=0"), ("heat", "basepoint_index=0")]
+    + [(e, "power=3") for e in EXPERIMENTS]
+    + [(e, s) for e in ("sllg", "covariance")
+       for s in ("coeff_profile=flat", "coeff_decay=1.0")])
 def test_experiment_rejects_keys_it_does_not_read(tmp_path, capsys, experiment, setting):
     err = assert_config_error(tmp_path, capsys, experiment, "--set", setting)
     assert "unknown config key" in err
@@ -691,6 +702,35 @@ def test_unreadable_config_file_reported_with_other_errors(tmp_path, capsys):
     err = assert_config_error(tmp_path, capsys, "llg", "--config",
                               str(tmp_path / "none.txt"), "--set", "bogus=1")
     assert "none.txt" in err and "unknown config key 'bogus'" in err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfen\x00=\x003\x002\x00")
+    err = assert_config_error(tmp_path, capsys, "llg", "--config", str(path))
+    assert err.splitlines() == [f"config error: {path}: not UTF-8 text (byte 0)"]
+
+
+@pytest.mark.parametrize("below", [[], ["x"]], ids=["the-file", "under-the-file"])
+def test_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys, below):
+    # --out names an existing file, or a directory below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker.joinpath(*below)
+    assert run_cli("llg", "--set", "t_end=0.01", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot make the output directory {str(out)!r}: "
+        + ("File exists" if out == blocker else "Not a directory")]
+    assert sorted(os.listdir(tmp_path)) == ["blocker"]
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("sizes", ["256,128", "128,128", "64,128,128"])
+def test_crosscheck_grid_sizes_must_strictly_increase(tmp_path, capsys, sizes):
+    # a non-increasing pair of levels gives no convergence order
+    err = assert_config_error(tmp_path, capsys, "crosscheck", "--set",
+                              f"grid_sizes={sizes}", "--set", "t_end=0.05")
+    assert err.splitlines() == [f"config error: grid_sizes={sizes} must strictly increase"]
 
 
 def readme_config_table():

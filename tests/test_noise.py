@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hasimoto_lab.fields import ConfigurationError, line_grid, periodic_grid
-from hasimoto_lab.noise import (NoiseModel, coefficient_profile, derive_seed,
-                                fourier_basis, make_noise_model, noise_fields,
-                                sample_increments)
+from hasimoto_lab.noise import (NoiseModel, derive_seed, fourier_basis,
+                                make_noise_model, noise_fields, sample_increments)
 
 
 def test_basis_orthonormal():
@@ -31,19 +30,19 @@ def test_basis_requires_periodic_grid():
 
 
 def test_coefficient_profiles():
-    assert np.allclose(coefficient_profile(4, "flat"), 1.0)
-    assert np.allclose(coefficient_profile(3, "power", 2.0),
-                       [1.0, 0.25, 1.0 / 9.0])
-    assert np.allclose(coefficient_profile(2, "flat", amplitude=0.3), 0.3)
-    with pytest.raises(ConfigurationError):
-        coefficient_profile(3, "exp")
+    # make_noise_model's flat spectrum; NoiseModel takes any other
+    g = periodic_grid(1.0, 8)
+    assert np.array_equal(make_noise_model(g, 4).coeffs, np.ones(4))
+    assert np.array_equal(make_noise_model(g, 2, amplitude=0.3).coeffs, [0.3, 0.3])
+    power = NoiseModel(grid=g, coeffs=np.arange(1, 4) ** -2.0)
+    assert np.allclose(power.coeffs, [1.0, 0.25, 1.0 / 9.0])
     with pytest.raises(ConfigurationError, match="n_modes must be >= 0"):
-        make_noise_model(periodic_grid(1.0, 8), -1)
-    # 2^1e300 overflows: an infinite coefficient would blow up the first step
-    for profile, decay, amplitude in (("power", -1e300, 1.0), ("flat", 1.0, np.inf),
-                                      ("power", 1.0, np.nan)):
-        with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
-            coefficient_profile(3, profile, decay, amplitude)
+        make_noise_model(g, -1)
+    # an infinite coefficient would blow up the first step
+    for amplitude in (np.inf, -np.inf, np.nan):
+        for n_modes in (0, 3):
+            with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
+                make_noise_model(g, n_modes, amplitude)
 
 
 def test_model_validation():
@@ -112,7 +111,7 @@ def test_stacked_fields_match_single_path():
     # P stacked increment sets give (P, n) fields whose row i is, bit for
     # bit, the field of the i-th set alone
     g = periodic_grid(2.0 * np.pi, 48)
-    nm = make_noise_model(g, 5, "power", 1.5)
+    nm = NoiseModel(grid=g, coeffs=np.arange(1, 6) ** -1.5)
     incs = [sample_increments(nm, derive_seed(3, i), 0.01, 2) for i in range(6)]
     stacked = noise_fields(nm, np.stack(incs))
     for i, inc in enumerate(incs):

@@ -5,7 +5,7 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cumint, dot,
                                  line_grid, norm, periodic_grid)
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, FrameField, reconstruct_frame
 from hasimoto_lab.llg import StepConfig, llg_integrate, stable_dt
-from hasimoto_lab.noise import (NoiseIncrement, coefficient_profile, derive_seed,
+from hasimoto_lab.noise import (NoiseIncrement, NoiseModel, derive_seed,
                                 make_noise_model, noise_fields, sample_increments)
 import hasimoto_lab.hashimoto as hashimoto
 import hasimoto_lab.stochastic as stochastic
@@ -228,12 +228,12 @@ def test_ensemble_paths_distinct():
 def test_path_shares_grid_config_and_noise_model():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3)
-    nm = make_noise_model(g, 3, "power")
+    nm = NoiseModel(grid=g, coeffs=np.arange(1, 4) ** -1.0)
     q0 = 0.2 * np.ones(g.n, complex)
     frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
     ens = run_sllg_ensemble(q0, frame, nm, cfg, master_seed=4, n_paths=3)
     assert ens.grid is g and ens.cfg is cfg and ens.noise is nm
-    assert np.array_equal(ens.noise.coeffs, coefficient_profile(3, "power"))
+    assert np.array_equal(ens.noise.coeffs, np.arange(1, 4) ** -1.0)
     assert np.array_equal(ens.times, cfg.dt * np.arange(4))
     for name in ("q", "u", "e", "dW_tilde"):    # path-major: one block per path
         assert getattr(ens, name)[1, 2].flags.c_contiguous, name
@@ -252,11 +252,9 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
     with pytest.raises(ConfigurationError):
-        make_noise_model(g, 4, "bogus")
-    with pytest.raises(ConfigurationError):
         make_noise_model(g, -1)
     with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
-        make_noise_model(g, 4, "power", -1e300)
+        make_noise_model(g, 4, np.inf)
     with pytest.raises(ConfigurationError, match="output_stride"):
         StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
     for t_end in (np.inf, np.nan, -1.0):

@@ -39,7 +39,7 @@ def test_localized_twist_profile():
     assert q[0] == 0.25
     assert q[1] == pytest.approx(0.25 / 8.0)
     assert np.max(np.abs(q.imag)) == 0.0
-    # polynomial tail: 1/x^(2 power) decay far from the bump
+    # polynomial tail: 1/x^6 decay far from the bump
     assert abs(q[2]) <= 0.25 * (6.0 / 60.0) ** 6 * 1.1
 
 
@@ -50,6 +50,25 @@ def test_crosscheck_zero_time_is_exact():
         localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.0, grid_sizes=(64, 128)))
     assert all(lv["sup_disc"] == 0.0 for lv in rep.levels)
     assert rep.orders == []
+
+
+@pytest.mark.parametrize("sizes", [(96, 48), (48, 48), (32, 64, 64)],
+                         ids=["coarser", "equal", "repeated"])
+def test_crosscheck_refuses_levels_that_do_not_refine(sizes):
+    # orders compare each level with a finer one
+    levels = crosscheck_levels(localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05,
+                               grid_sizes=sizes)
+    with pytest.raises(ConfigurationError, match="levels of strictly increasing n"):
+        crosscheck_deterministic(levels)
+
+
+def test_crosscheck_refuses_levels_of_different_flows():
+    coarse, _ = crosscheck_levels(localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05,
+                                  grid_sizes=(48, 96))
+    fine, = crosscheck_levels(localized_twist, -60.0, 20.0, 0.5, 1.0, t_end=0.05,
+                              grid_sizes=(96,))
+    with pytest.raises(ConfigurationError, match="one common alpha, beta and t_end"):
+        crosscheck_deterministic([coarse, fine])
 
 
 def test_crosscheck_flags_nondecaying_data():
