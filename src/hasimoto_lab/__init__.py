@@ -16,4 +16,4 @@ from .llg import (StepConfig, Trajectory, curvature_torsion_rhs, exchange_energy
 from .noise import (NoiseIncrement, NoiseModel, derive_seed, fourier_basis,
                     make_noise_model, noise_fields, sample_increments)
 from .stochastic import (SllgEnsemble, frame_generator, frame_time_step,
-                         run_sllg, run_sllg_ensemble, stochastic_heat_step)
+                         run_sllg_ensemble, stochastic_heat_step)

@@ -457,6 +457,41 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
+def _check_out(root: str, errors: list):
+    """Refuse, before anything is made, an empty output directory name and
+    one that os.makedirs cannot make because a file is in its way."""
+    head = root
+    while head and not os.path.lexists(head):   # up to the nearest existing path
+        head = os.path.dirname(head)
+    if not root:
+        errors.append("--out '' names no directory")
+    elif head and not os.path.isdir(head):
+        errors.append(f"cannot make the output directory {root!r}: "
+                      + ("File exists" if head == root else "Not a directory"))
+
+
+def _clear_previous_run(root: str):
+    """Delete the files that root's manifest lists in its outputs, then the
+    manifest, so that root holds one run's files. Only plain file names are
+    deleted: a name with a path separator, . and .., and every file that no
+    manifest lists, are left as they are; the manifest goes last."""
+    manifest = os.path.join(root, "manifest.json")
+    try:
+        with open(manifest) as fh:
+            outputs = json.load(fh).get("outputs")
+    except FileNotFoundError:
+        return
+    except (ValueError, AttributeError):    # not a manifest: it lists nothing
+        outputs = None
+    for name in outputs if isinstance(outputs, list) else []:
+        if name in (".", "..", "manifest.json") or os.path.basename(str(name)) != name:
+            continue
+        path = os.path.join(root, name)
+        if os.path.isfile(path):
+            os.remove(path)
+    os.remove(manifest)
+
+
 def _print_stdout(text: str) -> int:
     """Print text to stdout: 0, or 1 if stdout is a closed pipe. Then fd 1
     points at os.devnull, so the flush at interpreter exit cannot raise
@@ -510,15 +545,17 @@ def main(argv=None) -> int:
             # validation refuses before any artifact exists, so a defect there
             # is a config error too, never a traceback
             errors.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
+    root = args.out if args.out is not None else os.path.join(
+        os.environ.get("HASIMOTO_LAB_OUT", "runs"), args.experiment)
+    _check_out(root, errors)
     if errors:
         for e in dict.fromkeys(errors):         # each level may repeat one
             print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    root = args.out or os.path.join(os.environ.get("HASIMOTO_LAB_OUT", "runs"),
-                                    args.experiment)
     try:
         os.makedirs(root, exist_ok=True)
+        _clear_previous_run(root)
     except OSError as exc:
         print(f"config error: cannot make the output directory {root!r}: "
               f"{exc.strerror}", file=sys.stderr)

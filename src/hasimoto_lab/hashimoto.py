@@ -24,7 +24,7 @@ class CurvatureTorsion:
     theta: np.ndarray        # curvature, >= 0
     eta: np.ndarray          # torsion, meaningful only on valid_mask
     valid_mask: np.ndarray   # theta > eps
-    eps: float               # the regularization, 1e-8 max theta
+    eps: np.ndarray          # (..., 1): each field's regularization, 1e-8 max theta
 
     @property
     def all_invalid(self) -> bool:
@@ -47,12 +47,13 @@ class FrameField:
 
 
 def _with_torsion(theta: np.ndarray, num: np.ndarray) -> CurvatureTorsion:
-    """Curvature theta with torsion num / theta^2, regularized by
-    eps = 1e-8 max theta: the mask marks theta > eps and the division floors
-    theta^2 at eps^2. Both floors are at least 1e-300, so theta == 0
-    (u == const) and an eps^2 that underflows divide by a positive number."""
-    eps = max(1e-8 * float(np.max(theta)), 1e-300)
-    eta = num / np.maximum(theta * theta, max(eps * eps, 1e-300))
+    """Curvature theta with torsion num / theta^2, regularized by each
+    field's eps = 1e-8 max theta over its nodes, so a field of a batch comes
+    out as alone: the mask marks theta > eps and the division floors theta^2
+    at eps^2. Both floors are at least 1e-300, so theta == 0 (u == const) and
+    an eps^2 that underflows divide by a positive number."""
+    eps = np.maximum(1e-8 * np.max(theta, axis=-1, keepdims=True), 1e-300)
+    eta = num / np.maximum(theta * theta, np.maximum(eps * eps, 1e-300))
     return CurvatureTorsion(theta=theta, eta=eta, valid_mask=theta > eps, eps=eps)
 
 

@@ -125,11 +125,6 @@ class SllgEnsemble:
     def n_steps(self) -> int:
         return self.dW_tilde.shape[0]
 
-    def path(self, i: int) -> "SllgEnsemble":
-        """Path i as the one-path ensemble viewing the stacked histories."""
-        i = range(self.n_paths)[i]      # IndexError out of range, as for a list
-        return self.view(slice(i, i + 1))
-
     def view(self, p: slice) -> "SllgEnsemble":
         """The paths p as the ensemble viewing the stacked histories."""
         return SllgEnsemble(cfg=self.cfg, noise=self.noise, q=self.q[:, p],
@@ -150,39 +145,22 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
     which enforces the curvature/torsion relation between u and q by
     construction; (4) assemble the increments of
     W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
-    _run_paths shards the paths over the usable CPUs and _march orders the
-    steps. Every path is bit for bit the same for any number of workers or
-    hashimoto.CHUNK_ROTATIONS.
+    The q/u/e/W-tilde histories live in one anonymous shared mapping, so the
+    workers of forks.fork_map, one per range of forks.contiguous_ranges (the
+    parent marches the lowest paths), march their ranges in place, and
+    _march orders the steps. Every path is bit for bit the same for any
+    number of workers or hashimoto.CHUNK_ROTATIONS. A blow-up raises the
+    serial march's BlowUpError.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
-    _check_seed(master_seed)
-    return _run_paths(q0, frame, nm, cfg,
-                      [derive_seed(master_seed, i) for i in range(n_paths)])
-
-
-def run_sllg(q0: np.ndarray, frame: FrameField, nm: NoiseModel, cfg: StepConfig,
-             master_seed: int) -> SllgEnsemble:
-    """One weak SLLG path on master_seed's noise: the one-path ensemble."""
-    _check_seed(master_seed)
-    return _run_paths(q0, frame, nm, cfg, [master_seed])
-
-
-def _check_seed(master_seed):
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ConfigurationError(
             f"master_seed must be an integer >= 0, got {master_seed!r}")
-
-
-def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
-    """The ensemble of the paths on seeds. The q/u/e/W-tilde histories live
-    in one anonymous shared mapping, so the workers of forks.fork_map, one
-    per range of forks.contiguous_ranges (the parent marches the lowest
-    paths), march their ranges in place and return None. A blow-up raises
-    the serial march's BlowUpError."""
+    seeds = [derive_seed(master_seed, i) for i in range(n_paths)]
     g = nm.grid
     cfg.check_stability(g)
-    K, n, P = cfg.n_steps, g.n, len(seeds)
+    K, n, P = cfg.n_steps, g.n, n_paths
     qs, us, es, dW_tilde = _shared_arrays([((K + 1, P, n), complex)]
                                           + [((K + 1, P, n, 3), float)] * 2
                                           + [((K, P, n, 3), float)])
@@ -201,7 +179,7 @@ def _run_paths(q0, frame, nm, cfg, seeds) -> SllgEnsemble:
             march(slice(0, P))
         raise
     return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
-                        seeds=list(seeds))
+                        seeds=seeds)
 
 
 def _shared_arrays(specs):

@@ -169,10 +169,10 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
     worst = 0.0
     total = 0.0
     count = 0
+    Xt = node_rotations(q_path[0, :-1], q_path[0, 1:], g)
     for qb, qt in zip(q_path[:-1], q_path[1:]):
-        # x-transport at the bottom / top time levels
-        Xb = node_rotations(qb[:-1], qb[1:], g)
-        Xt = node_rotations(qt[:-1], qt[1:], g)
+        # x-transport at the bottom / top time levels: the top's is the next bottom's
+        Xb, Xt = Xt, node_rotations(qt[:-1], qt[1:], g)
         p, C = frame_generator(0.5 * (qb + qt), g, alpha, beta)
         T = rotation_exp(dt * p.real, dt * p.imag, dt * C)
         P1 = T[1:] @ Xb                       # x-step then t-step
@@ -304,12 +304,6 @@ def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndar
     the noise modes, shape (P, L): one matrix-vector product per path, as for
     the path alone."""
     return (nm.basis @ dot(phi, F)[:, :, None])[:, :, 0]
-
-
-def covariance_check(paths: SllgEnsemble, phi: np.ndarray,
-                     psi: np.ndarray) -> CovarianceReport:
-    """covariance_checks of the one pair (phi, psi)."""
-    return covariance_checks(paths, [(phi, psi)])[0]
 
 
 def covariance_checks(paths: SllgEnsemble, pairs) -> list:

@@ -17,8 +17,7 @@ from hasimoto_lab.llg import StepConfig, curvature_torsion_rhs, llg_integrate, s
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
-from hasimoto_lab.validation import (covariance_check, covariance_checks,
-                                     crosscheck_deterministic,
+from hasimoto_lab.validation import (covariance_checks, crosscheck_deterministic,
                                      holonomy_defect, identity_suite,
                                      localized_twist, sllg_weak_residual)
 from reference import crosscheck_levels, fit_loglog_slope
@@ -205,7 +204,7 @@ def test_criterion_09_covariance():
     for n_modes in (1, 4, 16):
         paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                                   make_noise_model(g, n_modes), cfg, 77, 500)
-        rep = covariance_check(paths, phi1, phi1)
+        rep, = covariance_checks(paths, [(phi1, phi1)])
         gaps.append(abs(rep.mc_estimate - target))
     assert gaps[0] > gaps[1] > gaps[2]
 

@@ -725,6 +725,50 @@ def test_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys, below):
     assert blocker.read_text() == "kept\n"
 
 
+def test_unusable_out_reported_with_the_config_errors(tmp_path, capsys):
+    # every violation at once: the config's and --out's, before anything is made
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    assert run_cli("llg", "--set", "bogus=1", "--out", str(blocker)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown config key 'bogus' for experiment llg",
+        f"config error: cannot make the output directory {str(blocker)!r}: File exists"]
+    assert sorted(os.listdir(tmp_path)) == ["blocker"]
+
+
+def test_empty_out_refused(tmp_path, capsys, monkeypatch):
+    # an empty --out is not the default directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HASIMOTO_LAB_OUT", str(tmp_path / "envruns"))
+    assert run_cli("identities", "--set", "n=64", "--out", "") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --out '' names no directory"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_reused_out_holds_only_the_new_run(tmp_path):
+    # the previous run's listed outputs and manifest go; an unlisted file stays
+    out = tmp_path / "d"
+    assert run_cli("sllg", "--set", "n_paths=2", "--out", str(out)) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert run_cli("covariance", "--set", "n_paths=20", "--out", str(out)) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "notes.txt", "report.json"]
+    assert read_json(out / "manifest.json")["experiment"] == "covariance"
+
+
+def test_previous_manifest_deletes_plain_file_names_only(tmp_path):
+    # a listed name with a path separator, .. or a directory is left alone
+    out = tmp_path / "d"
+    (out / "sub").mkdir(parents=True)
+    for path in (tmp_path / "x", out / "sub" / "y", out / "old.csv"):
+        path.write_text("data\n")
+    listed = ["../x", "sub/y", "sub", "..", ".", "manifest.json", "old.csv", "gone.csv"]
+    (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+    assert run_cli("identities", "--set", "n=64", "--out", str(out)) == 0
+    assert sorted(os.listdir(out)) == ["manifest.json", "report.json", "sub"]
+    assert os.listdir(out / "sub") == ["y"] and (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("sizes", ["256,128", "128,128", "64,128,128"])
 def test_crosscheck_grid_sizes_must_strictly_increase(tmp_path, capsys, sizes):
     # a non-increasing pair of levels gives no convergence order

@@ -8,6 +8,7 @@ from hasimoto_lab.hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                                     curvature_torsion, inverse_identities,
                                     reconstruct_frame, transform)
 from hasimoto_lab.rotations import rotation_exp
+from hasimoto_lab.validation import localized_twist
 
 
 def great_circle(g, k=1.0):
@@ -243,6 +244,24 @@ def test_closure_defect_batched_matches_per_path():
     ql = np.zeros((P, gl.n), complex)
     fl = FrameField(*(np.broadcast_to(v, (P, gl.n, 3)) for v in (m, e0)))
     assert np.array_equal(closure_defect(ql, gl, fl), np.zeros(P))
+
+
+def test_batch_of_fields_equals_each_field_alone():
+    # a strong and a weak twist stacked: each field's eps, mask and torsion,
+    # and so its transform, are its own, not regularized by the batch's max
+    g = line_grid(-250.0, 20.0, 512)
+    q = np.array([a * localized_twist(g.x) * np.exp(0.5j * g.x) for a in (0.25, 1e-5)])
+    u = np.stack([reconstruct_frame(qi, g, *BASEPOINT_FRAME).u for qi in q])
+    for op, fields in ((curvature_torsion, u), (inverse_identities, q)):
+        batch = op(fields, g)
+        assert batch.eps.shape == (2, 1)
+        for i, field in enumerate(fields):
+            alone = op(field, g)
+            for name in ("theta", "eta", "valid_mask", "eps"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)), name
+    qs = transform(u, g)
+    for i, field in enumerate(u):
+        assert qs[i].tobytes() == transform(field, g).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

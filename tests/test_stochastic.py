@@ -10,7 +10,7 @@ from hasimoto_lab.noise import (NoiseIncrement, NoiseModel, derive_seed,
 import hasimoto_lab.hashimoto as hashimoto
 import hasimoto_lab.stochastic as stochastic
 from hasimoto_lab.rotations import rotation_exp
-from hasimoto_lab.stochastic import (frame_generator, frame_time_step, run_sllg,
+from hasimoto_lab.stochastic import (frame_generator, frame_time_step,
                                      run_sllg_ensemble, stochastic_heat_step)
 import reference
 
@@ -172,7 +172,7 @@ def test_run_sllg_unit_norm_pathwise():
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=5e-3)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
     frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    path = run_sllg(q0, frame, make_noise_model(g, 4), cfg, master_seed=3)
+    path = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 3, 1)
     for u, e in zip(path.u[:, 0], path.e[:, 0]):
         assert np.max(np.abs(norm(u) - 1.0)) <= 1e-12
         assert FrameField(u=u, e=e).orthonormality_defect() <= 1e-11
@@ -190,7 +190,7 @@ def test_run_sllg_zero_noise_matches_llg():
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     t_end = 20.0 * dt
     cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end)
-    path = run_sllg(q0, frame, make_noise_model(g, 0), cfg, master_seed=0)
+    path = run_sllg_ensemble(q0, frame, make_noise_model(g, 0), cfg, 0, 1)
     tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                          t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
@@ -204,10 +204,10 @@ def test_run_sllg_seed_determinism():
     m = np.array([1.0, 0.0, 0.0])
     e0 = np.array([0.0, 1.0, 0.0])
     frame, nm = reconstruct_frame(q0, g, m, e0), make_noise_model(g, 3)
-    p1 = run_sllg(q0, frame, nm, cfg, master_seed=8)
-    p2 = run_sllg(q0, frame, nm, cfg, master_seed=8)
+    p1 = run_sllg_ensemble(q0, frame, nm, cfg, 8, 1)
+    p2 = run_sllg_ensemble(q0, frame, nm, cfg, 8, 1)
     assert np.array_equal(p1.u, p2.u) and np.array_equal(p1.q, p2.q)
-    p3 = run_sllg(q0, frame, nm, cfg, master_seed=9)
+    p3 = run_sllg_ensemble(q0, frame, nm, cfg, 9, 1)
     assert not np.array_equal(p1.u, p3.u)
 
 
@@ -220,9 +220,7 @@ def test_ensemble_paths_distinct():
                             master_seed=4, n_paths=3)
     assert len(set(ens.seeds)) == 3
     assert not np.array_equal(ens.u[:, 0], ens.u[:, 1])
-    assert ens.path(-1).seeds == ens.seeds[2:]
-    with pytest.raises(IndexError):
-        ens.path(3)
+    assert ens.view(slice(2, 3)).seeds == ens.seeds[2:]
 
 
 def test_path_shares_grid_config_and_noise_model():
@@ -238,7 +236,7 @@ def test_path_shares_grid_config_and_noise_model():
     for name in ("q", "u", "e", "dW_tilde"):    # path-major: one block per path
         assert getattr(ens, name)[1, 2].flags.c_contiguous, name
     for i in range(3):
-        one = ens.path(i)
+        one = ens.view(slice(i, i + 1))
         assert one.grid is ens.grid and one.cfg is ens.cfg and one.noise is ens.noise
         assert np.array_equal(one.times, ens.times)
 
@@ -283,17 +281,14 @@ def assert_same_path(a, b):
 
 
 def test_ensemble_paths_independent_of_batch_size():
-    # path i is bit-identical in ensembles of 1, 7 and 12 paths and equals a
-    # lone run_sllg on its derived seed
+    # path i is bit-identical in ensembles of 1, 7 and 12 paths
     g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 3)
-    master = 31
-    ensembles = {p: run_sllg_ensemble(q0, frame, nm, cfg, master, p)
-                 for p in (1, 7, 12)}
+    ensembles = [run_sllg_ensemble(q0, frame, nm, cfg, 31, p) for p in (1, 7, 12)]
     for i in range(7):
-        alone = run_sllg(q0, frame, nm, cfg, derive_seed(master, i))
-        for p, ens in ensembles.items():
-            if i < p:
-                assert_same_path(ens.path(i), alone)
+        paths = [ens.view(slice(i, i + 1)) for ens in ensembles if i < ens.n_paths]
+        assert paths[0].seeds == [derive_seed(31, i)]
+        for path in paths[1:]:
+            assert_same_path(path, paths[0])
 
 
 def test_ensemble_needs_a_path():
@@ -308,8 +303,6 @@ def test_master_seed_must_be_a_nonnegative_integer(seed):
     match = "master_seed must be an integer >= 0"
     with pytest.raises(ConfigurationError, match=match):
         run_sllg_ensemble(q0, frame, nm, cfg, seed, 2)
-    with pytest.raises(ConfigurationError, match=match):
-        run_sllg(q0, frame, nm, cfg, seed)
 
 
 def test_blow_up_names_step_time_and_last_finite_max():
@@ -332,7 +325,7 @@ def test_single_march_matches_per_step_marches_at_large_n():
     # in chunks of 682 nodes; each field equals the lone march of its q
     # from its basepoint frame, which takes one chunk
     g, cfg, q0, frame, nm = _ensemble_inputs(16384, 1e-8, 6)
-    path = run_sllg(q0, frame, nm, cfg, 21)
+    path = run_sllg_ensemble(q0, frame, nm, cfg, 21, 1)
     for k in range(path.n_steps + 1):
         f = reconstruct_frame(path.q[k, 0], g, path.u[k, 0, 0], path.e[k, 0, 0])
         assert np.array_equal(f.u, path.u[k, 0]), k
