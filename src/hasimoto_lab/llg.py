@@ -81,7 +81,7 @@ class Trajectory:
     """Sampled states of a time integration; states[k] is at times[k]."""
     times: np.ndarray
     states: list = field(default_factory=list)
-    decay_ok: bool = True   # left-boundary decay monitor (line-grid heat flow)
+    decay_ok: bool = True   # left-boundary decay at every state (line-grid heat flow)
 
 
 def check_finite(y, prev, k, dt, what):
@@ -191,8 +191,7 @@ class LLGStepper(RK4):
         return u.T.copy()
 
 
-def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str,
-              monitor=None) -> Trajectory:
+def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str) -> Trajectory:
     """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled at the steps
     that cfg.sampled picks.
 
@@ -200,15 +199,13 @@ def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str,
     side into its own buffers and projects each new state. The state
     alternates between two buffers, so the previous one survives the
     finiteness check, and each sample is a fresh array in y0's layout.
-    The trajectory's decay_ok is whether monitor held at y0 and at every
-    sample. A non-finite state raises BlowUpError naming what blew up, the
-    step, its time and the last finite max |y|.
+    A non-finite state raises BlowUpError naming what blew up, the step,
+    its time and the last finite max |y|.
     """
     y = stepper.load(y0)
     nxt = np.empty_like(y)
     times = [0.0]
     states = [stepper.sample(y)]
-    ok = monitor is None or monitor(states[0])
     for k in range(cfg.n_steps):
         stepper.step(y, cfg.dt, nxt)
         check_finite(nxt, y, k, cfg.dt, what)
@@ -217,8 +214,7 @@ def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str,
         if cfg.sampled(k + 1):
             times.append((k + 1) * cfg.dt)
             states.append(stepper.sample(y))
-            ok = ok and (monitor is None or monitor(states[-1]))
-    return Trajectory(times=np.array(times), states=states, decay_ok=ok)
+    return Trajectory(times=np.array(times), states=states)
 
 
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:

@@ -49,7 +49,7 @@ class CrossCheckReport(_Report):
     t_end: float
     levels: list                 # per level: dict with n, h, dt, times, disc, ...
     orders: list                 # observed orders between consecutive levels
-    flagged: bool                # decay monitor failed somewhere
+    flagged: bool                # a heat flow's boundary decay failed somewhere
 
 
 def crosscheck_deterministic(levels) -> CrossCheckReport:
@@ -64,8 +64,9 @@ def crosscheck_deterministic(levels) -> CrossCheckReport:
     carry consistent discrete data (discrepancy is exactly 0 at t = 0).
     The discrepancy max_x |H(u(t)) - q(t)| is sampled along the flow. The
     2 L integrations of the L levels are independent and run in forked
-    workers (forks.fork_map); the results do not depend on the number of
-    workers.
+    workers (forks.fork_map), the L LLG flows listed before the L heat
+    flows, so that on 2 CPUs the parent runs every LLG flow and one child
+    every heat flow; the results do not depend on the number of workers.
     """
     flows = {(cfg.alpha, cfg.beta, cfg.t_end) for _, _, cfg in levels}
     ns = [g.n for g, _, _ in levels]
@@ -74,12 +75,11 @@ def crosscheck_deterministic(levels) -> CrossCheckReport:
             "a crosscheck needs levels of strictly increasing n with one common "
             f"alpha, beta and t_end, got n {ns} and {sorted(flows)}")
     (alpha, beta, t_end), = flows
-    jobs = []
-    for g, u0, cfg in levels:
-        jobs += [(llg_integrate, u0, g, cfg), (heat_integrate, transform(u0, g), g, cfg)]
+    jobs = ([(llg_integrate, u0, g, cfg) for g, u0, cfg in levels]
+            + [(heat_integrate, transform(u0, g), g, cfg) for g, u0, cfg in levels])
     trajs = fork_map(lambda job: job[0](*job[1:]), jobs)
     rows = []
-    for (g, _, cfg), trl, trh in zip(levels, trajs[::2], trajs[1::2]):
+    for (g, _, cfg), trl, trh in zip(levels, trajs[:len(levels)], trajs[len(levels):]):
         absd = (np.abs(transform(u, g) - q) for u, q in zip(trl.states, trh.states))
         disc = np.array([(np.max(a), np.sqrt(g.h * np.sum(a ** 2))) for a in absd])
         disc_max, disc_l2 = disc.T
@@ -195,7 +195,7 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum phi.f of an (n, 3) test function with each path of a (P, n, 3)
     field, shape (P,). Each path's products are contiguous, so its sum is
     added in the same order as for the path alone."""
-    return np.sum((phi * f).reshape(len(f), -1), axis=1)
+    return np.sum((phi * f).reshape(len(f), phi.size), axis=1)
 
 
 def _with_spread(values: np.ndarray, what: str) -> np.ndarray:

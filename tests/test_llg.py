@@ -81,7 +81,7 @@ def test_llg_stepper_bit_identical_to_reference(g):
         stepper.project(nxt)
         u, nxt = nxt, u
         ref = normalize(rk4_step(ref, dt, lambda v: llg_rhs(v, g, 1.0, 0.7)))
-        assert np.array_equal(stepper.sample(u), ref)
+        assert np.array_equal(stepper.sample(u).view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("P", [1, 2, 7])
@@ -172,19 +172,16 @@ class Decay(RK4):
         self.projected.append(y.copy())
 
 
-def test_integrate_samples_projects_and_monitors():
+def test_integrate_samples_and_projects():
     cfg = StepConfig(alpha=0.0, beta=0.0, dt=0.1, t_end=1.0, output_stride=3)
     y0 = np.array([1.0, 2.0])
-    stepper, monitored = Decay(), []
-    tr = integrate(y0, stepper, cfg, "decay",
-                   monitor=lambda y: monitored.append(y) or y[0] > 0.39)
+    stepper = Decay()
+    tr = integrate(y0, stepper, cfg, "decay")
     assert np.allclose(tr.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     assert np.allclose(tr.states, np.exp(-tr.times)[:, None] * y0, rtol=1e-6)
     assert tr.states[0] is not y0
     assert len(stepper.projected) == 10     # after every step
     assert np.array_equal(stepper.projected[2], tr.states[1])
-    assert len(monitored) == 5              # at y0 and at every sample
-    assert not tr.decay_ok                  # y(1) = exp(-1) < 0.39
     # the one sampling rule, which the sllg runner's CSV uses too
     assert [k for k in range(12) if cfg.sampled(k)] == [0, 3, 6, 9, 10]
 

@@ -1,5 +1,6 @@
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,28 @@ def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
     assert len(reps[1].orders) == 1
 
 
+def test_crosscheck_runs_the_llg_flows_in_one_process_and_the_heat_flows_in_another(
+        use_cpus, no_child_left, monkeypatch, tmp_path):
+    # on 2 CPUs the parent runs every LLG flow and one child every heat flow,
+    # so the two finest flows, the costliest, run on different CPUs
+    def logged(integrate, kind):
+        def run(y0, g, cfg):
+            (tmp_path / f"{kind}-{g.n}").write_text(str(os.getpid()))
+            return integrate(y0, g, cfg)
+        return run
+
+    monkeypatch.setattr(validation, "llg_integrate", logged(llg_integrate, "llg"))
+    monkeypatch.setattr(validation, "heat_integrate", logged(heat_integrate, "heat"))
+    use_cpus(2)
+    crosscheck_deterministic(crosscheck_levels(
+        localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.01, grid_sizes=(32, 48, 64)))
+    no_child_left()
+    pids = {kind: {(tmp_path / f"{kind}-{n}").read_text() for n in (32, 48, 64)}
+            for kind in ("llg", "heat")}
+    assert pids["llg"] == {str(os.getpid())}
+    assert len(pids["heat"]) == 1 and pids["heat"] != pids["llg"]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_fork_map_keeps_item_order(use_cpus, no_child_left, cpus):
     use_cpus(cpus)
@@ -123,11 +146,13 @@ def test_fork_map_keeps_item_order(use_cpus, no_child_left, cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("bad,first", [((3, 5), 3), ((2, 5), 2), ((4, 5), 4)])
+@pytest.mark.parametrize("bad,first", [((3, 5), 3), ((2, 5), 2), ((4, 5), 4),
+                                       ((1, 2), 1)])
 def test_fork_map_raises_first_exception(use_cpus, no_child_left, cpus, bad,
                                         first):
-    # on 2 CPUs the parent runs items 0, 2, 4, 6 and a child runs 1, 3, 5;
-    # the parent's own failure comes first
+    # each worker runs one contiguous share: on 2 CPUs the parent runs items
+    # 0-3 and a child 4-6, on 3 CPUs the parent 0-2 and two children 3-4 and
+    # 5-6; the raised exception is the serial run's, the first failing item's
     def fn(x):
         if x in bad:
             raise KeyError(f"item {x}")
@@ -179,15 +204,35 @@ def test_fork_map_caller_finally_runs_once(use_cpus, no_child_left, tmp_path,
 
 
 def test_contiguous_ranges_cover_the_count_in_order(use_cpus, no_child_left):
-    for cpus, sizes in ((1, [7]), (2, [4, 3]), (3, [3, 2, 2]), (9, [1] * 7)):
+    for cpus, count, sizes in ((1, 7, [7]), (2, 7, [4, 3]), (3, 7, [3, 2, 2]),
+                               (9, 7, [1] * 7), (2, 0, [0])):
         use_cpus(cpus)
-        ranges = contiguous_ranges(7)
+        ranges = contiguous_ranges(count)
         assert [r.stop - r.start for r in ranges] == sizes
         assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
     # a forked worker has its CPU: a fork_map inside it runs serially
     use_cpus(2)
     assert fork_map(lambda x: usable_cpus(), range(2)) == [2, 1]
     no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's threads through Linux's /proc")
+def test_fork_map_forks_a_single_threaded_process(use_cpus, no_child_left):
+    # numpy's OpenBLAS runs a helper thread from import on; its fork handler
+    # stops that thread before each fork, so both shares run with one thread
+    # and CPython (3.12+) has no multi-threaded fork to warn about
+    a = np.ones((300, 300))
+    a @ a                                       # start the BLAS thread pool
+    use_cpus(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shares = fork_map(lambda _: (os.getpid(), len(os.listdir("/proc/self/task"))),
+                          range(2))
+    no_child_left()
+    assert len({pid for pid, _ in shares}) == 2
+    assert [threads for _, threads in shares] == [1, 1]
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 def test_fork_map_blow_up_in_worker_matches_serial(use_cpus, no_child_left):
@@ -406,6 +451,25 @@ def small_ensemble():
     frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
     ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 17, 9)
     return g, ens
+
+
+def test_weak_residual_of_an_empty_view_is_empty():
+    g, ens = small_ensemble()
+    phi = standard_pairs(g)[0][0]
+    assert weak_residual(ens.view(slice(2, 2)), phi).shape == (0,)
+
+
+def test_sllg_weak_residual_refuses_an_empty_view():
+    g, ens = small_ensemble()
+    phi = standard_pairs(g)[0][0]
+    with pytest.raises(ConfigurationError, match="at least 2 paths, got 0"):
+        sllg_weak_residual(ens.view(slice(2, 2)), phi)
+
+
+def test_covariance_checks_refuse_an_empty_view():
+    g, ens = small_ensemble()
+    with pytest.raises(ConfigurationError, match="at least 2 paths, got 0"):
+        covariance_checks(ens.view(slice(2, 2)), standard_pairs(g))
 
 
 def test_batched_weak_residual_matches_per_path_sum():
