@@ -92,6 +92,20 @@ def _node_last(f: np.ndarray, g: Grid1D) -> np.ndarray:
     return f
 
 
+def check_field(shape: tuple, what: str, *fields):
+    """Refuse fields unless each is one field of shape, (n,) or (n, 3) on n nodes."""
+    for f in fields:
+        if np.shape(f) != shape:
+            raise ConfigurationError(f"{what} of shape {np.shape(f)} is not one field "
+                                     f"of shape {shape}")
+
+
+def require_finite(what: str, *fields):
+    """Refuse non-finite input, which would spread through stencils and marches."""
+    if not all(np.all(np.isfinite(f)) for f in fields):
+        raise ConfigurationError(f"{what} must be finite")
+
+
 def _empty_like(f: np.ndarray) -> np.ndarray:
     # an integer field differentiates and integrates as floats
     return np.empty(f.shape, np.result_type(f, 1.0))

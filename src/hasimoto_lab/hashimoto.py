@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Grid1D, ConfigurationError, cross, cumint, diff1, diff2,
-                     dot, norm)
+                     dot, norm, require_finite)
 from .rotations import rotation_angle, rotation_exp
 
 
@@ -41,9 +41,10 @@ class FrameField:
         return np.stack([self.u, self.e, cross(self.u, self.e)], axis=-2)
 
     def orthonormality_defect(self) -> float:
-        return float(max(np.max(np.abs(norm(self.u) - 1.0)),
-                         np.max(np.abs(norm(self.e) - 1.0)),
-                         np.max(np.abs(dot(self.u, self.e)))))
+        """max | |u| - 1 |, | |e| - 1 | and |<u, e>| over the nodes, NaN if any is."""
+        return float(np.max([np.max(np.abs(norm(self.u) - 1.0)),
+                             np.max(np.abs(norm(self.e) - 1.0)),
+                             np.max(np.abs(dot(self.u, self.e)))]))
 
 
 def _with_torsion(theta: np.ndarray, num: np.ndarray) -> CurvatureTorsion:
@@ -62,18 +63,11 @@ def curvature_torsion(u: np.ndarray, g: Grid1D) -> CurvatureTorsion:
     return _with_torsion(norm(ux), dot(cross(u, ux), diff2(u, g)))
 
 
-def _require_finite(what: str, *fields):
-    """Non-finite input would spread through the stencils and the march
-    without an error, so it is rejected up front."""
-    if not all(np.all(np.isfinite(f)) for f in fields):
-        raise ConfigurationError(f"{what} must be finite")
-
-
 def transform(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """q = Theta * exp(i omega) with omega(x) = int_a^x eta dy, eta taken as
     0 where the mask is invalid, so the phase is anchored to omega(a) = 0;
     u must be finite."""
-    _require_finite("u", u)
+    require_finite("u", u)
     ct = curvature_torsion(u, g)
     omega = cumint(np.where(ct.valid_mask, ct.eta, 0.0), g)
     return ct.theta * np.exp(1j * omega)
@@ -86,6 +80,7 @@ def inverse_identities(q: np.ndarray, g: Grid1D) -> CurvatureTorsion:
 
 # The basepoint frame (u(a), e(a)) every run starts its frame march from.
 BASEPOINT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+FRAME_TOL = 1e-10   # the largest orthonormality defect of a basepoint frame
 # reconstruct_frame marches max(4, CHUNK_ROTATIONS // columns) nodes per chunk; the
 # floor writes each column's frames in runs of nodes, not in single 24-byte rows.
 CHUNK_ROTATIONS = 4096
@@ -112,7 +107,7 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     out bit for bit as if marched alone. The march holds the rotations and
     frames of one chunk of nodes at a time, and writes u and e into out (a
     FrameField of float64 (*cols, n, 3) arrays or views) or new arrays. q, m,
-    e0 must be finite, and every basepoint frame orthonormal to 1e-10.
+    e0 must be finite, and every basepoint frame orthonormal to FRAME_TOL.
     """
     if q.shape[-1:] != (g.n,) or not np.shape(m) == np.shape(e0) == q.shape[:-1] + (3,):
         raise ConfigurationError(f"q of shape {q.shape} and m, e0 of shapes "
@@ -121,11 +116,10 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
                                 and out.u.dtype == out.e.dtype == np.float64):
         raise ConfigurationError(f"out of {out.u.dtype} {out.u.shape}, {out.e.dtype} "
                                  f"{out.e.shape} is not float64 {q.shape + (3,)}")
-    _require_finite("q, m and e0", q, m, e0)
+    require_finite("q, m and e0", q, m, e0)
     m, e0 = np.asarray(m, float), np.asarray(e0, float)
-    if FrameField(m, e0).orthonormality_defect() > 1e-10:
-        raise ConfigurationError(
-            "initial frame must satisfy |m| = |e0| = 1 and <m, e0> = 0")
+    if not (defect := FrameField(m, e0).orthonormality_defect()) <= FRAME_TOL:
+        raise ConfigurationError(f"m, e0 orthonormality defect {defect:.3e} > {FRAME_TOL}")
     out = out or FrameField(u=np.empty(q.shape + (3,)), e=np.empty(q.shape + (3,)))
     # the march runs over views with the node axis first: node j is q[j], u[j]
     q = np.moveaxis(q, -1, 0)

@@ -15,7 +15,8 @@ oracle (tests/reference.py), which checks that the two agree.
 
 import numpy as np
 
-from .fields import Grid1D, boundary_decay_ok, cumint_into, diff1_into, diff2_into
+from .fields import (Grid1D, boundary_decay_ok, check_field, cumint_into, diff1_into,
+                     diff2_into)
 from .llg import RK4, StepConfig, Trajectory, integrate
 
 
@@ -26,9 +27,6 @@ class HeatStepper(RK4):
     rhs is the package's one heat right-hand side: the stochastic Heun step
     calls it too, on its (P, n) paths as they are.
     """
-
-    def __init__(self, g: Grid1D, alpha: float, beta: float):
-        self.g, self.alpha, self.beta = g, alpha, beta
 
     def size(self, q: np.ndarray):
         self.qx, self.qxx, self.nl, self.t1, self.t2 = (
@@ -65,11 +63,12 @@ def mass(q: np.ndarray, g: Grid1D) -> float:
 
 
 def heat_integrate(q0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
-    """Time integration of the generalized heat equation.
+    """Time integration of the generalized heat equation from one (n,) field q0.
 
     Returns a Trajectory; traj.decay_ok records whether boundary_decay_ok
     held at every sampled state (line grids only).
     """
+    check_field((g.n,), "q0", q0)
     cfg.check_stability(g)
     traj = integrate(np.asarray(q0, complex), HeatStepper(g, cfg.alpha, cfg.beta),
                      cfg, "heat flow")

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid1D, BlowUpError, ConfigurationError, cross_into, diff1,
-                     diff2, diff2_into, time_steps)
+from .fields import (Grid1D, BlowUpError, ConfigurationError, check_field,
+                     cross_into, diff1, diff2, diff2_into, time_steps)
 from .hashimoto import CurvatureTorsion
 
 # stable_dt's factor in dt <= STABILITY_SAFETY h^2 / max(alpha, |beta|)
@@ -105,8 +105,11 @@ class RK4:
     buffer. load() gives the working copy of the initial state (a subclass
     may store it in another layout) and sizes the buffers on it; project()
     maps each new state in place; sample() gives a fresh array of a state in
-    the caller's layout.
+    the caller's layout. A flow's stepper holds its grid and coefficients.
     """
+
+    def __init__(self, g: Grid1D, alpha: float, beta: float):
+        self.g, self.alpha, self.beta = g, alpha, beta
 
     def rhs(self, y: np.ndarray, out: np.ndarray):
         raise NotImplementedError
@@ -157,9 +160,6 @@ class LLGStepper(RK4):
     one LLG right-hand side: the weak residual calls it too, on (3, P, n)
     views of its (P, n, 3) paths.
     """
-
-    def __init__(self, g: Grid1D, alpha: float, beta: float):
-        self.g, self.alpha, self.beta = g, alpha, beta
 
     def load(self, u0: np.ndarray) -> np.ndarray:
         return super().load(u0.T)
@@ -218,7 +218,8 @@ def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str) -> Traje
 
 
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
-    """RK4 in time with per-step projection back to the sphere."""
+    """RK4 in time from one (n, 3) field u0, projected back to the sphere each step."""
+    check_field((g.n, 3), "u0", u0)
     cfg.check_stability(g)
     return integrate(u0, LLGStepper(g, cfg.alpha, cfg.beta), cfg, "LLG flow")
 

@@ -60,6 +60,8 @@ class NoiseModel:
         self.coeffs = np.asarray(self.coeffs, float)
         if self.coeffs.ndim != 1:
             raise ConfigurationError(f"coeffs must be 1-D, got shape {self.coeffs.shape}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ConfigurationError(f"non-finite noise coefficients: {self.coeffs}")
         self.basis, self.basis_x = fourier_basis(self.grid, self.n_modes)
 
     @property
@@ -69,8 +71,8 @@ class NoiseModel:
 
 def make_noise_model(g: Grid1D, n_modes: int, amplitude: float = 1.0) -> NoiseModel:
     """The NoiseModel on g of n_modes modes with the flat spectrum
-    c_l = amplitude, which must be finite; NoiseModel(g, coeffs) takes any
-    other spectrum."""
+    c_l = amplitude, which must be finite even for no mode; NoiseModel(g,
+    coeffs) takes any other finite spectrum."""
     if n_modes < 0:
         raise ConfigurationError(f"n_modes must be >= 0, got {n_modes}")
     if not np.isfinite(amplitude):

@@ -19,32 +19,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (BlowUpError, Grid1D, ConfigurationError, cross, cumint, diff1,
-                     diff1_at_0)
+from .fields import (BlowUpError, Grid1D, ConfigurationError, check_field, cross,
+                     cumint, diff1, diff1_at_0)
 from .forks import contiguous_ranges, fork_map
-from .hashimoto import FrameField, reconstruct_frame
+from .hashimoto import FRAME_TOL, FrameField, reconstruct_frame
 from .heat import HeatStepper
 from .llg import StepConfig, check_finite
 from .noise import (NoiseIncrement, NoiseModel, derive_seed, noise_fields,
                     sample_increments)
 from .rotations import rotation_exp
 
-# Largest orthonormality defect frame_time_step accepts in its input frame.
-ORTHO_TOL = 1e-8
+ORTHO_TOL = 1e-8    # the largest orthonormality defect frame_time_step accepts
 
 
 def frame_generator(q: np.ndarray, g: Grid1D, alpha: float, beta: float):
-    """Deterministic coefficients (p, C) of the frame time evolution.
-
-    p = (alpha + i beta) q_x and
-    C = -beta |q|^2 / 2 + (i alpha / 2) int (q_x conj(q) - conj(q_x) q) dy.
-    """
+    """Deterministic coefficients (p, C) of the frame time evolution on g."""
     qx = diff1(q, g)
-    p = (alpha + 1j * beta) * qx
-    c_complex = (-0.5 * beta * np.abs(q) ** 2
-                 + 0.5j * alpha * cumint(qx * np.conj(q) - np.conj(qx) * q, g))
-    # the integrand is purely imaginary, so C is real up to round-off
-    return p, c_complex.real
+    return _generator(q, qx, cumint(qx * np.conj(q) - np.conj(qx) * q, g), alpha, beta)
+
+
+def _generator(q, qx, nl, alpha: float, beta: float):
+    """(p, C) node-wise from q, q_x and nl = int_a^x (q_x conj(q) - conj(q_x) q) dy:
+    p = (alpha + i beta) q_x and C = -beta |q|^2 / 2 + (i alpha / 2) nl, which
+    is real up to round-off, since nl is purely imaginary."""
+    C = -0.5 * beta * np.abs(q) ** 2 + 0.5j * alpha * nl
+    return (alpha + 1j * beta) * qx, C.real
 
 
 def frame_time_step(f: FrameField, p: np.ndarray, C: np.ndarray, dW1: np.ndarray,
@@ -55,7 +54,7 @@ def frame_time_step(f: FrameField, p: np.ndarray, C: np.ndarray, dW1: np.ndarray
     of the step. Total generator entries (deterministic * dt + noise):
     a = p1 dt + dW1, b = p2 dt + dW2, c = C dt + dPsi.
     """
-    if f.orthonormality_defect() > ORTHO_TOL:
+    if not f.orthonormality_defect() <= ORTHO_TOL:
         raise ConfigurationError("frame_time_step requires an orthonormal frame")
     F = rotation_exp(p.real * dt + dW1, p.imag * dt + dW2,
                      C * dt + dPsi) @ f.as_matrix()
@@ -137,7 +136,8 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
                       n_paths: int) -> SllgEnsemble:
     """Independent weak SLLG paths from q0 and its frame field, driven by
     nm's noise on nm's grid; path i runs on the seed
-    derive_seed(master_seed, i).
+    derive_seed(master_seed, i). q0 is one (n,) field, the frame one finite
+    (n, 3) field orthonormal to hashimoto.FRAME_TOL at every node.
 
     For all paths at once: (1) advance q; (2) advance the basepoint frame
     in time with coefficients at node 0, x = a (where the nonlocal integrals
@@ -157,8 +157,12 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ConfigurationError(
             f"master_seed must be an integer >= 0, got {master_seed!r}")
-    seeds = [derive_seed(master_seed, i) for i in range(n_paths)]
     g = nm.grid
+    check_field((g.n,), "q0", q0)
+    check_field((g.n, 3), "the frame's u or e", frame.u, frame.e)
+    if not (defect := frame.orthonormality_defect()) <= FRAME_TOL:     # NaN too
+        raise ConfigurationError(f"frame orthonormality defect {defect:.3e} > {FRAME_TOL}")
+    seeds = [derive_seed(master_seed, i) for i in range(n_paths)]
     cfg.check_stability(g)
     K, n, P = cfg.n_steps, g.n, n_paths
     qs, us, es, dW_tilde = _shared_arrays([((K + 1, P, n), complex)]
@@ -230,13 +234,10 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
 
 def _basepoint_step(base, q_mid, inc, g, cfg):
     """The basepoint frames (u, e), each (P, 3), advanced in time by
-    frame_generator's coefficients at node 0, the basepoint, where the
-    nonlocal integrals and dPsi vanish. Only node 0's are evaluated, bit for
-    bit as on the whole grid: p from diff1's stencil there, and C from
-    -beta |q|^2 / 2 plus the integral's term, whose real part is +0.0 there
-    (it turns a -0.0 into +0.0)."""
-    p = (cfg.alpha + 1j * cfg.beta) * diff1_at_0(q_mid.T, g)
-    C = -0.5 * cfg.beta * np.abs(q_mid[..., 0]) ** 2 + 0.0
+    frame_generator's coefficients at node 0 alone, where the nonlocal
+    integrals and dPsi vanish: bit for bit the whole grid's, from diff1's
+    stencil there and the integral's exact 0.0, which turns a -0.0 C into +0.0."""
+    p, C = _generator(q_mid[..., 0], diff1_at_0(q_mid.T, g), 0.0, cfg.alpha, cfg.beta)
     f = frame_time_step(FrameField(*base), p, C, inc.dW1[..., 0], inc.dW2[..., 0],
                         0.0, cfg.dt)
     return f.u, f.e

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ConfigurationError, Grid1D, cross, diff1, diff2,
-                     dot, normalize, open_view)
+from .fields import (ConfigurationError, Grid1D, check_field, cross, diff1, diff2,
+                     dot, normalize, open_view, require_finite)
 from .forks import contiguous_ranges, fork_map
 from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
@@ -166,9 +166,7 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
     if len(q_path) < 2:
         raise ConfigurationError(
             f"a holonomy defect needs >= 2 time levels, got {len(q_path)}")
-    worst = 0.0
-    total = 0.0
-    count = 0
+    worst, total, count = 0.0, 0.0, 0
     Xt = node_rotations(q_path[0, :-1], q_path[0, 1:], g)
     for qb, qt in zip(q_path[:-1], q_path[1:]):
         # x-transport at the bottom / top time levels: the top's is the next bottom's
@@ -195,7 +193,7 @@ def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     """sum phi.f of an (n, 3) test function with each path of a (P, n, 3)
     field, shape (P,). Each path's products are contiguous, so its sum is
     added in the same order as for the path alone."""
-    return np.sum((phi * f).reshape(len(f), phi.size), axis=1)
+    return np.sum((phi * f).reshape(len(f), np.size(phi)), axis=1)
 
 
 def _with_spread(values: np.ndarray, what: str) -> np.ndarray:
@@ -220,10 +218,12 @@ def _per_path(fn, paths: SllgEnsemble) -> np.ndarray:
                                    contiguous_ranges(paths.n_paths)), axis=-1)
 
 
-def _check_steps(paths: SllgEnsemble):
-    """A check over the steps needs at least one."""
+def _check_inputs(paths: SllgEnsemble, tests: list):
+    """A check over the steps needs one, and finite (n, 3) test functions."""
     if paths.n_steps < 1:
         raise ConfigurationError("the ensemble has no time step (need >= 1)")
+    check_field((paths.grid.n, 3), "a test function", *tests)
+    require_finite("every test function", *tests)
 
 
 def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
@@ -253,7 +253,7 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
     """
     if noise_rule not in ("midpoint", "left"):
         raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
-    _check_steps(paths)
+    _check_inputs(paths, [phi])
     return _per_path(lambda part: _residuals(part, phi, noise_rule), paths)
 
 
@@ -321,8 +321,10 @@ def covariance_checks(paths: SllgEnsemble, pairs) -> list:
     path has no spread, so at least two are needed, with unequal Monte Carlo
     products.
     """
-    _check_steps(paths)
     pairs = list(pairs)
+    if not pairs:
+        raise ConfigurationError("no (phi, psi) pair to check")
+    _check_inputs(paths, [f for pair in pairs for f in pair])
     prods, directs = _per_path(lambda part: _covariance_samples(part, pairs), paths)
     n, t = paths.n_paths, float(paths.times[-1])
     reports = []

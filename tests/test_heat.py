@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,15 @@ def test_blow_up_message_names_step_time_and_last_finite_max():
     assert str(info.value) == (
         f"heat flow blew up at step 1, t = {dt:.6g}: non-finite values; "
         f"last finite max |y| = 1e+200 at t = 0")
+
+
+@pytest.mark.parametrize("shape", [(20,), (2, 16)])
+def test_heat_integrate_refuses_a_q0_that_is_not_one_field_on_its_grid(shape):
+    g = periodic_grid(2.0 * np.pi, 16)
+    match = re.escape(f"q0 of shape {shape} is not one field of shape (16,)")
+    with pytest.raises(ConfigurationError, match=match):
+        heat_integrate(np.ones(shape, complex), g,
+                       StepConfig(alpha=1.0, beta=0.0, dt=1e-3, t_end=2e-3))
 
 
 def test_mass():

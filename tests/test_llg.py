@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,18 @@ def test_blow_up_message_names_step_time_and_last_finite_max():
     u0[5] = np.nan
     with pytest.raises(BlowUpError, match="the state before it was not finite"):
         llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=dt, t_end=4 * dt))
+
+
+@pytest.mark.parametrize("shape", [(20, 3), (2, 16, 3)])
+def test_llg_integrate_refuses_a_u0_that_is_not_one_field_on_its_grid(shape):
+    # a field of 20 nodes would step at the 16-node spacing, and a batch's
+    # path axis would step as the node axis
+    g = periodic_grid(2.0 * np.pi, 16)
+    u0 = np.zeros(shape)
+    u0[..., 2] = 1.0
+    match = re.escape(f"u0 of shape {shape} is not one field of shape (16, 3)")
+    with pytest.raises(ConfigurationError, match=match):
+        llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=1e-3, t_end=2e-3))
 
 
 class Decay(RK4):

@@ -45,6 +45,12 @@ def test_coefficient_profiles():
                 make_noise_model(g, n_modes, amplitude)
 
 
+@pytest.mark.parametrize("coeffs", [[np.inf, 1.0], [np.nan]])
+def test_model_refuses_non_finite_coefficients(coeffs):
+    with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
+        NoiseModel(grid=periodic_grid(2.0 * np.pi, 16), coeffs=coeffs)
+
+
 def test_model_validation():
     g = periodic_grid(2.0 * np.pi, 32)
     nm = NoiseModel(grid=g, coeffs=[0.5, 0.25, 0.125])

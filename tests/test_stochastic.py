@@ -305,6 +305,38 @@ def test_master_seed_must_be_a_nonnegative_integer(seed):
         run_sllg_ensemble(q0, frame, nm, cfg, seed, 2)
 
 
+@pytest.mark.parametrize("case", ["frame of 3-vectors", "0-d q0", "q0 of 20 nodes"])
+def test_ensemble_refuses_a_start_that_is_not_one_field_on_its_grid(case):
+    # the first two would broadcast into every path's step 0, the third end
+    # in numpy's broadcast error
+    g, cfg, q0, frame, nm = _ensemble_inputs(16, 1e-3, 2)
+    if case == "frame of 3-vectors":
+        frame = FrameField(*np.array(BASEPOINT_FRAME))
+    elif case == "0-d q0":
+        q0 = q0[0]
+    else:
+        q0 = np.resize(q0, 20)
+    with pytest.raises(ConfigurationError, match=r"is not one field of shape \(16"):
+        run_sllg_ensemble(q0, frame, nm, cfg, 1, 2)
+
+
+@pytest.mark.parametrize("broken", ["5e-9 off", "NaN at node 5"])
+def test_ensemble_refuses_a_frame_off_orthonormal_before_the_march(monkeypatch, broken):
+    # a frame 5e-9 off passes frame_time_step's 1e-8 and was refused by the
+    # frame march's 1e-10 only after the q march; a NaN off the basepoint was
+    # never read. Both are refused before the first step.
+    g, cfg, q0, frame, nm = _ensemble_inputs(16, 1e-3, 2)
+    u, e = frame.u.copy(), frame.e.copy()
+    if broken == "5e-9 off":
+        u *= 1.0 + 5e-9
+    else:
+        e[5, 1] = np.nan
+    monkeypatch.setattr(stochastic, "_march", None)
+    match = "5.000e-09" if broken == "5e-9 off" else "nan"
+    with pytest.raises(ConfigurationError, match=f"orthonormality defect {match} > 1e-10"):
+        run_sllg_ensemble(q0, FrameField(u=u, e=e), nm, cfg, 1, 2)
+
+
 def test_blow_up_names_step_time_and_last_finite_max():
     # |q|^2 q grows q ~1e10 to ~1e76 in one step and overflows in the next
     g, cfg, _, _, nm = _ensemble_inputs(32, 1e-3, 4)

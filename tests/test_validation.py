@@ -1,4 +1,5 @@
 import os
+import re
 import time
 import warnings
 
@@ -470,6 +471,41 @@ def test_covariance_checks_refuse_an_empty_view():
     g, ens = small_ensemble()
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 0"):
         covariance_checks(ens.view(slice(2, 2)), standard_pairs(g))
+
+
+@pytest.mark.parametrize("shape", [(32,), (3,), (8, 3)])
+def test_checks_refuse_a_test_function_off_the_ensembles_grid(shape):
+    g, ens = small_ensemble()
+    phi, good = np.ones(shape), standard_pairs(g)[0][0]
+    match = re.escape(f"test function of shape {shape} is not one field of shape (32, 3)")
+    with pytest.raises(ConfigurationError, match=match):
+        weak_residual(ens, phi)
+    with pytest.raises(ConfigurationError, match=match):
+        covariance_checks(ens, [(good, good), (good, phi)])
+
+
+def test_checks_refuse_a_non_finite_test_function():
+    g, ens = small_ensemble()
+    phi = standard_pairs(g)[0][0].copy()
+    phi[3, 1] = np.nan
+    with pytest.raises(ConfigurationError, match="every test function must be finite"):
+        sllg_weak_residual(ens, phi)
+    with pytest.raises(ConfigurationError, match="every test function must be finite"):
+        covariance_checks(ens, [(phi, phi)])
+
+
+def test_checks_pair_a_test_function_given_as_nested_lists():
+    g, ens = small_ensemble()
+    phi = standard_pairs(g)[0][0]
+    assert np.array_equal(weak_residual(ens, phi.tolist()), weak_residual(ens, phi))
+    as_lists = covariance_checks(ens, [(phi.tolist(), phi.tolist())])[0]
+    assert as_lists.to_dict() == covariance_checks(ens, [(phi, phi)])[0].to_dict()
+
+
+def test_covariance_checks_refuse_no_pair():
+    g, ens = small_ensemble()
+    with pytest.raises(ConfigurationError, match=r"no \(phi, psi\) pair"):
+        covariance_checks(ens, [])
 
 
 def test_batched_weak_residual_matches_per_path_sum():
