@@ -31,8 +31,7 @@ class Grid1D:
     def __post_init__(self):
         if self.kind not in ("periodic", "line"):
             raise ConfigurationError(f"unknown grid kind {self.kind!r}")
-        if self.n < 4:
-            raise ConfigurationError(f"need n >= 4 nodes, got {self.n}")
+        _node_count(self.n)
         if not 0 < self.h < np.inf:
             raise ConfigurationError(f"need a positive finite spacing, got h={self.h}")
         if self.h * self.h == 0.0:      # diff2 divides by h^2
@@ -48,21 +47,24 @@ class Grid1D:
         return self.n * self.h if self.periodic else (self.n - 1) * self.h
 
 
+def _node_count(n: int) -> int:
+    """n, refused below the 4 nodes the stencils need (and before a divide)."""
+    if n < 4:
+        raise ConfigurationError(f"need n >= 4 nodes, got {n}")
+    return n
+
+
 def periodic_grid(circumference: float, n: int) -> Grid1D:
     if not circumference > 0:
         raise ConfigurationError(f"circumference must be positive, got {circumference}")
-    if n < 4:
-        raise ConfigurationError(f"need n >= 4 nodes, got {n}")
-    h = circumference / n
+    h = circumference / _node_count(n)
     return Grid1D("periodic", n, h, h * np.arange(n))
 
 
 def line_grid(x_min: float, x_max: float, n: int) -> Grid1D:
     if not 0 < x_max - x_min < np.inf:
         raise ConfigurationError(f"extent [{x_min}, {x_max}] is not positive and finite")
-    if n < 4:
-        raise ConfigurationError(f"need n >= 4 nodes, got {n}")
-    h = (x_max - x_min) / (n - 1)
+    h = (x_max - x_min) / (_node_count(n) - 1)
     return Grid1D("line", n, h, np.linspace(x_min, x_max, n))
 
 

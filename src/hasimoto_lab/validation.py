@@ -7,8 +7,6 @@ include negative controls, and the covariance check reports a 3-sigma
 confidence interval rather than a bare point estimate.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (ConfigurationError, Grid1D, check_field, cross, diff1, diff2,
@@ -35,24 +33,7 @@ def localized_twist(x: np.ndarray, amplitude: float = 0.25, width: float = 6.0,
         return amplitude * (1.0 + ((x - center) / width) ** 2) ** -3.0 + 0j
 
 
-class _Report:
-    """A record whose JSON form is its fields."""
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-@dataclass
-class CrossCheckReport(_Report):
-    alpha: float
-    beta: float
-    t_end: float
-    levels: list                 # per level: dict with n, h, dt, times, disc, ...
-    orders: list                 # observed orders between consecutive levels
-    flagged: bool                # a heat flow's boundary decay failed somewhere
-
-
-def crosscheck_deterministic(levels) -> CrossCheckReport:
+def crosscheck_deterministic(levels) -> dict:
     """Evolve matched initial data through both flows and compare transforms.
 
     levels: one (g, u0, cfg) per refinement level, of strictly increasing
@@ -67,6 +48,11 @@ def crosscheck_deterministic(levels) -> CrossCheckReport:
     workers (forks.fork_map), the L LLG flows listed before the L heat
     flows, so that on 2 CPUs the parent runs every LLG flow and one child
     every heat flow; the results do not depend on the number of workers.
+
+    Returns the report {alpha, beta, t_end, levels, orders, flagged}: per
+    level a dict of n, h, dt, times, disc_max, disc_l2, sup_disc and
+    decay_ok; the observed orders between consecutive levels; and whether a
+    heat flow's boundary decay failed somewhere.
     """
     flows = {(cfg.alpha, cfg.beta, cfg.t_end) for _, _, cfg in levels}
     ns = [g.n for g, _, _ in levels]
@@ -90,33 +76,29 @@ def crosscheck_deterministic(levels) -> CrossCheckReport:
     sups = [lv["sup_disc"] for lv in rows]
     orders = ([float(np.log2(a / b)) for a, b in zip(sups, sups[1:])]
               if all(s > 0 for s in sups) else [])
-    return CrossCheckReport(alpha=alpha, beta=beta, t_end=t_end, levels=rows,
-                            orders=orders,
-                            flagged=not all(lv["decay_ok"] for lv in rows))
+    return {"alpha": alpha, "beta": beta, "t_end": t_end, "levels": rows,
+            "orders": orders, "flagged": not all(lv["decay_ok"] for lv in rows)}
 
 
-@dataclass
-class IdentityReport(_Report):
-    skipped: bool
-    valid_fraction: float
-    lagrange_max_rel: float
-    uxx_expansion_max: float     # | |u_xx|^2 - (Theta^4 + Theta_x^2 + eta^2 Theta^2) |
-    u_uxxx_max: float            # | <u, u_xxx> + 3 Theta Theta_x |
-    ratio_identity_max: float    # | Theta_x^2 - |u x u_xx|^2 + eta^2 Theta^2 |
-
-
-def identity_suite(u: np.ndarray, g: Grid1D) -> IdentityReport:
+def identity_suite(u: np.ndarray, g: Grid1D) -> dict:
     """Node-wise residuals of the pointwise identities behind the equivalence.
 
     All residuals are evaluated with the discrete operators, so O(h^2) is the
     expected size on smooth maps; the Lagrange identity is purely algebraic
-    and holds to round-off.
+    and holds to round-off. Returns the report {skipped, valid_fraction,
+    lagrange_max_rel, uxx_expansion_max, u_uxxx_max, ratio_identity_max},
+    the maxima over the valid nodes of
+      lagrange_max_rel    | |u_x|^2 |u_xx|^2 - |u_x x u_xx|^2 - <u_x, u_xx>^2 |,
+                          relative to |u_x|^2 |u_xx|^2
+      uxx_expansion_max   | |u_xx|^2 - (Theta^4 + Theta_x^2 + eta^2 Theta^2) |
+      u_uxxx_max          | <u, u_xxx> + 3 Theta Theta_x |
+      ratio_identity_max  | Theta_x^2 - |u x u_xx|^2 + eta^2 Theta^2 |
+    and all 0 with skipped true when no node has a valid curvature.
     """
     ct = curvature_torsion(u, g)
     if ct.all_invalid:
-        return IdentityReport(skipped=True, valid_fraction=0.0,
-                              lagrange_max_rel=0.0, uxx_expansion_max=0.0,
-                              u_uxxx_max=0.0, ratio_identity_max=0.0)
+        return {"skipped": True, "valid_fraction": 0.0, "lagrange_max_rel": 0.0,
+                "uxx_expansion_max": 0.0, "u_uxxx_max": 0.0, "ratio_identity_max": 0.0}
     mask = ct.valid_mask
     ux = diff1(u, g)
     uxx = diff2(u, g)
@@ -135,24 +117,15 @@ def identity_suite(u: np.ndarray, g: Grid1D) -> IdentityReport:
     u_uxx = cross(u, uxx)
     ratio = np.abs(th_x ** 2 - dot(u_uxx, u_uxx) + eta ** 2 * th ** 2)
 
-    return IdentityReport(
-        skipped=False,
-        valid_fraction=float(np.mean(mask)),
-        lagrange_max_rel=float(np.max(lag_rel[mask])),
-        uxx_expansion_max=float(np.max(expansion[mask])),
-        u_uxxx_max=float(np.max(third[mask])),
-        ratio_identity_max=float(np.max(ratio[mask])),
-    )
-
-
-@dataclass
-class HolonomyReport(_Report):
-    max_defect: float
-    mean_defect: float
+    return {"skipped": False, "valid_fraction": float(np.mean(mask)),
+            "lagrange_max_rel": float(np.max(lag_rel[mask])),
+            "uxx_expansion_max": float(np.max(expansion[mask])),
+            "u_uxxx_max": float(np.max(third[mask])),
+            "ratio_identity_max": float(np.max(ratio[mask]))}
 
 
 def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
-                    dt: float) -> HolonomyReport:
+                    dt: float) -> dict:
     """Plaquette-commutation defect of the space/time frame propagators.
 
     For every space-time plaquette, the two transport orders (x then t
@@ -160,7 +133,8 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
     midpoint generators; the defect is the rotation angle between them. It
     decays at higher order when q solves the heat equation (compatibility)
     and plateaus otherwise. Deterministic coefficients only. q_path holds
-    at least 2 time levels, since a single one has no plaquette.
+    at least 2 time levels, since a single one has no plaquette. Returns
+    the report {max_defect, mean_defect} over all plaquettes.
     """
     q_path = np.asarray(q_path)
     if len(q_path) < 2:
@@ -179,14 +153,7 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
         worst = max(worst, float(np.max(ang)))
         total += float(np.sum(ang))
         count += ang.size
-    return HolonomyReport(max_defect=worst, mean_defect=total / count)
-
-
-@dataclass
-class ResidualReport(_Report):
-    mean: float
-    stderr: float
-    n_paths: int
+    return {"max_defect": worst, "mean_defect": total / count}
 
 
 def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -275,28 +242,13 @@ def _residuals(paths: SllgEnsemble, phi: np.ndarray, noise_rule: str) -> np.ndar
 
 
 def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray,
-                       noise_rule: str = "midpoint") -> ResidualReport:
-    """Ensemble mean and standard error of the weak residual over paths; one
-    path has no spread, so at least two are needed, with unequal residuals."""
+                       noise_rule: str = "midpoint") -> dict:
+    """The report {mean, stderr, n_paths}: the ensemble mean and standard
+    error of the weak residual over the paths. One path has no spread, so at
+    least two are needed, with unequal residuals."""
     rs = _with_spread(weak_residual(paths, phi, noise_rule), "weak residual")
     stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
-    return ResidualReport(mean=float(np.mean(rs)), stderr=stderr, n_paths=len(rs))
-
-
-@dataclass
-class CovarianceReport(_Report):
-    mc_estimate: float
-    mc_ci3: float                # 3-sigma half width of the Monte Carlo estimate
-    direct: float                # time-quadrature of the covariance formula
-    n_paths: int
-    t: float
-
-    @property
-    def within_3sigma(self) -> bool:
-        return abs(self.mc_estimate - self.direct) <= self.mc_ci3
-
-    def to_dict(self) -> dict:
-        return super().to_dict() | {"within_3sigma": self.within_3sigma}
+    return {"mean": float(np.mean(rs)), "stderr": stderr, "n_paths": len(rs)}
 
 
 def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -308,8 +260,11 @@ def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndar
 
 def covariance_checks(paths: SllgEnsemble, pairs) -> list:
     """Monte Carlo E[<W~, phi><W~, psi>] versus the frame-projection formula
-    of the ensemble's noise model, one CovarianceReport per (phi, psi) of
-    pairs.
+    of the ensemble's noise model, one report per (phi, psi) of pairs:
+    {mc_estimate, mc_ci3, direct, n_paths, t, within_3sigma}, where mc_ci3
+    is the 3-sigma half width of the Monte Carlo estimate, direct the time
+    quadrature of the covariance formula, t the ensemble's final time, and
+    within_3sigma whether |mc_estimate - direct| <= mc_ci3.
 
     Both sides are estimated from the same ensemble: the Monte Carlo side from
     the assembled W~ increments, the direct side by time quadrature of the
@@ -328,12 +283,12 @@ def covariance_checks(paths: SllgEnsemble, pairs) -> list:
     prods, directs = _per_path(lambda part: _covariance_samples(part, pairs), paths)
     n, t = paths.n_paths, float(paths.times[-1])
     reports = []
-    for prod, direct in zip(prods, directs):
+    for prod, quad in zip(prods, directs):
         _with_spread(prod, "product <W~, phi> <W~, psi>")
-        reports.append(CovarianceReport(
-            mc_estimate=float(np.mean(prod)),
-            mc_ci3=float(3.0 * np.std(prod, ddof=1) / np.sqrt(n)),
-            direct=float(np.mean(direct)), n_paths=n, t=t))
+        mc, direct = float(np.mean(prod)), float(np.mean(quad))
+        ci3 = float(3.0 * np.std(prod, ddof=1) / np.sqrt(n))
+        reports.append({"mc_estimate": mc, "mc_ci3": ci3, "direct": direct,
+                        "n_paths": n, "t": t, "within_3sigma": abs(mc - direct) <= ci3})
     return reports
 
 

@@ -60,10 +60,10 @@ def test_criterion_02_deterministic_equivalence():
     # finest level and decreasing with order >= 1
     rep = crosscheck_deterministic(crosscheck_levels(
         localized_twist, -250.0, 20.0, 1.0, 1.0, t_end=0.1, grid_sizes=(128, 256, 512)))
-    sups = [lv["sup_disc"] for lv in rep.levels]
+    sups = [lv["sup_disc"] for lv in rep["levels"]]
     assert sups[-1] <= 1e-3
-    assert all(o >= 1.0 for o in rep.orders)
-    assert not rep.flagged
+    assert all(o >= 1.0 for o in rep["orders"])
+    assert not rep["flagged"]
 
 
 def test_criterion_03_curvature_torsion_rate_oracle():
@@ -96,8 +96,8 @@ def test_criterion_04_identity_suite():
     for n in (64, 128, 256):
         g = periodic_grid(2.0 * np.pi, n)
         rep = identity_suite(smooth_map(g), g)
-        assert rep.lagrange_max_rel <= 1e-14
-        errs.append(rep.uxx_expansion_max)
+        assert rep["lagrange_max_rel"] <= 1e-14
+        errs.append(rep["uxx_expansion_max"])
         hs.append(g.h)
     assert fit_loglog_slope(hs, errs) >= 1.8
 
@@ -135,9 +135,9 @@ def test_criterion_06_holonomy_controls():
         tr = heat_integrate(q0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                               t_end=t_end, output_stride=1))
         q_path = np.array(tr.states)
-        pos.append(holonomy_defect(q_path, g, 1.0, 1.0, dt).max_defect)
+        pos.append(holonomy_defect(q_path, g, 1.0, 1.0, dt)["max_defect"])
         frozen = np.tile(q0, (q_path.shape[0], 1))
-        neg.append(holonomy_defect(frozen, g, 1.0, 1.0, dt).max_defect)
+        neg.append(holonomy_defect(frozen, g, 1.0, 1.0, dt)["max_defect"])
         hs.append(g.h)
     slope_pos = fit_loglog_slope(hs, pos)
     slope_neg = fit_loglog_slope(hs, neg)
@@ -177,10 +177,10 @@ def test_criterion_08_weak_residual():
         paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                                   make_noise_model(g, 4), cfg, 2024, 1000)
         rep = sllg_weak_residual(paths, phi)
-        assert abs(rep.mean) <= 3.0 * rep.stderr
-        bounds.append(3.0 * rep.stderr)
+        assert abs(rep["mean"]) <= 3.0 * rep["stderr"]
+        bounds.append(3.0 * rep["stderr"])
         control = sllg_weak_residual(paths, phi, noise_rule="left")
-        assert abs(control.mean) > 3.0 * control.stderr
+        assert abs(control["mean"]) > 3.0 * control["stderr"]
     assert bounds[0] > bounds[1] > bounds[2]
 
 
@@ -197,7 +197,7 @@ def test_criterion_09_covariance():
     paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                               make_noise_model(g, 4), cfg, 77, 2000)
     for rep in covariance_checks(paths, [(phi1, phi1), (phi1, phi2), (phi2, phi3)]):
-        assert rep.within_3sigma
+        assert rep["within_3sigma"]
     # white-noise trend with unit coefficients
     target = 0.01 * g.h * float(np.sum(phi1 * phi1))
     gaps = []
@@ -205,7 +205,7 @@ def test_criterion_09_covariance():
         paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                                   make_noise_model(g, n_modes), cfg, 77, 500)
         rep, = covariance_checks(paths, [(phi1, phi1)])
-        gaps.append(abs(rep.mc_estimate - target))
+        gaps.append(abs(rep["mc_estimate"] - target))
     assert gaps[0] > gaps[1] > gaps[2]
 
 

@@ -43,9 +43,9 @@ import pytest
 
 from hasimoto_lab import hashimoto
 from hasimoto_lab.cli import DEFAULTS, EXPERIMENTS, list_experiments, main
-from test_extreme_configs import MAX_NODE_STEPS, REFUSED, draws, node_steps
+from test_extreme_configs import (DATA_DIR, MAX_NODE_STEPS, REFUSED, command_line,
+                                  draws, node_steps)
 
-DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 DATA = os.path.join(DATA_DIR, "characterization.json")
 CATALOG = os.path.join(DATA_DIR, "catalog.json")
 REFUSALS = os.path.join(DATA_DIR, "refusals.json")
@@ -143,9 +143,7 @@ def refusals(root: str) -> list:
              if (node_steps(e, sets) or 0) <= MAX_NODE_STEPS] + REFUSED
     out = []
     for i, (experiment, sets) in enumerate(cases):
-        argv = [experiment, "--out", os.path.join(root, str(i))]
-        for key, val in sets.items():
-            argv += ["--set", f"{key}={val}"]
+        argv = command_line(experiment, sets, os.path.join(root, str(i)))
         err = io.StringIO()
         with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
               warnings.catch_warnings()):

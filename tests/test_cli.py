@@ -15,11 +15,14 @@ from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt, _with,
 import hasimoto_lab
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
+from hasimoto_lab.heat import heat_integrate
 from hasimoto_lab.llg import StepConfig
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import run_sllg_ensemble
-from hasimoto_lab.validation import localized_twist
+from hasimoto_lab.validation import (covariance_checks, holonomy_defect,
+                                     identity_suite, localized_twist)
 from reference import crosscheck_levels
+from test_validation import standard_pairs
 
 
 def run_cli(*args):
@@ -220,6 +223,49 @@ def test_covariance_smoke(tmp_path):
     assert rc == 0
     report = read_json(out / "report.json")
     assert set(report["pairs"]) == {"phi1_phi2", "phi1_phi1", "phi2_phi3"}
+
+
+# Small runs of the checks that write their report as it is returned
+SMALL_CHECKS = {"identities": {"n": "64"}, "holonomy": {"n": "64", "t_end": "0.01"},
+                "covariance": {"n": "32", "t_end": "0.002", "n_paths": "20",
+                               "n_modes": "2"}}
+
+
+def test_report_entries_are_the_library_calls_on_the_plan(tmp_path):
+    reports = {}
+    for experiment, sets in SMALL_CHECKS.items():
+        out = tmp_path / experiment
+        assert run_cli(experiment, "--out", str(out),
+                       *(f"--set={key}={val}" for key, val in sets.items())) == 0
+        reports[experiment] = read_json(out / "report.json")
+    as_json = lambda rep: json.loads(json.dumps(rep))
+
+    _, c = plan("identities", SMALL_CHECKS["identities"])
+    assert reports["identities"] == as_json(identity_suite(c["x0"], c["g"]))
+
+    _, c = plan("holonomy", SMALL_CHECKS["holonomy"])
+    g, cfg = c["g"], c["solver"]
+    q_path = np.array(heat_integrate(c["x0"], g, cfg).states)
+    frozen = np.array([c["x0"]] * len(q_path))
+    for key, path in (("solution", q_path), ("frozen_control", frozen)):
+        assert reports["holonomy"][key] == as_json(
+            holonomy_defect(path, g, cfg.alpha, cfg.beta, cfg.dt))
+
+    _, c = plan("covariance", SMALL_CHECKS["covariance"])
+    ens = run_sllg_ensemble(c["x0"], c["frame"], c["noise"], c["solver"],
+                            c["master_seed"], c["n_paths"])
+    pairs = covariance_checks(ens, standard_pairs(c["g"]))
+    assert list(reports["covariance"]["pairs"].values()) == as_json(pairs)
+
+
+def test_covariance_stdout_lists_each_pairs_keys_in_report_order(tmp_path, capsys):
+    assert run_cli("covariance", "--out", str(tmp_path / "cov"), *(
+        f"--set={key}={val}" for key, val in SMALL_CHECKS["covariance"].items())) == 0
+    keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    for name in ("phi1_phi1", "phi1_phi2", "phi2_phi3"):
+        prefix = f"pairs.{name}."
+        assert [k.removeprefix(prefix) for k in keys if k.startswith(prefix)] == [
+            "mc_estimate", "mc_ci3", "direct", "n_paths", "t", "within_3sigma"]
 
 
 def test_unknown_key_exits_2_without_outputs(tmp_path, capsys):

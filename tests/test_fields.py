@@ -23,10 +23,12 @@ def test_line_spacing():
 
 
 def test_too_few_nodes_rejected():
-    with pytest.raises(ConfigurationError):
-        periodic_grid(1.0, 2)
-    with pytest.raises(ConfigurationError):
-        line_grid(0.0, 1.0, 2)
+    # before the builders divide by n or n - 1, and for a grid built directly
+    for n in (0, 1, 2, 3):
+        for build in (lambda: periodic_grid(1.0, n), lambda: line_grid(0.0, 1.0, n),
+                      lambda: Grid1D("line", n, 0.1, 0.1 * np.arange(n))):
+            with pytest.raises(ConfigurationError, match=f"need n >= 4 nodes, got {n}"):
+                build()
 
 
 def test_unknown_grid_kind_rejected():

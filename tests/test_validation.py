@@ -49,8 +49,8 @@ def test_crosscheck_zero_time_is_exact():
     # map, so the discrepancy at t = 0 vanishes identically
     rep = crosscheck_deterministic(crosscheck_levels(
         localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.0, grid_sizes=(64, 128)))
-    assert all(lv["sup_disc"] == 0.0 for lv in rep.levels)
-    assert rep.orders == []
+    assert all(lv["sup_disc"] == 0.0 for lv in rep["levels"])
+    assert rep["orders"] == []
 
 
 @pytest.mark.parametrize("sizes", [(96, 48), (48, 48), (32, 64, 64)],
@@ -76,7 +76,7 @@ def test_crosscheck_flags_nondecaying_data():
     rep = crosscheck_deterministic(crosscheck_levels(
         lambda x: 0.5 * np.ones_like(x) + 0j, -10.0, 10.0, 1.0, 1.0, t_end=0.01,
         grid_sizes=(64,)))
-    assert rep.flagged
+    assert rep["flagged"]
 
 
 def test_crosscheck_converges_at_second_order_up_to_a_global_phase():
@@ -107,12 +107,12 @@ def test_crosscheck_independent_of_worker_count(use_cpus, no_child_left):
             localized_twist, -60.0, 20.0, 1.0, 1.0, t_end=0.05, grid_sizes=(48, 96)))
         no_child_left()
     for k in (2, 3):
-        assert reps[k].orders == reps[1].orders
-        for lv, ref in zip(reps[k].levels, reps[1].levels):
+        assert reps[k]["orders"] == reps[1]["orders"]
+        for lv, ref in zip(reps[k]["levels"], reps[1]["levels"]):
             for key in ("times", "disc_max", "disc_l2"):
                 assert np.array_equal(lv[key], ref[key])
             assert lv["sup_disc"] == ref["sup_disc"] > 0.0
-    assert len(reps[1].orders) == 1
+    assert len(reps[1]["orders"]) == 1
 
 
 def test_crosscheck_runs_the_llg_flows_in_one_process_and_the_heat_flows_in_another(
@@ -257,19 +257,19 @@ def test_identity_suite_great_circle():
     g = periodic_grid(2.0 * np.pi, 128)
     u = np.stack([np.cos(g.x), np.sin(g.x), np.zeros(g.n)], axis=-1)
     rep = identity_suite(u, g)
-    assert not rep.skipped
-    assert rep.valid_fraction == 1.0
-    assert rep.lagrange_max_rel <= 1e-10
+    assert not rep["skipped"]
+    assert rep["valid_fraction"] == 1.0
+    assert rep["lagrange_max_rel"] <= 1e-10
     # discrete-stencil residuals are O(h^2); h^2 here is about 2.4e-3
-    assert rep.uxx_expansion_max <= 2.0 * g.h ** 2
-    assert rep.u_uxxx_max <= 2.0 * g.h ** 2
-    assert rep.ratio_identity_max <= 2.0 * g.h ** 2
+    assert rep["uxx_expansion_max"] <= 2.0 * g.h ** 2
+    assert rep["u_uxxx_max"] <= 2.0 * g.h ** 2
+    assert rep["ratio_identity_max"] <= 2.0 * g.h ** 2
 
 
 def test_identity_suite_constant_map_skipped():
     g = periodic_grid(2.0 * np.pi, 32)
     rep = identity_suite(np.tile([0.0, 0.0, 1.0], (g.n, 1)), g)
-    assert rep.skipped
+    assert rep["skipped"]
 
 
 def test_identity_suite_refinement():
@@ -277,8 +277,8 @@ def test_identity_suite_refinement():
     for n in (128, 256):
         g = periodic_grid(2.0 * np.pi, n)
         rep = identity_suite(smooth_map(g), g)
-        residuals.append(rep.uxx_expansion_max)
-        assert rep.lagrange_max_rel <= 1e-10
+        residuals.append(rep["uxx_expansion_max"])
+        assert rep["lagrange_max_rel"] <= 1e-10
     assert residuals[1] <= 0.35 * residuals[0]
 
 
@@ -286,7 +286,7 @@ def test_holonomy_zero_field():
     g = line_grid(-5.0, 5.0, 32)
     q_path = np.zeros((3, g.n), complex)
     rep = holonomy_defect(q_path, g, 1.0, 1.0, dt=1e-3)
-    assert rep.max_defect <= 1e-14
+    assert rep["max_defect"] <= 1e-14
 
 
 def test_holonomy_solution_beats_frozen():
@@ -297,8 +297,8 @@ def test_holonomy_solution_beats_frozen():
                                           t_end=4.0 * dt))
     q_path = np.array(tr.states)
     frozen = np.tile(q0, (q_path.shape[0], 1))
-    on_solution = holonomy_defect(q_path, g, 1.0, 1.0, dt).max_defect
-    off_solution = holonomy_defect(frozen, g, 1.0, 1.0, dt).max_defect
+    on_solution = holonomy_defect(q_path, g, 1.0, 1.0, dt)["max_defect"]
+    off_solution = holonomy_defect(frozen, g, 1.0, 1.0, dt)["max_defect"]
     assert on_solution <= 0.1 * off_solution
 
 
@@ -380,9 +380,9 @@ def test_covariance_check_frozen_frame():
     paths = synthetic_frozen_ensemble(g, 3, 21, dt, 2000)
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.2 * np.ones(g.n)], axis=-1)
     rep, = covariance_checks(paths, [(phi, phi)])
-    assert rep.n_paths == 2000 and rep.t == dt
-    assert rep.direct > 0.0
-    assert rep.within_3sigma
+    assert rep["n_paths"] == 2000 and rep["t"] == dt
+    assert rep["direct"] > 0.0
+    assert rep["within_3sigma"]
 
 
 def test_covariance_orthogonal_pairing_vanishes():
@@ -391,8 +391,8 @@ def test_covariance_orthogonal_pairing_vanishes():
     paths = synthetic_frozen_ensemble(g, 1, 13, 0.01, 50)
     phi = np.stack([np.sin(g.x), np.zeros(g.n), np.zeros(g.n)], axis=-1)
     rep, = covariance_checks(paths, [(phi, phi)])
-    assert abs(rep.direct) <= 1e-24
-    assert abs(rep.mc_estimate) <= 1e-24
+    assert abs(rep["direct"]) <= 1e-24
+    assert abs(rep["mc_estimate"]) <= 1e-24
 
 
 def test_covariance_check_needs_two_paths():
@@ -403,7 +403,7 @@ def test_covariance_check_needs_two_paths():
     with pytest.raises(ConfigurationError, match="at least 2 paths, got 1"):
         covariance_checks(paths.view(slice(0, 1)), [(phi, phi)])
     rep, = covariance_checks(paths, [(phi, phi)])
-    assert rep.n_paths == 2 and rep.mc_ci3 > 0.0
+    assert rep["n_paths"] == 2 and rep["mc_ci3"] > 0.0
 
 
 def reference_weak_residual(ens, i, phi, noise_rule):
@@ -499,7 +499,7 @@ def test_checks_pair_a_test_function_given_as_nested_lists():
     phi = standard_pairs(g)[0][0]
     assert np.array_equal(weak_residual(ens, phi.tolist()), weak_residual(ens, phi))
     as_lists = covariance_checks(ens, [(phi.tolist(), phi.tolist())])[0]
-    assert as_lists.to_dict() == covariance_checks(ens, [(phi, phi)])[0].to_dict()
+    assert as_lists == covariance_checks(ens, [(phi, phi)])[0]
 
 
 def test_covariance_checks_refuse_no_pair():
@@ -518,8 +518,8 @@ def test_batched_weak_residual_matches_per_path_sum():
         assert got.shape == (ens.n_paths,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         rep = sllg_weak_residual(ens, phi, rule)
-        assert rep.mean == pytest.approx(np.mean(ref), rel=1e-12)
-        assert rep.stderr == pytest.approx(
+        assert rep["mean"] == pytest.approx(np.mean(ref), rel=1e-12)
+        assert rep["stderr"] == pytest.approx(
             np.std(ref, ddof=1) / np.sqrt(len(ref)), rel=1e-12)
     one = weak_residual(ens.view(slice(3, 4)), phi)
     assert one.shape == (1,) and one[0] == pytest.approx(
@@ -544,11 +544,11 @@ def test_batched_covariance_matches_per_path_sum():
     psi = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
     prods, directs = reference_covariance(ens, phi, psi)
     rep, = covariance_checks(ens, [(phi, psi)])
-    assert rep.n_paths == ens.n_paths and rep.t == ens.times[-1]
-    assert rep.mc_estimate == pytest.approx(np.mean(prods), rel=1e-12)
-    assert rep.mc_ci3 == pytest.approx(
+    assert rep["n_paths"] == ens.n_paths and rep["t"] == ens.times[-1]
+    assert rep["mc_estimate"] == pytest.approx(np.mean(prods), rel=1e-12)
+    assert rep["mc_ci3"] == pytest.approx(
         3.0 * np.std(prods, ddof=1) / np.sqrt(len(prods)), rel=1e-12)
-    assert rep.direct == pytest.approx(np.mean(directs), rel=1e-12)
+    assert rep["direct"] == pytest.approx(np.mean(directs), rel=1e-12)
 
 
 def test_checks_reject_zero_step_ensemble():
@@ -585,7 +585,7 @@ def test_covariance_pairs_in_one_pass_equal_one_pass_each():
     assert np.array_equal(together, np.concatenate(alone, axis=1))
     for rep, pair in zip(covariance_checks(ens, pairs), pairs):
         one, = covariance_checks(ens, [pair])
-        assert rep.to_dict() == one.to_dict()
+        assert rep == one
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
