@@ -39,8 +39,9 @@ from .validation import (covariance_checks, crosscheck_deterministic,
                          sllg_weak_residual)
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
-    out = {}
+    """Flat key=value lines; blank lines and # comments ignored. A key set
+    twice is refused."""
+    out, first = {}, {}
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -52,8 +53,11 @@ def read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key in first:
+            raise ConfigurationError(f"{path}:{ln}: {key!r} is set again "
+                                     f"(first on line {first[key]})")
+        out[key], first[key] = val, ln
     return out
 
 
@@ -523,6 +527,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list-experiments":
+        given = [flag for flag, v in (("--config", args.config), ("--set", args.sets),
+                                      ("--out", args.out), ("--seed", args.seed))
+                 if v not in (None, [])]
+        if given:
+            print(f"config error: list-experiments takes no {', '.join(given)}",
+                  file=sys.stderr)
+            return 2
         return _print_stdout(list_experiments())
 
     errors = [f"--set expects key=value, got {item!r}"

@@ -32,6 +32,9 @@ class Grid1D:
         if self.kind not in ("periodic", "line"):
             raise ConfigurationError(f"unknown grid kind {self.kind!r}")
         _node_count(self.n)
+        if np.shape(self.x) != (self.n,):
+            raise ConfigurationError(f"x of shape {np.shape(self.x)} does not hold "
+                                     f"the grid's n = {self.n} nodes")
         if not 0 < self.h < np.inf:
             raise ConfigurationError(f"need a positive finite spacing, got h={self.h}")
         if self.h * self.h == 0.0:      # diff2 divides by h^2
@@ -47,8 +50,16 @@ class Grid1D:
         return self.n * self.h if self.periodic else (self.n - 1) * self.h
 
 
+def is_int(v) -> bool:
+    """Whether v is a Python or numpy integer (a bool is not one)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _node_count(n: int) -> int:
-    """n, refused below the 4 nodes the stencils need (and before a divide)."""
+    """n, refused unless an integer, and below the 4 nodes the stencils need
+    (before a divide)."""
+    if not is_int(n):
+        raise ConfigurationError(f"the node count n must be an integer, got {n!r}")
     if n < 4:
         raise ConfigurationError(f"need n >= 4 nodes, got {n}")
     return n
@@ -142,9 +153,9 @@ def cumint(f: np.ndarray, g: Grid1D) -> np.ndarray:
 
 # --- the operators' kernels, written into preallocated arrays ---
 # Here the node axis is the last one: scalar fields (..., n) as they are, and
-# vector fields component-major, (..., 3, n), as _node_last views them or as
-# LLGStepper stores them. The endpoint stencils index the transposed views,
-# whose node axis is first.
+# vector fields component-major, as _node_last views them, (..., 3, n), or
+# as LLGDrift does, (3, ..., n). The endpoint stencils index the transposed
+# views, whose node axis is first.
 
 def diff1_into(f: np.ndarray, g: Grid1D, out: np.ndarray) -> np.ndarray:
     """diff1 of f along its last axis, written into out."""

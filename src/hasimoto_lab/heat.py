@@ -9,7 +9,7 @@ line grids is checked at every sampled state rather than assumed.
     compact:  (alpha + i beta) [q_xx + q |q|^2 / 2]
               - alpha q int q conj(q)_x dy
 
-HeatStepper evaluates the expanded form; the compact one is the tests'
+HeatDrift evaluates the expanded form; the compact one is the tests'
 oracle (tests/reference.py), which checks that the two agree.
 """
 
@@ -17,21 +17,21 @@ import numpy as np
 
 from .fields import (Grid1D, boundary_decay_ok, check_field, cumint_into, diff1_into,
                      diff2_into)
-from .llg import RK4, StepConfig, Trajectory, integrate
+from .llg import StepConfig, Trajectory, integrate
 
 
-class HeatStepper(RK4):
-    """RK4 of the heat flow; rhs evaluates the expanded form of the module
-    docstring into preallocated buffers.
-
-    rhs is the package's one heat right-hand side: the stochastic Heun step
-    calls it too, on its (P, n) paths as they are.
+class HeatDrift:
+    """The package's one heat right-hand side, for fields shaped like shape,
+    (..., n): rhs(q, out) writes the expanded form of the module docstring,
+    through buffers made here. heat_integrate steps one field with it, and
+    the stochastic Heun step its (P, n) paths.
     """
 
-    def size(self, q: np.ndarray):
+    def __init__(self, g: Grid1D, alpha: float, beta: float, shape: tuple):
+        self.g, self.alpha, self.beta = g, alpha, beta
         self.qx, self.qxx, self.nl, self.t1, self.t2 = (
-            np.empty(q.shape, complex) for _ in range(5))
-        self.q2 = np.empty(q.shape)
+            np.empty(shape, complex) for _ in range(5))
+        self.q2 = np.empty(shape)
 
     def rhs(self, q, out):
         g, qx, qxx, q2, nl, t1, t2 = (self.g, self.qx, self.qxx, self.q2,
@@ -70,7 +70,7 @@ def heat_integrate(q0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
     """
     check_field((g.n,), "q0", q0)
     cfg.check_stability(g)
-    traj = integrate(np.asarray(q0, complex), HeatStepper(g, cfg.alpha, cfg.beta),
-                     cfg, "heat flow")
+    traj = integrate(np.asarray(q0, complex),
+                     HeatDrift(g, cfg.alpha, cfg.beta, (g.n,)).rhs, cfg, "heat flow")
     traj.decay_ok = all(boundary_decay_ok(q, g) for q in traj.states)
     return traj

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (Grid1D, BlowUpError, ConfigurationError, check_field,
-                     cross_into, diff1, diff2, diff2_into, time_steps)
+                     cross_into, diff1, diff2, diff2_into, is_int, time_steps)
 from .hashimoto import CurvatureTorsion
 
 # stable_dt's factor in dt <= STABILITY_SAFETY h^2 / max(alpha, |beta|)
@@ -56,6 +56,9 @@ class StepConfig:
                                      f"alpha={self.alpha}, beta={self.beta}")
         if self.alpha < 0:
             raise ConfigurationError(f"damping alpha must be >= 0, got {self.alpha}")
+        if not is_int(self.output_stride):
+            raise ConfigurationError(
+                f"output_stride must be an integer, got {self.output_stride!r}")
         if self.output_stride < 1:
             raise ConfigurationError("output_stride must be >= 1")
 
@@ -96,79 +99,25 @@ def check_finite(y, prev, k, dt, what):
                       f"non-finite values; {last}")
 
 
-class RK4:
-    """Classical RK4 steps of y' = f(y) through preallocated stage buffers.
+class LLGDrift:
+    """The package's one LLG right-hand side, for fields shaped like shape,
+    (..., n, 3): rhs(u, out) writes beta u x u_xx - alpha u x (u x u_xx) and
+    project(u) maps u back to the sphere in place, into buffers made here.
 
-    A subclass writes f(y) into out in rhs(y, out), through the buffers that
-    size(y) allocates for states shaped like y. step() forms
-    y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) with every ufunc writing into a
-    buffer. load() gives the working copy of the initial state (a subclass
-    may store it in another layout) and sizes the buffers on it; project()
-    maps each new state in place; sample() gives a fresh array of a state in
-    the caller's layout. A flow's stepper holds its grid and coefficients.
+    Both view their arguments component-major, (3, ..., n). llg_integrate
+    passes column-major states, so these views are contiguous rows for the
+    cross products; the weak residual passes its (P, n, 3) paths as they are.
     """
 
-    def __init__(self, g: Grid1D, alpha: float, beta: float):
+    def __init__(self, g: Grid1D, alpha: float, beta: float, shape: tuple):
         self.g, self.alpha, self.beta = g, alpha, beta
-
-    def rhs(self, y: np.ndarray, out: np.ndarray):
-        raise NotImplementedError
-
-    def size(self, y: np.ndarray):
-        """Allocate rhs's buffers for states shaped like y."""
-
-    def load(self, y0: np.ndarray) -> np.ndarray:
-        # an integer y0 steps as floats
-        y = np.array(y0, dtype=np.result_type(y0, 1.0), order="C")
-        self.ys, self.k, self.acc = (np.empty_like(y) for _ in range(3))
-        self.size(y)
-        return y
-
-    def step(self, y: np.ndarray, dt: float, out: np.ndarray):
-        ys, k, acc = self.ys, self.k, self.acc
-        self.rhs(y, acc)                                # acc = k1
-        np.multiply(0.5 * dt, acc, out=ys)
-        np.add(y, ys, out=ys)
-        self.rhs(ys, k)                                 # k2
-        np.multiply(0.5 * dt, k, out=ys)
-        np.add(y, ys, out=ys)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)                         # k1 + 2 k2
-        self.rhs(ys, k)                                 # k3
-        np.multiply(dt, k, out=ys)
-        np.add(y, ys, out=ys)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)                         # + 2 k3
-        self.rhs(ys, k)                                 # k4
-        np.add(acc, k, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
-        np.add(y, acc, out=out)
-
-    def project(self, y: np.ndarray):
-        """Map the new state y in place (e.g. back to the sphere)."""
-
-    def sample(self, y: np.ndarray) -> np.ndarray:
-        return y.copy()
-
-
-class LLGStepper(RK4):
-    """RK4 of the LLG flow, projected back to the sphere after each step.
-
-    u is stored component-major, (3, n), so that the cross products read
-    contiguous rows; rhs evaluates beta u x u_xx - alpha u x (u x u_xx) and
-    project normalizes, both into preallocated buffers. rhs is the package's
-    one LLG right-hand side: the weak residual calls it too, on (3, P, n)
-    views of its (P, n, 3) paths.
-    """
-
-    def load(self, u0: np.ndarray) -> np.ndarray:
-        return super().load(u0.T)
-
-    def size(self, u: np.ndarray):
-        self.uxx, self.c = np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype)
-        self.tmp = np.empty((2,) + u.shape[1:], u.dtype)
+        self.axes = (len(shape) - 1, *range(len(shape) - 1))   # to (3, ..., n)
+        comp = (3, *shape[:-1])
+        self.uxx, self.c = np.empty(comp), np.empty(comp)
+        self.tmp = np.empty((2, *shape[:-1]))
 
     def rhs(self, u, out):
+        u, out = u.transpose(self.axes), out.transpose(self.axes)
         uxx, c, tmp = self.uxx, self.c, self.tmp
         diff2_into(u, self.g, uxx)
         cross_into(u, uxx, c, tmp)                      # u x u_xx
@@ -178,6 +127,7 @@ class LLGStepper(RK4):
         np.subtract(out, uxx, out=out)
 
     def project(self, u):
+        u = u.transpose(self.axes)
         s, t = self.tmp                                 # |u|^2 = u0^2 + u1^2 + u2^2
         np.multiply(u[0], u[0], out=s)
         np.multiply(u[1], u[1], out=t)
@@ -187,41 +137,61 @@ class LLGStepper(RK4):
         np.sqrt(s, out=s)
         np.divide(u, s, out=u)
 
-    def sample(self, u):
-        return u.T.copy()
 
+def integrate(y0: np.ndarray, rhs, cfg: StepConfig, what: str,
+              project=None) -> Trajectory:
+    """Classical RK4 of y' = f(y) from y0 over cfg.n_steps steps of cfg.dt,
+    sampled at the steps that cfg.sampled picks.
 
-def integrate(y0: np.ndarray, stepper: RK4, cfg: StepConfig, what: str) -> Trajectory:
-    """RK4 from y0 over cfg.n_steps steps of cfg.dt, sampled at the steps
-    that cfg.sampled picks.
-
-    The stepper (LLGStepper, heat.HeatStepper) evaluates the right-hand
-    side into its own buffers and projects each new state. The state
-    alternates between two buffers, so the previous one survives the
-    finiteness check, and each sample is a fresh array in y0's layout.
-    A non-finite state raises BlowUpError naming what blew up, the step,
-    its time and the last finite max |y|.
+    rhs(y, out) writes f(y) into out; project, if given, maps each new state
+    in place (e.g. back to the sphere). The state is a float copy of y0 in
+    y0's memory order, and every ufunc writes into a buffer shaped and
+    ordered like it. The state alternates between two buffers, so the
+    previous one survives the finiteness check, and each sample is a fresh
+    C-ordered array. A non-finite state raises BlowUpError naming what blew
+    up, the step, its time and the last finite max |y|.
     """
-    y = stepper.load(y0)
-    nxt = np.empty_like(y)
-    times = [0.0]
-    states = [stepper.sample(y)]
-    for k in range(cfg.n_steps):
-        stepper.step(y, cfg.dt, nxt)
-        check_finite(nxt, y, k, cfg.dt, what)
-        stepper.project(nxt)
+    # an integer y0 steps as floats
+    y = np.array(y0, dtype=np.result_type(y0, 1.0), order="K")
+    nxt, ys, k, acc = (np.empty_like(y) for _ in range(4))
+    dt = cfg.dt
+    times, states = [0.0], [y.copy()]
+    for step in range(cfg.n_steps):
+        rhs(y, acc)                                     # acc = k1
+        np.multiply(0.5 * dt, acc, out=ys)
+        np.add(y, ys, out=ys)
+        rhs(ys, k)                                      # k2
+        np.multiply(0.5 * dt, k, out=ys)
+        np.add(y, ys, out=ys)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)                         # k1 + 2 k2
+        rhs(ys, k)                                      # k3
+        np.multiply(dt, k, out=ys)
+        np.add(y, ys, out=ys)
+        np.multiply(2.0, k, out=k)
+        np.add(acc, k, out=acc)                         # + 2 k3
+        rhs(ys, k)                                      # k4
+        np.add(acc, k, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(y, acc, out=nxt)
+        check_finite(nxt, y, step, dt, what)
+        if project is not None:
+            project(nxt)
         y, nxt = nxt, y
-        if cfg.sampled(k + 1):
-            times.append((k + 1) * cfg.dt)
-            states.append(stepper.sample(y))
+        if cfg.sampled(step + 1):
+            times.append((step + 1) * dt)
+            states.append(y.copy())
     return Trajectory(times=np.array(times), states=states)
 
 
 def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
-    """RK4 in time from one (n, 3) field u0, projected back to the sphere each step."""
+    """RK4 in time from one (n, 3) field u0, projected back to the sphere each
+    step. The state is column-major, so LLGDrift's (3, n) views of it are
+    contiguous."""
     check_field((g.n, 3), "u0", u0)
     cfg.check_stability(g)
-    return integrate(u0, LLGStepper(g, cfg.alpha, cfg.beta), cfg, "LLG flow")
+    drift = LLGDrift(g, cfg.alpha, cfg.beta, (g.n, 3))
+    return integrate(np.asfortranarray(u0), drift.rhs, cfg, "LLG flow", drift.project)
 
 
 def curvature_torsion_rhs(ct: CurvatureTorsion, g: Grid1D, alpha: float,

@@ -11,7 +11,7 @@ A field is one path's, (n,) or (n, 3), or P paths stacked path-major,
 the public operators advances all P. Each path draws its noise from its own
 substream and no operation mixes paths, so path i comes out bit for bit the
 same in any batch. The Heun step's drift is the deterministic flow's own
-right-hand side, heat.HeatStepper.rhs, along the last (node) axis.
+right-hand side, heat.HeatDrift.rhs, along the last (node) axis.
 """
 
 import mmap
@@ -23,7 +23,7 @@ from .fields import (BlowUpError, Grid1D, ConfigurationError, check_field, cross
                      cumint, diff1, diff1_at_0)
 from .forks import contiguous_ranges, fork_map
 from .hashimoto import FRAME_TOL, FrameField, reconstruct_frame
-from .heat import HeatStepper
+from .heat import HeatDrift
 from .llg import StepConfig, check_finite
 from .noise import (NoiseIncrement, NoiseModel, derive_seed, noise_fields,
                     sample_increments)
@@ -76,8 +76,7 @@ def stochastic_heat_step(q: np.ndarray, g: Grid1D, alpha: float, beta: float,
     caller checks q_new for finiteness.
     """
     additive = inc.dxW1 + 1j * inc.dxW2
-    drift = HeatStepper(g, alpha, beta)
-    drift.size(q)
+    drift = HeatDrift(g, alpha, beta, q.shape)
     k1, k2 = np.empty(q.shape, complex), np.empty(q.shape, complex)
     drift.rhs(q, k1)
     dPsi0 = cumint(q.imag * inc.dW1 - q.real * inc.dW2, g)

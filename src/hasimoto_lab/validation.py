@@ -14,7 +14,7 @@ from .fields import (ConfigurationError, Grid1D, check_field, cross, diff1, diff
 from .forks import contiguous_ranges, fork_map
 from .hashimoto import curvature_torsion, node_rotations, transform
 from .heat import heat_integrate
-from .llg import LLGStepper, llg_integrate
+from .llg import LLGDrift, llg_integrate
 from .noise import NoiseModel
 from .rotations import rotation_angle, rotation_exp
 from .stochastic import SllgEnsemble, frame_generator
@@ -228,13 +228,12 @@ def _residuals(paths: SllgEnsemble, phi: np.ndarray, noise_rule: str) -> np.ndar
     """weak_residual of every path, in this process."""
     g, cfg = paths.grid, paths.cfg
     dt, h, u = cfg.dt, g.h, paths.u
-    drift = LLGStepper(open_view(g), cfg.alpha, cfg.beta)   # rhs on (3, P, n) views
+    drift = LLGDrift(open_view(g), cfg.alpha, cfg.beta, u.shape[1:])
     f = np.empty(u.shape[1:])
-    drift.size(f.transpose(2, 0, 1))
     R = h * _path_sums(phi, u[-1] - u[0])
     for k in range(paths.n_steps):
         u_mid = normalize(0.5 * (u[k] + u[k + 1]))
-        drift.rhs(u_mid.transpose(2, 0, 1), f.transpose(2, 0, 1))
+        drift.rhs(u_mid, f)
         R -= dt * h * _path_sums(phi, f)
         u_noise = u_mid if noise_rule == "midpoint" else u[k]
         R -= h * _path_sums(phi, cross(u_noise, paths.dW_tilde[k]))

@@ -52,9 +52,11 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
     os.close(read_end)
     src = os.path.dirname(os.path.dirname(hasimoto_lab.__file__))
     out = tmp_path / "run"
+    if argv[0] != "list-experiments":       # which takes no --out
+        argv = [*argv, "--out", str(out)]
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "hasimoto_lab.cli", *argv, "--out", str(out)],
+            [sys.executable, "-m", "hasimoto_lab.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=src), timeout=120)
     finally:
@@ -755,6 +757,27 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path.write_bytes(b"\xff\xfen\x00=\x003\x002\x00")
     err = assert_config_error(tmp_path, capsys, "llg", "--config", str(path))
     assert err.splitlines() == [f"config error: {path}: not UTF-8 text (byte 0)"]
+
+
+def test_config_file_that_sets_a_key_twice_exits_2(tmp_path, capsys):
+    # unchecked, the last value wins: n=32 then n=16 runs at n = 16
+    path = tmp_path / "cfg.txt"
+    path.write_text("n=32\n# again\nn = 16\n")
+    err = assert_config_error(tmp_path, capsys, "llg", "--config", str(path))
+    assert err.splitlines() == [
+        f"config error: {path}:3: 'n' is set again (first on line 1)"]
+
+
+@pytest.mark.parametrize("args,flags", [
+    ([], "--out"), (["--set", "bogus=1", "--seed", "3"], "--set, --out, --seed"),
+    (["--config", "cfg.txt"], "--config, --out")], ids=["out", "set-seed", "config"])
+def test_list_experiments_refuses_run_options(tmp_path, capsys, args, flags):
+    # the catalog takes none of a run's options; it would ignore them all
+    out = tmp_path / "D"
+    assert run_cli("list-experiments", *args, "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "", f"config error: list-experiments takes no {flags}\n")
 
 
 @pytest.mark.parametrize("below", [[], ["x"]], ids=["the-file", "under-the-file"])

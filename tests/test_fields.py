@@ -31,6 +31,23 @@ def test_too_few_nodes_rejected():
                 build()
 
 
+@pytest.mark.parametrize("n", [4.5, 64.0, np.nan, True, "64"])
+def test_non_integer_node_count_rejected(n):
+    # unchecked, periodic_grid(2 pi, 4.5) makes a grid of n = 4.5 with 5 nodes
+    for build in (lambda: periodic_grid(2.0 * np.pi, n), lambda: line_grid(0.0, 1.0, n),
+                  lambda: Grid1D("line", n, 0.1, np.arange(5.0))):
+        with pytest.raises(ConfigurationError, match="node count n must be an integer"):
+            build()
+    assert periodic_grid(1.0, np.int64(8)).n == 8
+
+
+@pytest.mark.parametrize("x", [np.arange(5.0), np.zeros((8, 1)), 0.0],
+                         ids=["short", "column", "scalar"])
+def test_grid_nodes_must_be_n(x):
+    with pytest.raises(ConfigurationError, match=r"does not hold the grid's n = 8 nodes"):
+        Grid1D("periodic", 8, 0.1, x)
+
+
 def test_unknown_grid_kind_rejected():
     with pytest.raises(ConfigurationError, match="unknown grid kind"):
         Grid1D("torus", 16, 0.1, 0.1 * np.arange(16))

@@ -5,7 +5,7 @@ import pytest
 
 from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
                                  periodic_grid)
-from hasimoto_lab.heat import HeatStepper, heat_integrate, mass
+from hasimoto_lab.heat import heat_integrate, mass
 from hasimoto_lab.llg import StepConfig, stable_dt
 from reference import heat_rhs, rk4_step
 
@@ -63,16 +63,13 @@ def test_config_rejects_non_finite_coefficients(alpha, beta):
                                periodic_grid(2.0 * np.pi, 96)],
                          ids=["line", "periodic"])
 def test_heat_stepper_bit_identical_to_reference(g):
-    # the fused stepper against the reference rk4_step on the expanded
-    # heat_rhs, bit for bit after every one of 60 steps
+    # heat_integrate's fused drift and RK4 loop against the reference
+    # rk4_step on the expanded heat_rhs, bit for bit after every one of 60 steps
     dt = 0.5 * stable_dt(g, 0.8, -0.6)
-    stepper = HeatStepper(g, 0.8, -0.6)
-    q = stepper.load(decaying_q(g))
-    nxt = np.empty_like(q)
+    tr = heat_integrate(decaying_q(g), g, StepConfig(0.8, -0.6, dt, 60 * dt))
+    assert len(tr.states) == 61
     ref = decaying_q(g)
-    for _ in range(60):
-        stepper.step(q, dt, nxt)
-        q, nxt = nxt, q
+    for q in tr.states[1:]:
         ref = rk4_step(ref, dt, lambda v: heat_rhs(v, g, 0.8, -0.6))
         assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
 

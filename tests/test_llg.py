@@ -7,9 +7,8 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  diff2, dot, line_grid, normalize,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
-from hasimoto_lab.llg import (RK4, LLGStepper, StepConfig, auto_dt,
-                              curvature_torsion_rhs, exchange_energy, integrate,
-                              llg_integrate, stable_dt)
+from hasimoto_lab.llg import (LLGDrift, StepConfig, auto_dt, curvature_torsion_rhs,
+                              exchange_energy, integrate, llg_integrate, stable_dt)
 from reference import llg_rhs, rk4_step
 
 
@@ -67,23 +66,49 @@ def test_config_rejects_non_finite_coefficients(alpha, beta):
         StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
 
 
+@pytest.mark.parametrize("stride", [np.nan, 2.5, np.inf, 3.0, True, "3"])
+def test_config_rejects_an_output_stride_that_is_not_an_integer(stride):
+    # a float stride samples off the grid of steps: nan only the last, 2.5 steps 0, 5, 10
+    with pytest.raises(ConfigurationError, match="output_stride must be an integer"):
+        StepConfig(1.0, 1.0, 0.1, 1.0, output_stride=stride)
+    for below in (0, -1, np.int64(0)):
+        with pytest.raises(ConfigurationError, match="output_stride must be >= 1"):
+            StepConfig(1.0, 1.0, 0.1, 1.0, output_stride=below)
+    assert StepConfig(1.0, 1.0, 0.1, 1.0, output_stride=np.int64(5)).sampled(5)
+
+
 @pytest.mark.parametrize("g", [line_grid(-6.0, 3.0, 97),
                                periodic_grid(2.0 * np.pi, 96)],
                          ids=["line", "periodic"])
 def test_llg_stepper_bit_identical_to_reference(g):
-    # the fused component-major stepper against the readable reference,
-    # bit for bit after every one of 60 steps
+    # llg_integrate's fused component-major drift and RK4 loop against the
+    # readable reference, bit for bit after every one of 60 steps
     dt = 0.5 * stable_dt(g, 1.0, 0.7)
-    stepper = LLGStepper(g, 1.0, 0.7)
-    u = stepper.load(smooth_map(g))
-    nxt = np.empty_like(u)
+    tr = llg_integrate(smooth_map(g), g, StepConfig(1.0, 0.7, dt, 60 * dt))
+    assert len(tr.states) == 61
     ref = smooth_map(g)
-    for _ in range(60):
-        stepper.step(u, dt, nxt)
-        stepper.project(nxt)
-        u, nxt = nxt, u
+    for u in tr.states[1:]:
         ref = normalize(rk4_step(ref, dt, lambda v: llg_rhs(v, g, 1.0, 0.7)))
-        assert np.array_equal(stepper.sample(u).view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(u.view(np.uint64), ref.view(np.uint64))
+
+
+def test_llg_drift_reads_contiguous_component_rows_in_llg_integrate(monkeypatch):
+    # llg_integrate steps a column-major state, so the (3, n) views that
+    # LLGDrift.rhs takes of its argument and its output are contiguous rows;
+    # the samples are C-ordered (n, 3) fields all the same
+    seen = []
+    rhs = LLGDrift.rhs
+
+    def spy(self, u, out):
+        seen.append(u.T.flags.c_contiguous and out.T.flags.c_contiguous)
+        rhs(self, u, out)
+
+    monkeypatch.setattr(LLGDrift, "rhs", spy)
+    g = periodic_grid(2.0 * np.pi, 32)
+    dt = 0.5 * stable_dt(g, 1.0, 0.7)
+    tr = llg_integrate(smooth_map(g), g, StepConfig(1.0, 0.7, dt, 3 * dt))
+    assert len(seen) == 12 and all(seen)
+    assert all(u.flags.c_contiguous for u in tr.states)
 
 
 @pytest.mark.parametrize("P", [1, 2, 7])
@@ -91,14 +116,12 @@ def test_llg_stepper_bit_identical_to_reference(g):
                                line_grid(-6.0, 3.0, 65)],
                          ids=["periodic", "line"])
 def test_llg_kernel_on_path_views_bit_identical_to_reference(g, P):
-    # the stepper's rhs on (3, P, n) views of (P, n, 3) paths, as the weak
-    # residual calls it, against the reference llg_rhs on each path
+    # the drift's rhs on (P, n, 3) paths as they are, as the weak residual
+    # calls it, against the reference llg_rhs on each path
     rng = np.random.default_rng(P)
     u = normalize(smooth_map(g) + 0.1 * rng.standard_normal((P, g.n, 3)))
-    kernel = LLGStepper(g, 1.0, 0.7)
     out = np.empty_like(u)
-    kernel.size(out.transpose(2, 0, 1))
-    kernel.rhs(u.transpose(2, 0, 1), out.transpose(2, 0, 1))
+    LLGDrift(g, 1.0, 0.7, u.shape).rhs(u, out)
     for i in range(P):
         assert np.array_equal(out[i], llg_rhs(u[i], g, 1.0, 0.7))
 
@@ -173,29 +196,21 @@ def test_llg_integrate_refuses_a_u0_that_is_not_one_field_on_its_grid(shape):
         llg_integrate(u0, g, StepConfig(alpha=1.0, beta=0.0, dt=1e-3, t_end=2e-3))
 
 
-class Decay(RK4):
-    """y' = -y; keeps a copy of each projected state."""
-
-    def __init__(self):
-        self.projected = []
-
-    def rhs(self, y, out):
-        np.negative(y, out=out)
-
-    def project(self, y):
-        self.projected.append(y.copy())
+def decay(y, out):
+    """y' = -y."""
+    np.negative(y, out=out)
 
 
 def test_integrate_samples_and_projects():
     cfg = StepConfig(alpha=0.0, beta=0.0, dt=0.1, t_end=1.0, output_stride=3)
     y0 = np.array([1.0, 2.0])
-    stepper = Decay()
-    tr = integrate(y0, stepper, cfg, "decay")
+    projected = []
+    tr = integrate(y0, decay, cfg, "decay", lambda y: projected.append(y.copy()))
     assert np.allclose(tr.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     assert np.allclose(tr.states, np.exp(-tr.times)[:, None] * y0, rtol=1e-6)
     assert tr.states[0] is not y0
-    assert len(stepper.projected) == 10     # after every step
-    assert np.array_equal(stepper.projected[2], tr.states[1])
+    assert len(projected) == 10             # after every step
+    assert np.array_equal(projected[2], tr.states[1])
     # the one sampling rule, which the sllg runner's CSV uses too
     assert [k for k in range(12) if cfg.sampled(k)] == [0, 3, 6, 9, 10]
 
