@@ -151,6 +151,11 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
     return reconstruct_frame(initial_q(c, g), g, *BASEPOINT_FRAME).u
 
 
+# The most node steps (n x steps x paths, summed over a run's flows) that a
+# run may take: ~1e4 times the largest run in use, hours on one CPU.
+MAX_NODE_STEPS = 1e11
+
+
 def validate(experiment: str, c: dict, errors: list):
     """The checks that span several keys, run before any artifact exists,
     and the one construction of everything a run starts from.
@@ -161,24 +166,32 @@ def validate(experiment: str, c: dict, errors: list):
     the one-grid plan's (g, x0, solver) at each of the strictly increasing
     grid sizes, with dt=auto and output_stride=auto. Levels are planned up
     to the first refused one, whose violations stand for the later levels'
-    (which repeat them at another n).
+    (which repeat them at another n). A plan over MAX_NODE_STEPS is refused.
     """
     if experiment in _with("grid"):
-        return _one_grid_plan(experiment, c, errors)
-    rules = (("domain", "line"), ("initial_data", "localized-twist"))
-    refused = [f"{experiment} supports {k}={v} only" for k, v in rules if c[k] != v]
-    errors.extend(refused)
-    sizes = list(c["grid_sizes"])
-    if sizes != sorted(set(sizes)):
-        errors.append(f"grid_sizes={','.join(map(str, sizes))} must strictly increase")
-    plans = []
-    for n in [] if refused else sizes:
-        plans.append(_one_grid_plan(experiment, dict(c, n=n, dt="auto",
-                                                     output_stride="auto"), errors))
-        if errors:
-            break
-    return None if errors else dict(c, levels=[(p["g"], p["x0"], p["solver"])
-                                               for p in plans])
+        plan = _one_grid_plan(experiment, c, errors)
+        flows = [plan] if plan and "solver" in plan else []   # identities evolves nothing
+        copies = c.get("n_paths", 1)
+    else:
+        rules = (("domain", "line"), ("initial_data", "localized-twist"))
+        refused = [f"{experiment} supports {k}={v} only" for k, v in rules if c[k] != v]
+        errors.extend(refused)
+        sizes = list(c["grid_sizes"])
+        if sizes != sorted(set(sizes)):
+            errors.append(f"grid_sizes={','.join(map(str, sizes))} must strictly increase")
+        flows, copies = [], 2           # each level's LLG flow and heat flow
+        for n in [] if refused else sizes:
+            flows.append(_one_grid_plan(experiment, dict(c, n=n, dt="auto",
+                                                         output_stride="auto"), errors))
+            if errors:
+                break
+        plan = None if errors else dict(c, levels=[(p["g"], p["x0"], p["solver"])
+                                                   for p in flows])
+    if plan and copies * sum(p["g"].n * p["solver"].n_steps for p in flows) > MAX_NODE_STEPS:
+        errors.append(f"the run asks for more than {MAX_NODE_STEPS:.0e} node steps "
+                      "(n x steps x paths, summed over its flows)")
+        return None
+    return plan
 
 
 def _one_grid_plan(experiment: str, c: dict, errors: list):
@@ -201,6 +214,10 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
     if experiment in _with("noise") and c["domain"] != "periodic":
         errors.append(f"{experiment}: the spectral noise basis requires a periodic grid")
         return None
+    if not sphere and c["domain"] == "line" and c["initial_data"] == "great-circle":
+        # the nonlocal heat term takes x_min for -infinity
+        errors.append(f"{experiment} on the line needs data that decays at x_min, and "
+                      "great-circle's q = k does not: set initial_data=localized-twist or file")
     g = c["g"] = (attempt(periodic_grid, c["circumference"], c["n"])
                   if c["domain"] == "periodic" else
                   attempt(line_grid, c["x_min"], c["x_max"], c["n"]))
@@ -345,12 +362,12 @@ def run_sllg_experiment(c, outdir):
     ens = _ensemble(c)
     csv_path = os.path.join(outdir, "series_u.csv")
 
-    def output(csv):    # the CSV in the parent; the residual in a child, given 2 CPUs
+    def output(csv):    # the CSV in the parent; the residuals in a child, given 2 CPUs
         if csv:
             return _write_nodes(csv_path, g, ["ux", "uy", "uz"],
                                 ((ens.times[k], ens.u[k, 0])
                                  for k in range(cfg.n_steps + 1) if cfg.sampled(k)))
-        return sllg_weak_residual(ens, _standard_phi(g))
+        return sllg_weak_residual(ens, _standard_phi(g))[0]   # the midpoint's
 
     try:
         _, residual = fork_map(output, [True, False])

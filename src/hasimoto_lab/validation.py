@@ -193,13 +193,14 @@ def _check_inputs(paths: SllgEnsemble, tests: list):
     require_finite("every test function", *tests)
 
 
-def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
-                  noise_rule: str = "midpoint") -> np.ndarray:
-    """Weak SLLG residual R(phi) of every path of an SllgEnsemble, shape (P,),
-    on the ensemble's grid and coefficients.
+def weak_residual(paths: SllgEnsemble, phi: np.ndarray) -> np.ndarray:
+    """Weak SLLG residuals R(phi) of every path of an SllgEnsemble, shape
+    (2, P), on the ensemble's grid and coefficients.
 
     R = <u(T) - u(0), phi> - int <beta u x u_xx - alpha u x (u x u_xx), phi> dt
-        - sum <u x dW~, phi>, with Stratonovich midpoint sums. Spatial
+        - sum <u x dW~, phi>, with Stratonovich midpoint sums in row 0. Row 1
+    pairs the noise with the left endpoint instead (an Ito sum): a deliberate
+    negative control, which must produce a clearly biased residual. Spatial
     derivatives use the open-curve view of the grid: the reconstruction does
     not close on the circle, so periodic stencils would be invalid at the seam.
     The sums run step by step over all paths of a range at once, and the
@@ -213,41 +214,39 @@ def weak_residual(paths: SllgEnsemble, phi: np.ndarray,
     Measured with alpha = beta = 0.5, q0 = 0.2 + 0.06 cos x, 4 modes,
     t_end = 0.02 and 8000 paths; a 3-sigma gate on the mean sees it only
     with a few thousand paths.
-
-    noise_rule "left" replaces the Stratonovich midpoint in the noise pairing
-    by the left endpoint (an Ito sum). That is a deliberate negative control:
-    it must produce a clearly biased residual.
     """
-    if noise_rule not in ("midpoint", "left"):
-        raise ConfigurationError(f"unknown noise rule {noise_rule!r}")
     _check_inputs(paths, [phi])
-    return _per_path(lambda part: _residuals(part, phi, noise_rule), paths)
+    return _per_path(lambda part: _residuals(part, phi), paths)
 
 
-def _residuals(paths: SllgEnsemble, phi: np.ndarray, noise_rule: str) -> np.ndarray:
-    """weak_residual of every path, in this process."""
+def _residuals(paths: SllgEnsemble, phi: np.ndarray) -> np.ndarray:
+    """weak_residual of every path, in this process. Both rows share each
+    step's midpoint and drift term, then take their own noise pairing."""
     g, cfg = paths.grid, paths.cfg
     dt, h, u = cfg.dt, g.h, paths.u
     drift = LLGDrift(open_view(g), cfg.alpha, cfg.beta, u.shape[1:])
     f = np.empty(u.shape[1:])
-    R = h * _path_sums(phi, u[-1] - u[0])
+    R = np.tile(h * _path_sums(phi, u[-1] - u[0]), (2, 1))
     for k in range(paths.n_steps):
         u_mid = normalize(0.5 * (u[k] + u[k + 1]))
         drift.rhs(u_mid, f)
         R -= dt * h * _path_sums(phi, f)
-        u_noise = u_mid if noise_rule == "midpoint" else u[k]
-        R -= h * _path_sums(phi, cross(u_noise, paths.dW_tilde[k]))
+        for r, u_noise in zip(R, (u_mid, u[k])):
+            r -= h * _path_sums(phi, cross(u_noise, paths.dW_tilde[k]))
     return R
 
 
-def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray,
-                       noise_rule: str = "midpoint") -> dict:
-    """The report {mean, stderr, n_paths}: the ensemble mean and standard
-    error of the weak residual over the paths. One path has no spread, so at
-    least two are needed, with unequal residuals."""
-    rs = _with_spread(weak_residual(paths, phi, noise_rule), "weak residual")
-    stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
-    return {"mean": float(np.mean(rs)), "stderr": stderr, "n_paths": len(rs)}
+def sllg_weak_residual(paths: SllgEnsemble, phi: np.ndarray) -> list:
+    """The reports of the midpoint residual and of its Ito control, the two
+    rows of weak_residual, in that order; each {mean, stderr, n_paths}: the
+    ensemble mean and standard error of the row over the paths. One path has
+    no spread, so at least two are needed, with unequal residuals."""
+    reports = []
+    for rs in weak_residual(paths, phi):
+        rs = _with_spread(rs, "weak residual")
+        stderr = float(np.std(rs, ddof=1) / np.sqrt(len(rs)))
+        reports.append({"mean": float(np.mean(rs)), "stderr": stderr, "n_paths": len(rs)})
+    return reports
 
 
 def _mode_projections(nm: NoiseModel, phi: np.ndarray, F: np.ndarray) -> np.ndarray:

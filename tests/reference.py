@@ -7,16 +7,20 @@ steppers' rhs, written into preallocated buffers. These copies share no
 arithmetic with the package, so a test that compares the two bit for bit
 checks the package against an independent formula.
 
-Also the tests' convergence-order fit, and the crosscheck levels a test
+Also the tests' convergence-order fit, the crosscheck levels a test
 builds from a curvature profile q0(x), with their own copy of the CLI's
-dt=auto and output_stride=auto rules.
+dt=auto and output_stride=auto rules, and the batched weak residual of one
+noise pairing per pass, on the package's kernels, which each row of
+validation.weak_residual must equal bit for bit.
 """
 
 import numpy as np
 
-from hasimoto_lab.fields import line_grid, time_steps
+from hasimoto_lab import fields
+from hasimoto_lab.fields import line_grid, open_view, time_steps
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
-from hasimoto_lab.llg import StepConfig, auto_dt
+from hasimoto_lab.llg import LLGDrift, StepConfig, auto_dt
+from hasimoto_lab.validation import _path_sums
 
 
 def diff1(f, g):
@@ -112,3 +116,22 @@ def crosscheck_levels(initial_q, x_min, x_max, alpha, beta, t_end, grid_sizes):
         stride = max(1, time_steps(dt, t_end) // 10)
         levels.append((g, u0, StepConfig(alpha, beta, dt, t_end, stride)))
     return levels
+
+
+def one_rule_weak_residual(paths, phi, noise_rule):
+    """The weak residual of every path of an ensemble, shape (P,), in one
+    batched pass per noise pairing: the Stratonovich midpoint ("midpoint")
+    or the left endpoint ("left"). It steps in the operation order of
+    validation._residuals, on the same kernels."""
+    g, cfg = paths.grid, paths.cfg
+    dt, h, u = cfg.dt, g.h, paths.u
+    drift = LLGDrift(open_view(g), cfg.alpha, cfg.beta, u.shape[1:])
+    f = np.empty(u.shape[1:])
+    R = h * _path_sums(phi, u[-1] - u[0])
+    for k in range(paths.n_steps):
+        u_mid = fields.normalize(0.5 * (u[k] + u[k + 1]))
+        drift.rhs(u_mid, f)
+        R -= dt * h * _path_sums(phi, f)
+        u_noise = u_mid if noise_rule == "midpoint" else u[k]
+        R -= h * _path_sums(phi, fields.cross(u_noise, paths.dW_tilde[k]))
+    return R

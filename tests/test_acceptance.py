@@ -176,10 +176,9 @@ def test_criterion_08_weak_residual():
         cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02)
         paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
                                   make_noise_model(g, 4), cfg, 2024, 1000)
-        rep = sllg_weak_residual(paths, phi)
+        rep, control = sllg_weak_residual(paths, phi)
         assert abs(rep["mean"]) <= 3.0 * rep["stderr"]
         bounds.append(3.0 * rep["stderr"])
-        control = sllg_weak_residual(paths, phi, noise_rule="left")
         assert abs(control["mean"]) > 3.0 * control["stderr"]
     assert bounds[0] > bounds[1] > bounds[2]
 

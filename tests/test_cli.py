@@ -13,6 +13,7 @@ from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt, _with,
                               list_experiments, main, read_config_file,
                               resolve_config, validate, write_csv)
 import hasimoto_lab
+import hasimoto_lab.cli as cli
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
 from hasimoto_lab.heat import heat_integrate
@@ -179,7 +180,6 @@ def test_sllg_smoke_and_byte_determinism(tmp_path, use_cpus, no_child_left):
 
 def test_failing_residual_job_fails_manifest(tmp_path, capsys, monkeypatch,
                                             use_cpus, no_child_left):
-    import hasimoto_lab.cli as cli
     parent = os.getpid()
 
     def broken(ens, phi):
@@ -484,7 +484,6 @@ def test_sllg_builds_its_noise_model_and_initial_frame_once(tmp_path, monkeypatc
 
 
 def test_unexpected_error_fails_manifest(tmp_path, capsys, monkeypatch):
-    import hasimoto_lab.cli as cli
 
     def broken(u, g):
         raise RuntimeError("boom\nsecond line")
@@ -610,7 +609,6 @@ def test_dt_must_divide_t_end(tmp_path, capsys, experiment):
 
 
 def test_unexpected_validation_error_is_a_config_error(tmp_path, capsys, monkeypatch):
-    import hasimoto_lab.cli as cli
 
     def broken(*args):
         raise OverflowError("boom\nsecond line")
@@ -674,6 +672,71 @@ def test_experiment_rejects_keys_it_does_not_read(tmp_path, capsys, experiment, 
 def test_crosscheck_runs_on_the_line_only(tmp_path, capsys):
     err = assert_config_error(tmp_path, capsys, "crosscheck", "--set", "domain=periodic")
     assert "domain=line" in err
+
+
+@pytest.mark.parametrize("args", [("heat", "--set", "domain=line"),
+                                  ("holonomy", "--set", "initial_data=great-circle")])
+def test_q_flow_on_the_line_from_a_great_circle_is_refused(tmp_path, capsys, args):
+    # q = k does not decay at x_min, where the nonlocal term stands in for
+    # -infinity: the run would report decay_ok false, or blow up (holonomy)
+    err = assert_config_error(tmp_path, capsys, *args, "--set", "t_end=0.01")
+    assert err == (f"config error: {args[0]} on the line needs data that decays at "
+                   "x_min, and great-circle's q = k does not: set "
+                   "initial_data=localized-twist or file\n")
+
+
+def test_line_runs_from_a_great_circle_or_a_file_still_run(tmp_path, capsys):
+    # the great circle is a stationary LLG solution on the line, up to the end
+    # stencils; file data that does not decay is flagged only by the run
+    out = tmp_path / "llg"
+    assert run_cli("llg", "--set", "domain=line", "--set", "t_end=0.01",
+                   "--out", str(out)) == 0
+    path = tmp_path / "q0.csv"
+    path.write_text("re,im\n" + "0.2,0.0\n" * 64)
+    out = tmp_path / "heat"
+    assert run_cli("heat", "--set", "domain=line", "--set", "t_end=0.01",
+                   "--set", "initial_data=file", "--set", f"initial_file={path}",
+                   "--out", str(out)) == 0
+    assert read_json(out / "report.json")["decay_ok"] is False
+
+
+def validate_errors(experiment, sets):
+    """validate's errors for experiment with sets, which resolve_config accepts."""
+    errors = []
+    _, typed = resolve_config(experiment, {}, list(sets.items()), errors)
+    assert errors == []
+    assert (validate(experiment, typed, errors) is None) == bool(errors)
+    return errors
+
+
+@pytest.mark.parametrize("experiment,sets", [
+    ("llg", {"dt": "1e-300"}), ("heat", {"t_end": "1e300", "dt": "0.001"}),
+    ("sllg", {"t_end": "1e6"}), ("crosscheck", {"alpha": "1e300"}),
+    ("holonomy", {"t_end": "1e9", "dt": "0.01"})])
+def test_validate_refuses_a_run_over_the_work_bound(experiment, sets):
+    # ~1e300 steps (a tiny dt, or dt=auto at a huge alpha) used to validate
+    # and then run until killed, leaving the manifest in running
+    assert cli.MAX_NODE_STEPS == 1e11
+    assert validate_errors(experiment, sets) == [
+        "the run asks for more than 1e+11 node steps (n x steps x paths, summed over "
+        "its flows)"]
+
+
+@pytest.mark.parametrize("experiment,sets", [
+    ("sllg", {"n_paths": "7", "t_end": "0.005"}), ("heat", {"n": "48"}),
+    ("crosscheck", {"grid_sizes": "16,32,64", "t_end": "0.05"})])
+def test_work_bound_counts_nodes_steps_paths_and_every_flow(monkeypatch, experiment,
+                                                            sets):
+    # n x steps x paths, summed over crosscheck's levels and both its flows;
+    # a run at the bound runs, one node step over it is refused
+    _, c = plan(experiment, sets)
+    levels = c.get("levels") or [(c["g"], c["x0"], c["solver"])]
+    work = (2 if experiment == "crosscheck" else c.get("n_paths", 1)) * sum(
+        g.n * cfg.n_steps for g, _, cfg in levels)
+    monkeypatch.setattr(cli, "MAX_NODE_STEPS", work)
+    assert validate_errors(experiment, sets) == []
+    monkeypatch.setattr(cli, "MAX_NODE_STEPS", work - 1)
+    assert len(validate_errors(experiment, sets)) == 1
 
 
 @pytest.mark.parametrize("experiment,value", [

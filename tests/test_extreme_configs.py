@@ -50,8 +50,9 @@ DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 SMALL = {"n": "8", "dt": "0.001", "t_end": "0.002", "n_paths": "2",
          "grid_sizes": "8,16"}
 
-# A valid config may ask for ~1e300 steps (a tiny dt, or dt=auto at a huge
-# alpha); such a draw is validated but not run.
+# The tests' run budget: a draw that validates with more node steps is not
+# run. validate refuses a config over cli.MAX_NODE_STEPS (~1e300 steps from a
+# tiny dt, or dt=auto at a huge alpha), so such a draw runs as a refusal.
 MAX_NODE_STEPS = 200_000
 
 EXCEPTION_NAMES = re.compile(r"\b(%s)\b" % "|".join(

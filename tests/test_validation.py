@@ -19,7 +19,8 @@ from hasimoto_lab.validation import (covariance_checks, crosscheck_deterministic
                                      holonomy_defect, identity_suite,
                                      localized_twist, sllg_weak_residual,
                                      weak_residual)
-from reference import crosscheck_levels, fit_loglog_slope, llg_rhs
+from reference import (crosscheck_levels, fit_loglog_slope, llg_rhs,
+                       one_rule_weak_residual)
 
 
 def smooth_map(g):
@@ -314,9 +315,7 @@ def test_weak_residual_zero_test_function():
     g = line_grid(-30.0, 10.0, 64)
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     path = make_zero_noise_paths(g, dt, 4.0 * dt, 1)
-    assert weak_residual(path, np.zeros((g.n, 3))).tolist() == [0.0]
-    with pytest.raises(ConfigurationError):
-        weak_residual(path, np.zeros((g.n, 3)), noise_rule="right")
+    assert weak_residual(path, np.zeros((g.n, 3))).tolist() == [[0.0], [0.0]]
 
 
 def test_weak_residual_deterministic_path_small():
@@ -326,7 +325,7 @@ def test_weak_residual_deterministic_path_small():
     paths = make_zero_noise_paths(g, dt, 10.0 * dt, 2)
     phi = np.stack([np.cos(g.x / 10.0), np.sin(g.x / 10.0),
                     0.3 * np.ones(g.n)], axis=-1)
-    r = weak_residual(paths, phi)
+    r = weak_residual(paths, phi)[0]
     assert r[0] == r[1] and abs(r[0]) <= 50.0 * dt ** 2
     # equal paths have no spread: their statistics are refused, not read as 0
     for check in (lambda: sllg_weak_residual(paths, phi),
@@ -457,7 +456,7 @@ def small_ensemble():
 def test_weak_residual_of_an_empty_view_is_empty():
     g, ens = small_ensemble()
     phi = standard_pairs(g)[0][0]
-    assert weak_residual(ens.view(slice(2, 2)), phi).shape == (0,)
+    assert weak_residual(ens.view(slice(2, 2)), phi).shape == (2, 0)
 
 
 def test_sllg_weak_residual_refuses_an_empty_view():
@@ -511,17 +510,16 @@ def test_covariance_checks_refuse_no_pair():
 def test_batched_weak_residual_matches_per_path_sum():
     g, ens = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
-    for rule in ("midpoint", "left"):
+    rows, reps = weak_residual(ens, phi), sllg_weak_residual(ens, phi)
+    assert rows.shape == (2, ens.n_paths) and len(reps) == 2
+    for rule, got, rep in zip(("midpoint", "left"), rows, reps):
         ref = np.array([reference_weak_residual(ens, i, phi, rule)
                         for i in range(ens.n_paths)])
-        got = weak_residual(ens, phi, rule)
-        assert got.shape == (ens.n_paths,)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        rep = sllg_weak_residual(ens, phi, rule)
         assert rep["mean"] == pytest.approx(np.mean(ref), rel=1e-12)
         assert rep["stderr"] == pytest.approx(
             np.std(ref, ddof=1) / np.sqrt(len(ref)), rel=1e-12)
-    one = weak_residual(ens.view(slice(3, 4)), phi)
+    one = weak_residual(ens.view(slice(3, 4)), phi)[0]
     assert one.shape == (1,) and one[0] == pytest.approx(
         reference_weak_residual(ens, 3, phi, "midpoint"), rel=1e-12)
 
@@ -531,11 +529,27 @@ def test_weak_residual_of_a_path_is_its_ensemble_entry():
     # ensemble, so its residual is the ensemble's entry bit for bit
     g, ens = small_ensemble()
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
-    for rule in ("midpoint", "left"):
-        every = weak_residual(ens, phi, rule)
-        for i in range(ens.n_paths):
-            one = weak_residual(ens.view(slice(i, i + 1)), phi, rule)
-            assert one.tobytes() == every[i:i + 1].tobytes()
+    every = weak_residual(ens, phi)
+    for i in range(ens.n_paths):
+        one = weak_residual(ens.view(slice(i, i + 1)), phi)
+        assert one.tobytes() == every[:, i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_weak_residual_rows_equal_one_pass_per_noise_pairing(use_cpus, no_child_left,
+                                                             cpus):
+    # the two pairings share each step's midpoint and drift term, which
+    # leaves each row bit for bit the pass of its pairing alone
+    g, ens = small_ensemble()
+    phi = standard_pairs(g)[0][0]
+    alone = [one_rule_weak_residual(ens, phi, rule) for rule in ("midpoint", "left")]
+    use_cpus(cpus)
+    rows = weak_residual(ens, phi)
+    assert rows.shape == (2, ens.n_paths)
+    for row, want in zip(rows, alone):
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+    assert not np.array_equal(rows[0], rows[1])
+    no_child_left()
 
 
 def test_batched_covariance_matches_per_path_sum():
@@ -596,12 +610,10 @@ def test_sharded_per_path_values_equal_the_serial_ones(use_cpus, no_child_left, 
     assert part.seeds == ens.seeds[2:5] and np.shares_memory(part.u, ens.u)
     pairs = standard_pairs(g)
     phi = pairs[0][0]
-    residuals = {rule: validation._residuals(ens, phi, rule)
-                 for rule in ("midpoint", "left")}
+    residuals = validation._residuals(ens, phi)
     samples = validation._covariance_samples(ens, pairs)
     use_cpus(cpus)
-    for rule, serial in residuals.items():
-        assert np.array_equal(weak_residual(ens, phi, rule), serial)
+    assert np.array_equal(weak_residual(ens, phi), residuals)
     sharded = validation._per_path(
         lambda part: validation._covariance_samples(part, pairs), ens)
     assert np.array_equal(sharded, samples)
