@@ -1,12 +1,11 @@
 """Experiment runner.
 
-Usage: hasimoto-lab <experiment> [--config FILE] [--set key=value ...]
-                                 [--out DIR] [--seed N]
+Usage: hasimoto-lab <experiment> [--set key=value ...] [--out DIR] [--seed N]
 
 Two tables define the command line: EXPERIMENTS, one row per experiment with
 its runner and traits, and SCHEMA, one row per config key with its readers by
-trait. Config files are flat key=value text, which --set overrides key by key;
-an experiment accepts exactly the keys it reads. list-experiments lists them.
+trait. --set gives a key its value, at most once; an experiment accepts
+exactly the keys it reads. list-experiments lists them.
 Outputs per run: series_*.csv (time series), report.json (structured result),
 manifest.json (resolved config, seed, version, status, wall clock). The
 resolved config, which holds master_seed only for the stochastic experiments
@@ -38,29 +37,6 @@ from .validation import (covariance_checks, crosscheck_deterministic,
                          holonomy_defect, identity_suite, localized_twist,
                          sllg_weak_residual)
 
-def read_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored. A key set
-    twice is refused."""
-    out, first = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    for ln, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key in first:
-            raise ConfigurationError(f"{path}:{ln}: {key!r} is set again "
-                                     f"(first on line {first[key]})")
-        out[key], first[key] = val, ln
-    return out
-
-
 def _parse(kind: str, need: str, text: str):
     """text as a value of type kind that meets need; ValueError if it is none."""
     if text == "auto" and kind.startswith("auto|"):
@@ -79,21 +55,22 @@ def _parse(kind: str, need: str, text: str):
     return tuple(vals) if kind == "ints" else vals[0]
 
 
-def resolve_config(experiment: str, file_cfg: dict, sets: list, errors: list):
-    """Defaults, then the config file, then the (key, value) pairs of sets,
-    against SCHEMA.
+def resolve_config(experiment: str, sets: list, errors: list):
+    """Defaults, then the (key, value) pairs of sets, against SCHEMA.
 
-    Unknown keys and values that fail their type or constraint go to errors.
-    Returns (the resolved strings, their typed values); the typed values are
-    None if any of them failed.
+    Unknown keys, keys given again and values that fail their type or
+    constraint go to errors. Returns (the resolved strings, their typed
+    values); the typed values are None if any of them failed.
     """
-    raw = dict(DEFAULTS[experiment])
-    for src in (file_cfg, dict(sets)):
-        for key, val in src.items():
-            if key not in raw:
-                errors.append(f"unknown config key {key!r} for experiment {experiment}")
-            else:
-                raw[key] = val
+    raw, given = dict(DEFAULTS[experiment]), set()
+    for key, val in sets:
+        if key not in raw:
+            errors.append(f"unknown config key {key!r} for experiment {experiment}")
+        elif key in given:
+            errors.append(f"config key {key!r} is given more than once")
+        else:
+            raw[key] = val
+            given.add(key)
     typed = {}
     for key, text in raw.items():
         kind, need = SCHEMA[key][:2]
@@ -535,18 +512,17 @@ def main(argv=None) -> int:
         description="Run an equivalence-lab experiment and write CSV/JSON artifacts.")
     parser.add_argument("experiment",
                         choices=[*EXPERIMENTS, "list-experiments"])
-    parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--set", dest="sets", action="append", default=[],
-                        metavar="KEY=VALUE", help="override one config key")
+                        metavar="KEY=VALUE",
+                        help="give one config key its value, at most once")
     parser.add_argument("--out", help="output directory "
                         "(default: $HASIMOTO_LAB_OUT/<experiment> or ./runs/<experiment>)")
-    parser.add_argument("--seed", type=int, help="override master_seed")
+    parser.add_argument("--seed", type=int, help="--set master_seed=N")
     args = parser.parse_args(argv)
 
     if args.experiment == "list-experiments":
-        given = [flag for flag, v in (("--config", args.config), ("--set", args.sets),
-                                      ("--out", args.out), ("--seed", args.seed))
-                 if v not in (None, [])]
+        given = [flag for flag, v in (("--set", args.sets), ("--out", args.out),
+                                      ("--seed", args.seed)) if v not in (None, [])]
         if given:
             print(f"config error: list-experiments takes no {', '.join(given)}",
                   file=sys.stderr)
@@ -559,13 +535,7 @@ def main(argv=None) -> int:
             for item in args.sets if "=" in item]
     if args.seed is not None:
         sets.append(("master_seed", str(args.seed)))
-    file_cfg = {}
-    if args.config:
-        try:
-            file_cfg = read_config_file(args.config)
-        except (OSError, ConfigurationError) as exc:
-            errors.append(str(exc))
-    raw, cfg = resolve_config(args.experiment, file_cfg, sets, errors)
+    raw, cfg = resolve_config(args.experiment, sets, errors)
     if cfg is not None:
         try:
             with np.errstate(all="ignore"):     # overflowed data is refused, not warned

@@ -87,6 +87,9 @@ def time_steps(dt: float, t_end: float) -> int:
     if not 0 <= t_end < np.inf:
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     steps = t_end / dt
+    if steps == np.inf:
+        raise ConfigurationError(
+            f"t_end={t_end!r} over dt={dt!r} overflows the step count")
     n = round(steps)
     if abs(steps - n) > 1e-9 * steps:
         raise ConfigurationError(

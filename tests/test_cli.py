@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt, _with,
-                              list_experiments, main, read_config_file,
-                              resolve_config, validate, write_csv)
+                              list_experiments, main, resolve_config, validate,
+                              write_csv)
 import hasimoto_lab
 import hasimoto_lab.cli as cli
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
@@ -101,15 +101,6 @@ def test_main_in_process_freezes_nothing(tmp_path):
     assert gc.get_freeze_count() == before
 
 
-def test_read_config_file(tmp_path):
-    p = tmp_path / "cfg.txt"
-    p.write_text("# comment\n\nalpha = 2.0\nn=32\n")
-    assert read_config_file(str(p)) == {"alpha": "2.0", "n": "32"}
-    p.write_text("alpha 2.0\n")
-    with pytest.raises(ConfigurationError):
-        read_config_file(str(p))
-
-
 def test_llg_smoke(tmp_path):
     out = tmp_path / "llg"
     rc = run_cli("llg", "--out", str(out), "--set", "n=32",
@@ -122,15 +113,6 @@ def test_llg_smoke(tmp_path):
     assert manifest["master_seed"] is None          # a deterministic run has no seed
     assert "series_u.csv" in manifest["outputs"]
     assert (out / "series_u.csv").exists()
-
-
-def test_heat_smoke_with_config_file(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 32\nt_end = 0.01\nbeta = 0.5\n")
-    out = tmp_path / "heat"
-    assert run_cli("heat", "--config", str(cfg), "--out", str(out)) == 0
-    report = read_json(out / "report.json")
-    assert report["mass_initial"] == pytest.approx(2.0 * np.pi, rel=1e-6)
 
 
 def test_crosscheck_smoke(tmp_path):
@@ -428,7 +410,7 @@ def test_crosscheck_marches_each_initial_frame_once(tmp_path, monkeypatch):
 def plan(experiment, sets):
     """The resolved strings and validate's plan of experiment with sets."""
     errors = []
-    raw, typed = resolve_config(experiment, {}, list(sets.items()), errors)
+    raw, typed = resolve_config(experiment, list(sets.items()), errors)
     c = validate(experiment, typed, errors)
     assert errors == [] and c is not None
     return raw, c
@@ -703,7 +685,7 @@ def test_line_runs_from_a_great_circle_or_a_file_still_run(tmp_path, capsys):
 def validate_errors(experiment, sets):
     """validate's errors for experiment with sets, which resolve_config accepts."""
     errors = []
-    _, typed = resolve_config(experiment, {}, list(sets.items()), errors)
+    _, typed = resolve_config(experiment, list(sets.items()), errors)
     assert errors == []
     assert (validate(experiment, typed, errors) is None) == bool(errors)
     return errors
@@ -809,31 +791,23 @@ def test_initial_data_file_needs_a_path(tmp_path, capsys):
     assert "needs an initial_file" in err
 
 
-def test_unreadable_config_file_reported_with_other_errors(tmp_path, capsys):
-    err = assert_config_error(tmp_path, capsys, "llg", "--config",
-                              str(tmp_path / "none.txt"), "--set", "bogus=1")
-    assert "none.txt" in err and "unknown config key 'bogus'" in err
-
-
-def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
-    path = tmp_path / "utf16.txt"
-    path.write_bytes(b"\xff\xfen\x00=\x003\x002\x00")
-    err = assert_config_error(tmp_path, capsys, "llg", "--config", str(path))
-    assert err.splitlines() == [f"config error: {path}: not UTF-8 text (byte 0)"]
-
-
-def test_config_file_that_sets_a_key_twice_exits_2(tmp_path, capsys):
-    # unchecked, the last value wins: n=32 then n=16 runs at n = 16
-    path = tmp_path / "cfg.txt"
-    path.write_text("n=32\n# again\nn = 16\n")
-    err = assert_config_error(tmp_path, capsys, "llg", "--config", str(path))
-    assert err.splitlines() == [
-        f"config error: {path}:3: 'n' is set again (first on line 1)"]
+@pytest.mark.parametrize("args,lines", [
+    (["llg", "--set", "n=32", "--set", "n=16"], ["config key 'n' is given more than once"]),
+    (["sllg", "--seed", "3", "--set", "master_seed=5"],
+     ["config key 'master_seed' is given more than once"]),
+    (["llg", "--set", "n=32", "--set", "bogus=1", "--set", "n=16"],
+     ["unknown config key 'bogus' for experiment llg",
+      "config key 'n' is given more than once"])],
+    ids=["set-set", "seed-set", "with-an-unknown-key"])
+def test_a_key_given_twice_exits_2(tmp_path, capsys, args, lines):
+    # unchecked, one value wins: n=32 then n=16 runs at n = 16, --seed 3 on seed 3
+    err = assert_config_error(tmp_path, capsys, *args)
+    assert err.splitlines() == [f"config error: {line}" for line in lines]
 
 
 @pytest.mark.parametrize("args,flags", [
-    ([], "--out"), (["--set", "bogus=1", "--seed", "3"], "--set, --out, --seed"),
-    (["--config", "cfg.txt"], "--config, --out")], ids=["out", "set-seed", "config"])
+    ([], "--out"), (["--set", "bogus=1", "--seed", "3"], "--set, --out, --seed")],
+    ids=["out", "set-seed"])
 def test_list_experiments_refuses_run_options(tmp_path, capsys, args, flags):
     # the catalog takes none of a run's options; it would ignore them all
     out = tmp_path / "D"

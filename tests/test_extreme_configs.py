@@ -74,6 +74,8 @@ REFUSED = [
     # a header and no data rows, which numpy warned about before the refusal
     ("sllg", {"initial_data": "file", "initial_file": "header_only_q.csv"}),
     ("llg", {"initial_data": "file", "initial_file": "header_only_u.csv"}),
+    # t_end / dt overflows to inf, which round() could not take
+    ("llg", {"dt": "1e-300", "t_end": "1e300"}),
 ]
 
 # Valid data that overflows within the first step.
@@ -101,7 +103,7 @@ def draws(seed, per_experiment=7):
 def node_steps(experiment, sets):
     """The node steps of a config that validates; None if it is refused."""
     errors = []
-    _, typed = resolve_config(experiment, {}, list(sets.items()), errors)
+    _, typed = resolve_config(experiment, list(sets.items()), errors)
     with np.errstate(all="ignore"):
         c = typed and validate(experiment, typed, errors)
     if c is None:

@@ -227,6 +227,8 @@ def test_time_steps():
         time_steps(0.003, 0.01)                  # would stop at t = 0.009
     with pytest.raises(ConfigurationError):
         time_steps(0.5, 0.2)                     # t_end short of one step
+    with pytest.raises(ConfigurationError, match=r"t_end=1e\+300 over dt=1e-300 overflows"):
+        time_steps(1e-300, 1e300)                # t_end / dt is inf
     for dt, t_end in ((0.0, 1.0), (np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan),
                       (1e-3, -1.0)):
         with pytest.raises(ConfigurationError):

@@ -51,6 +51,8 @@ def test_config_validation():
         StepConfig(alpha=-1.0, beta=0.0, dt=1e-3, t_end=0.1)
     with pytest.raises(ConfigurationError):
         StepConfig(alpha=1.0, beta=0.0, dt=0.0, t_end=0.1)
+    with pytest.raises(ConfigurationError, match=r"t_end=1e\+300 over dt=1e-300 overflows"):
+        StepConfig(alpha=1.0, beta=1.0, dt=1e-300, t_end=1e300)
     g = periodic_grid(2.0 * np.pi, 64)
     cfg = StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0)
     with pytest.raises(ConfigurationError):
