@@ -24,8 +24,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .fields import (BlowUpError, ConfigurationError, Grid1D, check_unit,
-                     line_grid, normalize, periodic_grid, time_steps)
+from .fields import (BlowUpError, ConfigurationError, Grid1D, line_grid,
+                     periodic_grid, time_steps)
 from .forks import fork_map
 from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
                         reconstruct_frame)
@@ -82,8 +82,11 @@ def resolve_config(experiment: str, sets: list, errors: list):
     return raw, typed if len(typed) == len(raw) else None
 
 
-def _load_initial_file(c: dict, g: Grid1D, columns: str) -> np.ndarray:
-    """The g.n data rows of the CSV initial_file, one column per name in columns."""
+def initial_q(c: dict, g: Grid1D) -> np.ndarray:
+    if c["initial_data"] == "great-circle":
+        return c["k"] * np.ones(g.n, dtype=complex)
+    if c["initial_data"] == "localized-twist":
+        return localized_twist(g.x, c["amplitude"], c["width"], c["center"])
     path = c["initial_file"]
     if not path:
         raise ConfigurationError("initial_data=file needs an initial_file")
@@ -94,37 +97,22 @@ def _load_initial_file(c: dict, g: Grid1D, columns: str) -> np.ndarray:
     except ValueError as exc:
         raise ConfigurationError(
             f"initial_file {path!r} is not numeric CSV: {exc}") from None
-    if data.shape != (g.n, len(columns.split(","))):
+    if data.shape != (g.n, 2):
         raise ConfigurationError(
-            f"initial_file must have {g.n} rows of {columns}; got {data.shape}")
+            f"initial_file must have {g.n} rows of re,im; got {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ConfigurationError(f"initial_file {path!r} holds non-finite values")
-    return data
-
-
-def initial_q(c: dict, g: Grid1D) -> np.ndarray:
-    if c["initial_data"] == "great-circle":
-        return c["k"] * np.ones(g.n, dtype=complex)
-    if c["initial_data"] == "localized-twist":
-        return localized_twist(g.x, c["amplitude"], c["width"], c["center"])
-    data = _load_initial_file(c, g, "re,im")
     return data[:, 0] + 1j * data[:, 1]
 
 
 def initial_u(c: dict, g: Grid1D) -> np.ndarray:
+    """The great circle, or else the frame march of initial_q's data."""
     if c["initial_data"] == "great-circle":
         k = c["k"]
         turns = k * g.length / (2.0 * np.pi)
         if g.periodic and not abs(turns - np.round(turns)) <= 1e-12:
             raise ConfigurationError("great-circle k must close on the periodic domain")
         return np.stack([np.cos(k * g.x), np.sin(k * g.x), np.zeros(g.n)], axis=-1)
-    if c["initial_data"] == "file":
-        data = _load_initial_file(c, g, "ux,uy,uz")
-        try:
-            check_unit(data)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"initial_file: {exc}") from None
-        return normalize(data)
     return reconstruct_frame(initial_q(c, g), g, *BASEPOINT_FRAME).u
 
 
@@ -206,7 +194,7 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
     if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
         errors.append("the initial frame overflows to inf or nan")
     if experiment in _with("noise"):
-        c["noise"] = make_noise_model(g, c["n_modes"], c["coeff_amplitude"])
+        c["noise"] = attempt(make_noise_model, g, c["n_modes"], c["coeff_amplitude"])
     if c.get("dt") == "auto":
         c["dt"] = attempt(auto_dt, g, c["alpha"], c["beta"], c["t_end"])
     if c.get("dt") is None:             # identities evolves nothing, or auto_dt failed

@@ -282,9 +282,3 @@ def norm(a: np.ndarray) -> np.ndarray:
 def normalize(a: np.ndarray) -> np.ndarray:
     return a / norm(a)[..., None]
 
-
-def check_unit(u: np.ndarray):
-    """Assert every row of u is a unit vector to 1e-8 (sphere-valued field)."""
-    dev = np.max(np.abs(norm(u) - 1.0))
-    if dev > 1e-8:
-        raise ConfigurationError(f"field is not sphere-valued: max | |u|-1 | = {dev:.3e}")

@@ -62,6 +62,10 @@ class NoiseModel:
             raise ConfigurationError(f"coeffs must be 1-D, got shape {self.coeffs.shape}")
         if not np.all(np.isfinite(self.coeffs)):
             raise ConfigurationError(f"non-finite noise coefficients: {self.coeffs}")
+        top = self.n_modes // 2             # the highest frequency; n nodes resolve < n / 2
+        if 2 * top >= self.grid.n:
+            raise ConfigurationError(f"n_modes={self.n_modes} is more than n={self.grid.n} "
+                                     f"nodes resolve: its frequency {top} needs n > {2 * top}")
         self.basis, self.basis_x = fourier_basis(self.grid, self.n_modes)
 
     @property

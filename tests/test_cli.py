@@ -495,14 +495,34 @@ def test_unparsable_initial_file_exits_2(tmp_path, capsys):
 
 
 def test_initial_file_with_wrong_columns_exits_2(tmp_path, capsys):
-    path = tmp_path / "q0.csv"
-    path.write_text("re,im\n" + "0.2,0.0\n" * 32)
-    out = tmp_path / "bad5"
-    rc = run_cli("llg", "--out", str(out), "--set", "n=32",
-                 "--set", "initial_data=file", "--set", f"initial_file={path}")
-    assert rc == 2
-    assert not out.exists()
-    assert "rows of ux,uy,uz" in capsys.readouterr().err
+    # an initial_file holds q for every experiment: rows of unit vectors are refused
+    path = tmp_path / "u0.csv"
+    path.write_text("ux,uy,uz\n" + "0.0,0.0,1.0\n" * 32)
+    for experiment in ("llg", "identities", "heat"):
+        err = assert_config_error(tmp_path, capsys, experiment, "--set", "n=32",
+                                  "--set", "initial_data=file", "--set", f"initial_file={path}")
+        assert err == "config error: initial_file must have 32 rows of re,im; got (32, 3)\n"
+
+
+@pytest.mark.parametrize("experiment,outputs", [
+    ("llg", ["series_u.csv", "report.json"]), ("identities", ["report.json"])])
+def test_u_runs_from_a_q_file_equal_their_twist_runs(tmp_path, experiment, outputs):
+    # u0 is the frame march of the file's q, as it is of the twist's (both
+    # experiments' default twist, on their default line at n = 64)
+    q0 = localized_twist(np.linspace(-90.0, 20.0, 64), 0.25, 6.0, -15.0)
+    path = tmp_path / "twist_q.csv"
+    path.write_text("re,im\n" + "".join(
+        f"{re!r},{im!r}\n" for re, im in zip(q0.real.tolist(), q0.imag.tolist())))
+    args = [experiment, "--set", "domain=line", "--set", "n=64"]
+    if experiment == "llg":
+        args += ["--set", "t_end=0.01"]
+    assert run_cli(*args, "--set", "initial_data=localized-twist",
+                   "--out", str(tmp_path / "twist")) == 0
+    assert run_cli(*args, "--set", "initial_data=file", "--set", f"initial_file={path}",
+                   "--out", str(tmp_path / "file")) == 0
+    for name in outputs:
+        assert (tmp_path / "file" / name).read_bytes() == \
+            (tmp_path / "twist" / name).read_bytes(), name
 
 
 def rowwise_csv(path, header, rows):
@@ -775,15 +795,12 @@ def test_every_key_rejects_an_invalid_value(tmp_path, capsys, experiment, key):
     assert key in err
 
 
-@pytest.mark.parametrize("row,message", [
-    ("2.0,0.0,0.0", "initial_file: field is not sphere-valued"),
-    ("nan,0.0,0.0", "non-finite")])
-def test_initial_file_sphere_field_checked(tmp_path, capsys, row, message):
-    path = tmp_path / "u0.csv"
-    path.write_text("ux,uy,uz\n" + (row + "\n") * 32)
+def test_initial_file_with_non_finite_values_exits_2(tmp_path, capsys):
+    path = tmp_path / "q0.csv"
+    path.write_text("re,im\n" + "nan,0.0\n" * 32)
     err = assert_config_error(tmp_path, capsys, "llg", "--set", "n=32", "--set",
                               "initial_data=file", "--set", f"initial_file={path}")
-    assert message in err
+    assert "non-finite" in err
 
 
 def test_initial_data_file_needs_a_path(tmp_path, capsys):

@@ -73,9 +73,12 @@ REFUSED = [
     ("identities", {"n": "8", "x_min": "-1e-300", "x_max": "0.0"}),
     # a header and no data rows, which numpy warned about before the refusal
     ("sllg", {"initial_data": "file", "initial_file": "header_only_q.csv"}),
-    ("llg", {"initial_data": "file", "initial_file": "header_only_u.csv"}),
+    ("llg", {"initial_data": "file", "initial_file": "header_only_q.csv"}),
     # t_end / dt overflows to inf, which round() could not take
     ("llg", {"dt": "1e-300", "t_end": "1e300"}),
+    # more modes than n nodes resolve, whose sampled basis is not orthonormal
+    ("sllg", {"n": "8", "n_modes": "8"}),
+    ("covariance", {"n": "8", "n_modes": "8", "n_paths": "20"}),
 ]
 
 # Valid data that overflows within the first step.

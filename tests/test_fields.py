@@ -4,7 +4,7 @@ import pytest
 from hasimoto_lab.fields import (ConfigurationError, Grid1D, boundary_decay_ok,
                                  cross, cumint, diff1, diff2, dot, line_grid,
                                  norm, normalize, open_view, periodic_grid,
-                                 check_unit, time_steps)
+                                 time_steps)
 import reference
 
 
@@ -197,13 +197,10 @@ def test_lagrange_identity():
     assert lhs == pytest.approx(4.0) and rhs == pytest.approx(4.0)
 
 
-def test_normalize_and_check_unit():
+def test_normalize():
     v = np.array([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0]])
     u = normalize(v)
     assert np.allclose(norm(u), 1.0)
-    check_unit(u)
-    with pytest.raises(ConfigurationError):
-        check_unit(v)
 
 
 def test_cross_bit_identical_to_numpy():

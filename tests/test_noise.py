@@ -14,6 +14,22 @@ def test_basis_orthonormal():
     assert np.max(np.abs(gram - np.eye(7))) <= 1e-12
 
 
+@pytest.mark.parametrize("n,refused", [(8, 8), (9, 10), (64, 64)])
+def test_model_takes_only_the_modes_its_grid_resolves(n, refused):
+    # on n = 8 mode 8 is sin(pi j), zero to round-off, and mode 9 equals mode 5
+    g = periodic_grid(2.0 * np.pi, n)
+    accepted = []
+    for n_modes in range(1, n + 3):
+        try:
+            basis = make_noise_model(g, n_modes).basis
+        except ConfigurationError as exc:
+            assert f"n_modes={n_modes} is more than n={n} nodes resolve" in str(exc)
+            continue
+        assert np.max(np.abs(g.h * basis @ basis.T - np.eye(n_modes))) <= 1e-14
+        accepted.append(n_modes)
+    assert accepted == list(range(1, refused))
+
+
 def test_basis_derivatives():
     g = periodic_grid(4.0, 128)
     basis, basis_x = fourier_basis(g, 5)
