@@ -112,6 +112,9 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
         turns = k * g.length / (2.0 * np.pi)
         if g.periodic and not abs(turns - np.round(turns)) <= 1e-12:
             raise ConfigurationError("great-circle k must close on the periodic domain")
+        if not abs(k) * g.h < np.pi:    # else its samples are another circle's
+            raise ConfigurationError(f"great-circle k={k!r} is more than n={g.n} nodes "
+                                     f"resolve: |k| h = {abs(k) * g.h:.6g} needs to be < pi")
         return np.stack([np.cos(k * g.x), np.sin(k * g.x), np.zeros(g.n)], axis=-1)
     return reconstruct_frame(initial_q(c, g), g, *BASEPOINT_FRAME).u
 
@@ -163,8 +166,6 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
     """validate on one grid: c with dt and output_stride resolved to numbers,
     plus, by the traits of the experiment's row in EXPERIMENTS,
     - "g" and "x0": the grid and the initial data, u if u, else q;
-    - "frame" (not u): the FrameField that the frame march builds from q0
-      and BASEPOINT_FRAME;
     - "noise" (noise): the NoiseModel on g;
     - "solver" (if c has a dt): its StepConfig.
     """
@@ -189,9 +190,8 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
     if g is None:
         return None
     x0 = c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
-    if x0 is not None and not sphere:
-        c["frame"] = reconstruct_frame(x0, g, *BASEPOINT_FRAME)
-    if x0 is not None and not np.all(np.isfinite(x0 if sphere else c["frame"].u)):
+    if x0 is not None and not np.all(np.isfinite(
+            x0 if sphere else reconstruct_frame(x0, g, *BASEPOINT_FRAME).u)):
         errors.append("the initial frame overflows to inf or nan")
     if experiment in _with("noise"):
         c["noise"] = attempt(make_noise_model, g, c["n_modes"], c["coeff_amplitude"])
@@ -318,8 +318,8 @@ def _standard_phi(g: Grid1D) -> np.ndarray:
 
 
 def _ensemble(c):
-    return run_sllg_ensemble(c["x0"], c["frame"], c["noise"], c["solver"],
-                             c["master_seed"], c["n_paths"])
+    return run_sllg_ensemble(c["x0"], c["noise"], c["solver"], c["master_seed"],
+                             c["n_paths"])
 
 
 def run_sllg_experiment(c, outdir):

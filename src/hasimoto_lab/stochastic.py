@@ -22,7 +22,7 @@ import numpy as np
 from .fields import (BlowUpError, Grid1D, ConfigurationError, check_field, cross,
                      cumint, diff1, diff1_at_0)
 from .forks import contiguous_ranges, fork_map
-from .hashimoto import FRAME_TOL, FrameField, reconstruct_frame
+from .hashimoto import BASEPOINT_FRAME, FrameField, reconstruct_frame
 from .heat import HeatDrift
 from .llg import StepConfig, check_finite
 from .noise import (NoiseIncrement, NoiseModel, derive_seed, noise_fields,
@@ -130,26 +130,24 @@ class SllgEnsemble:
                             dW_tilde=self.dW_tilde[:, p], seeds=self.seeds[p])
 
 
-def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
-                      cfg: StepConfig, master_seed: int,
-                      n_paths: int) -> SllgEnsemble:
-    """Independent weak SLLG paths from q0 and its frame field, driven by
-    nm's noise on nm's grid; path i runs on the seed
-    derive_seed(master_seed, i). q0 is one (n,) field, the frame one finite
-    (n, 3) field orthonormal to hashimoto.FRAME_TOL at every node.
+def run_sllg_ensemble(q0: np.ndarray, nm: NoiseModel, cfg: StepConfig,
+                      master_seed: int, n_paths: int) -> SllgEnsemble:
+    """Independent weak SLLG paths from the one (n,) field q0, driven by nm's
+    noise on nm's grid; path i runs on the seed derive_seed(master_seed, i).
 
-    For all paths at once: (1) advance q; (2) advance the basepoint frame
-    in time with coefficients at node 0, x = a (where the nonlocal integrals
-    vanish); (3) rebuild the full frame field from q by the spatial march,
-    which enforces the curvature/torsion relation between u and q by
-    construction; (4) assemble the increments of
-    W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames.
-    The q/u/e/W-tilde histories live in one anonymous shared mapping, so the
-    workers of forks.fork_map, one per range of forks.contiguous_ranges (the
-    parent marches the lowest paths), march their ranges in place, and
-    _march orders the steps. Every path is bit for bit the same for any
-    number of workers or hashimoto.CHUNK_ROTATIONS. A blow-up raises the
-    serial march's BlowUpError.
+    For all paths at once: (1) advance q; (2) advance the basepoint frame,
+    hashimoto.BASEPOINT_FRAME at step 0, in time with coefficients at node 0,
+    x = a (where the nonlocal integrals vanish); (3) build every step's frame
+    field, step 0's included, from q by the spatial march, which enforces the
+    curvature/torsion relation between u and q by construction; (4) assemble
+    the increments of W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint
+    frames. The q/u/e/W-tilde histories live in one anonymous shared mapping,
+    so the workers of forks.fork_map, one per range of
+    forks.contiguous_ranges (the parent marches the lowest paths), march
+    their ranges in place, and _march orders the steps. Every path is bit for
+    bit the same for any number of workers or hashimoto.CHUNK_ROTATIONS. A
+    blow-up raises the serial march's BlowUpError, and a q0 whose frame march
+    overflows a ConfigurationError.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -158,16 +156,13 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
             f"master_seed must be an integer >= 0, got {master_seed!r}")
     g = nm.grid
     check_field((g.n,), "q0", q0)
-    check_field((g.n, 3), "the frame's u or e", frame.u, frame.e)
-    if not (defect := frame.orthonormality_defect()) <= FRAME_TOL:     # NaN too
-        raise ConfigurationError(f"frame orthonormality defect {defect:.3e} > {FRAME_TOL}")
     seeds = [derive_seed(master_seed, i) for i in range(n_paths)]
     cfg.check_stability(g)
     K, n, P = cfg.n_steps, g.n, n_paths
     qs, us, es, dW_tilde = _shared_arrays([((K + 1, P, n), complex)]
                                           + [((K + 1, P, n, 3), float)] * 2
                                           + [((K, P, n, 3), float)])
-    qs[0], us[0], es[0] = q0, frame.u, frame.e
+    qs[0] = q0
 
     def march(c: slice):        # paths c: one contiguous block per history step
         _march(qs[:, c], us[:, c], es[:, c], dW_tilde[:, c], seeds[c], nm, g, cfg)
@@ -181,6 +176,8 @@ def run_sllg_ensemble(q0: np.ndarray, frame: FrameField, nm: NoiseModel,
         if len(ranges) > 1:
             march(slice(0, P))
         raise
+    if not np.all(np.isfinite(us[0])):
+        raise ConfigurationError("the initial frame overflows to inf or nan")
     return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
                         seeds=seeds)
 
@@ -195,20 +192,18 @@ def _shared_arrays(specs):
 
 
 def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
-    """Advance the paths on seeds from their step-0 entries, filling the
-    history views.
+    """Advance the paths on seeds from their step-0 q, filling the history
+    views.
 
-    q and the basepoint frames never read the rebuilt frame fields, so they
-    advance over all K steps first, keeping each step's raw dW1, dW2, dW3 in
-    dW_tilde. One spatial march over the K * P columns then rebuilds every
-    frame field in place, and W-tilde's increments replace the raw ones.
+    q and the basepoint frames never read the frame fields, so they advance
+    over all K steps first, keeping each step's raw dW1, dW2, dW3 in
+    dW_tilde. One spatial march over the (K + 1) * P columns then builds
+    every frame field in place, and W-tilde's increments replace the raw ones.
     """
     K, P = dW_tilde.shape[:2]
-    if K == 0:
-        return
     q = qs[0]
-    base = us[0, :, 0], es[0, :, 0]
-    bases = np.empty((2, K, P, 3))
+    bases = np.empty((2, K + 1, P, 3))
+    bases[:, 0] = np.array(BASEPOINT_FRAME)[:, None]
     for k in range(K):
         inc = noise_fields(nm, np.stack(
             [sample_increments(nm, s, cfg.dt, k) for s in seeds]))
@@ -216,11 +211,10 @@ def _march(qs, us, es, dW_tilde, seeds, nm, g, cfg):
                                                cfg.dt, inc)
         check_finite(q_new, q, k, cfg.dt, "stochastic heat flow")
         q = qs[k + 1] = q_new
-        base = _basepoint_step(base, q_mid, inc, g, cfg)
+        bases[:, k + 1] = _basepoint_step(bases[:, k], q_mid, inc, g, cfg)
         dW_tilde[k] = np.stack([inc.dW1, inc.dW2, inc.dW3], axis=-1)
-        bases[:, k] = base
     # the march's columns are the (step, path) pairs
-    reconstruct_frame(qs[1:], g, *bases, out=FrameField(u=us[1:], e=es[1:]))
+    reconstruct_frame(qs, g, *bases, out=FrameField(u=us, e=es))
     # W-tilde = int e dW2 + (e x u) dW1 + u dW3 with midpoint frames
     exu = cross(es[0], us[0])
     for k in range(K):

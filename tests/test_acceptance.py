@@ -13,7 +13,8 @@ from hasimoto_lab.cli import main as cli_main
 from hasimoto_lab.fields import dot, line_grid, norm, periodic_grid
 from hasimoto_lab.hashimoto import curvature_torsion, reconstruct_frame, transform
 from hasimoto_lab.heat import heat_integrate
-from hasimoto_lab.llg import StepConfig, curvature_torsion_rhs, llg_integrate, stable_dt
+from hasimoto_lab.llg import (StepConfig, auto_dt, curvature_torsion_rhs, llg_integrate,
+                              stable_dt)
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
@@ -151,9 +152,8 @@ def test_criterion_07_gauge_phase_caveat():
     # global phase e^{i beta k^2 t / 2} while the curve flow is stationary
     g = periodic_grid(2.0 * np.pi, 64)
     k, beta, t_end = 1.0, 1.0, 0.1
-    dt = 0.9 * stable_dt(g, 1.0, beta)
-    n_steps = int(np.ceil(t_end / dt))
-    dt = t_end / n_steps
+    dt = auto_dt(g, 1.0, beta, t_end)
+    n_steps = round(t_end / dt)
     tr = heat_integrate(k * np.ones(g.n, complex), g,
                         StepConfig(alpha=1.0, beta=beta, dt=dt, t_end=t_end,
                                    output_stride=n_steps))
@@ -174,8 +174,7 @@ def test_criterion_08_weak_residual():
     bounds = []
     for dt in (2e-3, 1e-3, 5e-4):
         cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=0.02)
-        paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
-                                  make_noise_model(g, 4), cfg, 2024, 1000)
+        paths = run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 2024, 1000)
         rep, control = sllg_weak_residual(paths, phi)
         assert abs(rep["mean"]) <= 3.0 * rep["stderr"]
         bounds.append(3.0 * rep["stderr"])
@@ -193,16 +192,14 @@ def test_criterion_09_covariance():
     phi2 = np.stack([np.zeros(g.n), np.zeros(g.n), np.ones(g.n)], axis=-1)
     phi3 = np.stack([np.sin(2.0 * g.x), np.zeros(g.n), np.cos(g.x)], axis=-1)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.01)
-    paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
-                              make_noise_model(g, 4), cfg, 77, 2000)
+    paths = run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 77, 2000)
     for rep in covariance_checks(paths, [(phi1, phi1), (phi1, phi2), (phi2, phi3)]):
         assert rep["within_3sigma"]
     # white-noise trend with unit coefficients
     target = 0.01 * g.h * float(np.sum(phi1 * phi1))
     gaps = []
     for n_modes in (1, 4, 16):
-        paths = run_sllg_ensemble(q0, reconstruct_frame(q0, g, M, E0),
-                                  make_noise_model(g, n_modes), cfg, 77, 500)
+        paths = run_sllg_ensemble(q0, make_noise_model(g, n_modes), cfg, 77, 500)
         rep, = covariance_checks(paths, [(phi1, phi1)])
         gaps.append(abs(rep["mc_estimate"] - target))
     assert gaps[0] > gaps[1] > gaps[2]

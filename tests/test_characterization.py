@@ -68,11 +68,12 @@ ENSEMBLE_RUNS = {"sllg-ensemble": ["sllg", "--seed", "2024", *ENSEMBLE],
                  "covariance-ensemble": ["covariance", "--seed", "77", *ENSEMBLE]}
 # One run for each regime that the test below asserts on 1 and on 2 workers:
 # - sllg-wide (CI's wide sllg at 820 paths, not 1000, to save time): a
-#   march of 10 steps of 820 paths, whose worker holds 8200 or 4100 (step,
-#   path) columns, over the 4096 that take the march's chunks to their
-#   4-node floor;
-# - sllg-n4096: n = 4096 with few columns, 12 steps of 2 paths, so chunks of
-#   4096 // 24 = 170 nodes on one worker and 4096 // 12 = 341 on two;
+#   march of 10 steps of 820 paths, whose worker holds 11 * 820 = 9020 or
+#   11 * 410 = 4510 (step, path) columns, step 0's included, over the 4096
+#   that take the march's chunks to their 4-node floor;
+# - sllg-n4096: n = 4096 with few columns, 12 steps of 2 paths, so 13 * 2
+#   columns and chunks of 4096 // 26 = 157 nodes on one worker, and
+#   4096 // 13 = 315 on two;
 # - crosscheck-n4096: crosscheck's six forked flows at n = 1024, 2048 and 4096.
 REGIME_RUNS = {
     "sllg-wide": ["sllg", "--seed", "5", *[f"--set={kv}" for kv in (
@@ -205,11 +206,11 @@ def test_regime_runs_match_the_recording_on_any_worker_count(tmp_path, monkeypat
         chunks.clear()
         runs.update(runs_under(str(tmp_path), {name: argv}))
         marched[name] = chunks[:]
-    assert 10 * (820 // cpus) > hashimoto.CHUNK_ROTATIONS
-    assert {c[1:] for c in marched["sllg-wide"]} == {(10, 820 // cpus)}
+    assert 11 * (820 // cpus) > hashimoto.CHUNK_ROTATIONS
+    assert {c[1:] for c in marched["sllg-wide"]} == {(11, 820 // cpus)}
     assert max(c[0] for c in marched["sllg-wide"]) == 4
-    assert {c[1:] for c in marched["sllg-n4096"]} == {(12, 2 // cpus)}
-    assert max(c[0] for c in marched["sllg-n4096"]) == [170, 341][cpus - 1]
+    assert {c[1:] for c in marched["sllg-n4096"]} == {(13, 2 // cpus)}
+    assert max(c[0] for c in marched["sllg-n4096"]) == [157, 315][cpus - 1]
     assert [lv["n"] for lv in runs["crosscheck-n4096"]["report"]["levels"]] == \
         [1024, 2048, 4096]
     assert_recorded(runs)

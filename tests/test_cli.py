@@ -15,7 +15,6 @@ from hasimoto_lab.cli import (DEFAULTS, EXPERIMENTS, SCHEMA, _fmt, _with,
 import hasimoto_lab
 import hasimoto_lab.cli as cli
 from hasimoto_lab.fields import ConfigurationError, periodic_grid
-from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
 from hasimoto_lab.heat import heat_integrate
 from hasimoto_lab.llg import StepConfig
 from hasimoto_lab.noise import make_noise_model
@@ -236,8 +235,8 @@ def test_report_entries_are_the_library_calls_on_the_plan(tmp_path):
             holonomy_defect(path, g, cfg.alpha, cfg.beta, cfg.dt))
 
     _, c = plan("covariance", SMALL_CHECKS["covariance"])
-    ens = run_sllg_ensemble(c["x0"], c["frame"], c["noise"], c["solver"],
-                            c["master_seed"], c["n_paths"])
+    ens = run_sllg_ensemble(c["x0"], c["noise"], c["solver"], c["master_seed"],
+                            c["n_paths"])
     pairs = covariance_checks(ens, standard_pairs(c["g"]))
     assert list(reports["covariance"]["pairs"].values()) == as_json(pairs)
 
@@ -305,6 +304,23 @@ def test_great_circle_must_close_on_circle(tmp_path):
     rc = run_cli("llg", "--out", str(out), "--set", "k=0.5")
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sets,refused", [
+    (["k=31"], None), (["k=32"], "k=32.0 is more than n=64 nodes resolve: |k| h = 3.14159"),
+    (["k=40"], "k=40.0 is more than n=64 nodes resolve: |k| h = 3.92699"),
+    (["domain=line", "x_min=-1e6", "x_max=1e6"],
+     "k=1.0 is more than n=64 nodes resolve: |k| h = 31746")],
+    ids=["k=31", "k=32", "k=40", "line"])
+def test_great_circle_must_be_resolved_by_its_nodes(tmp_path, capsys, sets, refused):
+    # k = 40 on the 64-node circle samples the k = -24 circle: |k| h must stay
+    # below pi, on the line too
+    args = ["llg", "--set", "t_end=0", *(a for kv in sets for a in ("--set", kv))]
+    if refused is None:
+        assert run_cli(*args, "--out", str(tmp_path / "llg")) == 0
+    else:
+        assert assert_config_error(tmp_path, capsys, *args) == (
+            f"config error: great-circle {refused} needs to be < pi\n")
 
 
 def test_out_env_var(tmp_path, monkeypatch, capsys):
@@ -453,8 +469,8 @@ def test_reference_crosscheck_levels_match_validate(sets):
 
 
 def test_sllg_builds_its_noise_model_and_initial_frame_once(tmp_path, monkeypatch):
-    # the march of the paths rebuilds (n, K, P) frame fields; the initial
-    # frame is the one march of q0 alone
+    # the march of the paths builds its (K + 1, P) frame fields as one batch;
+    # q0 alone is marched once, by validate, for its overflow refusal
     import hasimoto_lab.hashimoto as hashimoto
     import hasimoto_lab.noise as noise
     models = wrap_everywhere(monkeypatch, noise, "make_noise_model", lambda *args: True)
@@ -573,8 +589,7 @@ def test_sllg_csv_is_path_zero_exactly(tmp_path):
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=0.001, t_end=0.003)
     q0 = np.ones(g.n, complex)
-    ens = run_sllg_ensemble(q0, reconstruct_frame(q0, g, *BASEPOINT_FRAME),
-                            make_noise_model(g, 3), cfg, 9, 3)
+    ens = run_sllg_ensemble(q0, make_noise_model(g, 3), cfg, 9, 3)
     with open(out1 / "series_u.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "node", "x", "ux", "uy", "uz"]

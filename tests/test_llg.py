@@ -47,21 +47,29 @@ def test_rhs_dual_formula():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        StepConfig(alpha=-1.0, beta=0.0, dt=1e-3, t_end=0.1)
-    with pytest.raises(ConfigurationError):
-        StepConfig(alpha=1.0, beta=0.0, dt=0.0, t_end=0.1)
+    # StepConfig is the one config of the LLG, heat and stochastic flows
+    for alpha, dt, match in ((-1.0, 1e-3, "damping alpha must be >= 0"),
+                             (-0.5, 1e-3, "damping alpha must be >= 0"),
+                             (1.0, 0.0, "dt must be positive"),
+                             (1.0, -1e-3, "dt must be positive")):
+        with pytest.raises(ConfigurationError, match=match):
+            StepConfig(alpha=alpha, beta=1.0, dt=dt, t_end=0.1)
     with pytest.raises(ConfigurationError, match=r"t_end=1e\+300 over dt=1e-300 overflows"):
         StepConfig(alpha=1.0, beta=1.0, dt=1e-300, t_end=1e300)
-    g = periodic_grid(2.0 * np.pi, 64)
-    cfg = StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0)
-    with pytest.raises(ConfigurationError):
-        cfg.check_stability(g)
-    assert stable_dt(g, 0.0, 0.0) == np.inf
+    for t_end in (-0.1, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="t_end must be finite and >= 0"):
+            StepConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=t_end)
+    for n in (64, 128):
+        g = periodic_grid(2.0 * np.pi, n)
+        cfg = StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0)
+        with pytest.raises(ConfigurationError, match="exceeds the stability bound"):
+            cfg.check_stability(g)
+        assert stable_dt(g, 0.0, 0.0) == np.inf
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.nan, 1.0),
-                                        (1.0, -np.inf), (np.inf, 0.0)])
+@pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.nan, 1.0), (0.5, np.nan),
+                                        (1.0, -np.inf), (np.inf, 0.0), (np.inf, 1.0),
+                                        (-np.inf, 0.5)])
 def test_config_rejects_non_finite_coefficients(alpha, beta):
     # stable_dt's max() drops a NaN, so the check must not rely on it
     with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
@@ -138,7 +146,7 @@ def test_integer_initial_data_steps_as_floats():
 def test_great_circle_stationary():
     g = periodic_grid(2.0 * np.pi, 64)
     u0 = great_circle(g)
-    dt = 0.1 / np.ceil(0.1 / (0.9 * stable_dt(g, 1.0, 1.0)))
+    dt = auto_dt(g, 1.0, 1.0, 0.1)
     tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=0.1,
                                          output_stride=100))
     assert np.max(np.abs(tr.states[-1] - u0)) <= 1e-10
@@ -146,7 +154,7 @@ def test_great_circle_stationary():
 
 def test_projection_keeps_unit_norm():
     g = periodic_grid(2.0 * np.pi, 64)
-    dt = 0.05 / np.ceil(0.05 / (0.9 * stable_dt(g, 1.0, 0.5)))
+    dt = auto_dt(g, 1.0, 0.5, 0.05)
     tr = llg_integrate(smooth_map(g), g,
                        StepConfig(alpha=1.0, beta=0.5, dt=dt, t_end=0.05))
     for u in tr.states:

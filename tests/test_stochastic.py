@@ -171,8 +171,7 @@ def test_run_sllg_unit_norm_pathwise():
     g = periodic_grid(2.0 * np.pi, 64)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=5e-3)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    path = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 3, 1)
+    path = run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 3, 1)
     for u, e in zip(path.u[:, 0], path.e[:, 0]):
         assert np.max(np.abs(norm(u) - 1.0)) <= 1e-12
         assert FrameField(u=u, e=e).orthonormality_defect() <= 1e-11
@@ -183,14 +182,11 @@ def test_run_sllg_zero_noise_matches_llg():
     # deterministic flow up to O(dt + h^2) discretization differences
     g = line_grid(-30.0, 10.0, 128)
     q0 = twist_q(g.x)
-    m = np.array([1.0, 0.0, 0.0])
-    e0 = np.array([0.0, 1.0, 0.0])
-    frame = reconstruct_frame(q0, g, m, e0)
-    u0 = frame.u
+    u0 = reconstruct_frame(q0, g, *BASEPOINT_FRAME).u
     dt = 0.5 * stable_dt(g, 1.0, 1.0)
     t_end = 20.0 * dt
     cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end)
-    path = run_sllg_ensemble(q0, frame, make_noise_model(g, 0), cfg, 0, 1)
+    path = run_sllg_ensemble(q0, make_noise_model(g, 0), cfg, 0, 1)
     tr = llg_integrate(u0, g, StepConfig(alpha=1.0, beta=1.0, dt=dt,
                                          t_end=t_end, output_stride=100))
     assert np.max(np.abs(path.dW_tilde)) == 0.0
@@ -200,14 +196,11 @@ def test_run_sllg_zero_noise_matches_llg():
 def test_run_sllg_seed_determinism():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3)
-    q0 = 0.2 * np.ones(g.n, complex)
-    m = np.array([1.0, 0.0, 0.0])
-    e0 = np.array([0.0, 1.0, 0.0])
-    frame, nm = reconstruct_frame(q0, g, m, e0), make_noise_model(g, 3)
-    p1 = run_sllg_ensemble(q0, frame, nm, cfg, 8, 1)
-    p2 = run_sllg_ensemble(q0, frame, nm, cfg, 8, 1)
+    q0, nm = 0.2 * np.ones(g.n, complex), make_noise_model(g, 3)
+    p1 = run_sllg_ensemble(q0, nm, cfg, 8, 1)
+    p2 = run_sllg_ensemble(q0, nm, cfg, 8, 1)
     assert np.array_equal(p1.u, p2.u) and np.array_equal(p1.q, p2.q)
-    p3 = run_sllg_ensemble(q0, frame, nm, cfg, 9, 1)
+    p3 = run_sllg_ensemble(q0, nm, cfg, 9, 1)
     assert not np.array_equal(p1.u, p3.u)
 
 
@@ -215,8 +208,7 @@ def test_ensemble_paths_distinct():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3)
     q0 = 0.2 * np.ones(g.n, complex)
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 3), cfg,
+    ens = run_sllg_ensemble(q0, make_noise_model(g, 3), cfg,
                             master_seed=4, n_paths=3)
     assert len(set(ens.seeds)) == 3
     assert not np.array_equal(ens.u[:, 0], ens.u[:, 1])
@@ -228,8 +220,7 @@ def test_path_shares_grid_config_and_noise_model():
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=3e-3)
     nm = NoiseModel(grid=g, coeffs=np.arange(1, 4) ** -1.0)
     q0 = 0.2 * np.ones(g.n, complex)
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    ens = run_sllg_ensemble(q0, frame, nm, cfg, master_seed=4, n_paths=3)
+    ens = run_sllg_ensemble(q0, nm, cfg, master_seed=4, n_paths=3)
     assert ens.grid is g and ens.cfg is cfg and ens.noise is nm
     assert np.array_equal(ens.noise.coeffs, np.arange(1, 4) ** -1.0)
     assert np.array_equal(ens.times, cfg.dt * np.arange(4))
@@ -241,37 +232,11 @@ def test_path_shares_grid_config_and_noise_model():
         assert np.array_equal(one.times, ens.times)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        StepConfig(alpha=0.5, beta=0.5, dt=0.0, t_end=1.0)
-    with pytest.raises(ConfigurationError):
-        StepConfig(alpha=-1.0, beta=0.5, dt=1e-3, t_end=1.0)
-    g = periodic_grid(2.0 * np.pi, 128)
-    with pytest.raises(ConfigurationError):
-        StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
-    with pytest.raises(ConfigurationError):
-        make_noise_model(g, -1)
-    with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
-        make_noise_model(g, 4, np.inf)
-    with pytest.raises(ConfigurationError, match="output_stride"):
-        StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
-    for t_end in (np.inf, np.nan, -1.0):
-        with pytest.raises(ConfigurationError):
-            StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
-
-
-@pytest.mark.parametrize("alpha,beta", [(0.5, np.nan), (-np.inf, 0.5)])
-def test_config_rejects_non_finite_coefficients(alpha, beta):
-    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
-        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
-
-
 def _ensemble_inputs(n, dt, n_steps):
     g = periodic_grid(2.0 * np.pi, n)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    return g, cfg, q0, frame, make_noise_model(g, 4)
+    return g, cfg, q0, make_noise_model(g, 4)
 
 
 def assert_same_path(a, b):
@@ -282,8 +247,8 @@ def assert_same_path(a, b):
 
 def test_ensemble_paths_independent_of_batch_size():
     # path i is bit-identical in ensembles of 1, 7 and 12 paths
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 3)
-    ensembles = [run_sllg_ensemble(q0, frame, nm, cfg, 31, p) for p in (1, 7, 12)]
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 3)
+    ensembles = [run_sllg_ensemble(q0, nm, cfg, 31, p) for p in (1, 7, 12)]
     for i in range(7):
         paths = [ens.view(slice(i, i + 1)) for ens in ensembles if i < ens.n_paths]
         assert paths[0].seeds == [derive_seed(31, i)]
@@ -292,72 +257,60 @@ def test_ensemble_paths_independent_of_batch_size():
 
 
 def test_ensemble_needs_a_path():
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 2)
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 2)
     with pytest.raises(ConfigurationError):
-        run_sllg_ensemble(q0, frame, nm, cfg, 2, 0)
+        run_sllg_ensemble(q0, nm, cfg, 2, 0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
 def test_master_seed_must_be_a_nonnegative_integer(seed):
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 2)
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 2)
     match = "master_seed must be an integer >= 0"
     with pytest.raises(ConfigurationError, match=match):
-        run_sllg_ensemble(q0, frame, nm, cfg, seed, 2)
+        run_sllg_ensemble(q0, nm, cfg, seed, 2)
 
 
-@pytest.mark.parametrize("case", ["frame of 3-vectors", "0-d q0", "q0 of 20 nodes"])
+@pytest.mark.parametrize("case", ["0-d q0", "q0 of 20 nodes"])
 def test_ensemble_refuses_a_start_that_is_not_one_field_on_its_grid(case):
-    # the first two would broadcast into every path's step 0, the third end
-    # in numpy's broadcast error
-    g, cfg, q0, frame, nm = _ensemble_inputs(16, 1e-3, 2)
-    if case == "frame of 3-vectors":
-        frame = FrameField(*np.array(BASEPOINT_FRAME))
-    elif case == "0-d q0":
-        q0 = q0[0]
-    else:
-        q0 = np.resize(q0, 20)
+    # the first would broadcast into every path's step 0, the second end in
+    # numpy's broadcast error
+    g, cfg, q0, nm = _ensemble_inputs(16, 1e-3, 2)
+    q0 = q0[0] if case == "0-d q0" else np.resize(q0, 20)
     with pytest.raises(ConfigurationError, match=r"is not one field of shape \(16"):
-        run_sllg_ensemble(q0, frame, nm, cfg, 1, 2)
+        run_sllg_ensemble(q0, nm, cfg, 1, 2)
 
 
-@pytest.mark.parametrize("broken", ["5e-9 off", "NaN at node 5"])
-def test_ensemble_refuses_a_frame_off_orthonormal_before_the_march(monkeypatch, broken):
-    # a frame 5e-9 off passes frame_time_step's 1e-8 and was refused by the
-    # frame march's 1e-10 only after the q march; a NaN off the basepoint was
-    # never read. Both are refused before the first step.
-    g, cfg, q0, frame, nm = _ensemble_inputs(16, 1e-3, 2)
-    u, e = frame.u.copy(), frame.e.copy()
-    if broken == "5e-9 off":
-        u *= 1.0 + 5e-9
-    else:
-        e[5, 1] = np.nan
-    monkeypatch.setattr(stochastic, "_march", None)
-    match = "5.000e-09" if broken == "5e-9 off" else "nan"
-    with pytest.raises(ConfigurationError, match=f"orthonormality defect {match} > 1e-10"):
-        run_sllg_ensemble(q0, FrameField(u=u, e=e), nm, cfg, 1, 2)
+def test_ensemble_refuses_a_q0_whose_frame_march_overflows():
+    # h q = 1.25e159 squares to inf in the rotation angle, so every frame is
+    # NaN while q itself steps on finite values
+    g = periodic_grid(1e200, 8)
+    cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3)
+    q0 = np.full(g.n, 1e-40, complex)
+    match = "the initial frame overflows to inf or nan"
+    with pytest.raises(ConfigurationError, match=match), np.errstate(all="ignore"):
+        run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 1, 2)
 
 
 def test_blow_up_names_step_time_and_last_finite_max():
     # |q|^2 q grows q ~1e10 to ~1e76 in one step and overflows in the next
-    g, cfg, _, _, nm = _ensemble_inputs(32, 1e-3, 4)
+    g, cfg, _, nm = _ensemble_inputs(32, 1e-3, 4)
     q0 = 1e10 * np.ones(g.n, complex)
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
     one = StepConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=cfg.dt)
     with np.errstate(all="ignore"):
-        q1 = run_sllg_ensemble(q0, frame, nm, one, 3, 2).q[1]
+        q1 = run_sllg_ensemble(q0, nm, one, 3, 2).q[1]
         with pytest.raises(BlowUpError) as info:
-            run_sllg_ensemble(q0, frame, nm, cfg, 3, 2)
+            run_sllg_ensemble(q0, nm, cfg, 3, 2)
     assert str(info.value) == (
         "stochastic heat flow blew up at step 2, t = 0.002: non-finite values; "
         f"last finite max |y| = {np.max(np.abs(q1)):.6g} at t = 0.001")
 
 
 def test_single_march_matches_per_step_marches_at_large_n():
-    # one path at n = 16384 rebuilds its K = 6 frame fields with one march
-    # in chunks of 682 nodes; each field equals the lone march of its q
-    # from its basepoint frame, which takes one chunk
-    g, cfg, q0, frame, nm = _ensemble_inputs(16384, 1e-8, 6)
-    path = run_sllg_ensemble(q0, frame, nm, cfg, 21, 1)
+    # one path at n = 16384 builds its K + 1 = 7 frame fields with one march
+    # in chunks of 4096 // 7 = 585 nodes; each field equals the lone march of
+    # its q from its basepoint frame, which takes one chunk
+    g, cfg, q0, nm = _ensemble_inputs(16384, 1e-8, 6)
+    path = run_sllg_ensemble(q0, nm, cfg, 21, 1)
     for k in range(path.n_steps + 1):
         f = reconstruct_frame(path.q[k, 0], g, path.u[k, 0, 0], path.e[k, 0, 0])
         assert np.array_equal(f.u, path.u[k, 0]), k
@@ -368,9 +321,11 @@ def test_ensemble_matches_step_by_step_construction():
     # every frame field is the spatial march of its q from its basepoint
     # frame, and W-tilde's increments are the midpoint-frame sums of the
     # path's own noise, in this operation order
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 4)
-    ens = run_sllg_ensemble(q0, frame, nm, cfg, 13, 3)
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 4)
+    ens = run_sllg_ensemble(q0, nm, cfg, 13, 3)
     nm = ens.noise
+    m, e0 = BASEPOINT_FRAME
+    assert np.all(ens.u[0, :, 0] == m) and np.all(ens.e[0, :, 0] == e0)
     for i, seed in enumerate(ens.seeds):
         q, u, e = ens.q[:, i], ens.u[:, i], ens.e[:, i]
         for k in range(ens.n_steps + 1):
@@ -385,6 +340,23 @@ def test_ensemble_matches_step_by_step_construction():
             dW += exu_mid * inc.dW1[:, None]
             dW += u_mid * inc.dW3[:, None]
             assert np.array_equal(dW, ens.dW_tilde[k, i])
+
+
+@pytest.mark.parametrize("n_steps", [0, 3])
+def test_step_zero_frames_are_the_march_of_q0_on_any_worker_count(use_cpus,
+                                                                  no_child_left, n_steps):
+    # a t_end = 0 ensemble marches its one step too; path i's step-0 frame is
+    # the lone march of q0 from BASEPOINT_FRAME on 1, 2 and 3 workers
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, n_steps)
+    f = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        ens = run_sllg_ensemble(q0, nm, cfg, 5, 5)
+        no_child_left()
+        assert ens.n_steps == n_steps
+        for i in range(ens.n_paths):
+            assert np.array_equal(ens.u[0, i].view(np.uint64), f.u.view(np.uint64))
+            assert np.array_equal(ens.e[0, i].view(np.uint64), f.e.view(np.uint64))
 
 
 def old_basepoint_step(base, q_mid, inc, g, cfg):
@@ -425,15 +397,15 @@ def test_ensemble_bit_identical_for_any_worker_count(monkeypatch, use_cpus,
                                                      no_child_left):
     # 7 paths, marched node by node by one worker, against 1, 2 and 3
     # workers at the default chunk size: their ranges 7, 4 + 3 and 3 + 2 + 2
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 5)
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 5)
     chunk = hashimoto.CHUNK_ROTATIONS
     use_cpus(1)
     monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", 1)
-    ref = run_sllg_ensemble(q0, frame, nm, cfg, 9, 7)
+    ref = run_sllg_ensemble(q0, nm, cfg, 9, 7)
     monkeypatch.setattr(hashimoto, "CHUNK_ROTATIONS", chunk)
     for cpus in (1, 2, 3):
         use_cpus(cpus)
-        ens = run_sllg_ensemble(q0, frame, nm, cfg, 9, 7)
+        ens = run_sllg_ensemble(q0, nm, cfg, 9, 7)
         no_child_left()
         for name in ("times", "q", "u", "e", "dW_tilde"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), (cpus, name)
@@ -447,9 +419,9 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     # marches it alone, while the serial march checks paths 0-2 as one range
     # and its message gives their common last finite max |q|, which is
     # path 0's here
-    g, cfg, q0, frame, nm = _ensemble_inputs(32, 1e-3, 6)
+    g, cfg, q0, nm = _ensemble_inputs(32, 1e-3, 6)
     two = StepConfig(alpha=cfg.alpha, beta=cfg.beta, dt=cfg.dt, t_end=2 * cfg.dt)
-    q2 = run_sllg_ensemble(q0, frame, nm, two, 4, 3).q[2]
+    q2 = run_sllg_ensemble(q0, nm, two, 4, 3).q[2]
     assert np.max(np.abs(q2[2])) < np.max(np.abs(q2[0]))
     bad = derive_seed(4, 2)
     sample = stochastic.sample_increments
@@ -462,7 +434,7 @@ def test_blow_up_in_a_worker_raises_the_serial_error(monkeypatch, use_cpus,
     for k in (1, cpus):
         use_cpus(k)
         with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
-            run_sllg_ensemble(q0, frame, nm, cfg, 4, 3)
+            run_sllg_ensemble(q0, nm, cfg, 4, 3)
         errors[k] = str(info.value)
         no_child_left()
     assert errors[cpus] == errors[1] == (

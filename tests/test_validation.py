@@ -11,7 +11,7 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, line_grid,
 from hasimoto_lab import validation
 from hasimoto_lab.forks import contiguous_ranges, fork_map, usable_cpus
 from hasimoto_lab.heat import heat_integrate
-from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame, transform
+from hasimoto_lab.hashimoto import transform
 from hasimoto_lab.llg import StepConfig, llg_integrate, stable_dt
 from hasimoto_lab.noise import make_noise_model, noise_fields, sample_increments
 from hasimoto_lab.stochastic import SllgEnsemble, run_sllg_ensemble
@@ -307,8 +307,7 @@ def make_zero_noise_paths(g, dt, t_end, n_paths):
     """n_paths equal paths: with no noise modes the seeds make no difference."""
     q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
     cfg = StepConfig(alpha=1.0, beta=1.0, dt=dt, t_end=t_end)
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    return run_sllg_ensemble(q0, frame, make_noise_model(g, 0), cfg, 0, n_paths)
+    return run_sllg_ensemble(q0, make_noise_model(g, 0), cfg, 0, n_paths)
 
 
 def test_weak_residual_zero_test_function():
@@ -448,8 +447,7 @@ def small_ensemble():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=4e-3)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 17, 9)
+    ens = run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 17, 9)
     return g, ens
 
 
@@ -569,8 +567,7 @@ def test_checks_reject_zero_step_ensemble():
     g = periodic_grid(2.0 * np.pi, 32)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=0.0)
     q0 = 0.2 + 0.06 * np.cos(g.x) + 0.0j
-    frame = reconstruct_frame(q0, g, *BASEPOINT_FRAME)
-    ens = run_sllg_ensemble(q0, frame, make_noise_model(g, 4), cfg, 17, 3)
+    ens = run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 17, 3)
     assert ens.n_steps == 0
     phi = np.stack([np.cos(g.x), np.sin(g.x), 0.3 * np.ones(g.n)], axis=-1)
     with pytest.raises(ConfigurationError):
