@@ -43,6 +43,22 @@ def test_rhs_forms_agree_on_decaying_data():
     assert diffs[1] <= 0.3 * diffs[0]
 
 
+def test_config_validation():
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        StepConfig(alpha=1.0, beta=1.0, dt=-1e-3, t_end=0.1)
+    with pytest.raises(ConfigurationError, match="damping alpha must be >= 0"):
+        StepConfig(alpha=-0.5, beta=1.0, dt=1e-3, t_end=0.1)
+    g = periodic_grid(2.0 * np.pi, 128)
+    with pytest.raises(ConfigurationError, match="exceeds the stability bound"):
+        StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, np.nan), (np.inf, 1.0)])
+def test_config_rejects_non_finite_coefficients(alpha, beta):
+    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
+        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+
+
 @pytest.mark.parametrize("g", [line_grid(-8.0, 8.0, 97),
                                periodic_grid(2.0 * np.pi, 96)],
                          ids=["line", "periodic"])
@@ -56,6 +72,12 @@ def test_heat_stepper_bit_identical_to_reference(g):
     for q in tr.states[1:]:
         ref = rk4_step(ref, dt, lambda v: heat_rhs(v, g, 0.8, -0.6))
         assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
+
+
+def test_config_rejects_bad_final_time():
+    for t_end in (-0.1, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="t_end must be finite and >= 0"):
+            StepConfig(alpha=1.0, beta=1.0, dt=1e-3, t_end=t_end)
 
 
 def test_constant_data_phase_rotation():

@@ -232,6 +232,31 @@ def test_path_shares_grid_config_and_noise_model():
         assert np.array_equal(one.times, ens.times)
 
 
+def test_config_validation():
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        StepConfig(alpha=0.5, beta=0.5, dt=0.0, t_end=1.0)
+    with pytest.raises(ConfigurationError, match="damping alpha must be >= 0"):
+        StepConfig(alpha=-1.0, beta=0.5, dt=1e-3, t_end=1.0)
+    g = periodic_grid(2.0 * np.pi, 128)
+    with pytest.raises(ConfigurationError, match="exceeds the stability bound"):
+        StepConfig(alpha=1.0, beta=1.0, dt=1.0, t_end=1.0).check_stability(g)
+    with pytest.raises(ConfigurationError, match="n_modes must be >= 0"):
+        make_noise_model(g, -1)
+    with pytest.raises(ConfigurationError, match="non-finite noise coefficients"):
+        make_noise_model(g, 4, np.inf)
+    with pytest.raises(ConfigurationError, match="output_stride must be >= 1"):
+        StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=1.0, output_stride=0)
+    for t_end in (np.inf, np.nan, -1.0):
+        with pytest.raises(ConfigurationError, match="t_end must be finite and >= 0"):
+            StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=t_end)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, np.nan), (-np.inf, 0.5)])
+def test_config_rejects_non_finite_coefficients(alpha, beta):
+    with pytest.raises(ConfigurationError, match="alpha and beta must be finite"):
+        StepConfig(alpha=alpha, beta=beta, dt=1e-3, t_end=2e-3)
+
+
 def _ensemble_inputs(n, dt, n_steps):
     g = periodic_grid(2.0 * np.pi, n)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=dt, t_end=n_steps * dt)
