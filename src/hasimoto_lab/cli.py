@@ -190,9 +190,8 @@ def _one_grid_plan(experiment: str, c: dict, errors: list):
     if g is None:
         return None
     x0 = c["x0"] = attempt(initial_u if sphere else initial_q, c, g)
-    if x0 is not None and not np.all(np.isfinite(
-            x0 if sphere else reconstruct_frame(x0, g, *BASEPOINT_FRAME).u)):
-        errors.append("the initial frame overflows to inf or nan")
+    if x0 is not None and experiment in _with("frame"):    # refuse an overflow up front
+        attempt(reconstruct_frame, x0, g, *BASEPOINT_FRAME)
     if experiment in _with("noise"):
         c["noise"] = attempt(make_noise_model, g, c["n_modes"], c["coeff_amplitude"])
     if c.get("dt") == "auto":
@@ -380,17 +379,17 @@ def _with(trait: str) -> tuple:
     return tuple(e for e, (_, traits) in EXPERIMENTS.items() if trait in traits.split())
 
 
-# One row per experiment: (runner, traits). u: starts from u, not q; grid: runs
-# on one grid; flow: evolves in time; dt: steps at a dt; line: may run on the
-# line; twist: a localized twist there by default; noise; checks: over the steps.
+# One row per experiment: (runner, traits). u: starts from u, not q; grid: runs on one
+# grid; flow: evolves in time; dt: steps at a dt; line: may run on the line; twist: a
+# localized twist there by default; noise; checks: over the steps; frame: frames from q.
 EXPERIMENTS = {
     "llg": (run_llg, "u grid flow dt line"),
     "heat": (run_heat, "grid flow dt line"),
     "crosscheck": (run_crosscheck, "u flow line twist checks"),
     "identities": (run_identities, "u grid line twist"),
-    "sllg": (run_sllg_experiment, "grid flow dt noise checks"),
-    "holonomy": (run_holonomy, "grid flow dt line twist checks"),
-    "covariance": (run_covariance, "grid flow dt noise checks"),
+    "sllg": (run_sllg_experiment, "grid flow dt noise checks frame"),
+    "holonomy": (run_holonomy, "grid flow dt line twist checks frame"),
+    "covariance": (run_covariance, "grid flow dt noise checks frame"),
 }
 
 # One row per config key: (type, constraint, default, readers, their own

@@ -107,7 +107,7 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
     out bit for bit as if marched alone. The march holds the rotations and
     frames of one chunk of nodes at a time, and writes u and e into out (a
     FrameField of float64 (*cols, n, 3) arrays or views) or new arrays. q, m,
-    e0 must be finite, and every basepoint frame orthonormal to FRAME_TOL.
+    e0 and every frame must be finite, every basepoint frame orthonormal to FRAME_TOL.
     """
     if q.shape[-1:] != (g.n,) or not np.shape(m) == np.shape(e0) == q.shape[:-1] + (3,):
         raise ConfigurationError(f"q of shape {q.shape} and m, e0 of shapes "
@@ -135,6 +135,8 @@ def reconstruct_frame(q: np.ndarray, g: Grid1D, m: np.ndarray, e0: np.ndarray,
         u[lo:lo + c + 1] = F[:c + 1, ..., 0, :]     # F[i] is node lo + i's frame
         e[lo:lo + c + 1] = F[:c + 1, ..., 1, :]
         F[0] = F[c]
+    if not np.all(np.isfinite(F[0])):   # a non-finite frame stays so down its column
+        raise ConfigurationError("the initial frame overflows to inf or nan")
     return out
 
 

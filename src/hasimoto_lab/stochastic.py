@@ -146,8 +146,8 @@ def run_sllg_ensemble(q0: np.ndarray, nm: NoiseModel, cfg: StepConfig,
     forks.contiguous_ranges (the parent marches the lowest paths), march
     their ranges in place, and _march orders the steps. Every path is bit for
     bit the same for any number of workers or hashimoto.CHUNK_ROTATIONS. A
-    blow-up raises the serial march's BlowUpError, and a q0 whose frame march
-    overflows a ConfigurationError.
+    blow-up raises the serial march's BlowUpError, and a frame march that
+    overflows reconstruct_frame's ConfigurationError.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -176,8 +176,6 @@ def run_sllg_ensemble(q0: np.ndarray, nm: NoiseModel, cfg: StepConfig,
         if len(ranges) > 1:
             march(slice(0, P))
         raise
-    if not np.all(np.isfinite(us[0])):
-        raise ConfigurationError("the initial frame overflows to inf or nan")
     return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
                         seeds=seeds)
 

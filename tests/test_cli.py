@@ -481,6 +481,31 @@ def test_sllg_builds_its_noise_model_and_initial_frame_once(tmp_path, monkeypatc
     assert len(marches) == 1
 
 
+# h q = 1.25e199 on this great circle squares to inf in the frame march's angle
+OVERFLOWING_FRAME = ["--set", "domain=periodic", "--set", "initial_data=great-circle",
+                     "--set", "circumference=1e200", "--set", "n=8"]
+
+
+def test_heat_marches_no_frame(tmp_path, monkeypatch):
+    # heat never builds a frame, so a q0 whose frame march overflows runs: q = 1
+    # steps to the exact phase e^{i beta t / 2}, with a finite mass
+    import hasimoto_lab.hashimoto as hashimoto
+    marches = wrap_everywhere(monkeypatch, hashimoto, "reconstruct_frame",
+                              lambda *args: True)
+    out = tmp_path / "heat"
+    assert run_cli("heat", *OVERFLOWING_FRAME, "--set", "t_end=0.01",
+                   "--set", "dt=0.001", "--out", str(out)) == 0
+    assert marches == []
+    assert np.isfinite(read_json(out / "report.json")["mass_final"])
+
+
+@pytest.mark.parametrize("experiment", ["sllg", "covariance", "holonomy"])
+def test_frame_experiments_refuse_an_overflowing_frame_march_up_front(tmp_path, capsys,
+                                                                      experiment):
+    assert assert_config_error(tmp_path, capsys, experiment, *OVERFLOWING_FRAME) == (
+        "config error: the initial frame overflows to inf or nan\n")
+
+
 def test_unexpected_error_fails_manifest(tmp_path, capsys, monkeypatch):
 
     def broken(u, g):

@@ -106,6 +106,24 @@ def test_reconstruct_rejects_bad_initial_frame():
         reconstruct_frame(q, g, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
+def test_reconstruct_refuses_a_march_whose_frames_are_not_finite():
+    # h q = 1.25e199 squares to inf in the rotation angle, which made NaN frames
+    # with no error, while q x 1e-250 marches finitely
+    g = periodic_grid(1e200, 8)
+    m, e0 = np.array(BASEPOINT_FRAME)
+    q = np.ones(g.n, complex)
+    match = "the initial frame overflows to inf or nan"
+    with np.errstate(all="ignore"):
+        assert np.all(np.isfinite(reconstruct_frame(q * 1e-250, g, m, e0).u))
+        with pytest.raises(ConfigurationError, match=match):
+            reconstruct_frame(q, g, m, e0)
+        # a batch whose middle column alone is finite, then one whose last alone is not
+        for scales in ([1.0, 1e-250, 1.0], [1e-250, 1e-250, 1.0]):
+            with pytest.raises(ConfigurationError, match=match):
+                reconstruct_frame(np.outer(scales, q), g, np.tile(m, (3, 1)),
+                                  np.tile(e0, (3, 1)))
+
+
 @pytest.mark.parametrize("shape", [(20,), (10,), (16, 5), (5, 16, 1)],
                          ids=["longer", "shorter", "node-first", "node-in-middle"])
 def test_reconstruct_rejects_q_off_the_grid(shape):

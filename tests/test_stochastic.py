@@ -305,15 +305,19 @@ def test_ensemble_refuses_a_start_that_is_not_one_field_on_its_grid(case):
         run_sllg_ensemble(q0, nm, cfg, 1, 2)
 
 
-def test_ensemble_refuses_a_q0_whose_frame_march_overflows():
+def test_ensemble_refuses_a_q0_whose_frame_march_overflows(use_cpus, no_child_left):
     # h q = 1.25e159 squares to inf in the rotation angle, so every frame is
-    # NaN while q itself steps on finite values
+    # NaN while q itself steps on finite values; the march's reconstruct_frame
+    # refuses it in the worker, and fork_map raises it on 1, 2 and 3 workers
     g = periodic_grid(1e200, 8)
     cfg = StepConfig(alpha=0.5, beta=0.5, dt=1e-3, t_end=2e-3)
     q0 = np.full(g.n, 1e-40, complex)
     match = "the initial frame overflows to inf or nan"
-    with pytest.raises(ConfigurationError, match=match), np.errstate(all="ignore"):
-        run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 1, 2)
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        with pytest.raises(ConfigurationError, match=match), np.errstate(all="ignore"):
+            run_sllg_ensemble(q0, make_noise_model(g, 4), cfg, 1, 3)
+        no_child_left()
 
 
 def test_blow_up_names_step_time_and_last_finite_max():
