@@ -32,7 +32,7 @@ from .hashimoto import (BASEPOINT_FRAME, FrameField, closure_defect,
 from .heat import heat_integrate, mass
 from .llg import StepConfig, auto_dt, exchange_energy, llg_integrate
 from .noise import make_noise_model
-from .stochastic import run_sllg_ensemble
+from .stochastic import history_specs, run_sllg_ensemble, spec_sizes
 from .validation import (covariance_checks, crosscheck_deterministic,
                          holonomy_defect, identity_suite, localized_twist,
                          sllg_weak_residual)
@@ -122,6 +122,7 @@ def initial_u(c: dict, g: Grid1D) -> np.ndarray:
 # The most node steps (n x steps x paths, summed over a run's flows) that a
 # run may take: ~1e4 times the largest run in use, hours on one CPU.
 MAX_NODE_STEPS = 1e11
+MAX_HISTORY_BYTES = 2 ** 32     # that an ensemble maps: ~35 times the largest in use
 
 
 def validate(experiment: str, c: dict, errors: list):
@@ -134,7 +135,8 @@ def validate(experiment: str, c: dict, errors: list):
     the one-grid plan's (g, x0, solver) at each of the strictly increasing
     grid sizes, with dt=auto and output_stride=auto. Levels are planned up
     to the first refused one, whose violations stand for the later levels'
-    (which repeat them at another n). A plan over MAX_NODE_STEPS is refused.
+    (which repeat them at another n). A plan over MAX_NODE_STEPS, or over
+    MAX_HISTORY_BYTES of ensemble histories, is refused.
     """
     if experiment in _with("grid"):
         plan = _one_grid_plan(experiment, c, errors)
@@ -158,6 +160,11 @@ def validate(experiment: str, c: dict, errors: list):
     if plan and copies * sum(p["g"].n * p["solver"].n_steps for p in flows) > MAX_NODE_STEPS:
         errors.append(f"the run asks for more than {MAX_NODE_STEPS:.0e} node steps "
                       "(n x steps x paths, summed over its flows)")
+        return None
+    if plan and experiment in _with("noise") and (size := sum(spec_sizes(history_specs(
+            plan["solver"].n_steps, copies, plan["g"].n)))) > MAX_HISTORY_BYTES:
+        errors.append(f"the ensemble's histories would take {size} bytes, more than the "
+                      f"{MAX_HISTORY_BYTES} (2**32) a run may hold")
         return None
     return plan
 
@@ -246,23 +253,34 @@ def _write_nodes(path: str, g: Grid1D, names: list, samples) -> None:
               ((t, node_x, *s.T) for t, s in samples))
 
 
+def _leaves(obj, key="", lists=True):
+    """(key, value) of each leaf of nested dicts, keyed "a.b", and of nested
+    lists, keyed "a[0]"; with lists=False a list is one leaf."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{key}.{k}" if key else str(k), lists)
+    elif lists and isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{key}[{i}]", lists)
+    else:
+        yield key, obj
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """payload as JSON text, made before path is opened; JSON has no NaN or
+    infinity (RFC 8259), so one is refused with a ValueError naming its key."""
+    for key, v in _leaves(payload):
+        if isinstance(v, float) and not np.isfinite(v):
+            raise ValueError(f"{key} = {v} is not a finite number, which JSON cannot hold")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def render_report(report: dict) -> str:
     """Aligned key/value text for humans; nested dicts are flattened."""
-    def flat(obj, prefix=""):
-        for k, v in obj.items():
-            if isinstance(v, dict):
-                yield from flat(v, f"{prefix}{k}.")
-            else:
-                scalar = isinstance(v, (int, float, bool, str))
-                yield f"{prefix}{k}", v if scalar else "..."
-
-    rows = list(flat(report))
+    rows = [(k, v if isinstance(v, (int, float, bool, str)) else "...")
+            for k, v in _leaves(report, lists=False)]
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k:<{width}}  {_fmt(v)}" for k, v in rows)
 
@@ -553,9 +571,13 @@ def main(argv=None) -> int:
                 "outputs": [], "wall_clock_s": None}
     _write_json(os.path.join(root, "manifest.json"), manifest)
     t0 = time.monotonic()
+    outputs = []
     try:
         report, outputs = EXPERIMENTS[args.experiment][0](cfg, root)
+        _write_json(os.path.join(root, "report.json"), report)
     except Exception as exc:
+        for name in outputs:                # a failed run keeps no output
+            os.remove(os.path.join(root, name))
         # no run may leave its manifest in "running"
         manifest.update(status="failed", error=str(exc),
                         error_type=type(exc).__name__,
@@ -572,7 +594,6 @@ def main(argv=None) -> int:
         print(msg, file=sys.stderr)
         return rc
 
-    _write_json(os.path.join(root, "report.json"), report)
     manifest.update(status="complete", outputs=sorted(outputs + ["report.json"]),
                     wall_clock_s=time.monotonic() - t0)
     _write_json(os.path.join(root, "manifest.json"), manifest)

@@ -47,20 +47,18 @@ class FrameField:
                              np.max(np.abs(dot(self.u, self.e)))]))
 
 
-def _with_torsion(theta: np.ndarray, num: np.ndarray) -> CurvatureTorsion:
-    """Curvature theta with torsion num / theta^2, regularized by each
-    field's eps = 1e-8 max theta over its nodes, so a field of a batch comes
-    out as alone: the mask marks theta > eps and the division floors theta^2
-    at eps^2. Both floors are at least 1e-300, so theta == 0 (u == const) and
-    an eps^2 that underflows divide by a positive number."""
-    eps = np.maximum(1e-8 * np.max(theta, axis=-1, keepdims=True), 1e-300)
-    eta = num / np.maximum(theta * theta, np.maximum(eps * eps, 1e-300))
-    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=theta > eps, eps=eps)
-
-
 def curvature_torsion(u: np.ndarray, g: Grid1D) -> CurvatureTorsion:
+    """Curvature theta = |u_x| and torsion <u x u_x, u_xx> / theta^2, regularized
+    by each field's eps = 1e-8 max theta over its nodes, so a field of a batch
+    comes out as alone: the mask marks theta > eps and the division floors
+    theta^2 at eps^2. Both floors are at least 1e-300, so theta == 0
+    (u == const) and an eps^2 that underflows divide by a positive number."""
     ux = diff1(u, g)
-    return _with_torsion(norm(ux), dot(cross(u, ux), diff2(u, g)))
+    theta = norm(ux)
+    eps = np.maximum(1e-8 * np.max(theta, axis=-1, keepdims=True), 1e-300)
+    floor = np.maximum(eps * eps, 1e-300)
+    eta = dot(cross(u, ux), diff2(u, g)) / np.maximum(theta * theta, floor)
+    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=theta > eps, eps=eps)
 
 
 def transform(u: np.ndarray, g: Grid1D) -> np.ndarray:
@@ -71,11 +69,6 @@ def transform(u: np.ndarray, g: Grid1D) -> np.ndarray:
     ct = curvature_torsion(u, g)
     omega = cumint(np.where(ct.valid_mask, ct.eta, 0.0), g)
     return ct.theta * np.exp(1j * omega)
-
-
-def inverse_identities(q: np.ndarray, g: Grid1D) -> CurvatureTorsion:
-    """Recover (Theta, eta) directly from q: Theta = |q|, eta = Im(conj(q) q_x)/|q|^2."""
-    return _with_torsion(np.abs(q), np.imag(np.conj(q) * diff1(q, g)))
 
 
 # The basepoint frame (u(a), e(a)) every run starts its frame march from.

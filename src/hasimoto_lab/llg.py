@@ -1,14 +1,11 @@
-"""Deterministic Landau-Lifshitz-Gilbert flow u_t = beta u x u_xx - alpha u x (u x u_xx)
-and the companion curvature/torsion evolution used as an independent oracle.
-"""
+"""Deterministic Landau-Lifshitz-Gilbert flow u_t = beta u x u_xx - alpha u x (u x u_xx)."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (Grid1D, BlowUpError, ConfigurationError, check_field,
-                     cross_into, diff1, diff2, diff2_into, is_int, time_steps)
-from .hashimoto import CurvatureTorsion
+                     cross_into, diff1, diff2_into, is_int, time_steps)
 
 # stable_dt's factor in dt <= STABILITY_SAFETY h^2 / max(alpha, |beta|)
 STABILITY_SAFETY = 0.2
@@ -192,30 +189,6 @@ def llg_integrate(u0: np.ndarray, g: Grid1D, cfg: StepConfig) -> Trajectory:
     cfg.check_stability(g)
     drift = LLGDrift(g, cfg.alpha, cfg.beta, (g.n, 3))
     return integrate(np.asfortranarray(u0), drift.rhs, cfg, "LLG flow", drift.project)
-
-
-def curvature_torsion_rhs(ct: CurvatureTorsion, g: Grid1D, alpha: float,
-                          beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives of (Theta, eta) along the LLG flow.
-
-    Theta' = alpha (Theta_xx - eta^2 Theta) - beta (eta_x Theta + 2 Theta_x eta)
-    eta'   = alpha eta_xx + 2 alpha (eta Theta_x / Theta)_x + alpha eta Theta^2
-             + beta (Theta_xx / Theta + Theta^2 / 2 - eta^2)_x
-
-    Divisions by Theta are regularized with the same eps mask used by the
-    curvature/torsion extraction.
-    """
-    th, eta, eps = ct.theta, ct.eta, ct.eps
-    th_safe = np.maximum(th, eps)
-    th_x = diff1(th, g)
-    th_xx = diff2(th, g)
-    eta_x = diff1(eta, g)
-    d_theta = alpha * (th_xx - eta * eta * th) - beta * (eta_x * th + 2.0 * th_x * eta)
-    d_eta = (alpha * diff2(eta, g)
-             + 2.0 * alpha * diff1(eta * th_x / th_safe, g)
-             + alpha * eta * th * th
-             + beta * diff1(th_xx / th_safe + 0.5 * th * th - eta * eta, g))
-    return d_theta, d_eta
 
 
 def exchange_energy(u: np.ndarray, g: Grid1D) -> float:

@@ -158,32 +158,41 @@ def run_sllg_ensemble(q0: np.ndarray, nm: NoiseModel, cfg: StepConfig,
     check_field((g.n,), "q0", q0)
     seeds = [derive_seed(master_seed, i) for i in range(n_paths)]
     cfg.check_stability(g)
-    K, n, P = cfg.n_steps, g.n, n_paths
-    qs, us, es, dW_tilde = _shared_arrays([((K + 1, P, n), complex)]
-                                          + [((K + 1, P, n, 3), float)] * 2
-                                          + [((K, P, n, 3), float)])
+    qs, us, es, dW_tilde = _shared_arrays(history_specs(cfg.n_steps, n_paths, g.n))
     qs[0] = q0
 
     def march(c: slice):        # paths c: one contiguous block per history step
         _march(qs[:, c], us[:, c], es[:, c], dW_tilde[:, c], seeds[c], nm, g, cfg)
 
-    ranges = contiguous_ranges(P)
+    ranges = contiguous_ranges(n_paths)
     try:
         fork_map(march, ranges)
     except BlowUpError:
         # a BlowUpError gives the last max |q| over a worker's range of
         # paths only: re-march serially to raise the serial run's error
         if len(ranges) > 1:
-            march(slice(0, P))
+            march(slice(0, n_paths))
         raise
     return SllgEnsemble(cfg=cfg, noise=nm, q=qs, u=us, e=es, dW_tilde=dW_tilde,
                         seeds=seeds)
 
 
+def history_specs(K: int, P: int, n: int) -> list:
+    """The (shape, dtype) of each of the q, u, e and W-tilde histories that
+    run_sllg_ensemble maps for K steps of P paths."""
+    return ([((K + 1, P, n), complex)] + [((K + 1, P, n, 3), float)] * 2
+            + [((K, P, n, 3), float)])
+
+
+def spec_sizes(specs) -> list:
+    """The bytes of an array of each (shape, dtype) spec."""
+    return [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs]
+
+
 def _shared_arrays(specs):
     """Uninitialised arrays of the given (shape, dtype) specs in one
     anonymous shared mapping, which forked children write through."""
-    sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    sizes = spec_sizes(specs)
     buf = mmap.mmap(-1, sum(sizes))
     return [np.ndarray(shape, dtype, buf, offset) for (shape, dtype), offset
             in zip(specs, np.cumsum([0] + sizes))]

@@ -134,7 +134,7 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
     decays at higher order when q solves the heat equation (compatibility)
     and plateaus otherwise. Deterministic coefficients only. q_path holds
     at least 2 time levels, since a single one has no plaquette. Returns
-    the report {max_defect, mean_defect} over all plaquettes.
+    the report {max_defect, mean_defect} over all plaquettes, refused if not finite.
     """
     q_path = np.asarray(q_path)
     if len(q_path) < 2:
@@ -150,10 +150,13 @@ def holonomy_defect(q_path, g: Grid1D, alpha: float, beta: float,
         P1 = T[1:] @ Xb                       # x-step then t-step
         P2 = Xt @ T[:-1]                      # t-step then x-step
         ang = rotation_angle(P1 @ np.swapaxes(P2, -1, -2))
-        worst = max(worst, float(np.max(ang)))
+        worst = float(np.maximum(worst, np.max(ang)))     # a NaN angle stays NaN
         total += float(np.sum(ang))
         count += ang.size
-    return {"max_defect": worst, "mean_defect": total / count}
+    mean = total / count
+    if not (np.isfinite(worst) and np.isfinite(mean)):
+        raise ConfigurationError("the holonomy defect overflows to inf or nan")
+    return {"max_defect": worst, "mean_defect": mean}
 
 
 def _path_sums(phi: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -7,6 +7,9 @@ steppers' rhs, written into preallocated buffers. These copies share no
 arithmetic with the package, so a test that compares the two bit for bit
 checks the package against an independent formula.
 
+Two oracles that no run calls: the closed-form time rates of (Theta, eta)
+along the LLG flow, and (Theta, eta) read directly from q.
+
 Also the tests' convergence-order fit, the crosscheck levels a test
 builds from a curvature profile q0(x), with their own copy of the CLI's
 dt=auto and output_stride=auto rules, and the batched weak residual of one
@@ -18,7 +21,7 @@ import numpy as np
 
 from hasimoto_lab import fields
 from hasimoto_lab.fields import line_grid, open_view, time_steps
-from hasimoto_lab.hashimoto import BASEPOINT_FRAME, reconstruct_frame
+from hasimoto_lab.hashimoto import BASEPOINT_FRAME, CurvatureTorsion, reconstruct_frame
 from hasimoto_lab.llg import LLGDrift, StepConfig, auto_dt
 from hasimoto_lab.validation import _path_sums
 
@@ -93,6 +96,40 @@ def rk4_step(y, dt, f):
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def curvature_torsion_rhs(ct: CurvatureTorsion, g, alpha: float,
+                          beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Time derivatives of (Theta, eta) along the LLG flow.
+
+    Theta' = alpha (Theta_xx - eta^2 Theta) - beta (eta_x Theta + 2 Theta_x eta)
+    eta'   = alpha eta_xx + 2 alpha (eta Theta_x / Theta)_x + alpha eta Theta^2
+             + beta (Theta_xx / Theta + Theta^2 / 2 - eta^2)_x
+
+    Divisions by Theta are regularized with the same eps mask used by the
+    curvature/torsion extraction.
+    """
+    th, eta, eps = ct.theta, ct.eta, ct.eps
+    th_safe = np.maximum(th, eps)
+    th_x = diff1(th, g)
+    th_xx = diff2(th, g)
+    eta_x = diff1(eta, g)
+    d_theta = alpha * (th_xx - eta * eta * th) - beta * (eta_x * th + 2.0 * th_x * eta)
+    d_eta = (alpha * diff2(eta, g)
+             + 2.0 * alpha * diff1(eta * th_x / th_safe, g)
+             + alpha * eta * th * th
+             + beta * diff1(th_xx / th_safe + 0.5 * th * th - eta * eta, g))
+    return d_theta, d_eta
+
+
+def inverse_identities(q, g) -> CurvatureTorsion:
+    """Recover (Theta, eta) directly from q: Theta = |q|, eta = Im(conj(q) q_x)/|q|^2,
+    regularized as hashimoto.curvature_torsion regularizes its torsion."""
+    theta = np.abs(q)
+    eps = np.maximum(1e-8 * np.max(theta, axis=-1, keepdims=True), 1e-300)
+    floor = np.maximum(eps * eps, 1e-300)
+    eta = np.imag(np.conj(q) * diff1(q, g)) / np.maximum(theta * theta, floor)
+    return CurvatureTorsion(theta=theta, eta=eta, valid_mask=theta > eps, eps=eps)
 
 
 def fit_loglog_slope(scales, errors) -> float:

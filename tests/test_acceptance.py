@@ -13,15 +13,14 @@ from hasimoto_lab.cli import main as cli_main
 from hasimoto_lab.fields import dot, line_grid, norm, periodic_grid
 from hasimoto_lab.hashimoto import curvature_torsion, reconstruct_frame, transform
 from hasimoto_lab.heat import heat_integrate
-from hasimoto_lab.llg import (StepConfig, auto_dt, curvature_torsion_rhs, llg_integrate,
-                              stable_dt)
+from hasimoto_lab.llg import StepConfig, auto_dt, llg_integrate, stable_dt
 from hasimoto_lab.noise import make_noise_model
 from hasimoto_lab.stochastic import frame_time_step, run_sllg_ensemble
 from hasimoto_lab.hashimoto import FrameField
 from hasimoto_lab.validation import (covariance_checks, crosscheck_deterministic,
                                      holonomy_defect, identity_suite,
                                      localized_twist, sllg_weak_residual)
-from reference import crosscheck_levels, fit_loglog_slope
+from reference import crosscheck_levels, curvature_torsion_rhs, fit_loglog_slope
 
 M = np.array([1.0, 0.0, 0.0])
 E0 = np.array([0.0, 1.0, 0.0])

@@ -18,7 +18,7 @@ from hasimoto_lab.fields import ConfigurationError, periodic_grid
 from hasimoto_lab.heat import heat_integrate
 from hasimoto_lab.llg import StepConfig
 from hasimoto_lab.noise import make_noise_model
-from hasimoto_lab.stochastic import run_sllg_ensemble
+from hasimoto_lab.stochastic import history_specs, run_sllg_ensemble, spec_sizes
 from hasimoto_lab.validation import (covariance_checks, holonomy_defect,
                                      identity_suite, localized_twist)
 from reference import crosscheck_levels
@@ -522,6 +522,29 @@ def test_unexpected_error_fails_manifest(tmp_path, capsys, monkeypatch):
     assert err == "run failed: RuntimeError: boom second line\n"
 
 
+@pytest.mark.parametrize("report,key", [
+    ({"x": np.nan}, "x = nan"),
+    ({"a": 1.0, "levels": [{"disc": [0.5, -np.inf]}]}, "levels[0].disc[1] = -inf")])
+def test_non_finite_report_fails_without_report_json(tmp_path, capsys, monkeypatch,
+                                                      report, key):
+    # JSON has no NaN or infinity: the run fails, and nothing it wrote is kept
+
+    def runner(c, outdir):
+        with open(os.path.join(outdir, "series_x.csv"), "w") as fh:
+            fh.write("x\n")
+        return report, ["series_x.csv"]
+
+    monkeypatch.setitem(EXPERIMENTS, "identities", (runner, EXPERIMENTS["identities"][1]))
+    out = tmp_path / "run"
+    assert run_cli("identities", "--out", str(out)) == 1
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "failed" and manifest["outputs"] == []
+    assert manifest["error"] == f"{key} is not a finite number, which JSON cannot hold"
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    err = capsys.readouterr().err
+    assert err == f"run failed: ValueError: {manifest['error']}\n"
+
+
 def test_unparsable_initial_file_exits_2(tmp_path, capsys):
     path = tmp_path / "q0.csv"
     path.write_text("re,im\n" + "foo,bar\n" * 32)
@@ -779,6 +802,29 @@ def test_work_bound_counts_nodes_steps_paths_and_every_flow(monkeypatch, experim
     assert validate_errors(experiment, sets) == []
     monkeypatch.setattr(cli, "MAX_NODE_STEPS", work - 1)
     assert len(validate_errors(experiment, sets)) == 1
+
+
+@pytest.mark.parametrize("experiment,n_paths,refused", [
+    ("sllg", "473", False), ("sllg", "474", True), ("covariance", "473", False),
+    ("covariance", "474", True), ("sllg", "500", True)])
+def test_validate_refuses_an_ensemble_over_the_memory_bound(experiment, n_paths, refused):
+    # 100 steps at n = 1024 map 88 K + 64 = 8864 bytes per node and path, so 473
+    # paths fit in 2**32 bytes and 474 do not; 500 paths (~4.5 GB) once passed
+    # validation and failed with ENOMEM. Through validate alone: nothing is mapped
+    sets = {"n": "1024", "n_paths": n_paths, "dt": "5e-6", "t_end": "5e-4"}
+    size = 1024 * int(n_paths) * 8864
+    assert cli.MAX_HISTORY_BYTES == 2 ** 32
+    assert validate_errors(experiment, sets) == (
+        [f"the ensemble's histories would take {size} bytes, more than the "
+         "4294967296 (2**32) a run may hold"] if refused else [])
+
+
+def test_memory_bound_counts_the_bytes_that_an_ensemble_maps():
+    g = periodic_grid(2.0 * np.pi, 16)
+    ens = run_sllg_ensemble(np.ones(g.n, complex), make_noise_model(g, 2),
+                            StepConfig(0.5, 0.5, 1e-3, 3e-3), 0, 3)
+    mapped = sum(a.nbytes for a in (ens.q, ens.u, ens.e, ens.dW_tilde))
+    assert mapped == sum(spec_sizes(history_specs(3, 3, 16))) == 16 * 3 * (88 * 3 + 64)
 
 
 @pytest.mark.parametrize("experiment,value", [

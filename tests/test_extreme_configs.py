@@ -79,6 +79,10 @@ REFUSED = [
     # more modes than n nodes resolve, whose sampled basis is not orthonormal
     ("sllg", {"n": "8", "n_modes": "8"}),
     ("covariance", {"n": "8", "n_modes": "8", "n_paths": "20"}),
+    # histories over 2**32 bytes (~4.5 GB), which failed with ENOMEM after the
+    # output directory was made
+    ("sllg", {"n": "1024", "n_paths": "500", "dt": "5e-6", "t_end": "5e-4"}),
+    ("covariance", {"n": "1024", "n_paths": "474", "dt": "5e-6", "t_end": "5e-4"}),
 ]
 
 # Valid data that overflows within the first step.

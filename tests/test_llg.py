@@ -7,9 +7,9 @@ from hasimoto_lab.fields import (BlowUpError, ConfigurationError, cross, diff1,
                                  diff2, dot, line_grid, normalize,
                                  periodic_grid)
 from hasimoto_lab.hashimoto import curvature_torsion
-from hasimoto_lab.llg import (LLGDrift, StepConfig, auto_dt, curvature_torsion_rhs,
-                              exchange_energy, integrate, llg_integrate, stable_dt)
-from reference import llg_rhs, rk4_step
+from hasimoto_lab.llg import (LLGDrift, StepConfig, auto_dt, exchange_energy, integrate,
+                              llg_integrate, stable_dt)
+from reference import curvature_torsion_rhs, llg_rhs, rk4_step
 
 
 def great_circle(g, k=1.0):

@@ -290,6 +290,15 @@ def test_holonomy_zero_field():
     assert rep["max_defect"] <= 1e-14
 
 
+def test_holonomy_defect_refuses_an_overflow_it_would_drop():
+    # h q = 1.25e199: the propagators overflow and every plaquette angle is NaN,
+    # which a maximum by comparison drops to 0.0
+    g = periodic_grid(1e200, 8)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConfigurationError, match="holonomy defect overflows"):
+        holonomy_defect(np.ones((3, g.n), complex), g, 1.0, 1.0, dt=1e-3)
+
+
 def test_holonomy_solution_beats_frozen():
     g = line_grid(-30.0, 10.0, 64)
     q0 = localized_twist(g.x, amplitude=0.4, width=3.0, center=-10.0)
